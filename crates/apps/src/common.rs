@@ -107,7 +107,7 @@ pub fn dense_context_with_executor(
 /// Creates the dense library over a Diffuse context configured for `mode`
 /// with both execution axes pinned: which executor schedules functional
 /// kernel work, and which kernel backend compiles fused modules. This is the
-/// thread-safe way to run interp-vs-closure (or serial-vs-parallel)
+/// thread-safe way to run interp-vs-simd (or serial-vs-parallel)
 /// comparisons in one process.
 pub fn dense_context_configured(
     mode: Mode,
@@ -225,19 +225,17 @@ mod tests {
 
     #[test]
     fn explicit_backend_choice_reaches_the_config() {
-        for backend in [BackendKind::Closure, BackendKind::Simd] {
-            let np = dense_context_configured(
-                Mode::Fused,
-                2,
-                true,
-                ExecutorKind::Serial,
-                backend,
-            );
-            assert_eq!(np.context().config().backend, backend);
-            let a = np.ones(&[16]);
-            let b = np.ones(&[16]);
-            assert_eq!(a.add(&b).to_vec().unwrap(), vec![2.0; 16]);
-        }
+        let np = dense_context_configured(
+            Mode::Fused,
+            2,
+            true,
+            ExecutorKind::Serial,
+            BackendKind::Simd,
+        );
+        assert_eq!(np.context().config().backend, BackendKind::Simd);
+        let a = np.ones(&[16]);
+        let b = np.ones(&[16]);
+        assert_eq!(a.add(&b).to_vec().unwrap(), vec![2.0; 16]);
     }
 
     #[test]

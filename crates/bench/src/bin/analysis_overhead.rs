@@ -55,33 +55,7 @@ const TOPIC: &str = "analysis_overhead";
 /// Measurement window in milliseconds (`ANALYSIS_OVERHEAD_MS` overrides).
 /// `--check` runs double-length windows for a steadier verdict.
 fn measure_ms() -> u64 {
-    let base = std::env::var("ANALYSIS_OVERHEAD_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    if std::env::args().any(|a| a == "--check") {
-        base * 2
-    } else {
-        base
-    }
-}
-
-/// Allowed ratio regression in percent before `--check` fails
-/// (`ANALYSIS_OVERHEAD_TOLERANCE` overrides).
-fn tolerance_pct() -> f64 {
-    std::env::var("ANALYSIS_OVERHEAD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30.0)
-}
-
-/// Allowed warm-path overhead of `AnalyzeMode::Inferred` in percent over the
-/// declared warm path (`ANALYZE_OVERHEAD_TOLERANCE` overrides).
-fn analyze_tolerance_pct() -> f64 {
-    std::env::var("ANALYZE_OVERHEAD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0)
+    bench::measure_ms("ANALYSIS_OVERHEAD_MS", 200)
 }
 
 /// The registered task kinds of the replayed trace.
@@ -331,7 +305,8 @@ fn main() {
     );
 
     if check {
-        let analyze_tolerance = analyze_tolerance_pct();
+        // Allowed inferred-over-declared warm-path overhead in percent.
+        let analyze_tolerance = bench::tolerance_pct("ANALYZE_OVERHEAD_TOLERANCE", 2.0);
         println!(
             "analyzer: declared {warm:.0} ns/task, inferred {inferred:.0} ns/task, \
              overhead {analyze_pct:+.2}% (tolerance {analyze_tolerance}%) — {}",
@@ -349,7 +324,8 @@ fn main() {
             .unwrap_or_else(|e| panic!("--check needs a checked-in {path}: {e}"));
         let base = bench::parse_metric(&baseline, "analysis_overhead/ratio", "ratio")
             .unwrap_or_else(|| panic!("no ratio entry in {path}"));
-        let tolerance = tolerance_pct();
+        // Allowed cold/warm ratio regression in percent.
+        let tolerance = bench::tolerance_pct("ANALYSIS_OVERHEAD_TOLERANCE", 30.0);
         let floor = (base * (1.0 - tolerance / 100.0)).max(HARD_FLOOR);
         println!(
             "baseline {base:.1}x, current {ratio:.1}x, floor {floor:.1}x — {}",

@@ -2,9 +2,8 @@
 //! and records it in `BENCH_compile_calibration.json` (schema in
 //! `docs/BENCHMARKS.md`).
 //!
-//! The simulated JIT surcharge of `CompileTimeModel` used to be asserted
-//! (interp ×1.0, closure ×1.25); this binary replaces the assertion with a
-//! measurement. For every backend it times `KernelBackend::compile` across a
+//! The simulated JIT surcharge of `CompileTimeModel` used to be an asserted
+//! constant factor; this binary replaces the assertion with a measurement. For every backend it times `KernelBackend::compile` across a
 //! grid of module sizes that varies ops-per-stage and stage count
 //! **independently**, fits the linear model
 //!
@@ -14,15 +13,15 @@
 //!
 //! by least squares (`bench::fit_affine2`), clamps noise-negative
 //! coefficients to zero, and writes one coefficient line per backend plus
-//! one `<backend>_vs_interp` ratio line (predicted compile time at a
-//! reference module size, relative to the interpreter). `kernel::cost`
+//! the `simd_vs_interp` ratio line (predicted compile time at a reference
+//! module size, relative to the interpreter). `kernel::cost`
 //! embeds the file at build time: `CompileTimeModel::calibrated(backend)`
 //! scales the Figure 13 anchor by the measured coefficient ratios, so the
 //! simulated surcharge is fitted, not guessed. Rebuild after re-recording.
 //!
 //! Absolute nanoseconds are machine-dependent; the ratios are not (they
 //! compare two code paths on the same host), so `--check` re-measures and
-//! fails on a >30% drift of any ratio against the recorded baseline
+//! fails on a >30% drift of the ratio against the recorded baseline
 //! (`CALIBRATE_TOLERANCE` overrides; `CALIBRATE_MS` scales the per-point
 //! measurement window).
 //!
@@ -40,7 +39,7 @@ const BENCH_FILE: &str = "BENCH_compile_calibration.json";
 
 /// The calibrated backends, in recording order. The interpreter is the
 /// reference the ratios are taken against.
-const BACKENDS: [BackendKind; 3] = [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd];
+const BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Simd];
 
 /// Stage counts of the measurement grid.
 const STAGES: [usize; 5] = [1, 2, 4, 8, 16];
@@ -56,24 +55,7 @@ const REF_CHAIN: usize = 8;
 /// Per-grid-point measurement window in milliseconds (`CALIBRATE_MS`
 /// overrides). `--check` runs double-length windows, like the other gates.
 fn measure_ms() -> u64 {
-    let base = std::env::var("CALIBRATE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15);
-    if std::env::args().any(|a| a == "--check") {
-        base * 2
-    } else {
-        base
-    }
-}
-
-/// Allowed ratio drift in percent before `--check` fails
-/// (`CALIBRATE_TOLERANCE` overrides).
-fn tolerance_pct() -> f64 {
-    std::env::var("CALIBRATE_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30.0)
+    bench::measure_ms("CALIBRATE_MS", 15)
 }
 
 /// A module of `stages` identical loop stages, each an SSA chain of `chain`
@@ -148,7 +130,10 @@ fn ratio_vs_interp(own: &Fitted, interp: &Fitted) -> f64 {
     own.predict_ns(ops, stages) / interp.predict_ns(ops, stages).max(1e-9)
 }
 
-fn json_lines(fits: &[Fitted], ratios: &[(&str, f64)]) -> Vec<String> {
+/// Key of the one drift-gated ratio line.
+const RATIO_KEY: &str = "compile_calibration/simd_vs_interp";
+
+fn json_lines(fits: &[Fitted], ratio: f64) -> Vec<String> {
     use bench::JsonValue;
     let mut out = Vec::new();
     for f in fits {
@@ -163,12 +148,7 @@ fn json_lines(fits: &[Fitted], ratios: &[(&str, f64)]) -> Vec<String> {
             ],
         ));
     }
-    for (name, ratio) in ratios {
-        out.push(bench::json_line(
-            &format!("compile_calibration/{name}"),
-            &[("ratio", JsonValue::Num(*ratio))],
-        ));
-    }
+    out.push(bench::json_line(RATIO_KEY, &[("ratio", JsonValue::Num(ratio))]));
     out
 }
 
@@ -194,59 +174,31 @@ fn main() {
             f.r2
         );
     }
-    let interp = &fits[0];
-    let ratios: Vec<(&str, f64)> = fits[1..]
-        .iter()
-        .map(|f| {
-            let name: &str = match f.kind {
-                BackendKind::Closure => "closure_vs_interp",
-                BackendKind::Simd => "simd_vs_interp",
-                BackendKind::Interp => unreachable!(),
-            };
-            (name, ratio_vs_interp(f, interp))
-        })
-        .collect();
-    println!();
-    for (name, r) in &ratios {
-        println!("{name}: {r:.2}x the interpreter's compile cost at the reference module");
-        // Lowering always does strictly more work than the interpreter's
-        // clone-and-wrap; a ratio below 1 means the measurement is broken.
-        assert!(*r > 1.0, "{name}: fitted ratio {r:.3} is not above 1.0");
-    }
+    let ratio = ratio_vs_interp(&fits[1], &fits[0]);
+    println!("\nsimd: {ratio:.2}x the interpreter's compile cost at the reference module");
+    // Lowering always does strictly more work than the interpreter's
+    // clone-and-wrap; a ratio below 1 means the measurement is broken.
+    assert!(ratio > 1.0, "fitted simd ratio {ratio:.3} is not above 1.0");
 
     if check {
         let baseline = std::fs::read_to_string(BENCH_FILE)
             .unwrap_or_else(|e| panic!("--check needs a checked-in {BENCH_FILE}: {e}"));
-        let tolerance = tolerance_pct();
-        let mut failed = false;
-        for (name, current) in &ratios {
-            let key = format!("compile_calibration/{name}");
-            let Some(base) = bench::parse_metric(&baseline, &key, "ratio") else {
-                println!("warning: no baseline entry for {key}; skipping");
-                continue;
-            };
-            let drift_pct = (current - base).abs() / base * 100.0;
-            let verdict = if drift_pct > tolerance {
-                failed = true;
-                "DRIFTED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{key}: baseline {base:.2}x, current {current:.2}x, \
-                 drift {drift_pct:.1}% — {verdict}"
-            );
-        }
+        // Allowed ratio drift in percent.
+        let tolerance = bench::tolerance_pct("CALIBRATE_TOLERANCE", 30.0);
+        let base = bench::parse_metric(&baseline, RATIO_KEY, "ratio")
+            .unwrap_or_else(|| panic!("no baseline entry for {RATIO_KEY} in {BENCH_FILE}"));
+        let drift_pct = (ratio - base).abs() / base * 100.0;
+        println!("{RATIO_KEY}: baseline {base:.2}x, current {ratio:.2}x, drift {drift_pct:.1}%");
         assert!(
-            !failed,
-            "compile-cost ratios drifted >{tolerance}% vs {BENCH_FILE}; re-record \
+            drift_pct <= tolerance,
+            "compile-cost ratio drifted >{tolerance}% vs {BENCH_FILE}; re-record \
              the baseline (`cargo run --release --bin calibrate` + rebuild) if \
              the lowering legitimately changed, or raise CALIBRATE_TOLERANCE \
              for a hardware migration"
         );
-        println!("\ncheck passed: ratios within {tolerance}% of the recorded baseline.");
+        println!("\ncheck passed: ratio within {tolerance}% of the recorded baseline.");
     } else {
-        let path = bench::write_bench_file("compile_calibration", &json_lines(&fits, &ratios));
+        let path = bench::write_bench_file("compile_calibration", &json_lines(&fits, ratio));
         println!("recorded {path} — rebuild so kernel::cost embeds the new coefficients");
     }
 }

@@ -5,18 +5,17 @@
 //! Unlike the fig* binaries, which report *simulated* time (identical under
 //! every executor and backend by construction), this binary measures how long
 //! the host actually takes to execute the kernels of a functional run, under
-//! each of the six (executor, backend) combinations:
+//! each of the four (executor, backend) combinations:
 //!
 //! * `serial` / `parallel` — whether independent launches overlap across
 //!   worker threads (the DAG-width axis), and
-//! * `interp` / `closure` / `simd` — whether kernels are tree-walked per
-//!   element, pre-lowered to micro-op streams by the JIT-closure backend, or
-//!   executed as lane-parallel chunked kernels by the SIMD backend (the
-//!   steady-state axis).
+//! * `interp` / `simd` — whether kernels are tree-walked per element or
+//!   pre-lowered to micro-op streams and executed as lane-parallel chunked
+//!   kernels by the SIMD backend (the steady-state axis).
 //!
 //! The binary *asserts* the two invariants every combination must satisfy —
 //! identical simulated time and identical functional checksums — so the CI
-//! step that runs it doubles as an end-to-end 2×3 invariance test.
+//! step that runs it doubles as an end-to-end 2×2 invariance test.
 //!
 //! Run with `cargo run --release --bin executor_compare`.
 
@@ -24,13 +23,11 @@ use std::time::Instant;
 
 use apps::Mode;
 
-/// The six measured combinations, as (executor, backend) env values.
-const MATRIX: [(&str, &str); 6] = [
+/// The four measured combinations, as (executor, backend) env values.
+const MATRIX: [(&str, &str); 4] = [
     ("serial", "interp"),
-    ("serial", "closure"),
     ("serial", "simd"),
     ("parallel", "interp"),
-    ("parallel", "closure"),
     ("parallel", "simd"),
 ];
 
@@ -116,8 +113,7 @@ fn main() {
         apps::cg::run(Mode::Fused, gpus, per_gpu, iters, true)
     });
     println!("\nSimulated time and functional checksums are identical across the");
-    println!("whole 2x3 matrix (asserted above); only the host wall-clock differs.");
+    println!("whole 2x2 matrix (asserted above); only the host wall-clock differs.");
     println!("Serial-vs-parallel wins scale with host cores and DAG width; the");
-    println!("closure and SIMD backends' wins show on elementwise-heavy fused");
-    println!("windows, with the lane-parallel SIMD backend ahead on both.");
+    println!("SIMD backend's win shows on elementwise-heavy fused windows.");
 }

@@ -48,24 +48,7 @@ const SAMPLES: usize = 5;
 /// Measurement window per sample in milliseconds (`FAULT_OVERHEAD_MS`
 /// overrides). `--check` runs double-length windows for a steadier verdict.
 fn measure_ms() -> u64 {
-    let base = std::env::var("FAULT_OVERHEAD_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120);
-    if std::env::args().any(|a| a == "--check") {
-        base * 2
-    } else {
-        base
-    }
-}
-
-/// Allowed disabled-path overhead in percent over the recorded
-/// `analysis_overhead/warm` baseline (`FAULT_OVERHEAD_TOLERANCE` overrides).
-fn tolerance_pct() -> f64 {
-    std::env::var("FAULT_OVERHEAD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0)
+    bench::measure_ms("FAULT_OVERHEAD_MS", 120)
 }
 
 struct Kinds {
@@ -239,7 +222,8 @@ fn main() {
     );
 
     if check {
-        let tolerance = tolerance_pct();
+        // Allowed disabled-path overhead in percent over the recorded baseline.
+        let tolerance = bench::tolerance_pct("FAULT_OVERHEAD_TOLERANCE", 2.0);
         println!(
             "baseline {base_warm:.0} ns/task, disabled {disabled:.0} ns/task, \
              overhead {overhead_pct:+.2}% (tolerance {tolerance}%) — {}",

@@ -1,5 +1,5 @@
-//! Times the interpreter vs JIT-closure vs SIMD kernel backends on the
-//! fused CG and Jacobi windows and records the trajectory in
+//! Times the interpreter vs SIMD kernel backends on the fused CG and Jacobi
+//! windows and records the trajectory in
 //! `BENCH_kernel_backends.json` (schema in `docs/BENCHMARKS.md`).
 //!
 //! The windows are built exactly the way `diffuse::Context` builds them: the
@@ -14,12 +14,10 @@
 //!   quantity memoization amortizes).
 //!
 //! Absolute nanoseconds are machine-dependent, so the regression gate runs on
-//! the machine-independent **speedup ratios** (interp ÷ closure and
-//! interp ÷ simd per-element time): `kernel_backends --check` re-measures and
-//! fails if either current speedup regressed more than 20% against the
-//! checked-in baseline, if the closure backend is no longer faster than the
-//! interpreter at all, or if the SIMD backend stops beating the closure
-//! backend per element.
+//! the machine-independent **speedup ratio** (interp ÷ simd per-element
+//! time): `kernel_backends --check` re-measures and fails if the current
+//! speedup regressed more than 20% against the checked-in baseline, or if the
+//! SIMD backend is no longer faster than the interpreter at all.
 //!
 //! ```sh
 //! cargo run --release --bin kernel_backends            # rewrite the baseline
@@ -36,15 +34,6 @@ use kernel::{
 /// Elements per buffer in the measured windows.
 const N: usize = 1 << 15;
 
-/// Allowed speedup regression in percent before `--check` fails
-/// (`KERNEL_BACKENDS_TOLERANCE` overrides; raise it once when migrating the
-/// baseline to different CI hardware, then re-record and lower it back).
-fn tolerance_pct() -> f64 {
-    std::env::var("KERNEL_BACKENDS_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0)
-}
 /// Path of the recorded trajectory, relative to the workspace root.
 const BENCH_FILE: &str = "BENCH_kernel_backends.json";
 
@@ -52,15 +41,7 @@ const BENCH_FILE: &str = "BENCH_kernel_backends.json";
 /// `--check` runs double-length windows: the regression verdict deserves
 /// more stability than a baseline refresh.
 fn measure_ms() -> u64 {
-    let base = std::env::var("KERNEL_BACKENDS_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    if std::env::args().any(|a| a == "--check") {
-        base * 2
-    } else {
-        base
-    }
+    bench::measure_ms("KERNEL_BACKENDS_MS", 200)
 }
 
 /// The fused CG vector window: x += alpha*p; r -= alpha*q; rs += r*r;
@@ -184,31 +165,24 @@ fn time_compile(backend: &dyn KernelBackend, module: &KernelModule) -> f64 {
 }
 
 /// The measured backends, in column order.
-const BACKENDS: [BackendKind; 3] = [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd];
+const BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Simd];
 
 struct WindowResult {
     window: &'static str,
     /// Per-element execution ns and one-time compile ns, indexed like
     /// [`BACKENDS`].
-    ns: [f64; 3],
-    compile_ns: [f64; 3],
+    ns: [f64; 2],
+    compile_ns: [f64; 2],
 }
 
 impl WindowResult {
     fn interp_ns(&self) -> f64 {
         self.ns[0]
     }
-    fn closure_ns(&self) -> f64 {
+    fn simd_ns(&self) -> f64 {
         self.ns[1]
     }
-    fn simd_ns(&self) -> f64 {
-        self.ns[2]
-    }
-    /// interp ÷ closure per-element time (the historical gated ratio).
-    fn speedup(&self) -> f64 {
-        self.interp_ns() / self.closure_ns().max(1e-9)
-    }
-    /// interp ÷ simd per-element time (gated like the closure ratio).
+    /// interp ÷ simd per-element time (the gated ratio).
     fn simd_speedup(&self) -> f64 {
         self.interp_ns() / self.simd_ns().max(1e-9)
     }
@@ -221,8 +195,8 @@ fn measure_window(window: &'static str, build: fn() -> WindowCase) -> WindowResu
     let (module, buffers, scalars) = build();
     let mut result = WindowResult {
         window,
-        ns: [0.0; 3],
-        compile_ns: [0.0; 3],
+        ns: [0.0; 2],
+        compile_ns: [0.0; 2],
     };
     for (i, kind) in BACKENDS.into_iter().enumerate() {
         let backend = kind.backend();
@@ -252,10 +226,6 @@ fn json_lines(results: &[WindowResult]) -> Vec<String> {
             ));
         }
         out.push(bench::json_line(
-            &format!("kernel_backends/{}/speedup", r.window),
-            &[("speedup", JsonValue::Num(r.speedup()))],
-        ));
-        out.push(bench::json_line(
             &format!("kernel_backends/{}/simd_speedup", r.window),
             &[("speedup", JsonValue::Num(r.simd_speedup()))],
         ));
@@ -265,19 +235,11 @@ fn json_lines(results: &[WindowResult]) -> Vec<String> {
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
-    println!("=== Kernel backends: interpreter vs JIT closures vs SIMD (wall-clock) ===");
+    println!("=== Kernel backends: interpreter vs SIMD (wall-clock) ===");
     println!("({N} elements/buffer, {} ms windows)\n", measure_ms());
     println!(
-        "{:<10}{:>14}{:>14}{:>12}{:>10}{:>10}{:>14}{:>14}{:>12}",
-        "Window",
-        "interp ns/e",
-        "closure ns/e",
-        "simd ns/e",
-        "clo spd",
-        "simd spd",
-        "clo compile",
-        "simd compile",
-        "int compile"
+        "{:<10}{:>14}{:>12}{:>10}{:>14}{:>12}",
+        "Window", "interp ns/e", "simd ns/e", "simd spd", "simd compile", "int compile"
     );
     let results = [
         measure_window("cg", cg_window),
@@ -285,37 +247,26 @@ fn main() {
     ];
     for r in &results {
         println!(
-            "{:<10}{:>14.2}{:>14.2}{:>12.2}{:>9.2}x{:>9.2}x{:>11.0} ns{:>11.0} ns{:>9.0} ns",
+            "{:<10}{:>14.2}{:>12.2}{:>9.2}x{:>11.0} ns{:>9.0} ns",
             r.window,
             r.interp_ns(),
-            r.closure_ns(),
             r.simd_ns(),
-            r.speedup(),
             r.simd_speedup(),
             r.compile_ns[1],
-            r.compile_ns[2],
             r.compile_ns[0]
         );
     }
     println!();
 
     for r in &results {
+        // The SIMD backend's whole reason to exist: resolving ops once and
+        // streaming them over lanes must beat re-matching the IR per element.
         assert!(
-            r.speedup() > 1.0,
-            "{}: closure backend must beat the interpreter per element \
-             (interp {:.2} ns vs closure {:.2} ns)",
+            r.simd_speedup() > 1.0,
+            "{}: simd backend must beat the interpreter per element \
+             (interp {:.2} ns vs simd {:.2} ns)",
             r.window,
             r.interp_ns(),
-            r.closure_ns()
-        );
-        // The SIMD backend's whole reason to exist: constant-trip-count lane
-        // loops must beat the closure backend's dynamic-length chunk loops.
-        assert!(
-            r.simd_ns() < r.closure_ns(),
-            "{}: simd backend must beat the closure backend per element \
-             (closure {:.2} ns vs simd {:.2} ns)",
-            r.window,
-            r.closure_ns(),
             r.simd_ns()
         );
     }
@@ -325,34 +276,30 @@ fn main() {
             .unwrap_or_else(|e| panic!("--check needs a checked-in {BENCH_FILE}: {e}"));
         let mut failed = false;
         let mut any = false;
-        let tolerance = tolerance_pct();
+        // Allowed speedup regression in percent (raise it once when migrating
+        // the baseline to different CI hardware, then re-record and lower it).
+        let tolerance = bench::tolerance_pct("KERNEL_BACKENDS_TOLERANCE", 20.0);
         for r in &results {
-            for (ratio_key, current) in [
-                (format!("kernel_backends/{}/speedup", r.window), r.speedup()),
-                (
-                    format!("kernel_backends/{}/simd_speedup", r.window),
-                    r.simd_speedup(),
-                ),
-            ] {
-                // The writer replaces the file; parse_metric tolerates
-                // hand-appended history by taking the last entry.
-                let Some(base) = bench::parse_metric(&baseline, &ratio_key, "speedup") else {
-                    println!("warning: no baseline entry for {ratio_key}; skipping");
-                    continue;
-                };
-                any = true;
-                let floor = base * (1.0 - tolerance / 100.0);
-                let verdict = if current < floor {
-                    failed = true;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "{ratio_key}: baseline {base:.2}x, current {current:.2}x, \
-                     floor {floor:.2}x — {verdict}"
-                );
-            }
+            let ratio_key = format!("kernel_backends/{}/simd_speedup", r.window);
+            let current = r.simd_speedup();
+            // The writer replaces the file; parse_metric tolerates
+            // hand-appended history by taking the last entry.
+            let Some(base) = bench::parse_metric(&baseline, &ratio_key, "speedup") else {
+                println!("warning: no baseline entry for {ratio_key}; skipping");
+                continue;
+            };
+            any = true;
+            let floor = base * (1.0 - tolerance / 100.0);
+            let verdict = if current < floor {
+                failed = true;
+                "REGRESSED"
+            } else {
+                "ok"
+            };
+            println!(
+                "{ratio_key}: baseline {base:.2}x, current {current:.2}x, \
+                 floor {floor:.2}x — {verdict}"
+            );
         }
         assert!(any, "no speedup entries in {BENCH_FILE}");
         assert!(

@@ -243,6 +243,38 @@ pub fn scrape_criterion(output: &str) -> Vec<(String, f64)> {
 }
 
 // ---------------------------------------------------------------------------
+// Gate knobs shared by the `--check` binaries (`analysis_overhead`,
+// `calibrate`, `fault_overhead`, `kernel_backends`).
+// ---------------------------------------------------------------------------
+
+/// A gate binary's measurement window in milliseconds: the environment
+/// variable `var` (`<NAME>_MS`) when it parses, otherwise `default`. `--check`
+/// runs double-length windows: the regression verdict deserves more stability
+/// than a baseline refresh.
+pub fn measure_ms(var: &str, default: u64) -> u64 {
+    let base = env_or(var, default);
+    if std::env::args().any(|a| a == "--check") {
+        base * 2
+    } else {
+        base
+    }
+}
+
+/// A gate's allowed regression or drift in percent before `--check` fails:
+/// the environment variable `var` (`<NAME>_TOLERANCE`) when it parses,
+/// otherwise `default`.
+pub fn tolerance_pct(var: &str, default: f64) -> f64 {
+    env_or(var, default)
+}
+
+fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
+    std::env::var(var)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+// ---------------------------------------------------------------------------
 // Compile-time calibration fitting (the `calibrate` binary).
 // ---------------------------------------------------------------------------
 

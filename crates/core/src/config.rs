@@ -22,6 +22,18 @@ pub enum AnalyzeMode {
     Inferred,
 }
 
+/// The accepted spellings of `DIFFUSE_ANALYZE`.
+const ANALYZE_SPELLINGS: [(&str, AnalyzeMode); 8] = [
+    ("inferred", AnalyzeMode::Inferred),
+    ("on", AnalyzeMode::Inferred),
+    ("1", AnalyzeMode::Inferred),
+    ("true", AnalyzeMode::Inferred),
+    ("declared", AnalyzeMode::Declared),
+    ("off", AnalyzeMode::Declared),
+    ("0", AnalyzeMode::Declared),
+    ("false", AnalyzeMode::Declared),
+];
+
 /// Configuration of a [`crate::Context`].
 ///
 /// The presets mirror the configurations evaluated in the paper:
@@ -110,48 +122,28 @@ impl DiffuseConfig {
     /// window shape it has ever seen.
     pub const DEFAULT_MEMO_CAPACITY: usize = 1024;
 
-    /// Whether `DIFFUSE_HORIZONTAL` requests horizontal fusion: `on`, `1` or
-    /// `true` (case-insensitive) enable it; anything else — including unset —
-    /// leaves it off. The CI invariance leg toggles this to assert that the
-    /// horizontal pass never changes results, only launch counts.
+    /// Whether `DIFFUSE_HORIZONTAL` requests horizontal fusion
+    /// ([`ir::env::flag`]; off unless set). The CI invariance leg toggles
+    /// this to assert that the horizontal pass never changes results, only
+    /// launch counts.
     pub fn horizontal_fusion_from_env() -> bool {
-        std::env::var("DIFFUSE_HORIZONTAL")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v == "on" || v == "1" || v == "true"
-            })
-            .unwrap_or(false)
+        ir::env::flag("DIFFUSE_HORIZONTAL", false)
     }
 
-    /// Whether `DIFFUSE_VERIFY` requests verification: `on`, `1` or `true`
-    /// (case-insensitive) enable it, `off`, `0` or `false` disable it;
-    /// unset falls back to `cfg!(debug_assertions)` — the whole test suite
-    /// runs verified by default while release benchmarks stay unchecked.
+    /// Whether `DIFFUSE_VERIFY` requests verification ([`ir::env::flag`]);
+    /// unset or unrecognized falls back to `cfg!(debug_assertions)` — the
+    /// whole test suite runs verified by default while release benchmarks
+    /// stay unchecked.
     pub fn verification_from_env() -> bool {
-        match std::env::var("DIFFUSE_VERIFY") {
-            Ok(v) => {
-                let v = v.trim().to_ascii_lowercase();
-                v == "on" || v == "1" || v == "true"
-            }
-            Err(_) => cfg!(debug_assertions),
-        }
+        ir::env::flag("DIFFUSE_VERIFY", cfg!(debug_assertions))
     }
 
-    /// Which [`AnalyzeMode`] `DIFFUSE_ANALYZE` requests: `inferred` (or
-    /// `on`, `1`, `true`) enables privilege tightening; anything else —
-    /// including unset and `declared` — preserves declared privileges.
+    /// Which [`AnalyzeMode`] `DIFFUSE_ANALYZE` requests
+    /// ([`ir::env::choice`]): `inferred` (or `on`, `1`, `true`) enables
+    /// privilege tightening; `declared` (or `off`, `0`, `false`), unset or
+    /// unrecognized preserve declared privileges.
     pub fn analyze_from_env() -> AnalyzeMode {
-        match std::env::var("DIFFUSE_ANALYZE") {
-            Ok(v) => {
-                let v = v.trim().to_ascii_lowercase();
-                if v == "inferred" || v == "on" || v == "1" || v == "true" {
-                    AnalyzeMode::Inferred
-                } else {
-                    AnalyzeMode::Declared
-                }
-            }
-            Err(_) => AnalyzeMode::Declared,
-        }
+        ir::env::choice("DIFFUSE_ANALYZE", &ANALYZE_SPELLINGS, AnalyzeMode::Declared)
     }
 
     /// Full Diffuse with functional execution.
@@ -247,7 +239,7 @@ impl DiffuseConfig {
         self
     }
 
-    /// Overrides the kernel backend (e.g. to force the JIT-closure backend
+    /// Overrides the kernel backend (e.g. to force the SIMD backend
     /// regardless of `DIFFUSE_BACKEND`).
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
@@ -365,8 +357,8 @@ mod tests {
     #[test]
     fn backend_override() {
         let c = DiffuseConfig::fused(MachineConfig::single_node(2))
-            .with_backend(BackendKind::Closure);
-        assert_eq!(c.backend, BackendKind::Closure);
+            .with_backend(BackendKind::Simd);
+        assert_eq!(c.backend, BackendKind::Simd);
     }
 
     #[test]

@@ -9,13 +9,15 @@ use fusion::{
     explain_window_with, fusible_segments, plan_horizontal, temporary_stores, AdaptiveWindow,
     CanonicalWindow, DepClass, FusedTask, FusionViolation, MemoCache,
 };
+use ir::fingerprint::{fold_bytes, fold_u64, OFFSET};
 use ir::{
     Domain, IndexTask, Partition, PartitionId, Privilege, ShapeId, StoreArg, StoreId, TaskId,
     TaskWindow,
 };
 use kernel::{
     BufferId, BufferRole, CompileTimeModel, CompiledKernel, GenArgs, GeneratorRegistry,
-    KernelBackend, KernelModule, LibraryId, Pipeline, PipelineConfig, TaskKind, TaskSignature,
+    KernelBackend, KernelModule, KernelStage, LibraryId, LoopOp, OpaqueOp, Pipeline,
+    PipelineConfig, TaskKind, TaskSignature,
 };
 use runtime::{
     AccessSummary, FaultSite, LaunchFailure, OverheadClass, Profile, RegionId, RegionRequirement,
@@ -136,12 +138,43 @@ pub struct ContextInner {
 /// fault site: the same module degrades identically wherever and whenever it
 /// is compiled, keeping injected compile-fault schedules executor- and
 /// window-permutation-invariant (the key is a pure function of the module,
-/// like the launch fingerprint is of the launch).
+/// like the launch fingerprint is of the launch). The fold is structural —
+/// buffer roles, then per stage a kind tag and its operator tags, buffer and
+/// value ids, and constants by bit pattern — so neither a loop's display name
+/// nor a `Debug` derive can move it.
 fn module_content_key(module: &KernelModule) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{module:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+    fn ids(h: u64, tag: u64, ids: &[u32]) -> u64 {
+        ids.iter().fold(fold_u64(h, tag), |h, &id| fold_u64(h, u64::from(id)))
+    }
+    let mut h = OFFSET;
+    for role in &module.roles {
+        h = fold_u64(h, *role as u64);
+    }
+    for stage in &module.stages {
+        h = match stage {
+            KernelStage::Loop(l) => {
+                l.ops.iter().fold(ids(h, 0x10, &[l.domain.0]), |h, op| match *op {
+                    LoopOp::Load { dst, buffer } => ids(h, 0x11, &[dst.0, buffer.0]),
+                    LoopOp::LoadScalar { dst, buffer } => ids(h, 0x12, &[dst.0, buffer.0]),
+                    LoopOp::Const { dst, value } => fold_u64(ids(h, 0x13, &[dst.0]), value.to_bits()),
+                    LoopOp::Param { dst, index } => fold_u64(ids(h, 0x14, &[dst.0]), index as u64),
+                    LoopOp::Unary { dst, op, a } => ids(h, 0x15, &[op as u32, dst.0, a.0]),
+                    LoopOp::Binary { dst, op, a, b } => ids(h, 0x16, &[op as u32, dst.0, a.0, b.0]),
+                    LoopOp::Store { buffer, src } => ids(h, 0x17, &[buffer.0, src.0]),
+                    LoopOp::Reduce { buffer, op, src } => {
+                        ids(h, 0x18, &[op as u32, buffer.0, src.0])
+                    }
+                })
+            }
+            KernelStage::Opaque(op) => match *op {
+                OpaqueOp::SpMvCsr { pos, crd, vals, x, y, index_width } => {
+                    ids(h, 0x20, &[pos.0, crd.0, vals.0, x.0, y.0, index_width as u32])
+                }
+                OpaqueOp::Gemv { a, x, y } => ids(h, 0x21, &[a.0, x.0, y.0]),
+                OpaqueOp::Restrict { fine, coarse } => ids(h, 0x22, &[fine.0, coarse.0]),
+                OpaqueOp::Prolong { coarse, fine } => ids(h, 0x23, &[coarse.0, fine.0]),
+            },
+        };
     }
     h
 }
@@ -163,10 +196,8 @@ struct KindAnalysis {
 /// `analysis_overhead` bench gates the whole probe below 2% of the warm
 /// path.
 fn analysis_key(task: &IndexTask) -> (u32, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
-    };
+    let mut h = OFFSET;
+    let mut mix = |v: u64| h = fold_u64(h, v);
     for arg in &task.args {
         mix(arg.shape.index() as u64);
         mix(arg.partition.index() as u64);
@@ -191,15 +222,13 @@ impl std::hash::Hasher for FpHasher {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
+        self.0 = fold_bytes(self.0, bytes);
     }
     fn write_u32(&mut self, v: u32) {
         self.write_u64(v as u64);
     }
     fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x0100_0000_01b3);
+        self.0 = fold_u64(self.0, v);
     }
 }
 
@@ -616,48 +645,39 @@ impl ContextInner {
     /// with the interpreter regardless of the configured backend, whose
     /// `compile_cost` hook still prices the simulated JIT for the clock.
     ///
-    /// Under an active fault plan, [`FaultSite::Compile`] faults degrade the
-    /// backend down the simd → closure → interp chain (`BackendKind::
-    /// fallback`): each injected failure's JIT work is still charged to
-    /// `compile_time` before the next tier retries, and the interpreter is
-    /// terminal (its "compilation" is a wrap that cannot fail). Faults are
-    /// keyed by module content with the tier index as the attempt, so an
-    /// identical module degrades identically under any executor, backend
-    /// memoization state or window permutation — and the memoized artifact
-    /// (keyed by `(CanonicalWindow, backend)` through the per-context cache)
-    /// simply carries the degraded tier's kernel.
+    /// Under an active fault plan, a [`FaultSite::Compile`] fault degrades
+    /// the backend one step down the simd → interp chain
+    /// (`BackendKind::fallback`): the injected failure's JIT work is still
+    /// charged to `compile_time` before the interpreter takes over, and the
+    /// interpreter is terminal (its "compilation" is a wrap that cannot
+    /// fail). Faults are keyed by module content, so an identical module
+    /// degrades identically under any executor, backend memoization state or
+    /// window permutation — and the memoized artifact (keyed by
+    /// `(CanonicalWindow, backend)` through the per-context cache) simply
+    /// carries the degraded tier's kernel.
     fn compile_artifact(&mut self, name: &str, module: &KernelModule) -> Arc<dyn CompiledKernel> {
         if !self.config.materialize_data {
             return kernel::compile_interp(module.clone());
         }
-        let mut kind = self.config.backend;
-        let mut backend = Arc::clone(&self.backend);
-        if let Some(plan) = self.config.fault_plan.filter(|p| p.rate() > 0.0) {
-            let key = module_content_key(module);
-            let mut tier = 0u32;
-            while plan.should_fault(FaultSite::Compile, key, tier) {
-                let Some(fb) = kind.fallback() else {
-                    break;
-                };
+        let plan = self.config.fault_plan.filter(|p| p.rate() > 0.0);
+        if let (Some(plan), Some(fallback)) = (plan, self.config.backend.fallback()) {
+            if plan.should_fault(FaultSite::Compile, module_content_key(module), 0) {
                 self.stats.faults_injected += 1;
+                self.stats.degraded_launches += 1;
                 // The failed tier's JIT work is not free: it is paid for and
                 // then thrown away, like a real compiler crash mid-build.
-                self.stats.compile_time += backend.compile_cost(module, &self.compile_model);
-                kind = fb;
-                backend = fb.backend();
-                tier += 1;
-            }
-            if tier > 0 {
-                self.stats.degraded_launches += 1;
+                self.stats.compile_time += self.backend.compile_cost(module, &self.compile_model);
                 eprintln!(
-                    "diffuse-chaos: compile of `{name}` degraded {} -> {} after {tier} injected \
-                     compile fault(s)",
+                    "diffuse-chaos: compile of `{name}` degraded {} -> {} after an injected \
+                     compile fault",
                     self.config.backend.id(),
-                    kind.id()
+                    fallback.id()
                 );
+                let fallback = fallback.backend();
+                return fallback.compile(module).expect("kernel compilation failed");
             }
         }
-        backend.compile(module).expect("kernel compilation failed")
+        self.backend.compile(module).expect("kernel compilation failed")
     }
 
     /// Launches a single task without fusion. The module is compiled through
@@ -2008,21 +2028,19 @@ mod tests {
             (ctx.read_store(&out).unwrap(), ctx.elapsed(), ctx.stats())
         };
         let (interp_data, interp_time, interp_stats) = run(BackendKind::Interp);
-        for jit in [BackendKind::Closure, BackendKind::Simd] {
-            let (data, time, stats) = run(jit);
-            assert_eq!(interp_data, data, "{jit:?} must agree with interp bitwise");
-            assert_eq!(
-                interp_time, time,
-                "simulated time is backend-invariant (compile time is accounted \
-                 in stats, not on the clock)"
-            );
-            // Every backend compiles once and hits the memo on the second window.
-            assert_eq!(stats.compilations, 1, "memo hit must skip {jit:?} compilation");
-            assert!(stats.memo_hits >= 1);
-            // A JIT backend's one-time cost is priced above the interpreter
-            // calibration through the compile_cost hook.
-            assert!(stats.compile_time > interp_stats.compile_time);
-        }
+        let (data, time, stats) = run(BackendKind::Simd);
+        assert_eq!(interp_data, data, "simd must agree with interp bitwise");
+        assert_eq!(
+            interp_time, time,
+            "simulated time is backend-invariant (compile time is accounted \
+             in stats, not on the clock)"
+        );
+        // Every backend compiles once and hits the memo on the second window.
+        assert_eq!(stats.compilations, 1, "memo hit must skip simd compilation");
+        assert!(stats.memo_hits >= 1);
+        // A JIT backend's one-time cost is priced above the interpreter
+        // calibration through the compile_cost hook.
+        assert!(stats.compile_time > interp_stats.compile_time);
         assert_eq!(interp_stats.compilations, 1);
         assert!(interp_stats.memo_hits >= 1);
     }
@@ -2185,8 +2203,8 @@ mod tests {
         // At rate 1.0 every fault site fires. The runtime-site schedule
         // (device + region-read) is identical across backends — launch
         // fingerprints deliberately exclude the kernel — so the per-backend
-        // difference isolates the compile site: simd falls two tiers to the
-        // interpreter, closure one, and the interpreter cannot fail.
+        // difference isolates the compile site: simd degrades exactly once,
+        // to the interpreter, and the interpreter cannot fail.
         let run = |backend: BackendKind| {
             let ctx = Context::new(
                 DiffuseConfig::fused(MachineConfig::with_gpus(4))
@@ -2215,26 +2233,20 @@ mod tests {
             (data, ctx.stats())
         };
         let (interp_data, interp_stats) = run(BackendKind::Interp);
-        let (closure_data, closure_stats) = run(BackendKind::Closure);
         let (simd_data, simd_stats) = run(BackendKind::Simd);
         // Recovery repairs every injected fault: results are fault-free.
         assert_eq!(interp_data, vec![6.0; 32]);
-        assert_eq!(closure_data, interp_data);
         assert_eq!(simd_data, interp_data);
         assert!(interp_stats.faults_injected > 0, "runtime sites fired");
         // One fused window = one compilation; the compile-site delta on top
-        // of the shared runtime-site schedule pins the degradation order.
-        assert_eq!(closure_stats.faults_injected - interp_stats.faults_injected, 1);
-        assert_eq!(simd_stats.faults_injected - interp_stats.faults_injected, 2);
-        assert_eq!(
-            closure_stats.degraded_launches - interp_stats.degraded_launches,
-            1
-        );
+        // of the shared runtime-site schedule pins the two-tier chain: one
+        // fault, one degradation, even though every retry would fault too.
+        assert_eq!(simd_stats.faults_injected - interp_stats.faults_injected, 1);
         assert_eq!(simd_stats.degraded_launches - interp_stats.degraded_launches, 1);
         // Compile faults never retry on the simulated clock (the fallback
         // tier compiles instead); retries are the runtime sites' alone.
         assert_eq!(simd_stats.retries, interp_stats.retries);
-        // The thrown-away tiers' JIT work is still paid for.
+        // The thrown-away tier's JIT work is still paid for.
         assert!(simd_stats.compile_time > interp_stats.compile_time);
         // Recovery left nothing abandoned.
         assert_eq!(simd_stats.abandoned_launches, 0);

@@ -221,8 +221,8 @@ fn eight_independent_batches_land_in_two_launches() {
 }
 
 /// The horizontal pass is backend-invariant: the wide merged launches
-/// produce the same bits under the interpreter, closure and SIMD kernel
-/// backends, with identical launch accounting. This pins the reordered
+/// produce the same bits under the interpreter and SIMD kernel backends,
+/// with identical launch accounting. This pins the reordered
 /// skeleton's soundness to every shipped lowering, not just the default.
 #[test]
 fn horizontal_fusion_is_backend_invariant() {
@@ -231,7 +231,7 @@ fn horizontal_fusion_is_backend_invariant() {
         .map(|i| BatchSpec { len: 2, seed: i, couple: i % 2 == 1 })
         .collect();
     let mut reference: Option<RunOutcome> = None;
-    for backend in [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd] {
+    for backend in [BackendKind::Interp, BackendKind::Simd] {
         let outcome = run(
             DiffuseConfig::fused(machine())
                 .with_horizontal_fusion(true)

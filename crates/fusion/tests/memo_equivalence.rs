@@ -13,69 +13,18 @@ use std::collections::HashMap;
 
 use fusion::{fusible_segments, plan_horizontal, CanonicalWindow, MemoCache};
 use ir::{
-    window_fingerprint, Domain, IndexTask, Partition, Privilege, Projection, ReductionOp, ShapeId,
-    StoreArg, StoreId, TaskId, TaskWindow,
+    window_fingerprint, Domain, IndexTask, Partition, Privilege, Projection, ShapeId, StoreArg,
+    StoreId, TaskId, TaskWindow,
 };
 use proptest::prelude::*;
 
-const NUM_STORES: u64 = 6;
-const STORE_LEN: u64 = 24;
-const LAUNCH_POINTS: u64 = 4;
+mod common;
+use common::{LAUNCH_POINTS, NUM_STORES, STORE_LEN};
 
-fn arb_partition() -> impl Strategy<Value = Partition> {
-    prop_oneof![
-        Just(Partition::Replicate),
-        Just(Partition::block(vec![STORE_LEN / LAUNCH_POINTS])),
-        (0i64..3).prop_map(|off| Partition::tiling(
-            vec![STORE_LEN / LAUNCH_POINTS],
-            vec![off],
-            Projection::Identity
-        )),
-    ]
-}
-
-fn arb_privilege() -> impl Strategy<Value = Privilege> {
-    prop_oneof![
-        Just(Privilege::Read),
-        Just(Privilege::Write),
-        Just(Privilege::ReadWrite),
-        Just(Privilege::Reduce(ReductionOp::Sum)),
-    ]
-}
-
-fn arb_arg() -> impl Strategy<Value = StoreArg> {
-    (0..NUM_STORES, arb_partition(), arb_privilege(), 0u8..2).prop_map(|(s, p, pr, wide)| {
-        // Two shape choices so mutants can differ in shape alone.
-        let shape = if wide == 0 {
-            vec![STORE_LEN]
-        } else {
-            vec![STORE_LEN * 2]
-        };
-        StoreArg::new(StoreId(s), p, pr).with_shape(shape)
-    })
-}
-
+/// Streams of up to five tasks over two store shapes, so mutants can differ
+/// in shape alone.
 fn arb_stream() -> impl Strategy<Value = Vec<IndexTask>> {
-    prop::collection::vec(
-        prop::collection::vec(arb_arg(), 1..4),
-        1..6,
-    )
-    .prop_map(|arg_lists| {
-        arg_lists
-            .into_iter()
-            .enumerate()
-            .map(|(i, args)| {
-                IndexTask::new(
-                    TaskId(i as u64),
-                    0,
-                    format!("t{i}"),
-                    Domain::linear(LAUNCH_POINTS),
-                    args,
-                    vec![],
-                )
-            })
-            .collect()
-    })
+    common::arb_stream(1..6, 2)
 }
 
 /// Renames every store id by a fixed offset: an isomorphic window.
@@ -333,7 +282,7 @@ fn isomorphic_windows_replay_one_skeleton_under_every_backend() {
     const GPUS: usize = 4;
     const N: u64 = 16;
     let mut reference: Option<Vec<Vec<u64>>> = None;
-    for backend in [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd] {
+    for backend in [BackendKind::Interp, BackendKind::Simd] {
         let ctx = Context::new(
             DiffuseConfig::fused(MachineConfig::with_gpus(GPUS))
                 .with_backend(backend)

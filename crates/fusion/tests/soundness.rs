@@ -9,70 +9,16 @@
 use std::collections::HashMap;
 
 use fusion::{find_fusible_prefix, temporary_stores, CanonicalWindow};
-use ir::{
-    fusible_ground_truth, Domain, IndexTask, Partition, Privilege, Projection, ReductionOp,
-    StoreArg, StoreId, TaskId,
-};
+use ir::{fusible_ground_truth, IndexTask, StoreId};
 use proptest::prelude::*;
 
-const NUM_STORES: u64 = 6;
-const STORE_LEN: u64 = 24;
-const LAUNCH_POINTS: u64 = 4;
+mod common;
+use common::{NUM_STORES, STORE_LEN};
 
-fn arb_partition() -> impl Strategy<Value = Partition> {
-    prop_oneof![
-        Just(Partition::Replicate),
-        Just(Partition::block(vec![STORE_LEN / LAUNCH_POINTS])),
-        (0i64..3).prop_map(|off| Partition::tiling(
-            vec![STORE_LEN / LAUNCH_POINTS],
-            vec![off],
-            Projection::Identity
-        )),
-        Just(Partition::tiling(
-            vec![STORE_LEN / 2],
-            vec![0],
-            Projection::Constant(vec![0])
-        )),
-    ]
-}
-
-fn arb_privilege() -> impl Strategy<Value = Privilege> {
-    prop_oneof![
-        Just(Privilege::Read),
-        Just(Privilege::Write),
-        Just(Privilege::ReadWrite),
-        Just(Privilege::Reduce(ReductionOp::Sum)),
-    ]
-}
-
-fn arb_arg() -> impl Strategy<Value = StoreArg> {
-    (0..NUM_STORES, arb_partition(), arb_privilege()).prop_map(|(s, p, pr)| {
-        // Stamp the store shape the way the Diffuse context does at submit
-        // time: the analyses read shapes straight off the arguments.
-        StoreArg::new(StoreId(s), p, pr).with_shape(vec![STORE_LEN])
-    })
-}
-
-fn arb_task(id: u64) -> impl Strategy<Value = IndexTask> {
-    prop::collection::vec(arb_arg(), 1..4).prop_map(move |args| {
-        IndexTask::new(
-            TaskId(id),
-            0,
-            format!("t{id}"),
-            Domain::linear(LAUNCH_POINTS),
-            args,
-            vec![],
-        )
-    })
-}
-
+/// Streams of up to seven tasks, every store `STORE_LEN` long (the shape
+/// [`store_shapes`] hands the ground-truth dependence maps).
 fn arb_stream() -> impl Strategy<Value = Vec<IndexTask>> {
-    prop::collection::vec(arb_task(0), 1..8).prop_map(|mut tasks| {
-        for (i, t) in tasks.iter_mut().enumerate() {
-            t.id = TaskId(i as u64);
-        }
-        tasks
-    })
+    common::arb_stream(1..8, 1)
 }
 
 fn store_shapes() -> HashMap<StoreId, Vec<u64>> {

@@ -43,6 +43,8 @@
 
 pub mod deps;
 pub mod domain;
+pub mod env;
+pub mod fingerprint;
 pub mod intern;
 pub mod partition;
 pub mod store;

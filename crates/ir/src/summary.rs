@@ -26,6 +26,8 @@
 //! dependency, and so summaries can be fingerprinted next to the other
 //! interned analysis keys.
 
+use crate::fingerprint::{fold_u64, OFFSET};
+
 /// An affine index expression `stride·i + offset` over a loop induction
 /// variable `i`.
 ///
@@ -176,10 +178,7 @@ impl AccessPattern {
 
     /// Folds the pattern into an FNV-1a fingerprint accumulator.
     fn fingerprint_into(&self, h: &mut u64) {
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(FNV_PRIME);
-        };
+        let mix = |h: &mut u64, v: u64| *h = fold_u64(*h, v);
         match self {
             AccessPattern::Bottom => mix(h, 0x0b07),
             AccessPattern::Top => mix(h, 0x707),
@@ -248,9 +247,6 @@ impl BufferFootprint {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
 /// Deterministic FNV-1a fingerprint of a sequence of buffer footprints —
 /// the memoization key component under which a module's analysis result is
 /// cached (the same summary always hashes identically, across processes).
@@ -268,7 +264,7 @@ const FNV_PRIME: u64 = 0x0100_0000_01b3;
 /// assert_ne!(a, summary_fingerprint(&[fp]));
 /// ```
 pub fn summary_fingerprint(buffers: &[BufferFootprint]) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = OFFSET;
     for fp in buffers {
         fp.reads.fingerprint_into(&mut h);
         fp.writes.fingerprint_into(&mut h);

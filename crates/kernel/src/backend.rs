@@ -14,15 +14,13 @@
 //! * [`CompiledKernel`] is the artifact: stage-granular execution over host
 //!   buffers, `Send + Sync` so executors can ship it across worker threads.
 //!
-//! Three backends ship: [`InterpBackend`] wraps the tree-walking
+//! Two backends ship: [`InterpBackend`] wraps the tree-walking
 //! [`Interpreter`] (the default — compilation is a no-op wrap, execution
-//! matches the historical behavior exactly),
-//! [`crate::closure::ClosureBackend`] lowers each loop nest into pre-resolved,
-//! composed Rust closures at compile time — a real JIT shape whose one-time
-//! cost and faster steady-state the cost model can price per backend — and
-//! [`crate::simd::SimdBackend`] takes the same lowering to lane-parallel
-//! arrays-of-lanes kernels with masked tails (the fastest steady state and
-//! the largest compile surcharge).
+//! matches the historical behavior exactly), and
+//! [`crate::simd::SimdBackend`] lowers each loop nest at compile time into
+//! pre-resolved micro-op streams executed as lane-parallel arrays-of-lanes
+//! kernels with masked tails — a real JIT shape whose one-time cost and
+//! faster steady state the cost model prices per backend.
 //!
 //! Simulated kernel *execution* time comes from `machine::CostModel` and is
 //! backend-invariant by design; only compile-time accounting and host
@@ -44,7 +42,7 @@
 //!
 //! // The same module, executed through every backend, is bitwise identical.
 //! let mut results = Vec::new();
-//! for kind in [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd] {
+//! for kind in [BackendKind::Interp, BackendKind::Simd] {
 //!     let compiled = kind.backend().compile(&module).unwrap();
 //!     let mut bufs = vec![vec![1.0, 2.0], vec![0.0, 0.0]];
 //!     compiled.execute(&mut bufs, &[]).unwrap();
@@ -52,7 +50,6 @@
 //! }
 //! assert_eq!(results[0], vec![3.0, 6.0]);
 //! assert_eq!(results[0], results[1]);
-//! assert_eq!(results[0], results[2]);
 //! ```
 
 use std::sync::Arc;
@@ -111,7 +108,7 @@ pub trait CompiledKernel: std::fmt::Debug + Send + Sync {
 
 /// A strategy for turning optimized kernel modules into executable artifacts.
 pub trait KernelBackend: std::fmt::Debug + Send + Sync {
-    /// Stable identifier of the backend (`"interp"`, `"closure"`, …). Part of
+    /// Stable identifier of the backend (`"interp"`, `"simd"`, …). Part of
     /// the memoization key: compiled artifacts are cached per
     /// `(canonical window, backend id)`, so two backends never share an
     /// artifact.
@@ -123,7 +120,7 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
     ///
     /// Returns an error if the module is malformed in a way the backend
     /// detects at compile time (e.g. an SSA value used before definition,
-    /// which the closure backend rejects while lowering). Well-formed modules
+    /// which the SIMD backend rejects while lowering). Well-formed modules
     /// produced by [`crate::builder::LoopBuilder`] always compile.
     fn compile(&self, module: &KernelModule) -> Result<Arc<dyn CompiledKernel>, ExecError>;
 
@@ -149,25 +146,30 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
 /// use kernel::BackendKind;
 ///
 /// assert_eq!(BackendKind::default(), BackendKind::Interp);
-/// assert_eq!(BackendKind::Closure.id(), "closure");
+/// assert_eq!(BackendKind::Simd.id(), "simd");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// The tree-walking interpreter (default; the historical behavior).
     #[default]
     Interp,
-    /// The JIT-closure backend: loop nests lowered to composed closures.
-    Closure,
     /// The SIMD backend: loop nests lowered to lane-parallel
     /// arrays-of-lanes kernels with masked tails.
     Simd,
 }
 
+/// The accepted spellings of `DIFFUSE_BACKEND`.
+const SPELLINGS: [(&str, BackendKind); 3] = [
+    ("interp", BackendKind::Interp),
+    ("interpreter", BackendKind::Interp),
+    ("simd", BackendKind::Simd),
+];
+
 impl BackendKind {
     /// Reads the backend choice from the `DIFFUSE_BACKEND` environment
-    /// variable: `closure` or `jit` select [`BackendKind::Closure`], `simd`
-    /// selects [`BackendKind::Simd`]; anything else (or the variable being
-    /// unset) selects [`BackendKind::Interp`].
+    /// variable ([`ir::env::choice`]): `simd` selects [`BackendKind::Simd`],
+    /// `interp` or `interpreter` select [`BackendKind::Interp`], which is
+    /// also the default when the variable is unset or unrecognized.
     ///
     /// # Example
     ///
@@ -176,61 +178,37 @@ impl BackendKind {
     ///
     /// // With DIFFUSE_BACKEND unset this is the interpreter default.
     /// let kind = BackendKind::from_env();
-    /// assert!(matches!(
-    ///     kind,
-    ///     BackendKind::Interp | BackendKind::Closure | BackendKind::Simd
-    /// ));
+    /// assert!(matches!(kind, BackendKind::Interp | BackendKind::Simd));
     /// ```
     pub fn from_env() -> Self {
-        match std::env::var("DIFFUSE_BACKEND").as_deref() {
-            Ok("closure") | Ok("jit") => BackendKind::Closure,
-            Ok("simd") => BackendKind::Simd,
-            Ok("interp") | Ok("interpreter") | Ok("") | Err(_) => BackendKind::Interp,
-            Ok(other) => {
-                // A typo silently running the wrong leg would invalidate any
-                // backend comparison; warn once, then default.
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                let other = other.to_string();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: unrecognized DIFFUSE_BACKEND value {other:?} \
-                         (expected \"interp\", \"interpreter\", \"closure\", \
-                         \"jit\" or \"simd\"); using the interpreter backend"
-                    );
-                });
-                BackendKind::Interp
-            }
-        }
+        ir::env::choice("DIFFUSE_BACKEND", &SPELLINGS, BackendKind::Interp)
     }
 
     /// The backend's stable identifier.
     pub fn id(self) -> &'static str {
         match self {
             BackendKind::Interp => "interp",
-            BackendKind::Closure => "closure",
             BackendKind::Simd => "simd",
         }
     }
 
     /// The next backend in the graceful-degradation chain used when a
     /// backend's compilation fails (fault injection, `docs/RESILIENCE.md`):
-    /// simd → closure → interp. The interpreter is the terminal fallback —
-    /// its "compilation" is a module wrap that cannot fail — so the chain
-    /// always ends with a working artifact.
+    /// simd → interp. The interpreter is the terminal fallback — its
+    /// "compilation" is a module wrap that cannot fail — so the chain always
+    /// ends with a working artifact.
     ///
     /// # Example
     ///
     /// ```
     /// use kernel::BackendKind;
     ///
-    /// assert_eq!(BackendKind::Simd.fallback(), Some(BackendKind::Closure));
-    /// assert_eq!(BackendKind::Closure.fallback(), Some(BackendKind::Interp));
+    /// assert_eq!(BackendKind::Simd.fallback(), Some(BackendKind::Interp));
     /// assert_eq!(BackendKind::Interp.fallback(), None);
     /// ```
     pub fn fallback(self) -> Option<BackendKind> {
         match self {
-            BackendKind::Simd => Some(BackendKind::Closure),
-            BackendKind::Closure => Some(BackendKind::Interp),
+            BackendKind::Simd => Some(BackendKind::Interp),
             BackendKind::Interp => None,
         }
     }
@@ -239,7 +217,6 @@ impl BackendKind {
     pub fn backend(self) -> Arc<dyn KernelBackend> {
         match self {
             BackendKind::Interp => Arc::new(InterpBackend),
-            BackendKind::Closure => Arc::new(crate::closure::ClosureBackend),
             BackendKind::Simd => Arc::new(crate::simd::SimdBackend),
         }
     }
@@ -359,11 +336,21 @@ mod tests {
     #[test]
     fn backend_kind_ids_and_instantiation() {
         assert_eq!(BackendKind::Interp.id(), "interp");
-        assert_eq!(BackendKind::Closure.id(), "closure");
         assert_eq!(BackendKind::Simd.id(), "simd");
         assert_eq!(BackendKind::Interp.backend().id(), "interp");
-        assert_eq!(BackendKind::Closure.backend().id(), "closure");
         assert_eq!(BackendKind::Simd.backend().id(), "simd");
+    }
+
+    #[test]
+    fn backend_spellings_resolve_case_insensitively() {
+        let pick = |raw| ir::env::resolve("DIFFUSE_BACKEND", raw, &SPELLINGS, BackendKind::Interp);
+        assert_eq!(pick(Some("Simd")), BackendKind::Simd);
+        assert_eq!(pick(Some(" SIMD ")), BackendKind::Simd);
+        assert_eq!(pick(Some("Interpreter")), BackendKind::Interp);
+        assert_eq!(pick(None), BackendKind::Interp);
+        // The removed backend's spellings are ordinary typos now.
+        assert_eq!(pick(Some("closure")), BackendKind::Interp);
+        assert_eq!(pick(Some("jit")), BackendKind::Interp);
     }
 
     #[test]

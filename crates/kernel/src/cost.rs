@@ -257,7 +257,6 @@ fn surcharge_ratio(own_ns: f64, reference_ns: f64) -> f64 {
 /// no fitted entry for a backend.
 fn fallback_factor(backend_id: &str) -> f64 {
     match backend_id {
-        "closure" => crate::closure::CLOSURE_COMPILE_FACTOR,
         "simd" => crate::simd::SIMD_COMPILE_FACTOR,
         _ => 1.0,
     }
@@ -368,7 +367,7 @@ mod tests {
 
     #[test]
     fn checked_in_calibration_has_fitted_entries_for_every_backend() {
-        for backend in ["interp", "closure", "simd"] {
+        for backend in ["interp", "simd"] {
             let fitted = host_compile_model(backend)
                 .unwrap_or_else(|| panic!("no fitted calibration entry for {backend}"));
             for c in [fitted.base_ns, fitted.per_op_ns, fitted.per_stage_ns] {
@@ -400,7 +399,7 @@ mod tests {
         for _ in 0..20 {
             large.push_loop(add_kernel());
         }
-        for backend in ["interp", "closure", "simd"] {
+        for backend in ["interp", "simd"] {
             let m = anchor.calibrated(backend);
             for c in [m.base, m.per_op, m.per_stage] {
                 assert!(c.is_finite() && c > 0.0, "{backend}: bad coefficient {c}");

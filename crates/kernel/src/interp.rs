@@ -262,8 +262,8 @@ pub(crate) fn run_opaque(op: &OpaqueOp, buffers: &mut [Vec<f64>]) -> Result<(), 
 
 /// Resolves a unary operator to its host function. Every backend evaluates
 /// ops through these resolvers, so backends agree bitwise by construction:
-/// the interpreter calls the resolved function per element, the closure
-/// backend binds it once at compile time.
+/// the interpreter calls the resolved function per element, the lowering
+/// binds it once at compile time.
 pub(crate) fn unary_fn(op: UnaryOp) -> fn(f64) -> f64 {
     match op {
         UnaryOp::Neg => |a| -a,

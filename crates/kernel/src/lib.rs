@@ -21,13 +21,12 @@
 //!
 //! Execution itself goes through the [`backend`] API: a [`KernelBackend`]
 //! compiles an optimized module into a shareable [`CompiledKernel`] artifact.
-//! The default [`InterpBackend`] wraps the interpreter; the
-//! [`ClosureBackend`] lowers loop nests to pre-resolved composed closures (a
-//! real JIT shape with one-time cost and faster steady state); the
-//! [`SimdBackend`] lowers the same streams to lane-parallel arrays-of-lanes
-//! kernels with masked tails. Each backend's simulated compile surcharge is
-//! fitted from measured wall-clock ([`CompileTimeModel::calibrated`]). See
-//! `docs/BACKENDS.md`.
+//! The default [`InterpBackend`] wraps the interpreter; the [`SimdBackend`]
+//! lowers loop nests once into pre-resolved micro-op streams and executes
+//! them as lane-parallel arrays-of-lanes kernels with masked tails (a real
+//! JIT shape with one-time cost and faster steady state). Each backend's
+//! simulated compile surcharge is fitted from measured wall-clock
+//! ([`CompileTimeModel::calibrated`]). See `docs/BACKENDS.md`.
 //!
 //! # Example
 //!
@@ -63,11 +62,11 @@
 pub mod analyze;
 pub mod backend;
 pub mod builder;
-pub mod closure;
 pub mod cost;
 pub mod generator;
 pub mod interp;
 pub mod ir;
+mod lower;
 pub mod passes;
 pub mod simd;
 pub mod verify;
@@ -78,7 +77,6 @@ pub use analyze::{
 };
 pub use backend::{compile_interp, BackendKind, CompiledKernel, InterpBackend, KernelBackend};
 pub use builder::LoopBuilder;
-pub use closure::ClosureBackend;
 pub use cost::{host_compile_model, CompileTimeModel, HostCompileModel, KernelCost};
 pub use simd::SimdBackend;
 pub use generator::{

@@ -1,14 +1,14 @@
 //! The SIMD backend: fused loop nests lowered once into lane-parallel
 //! chunked kernels over arrays-of-lanes.
 //!
-//! The [`crate::closure::ClosureBackend`] already resolves every op at
-//! compile time and streams each micro-op over 64-element chunks, but its
-//! scratch table is a flat `Vec<f64>` indexed with runtime offsets: every
-//! inner loop has a dynamic trip count and bounds-checked slice accesses the
-//! optimizer must see through. This backend takes the same lowering one step
-//! further, in the style of the single-pass fused SIMD kernels of
-//! "Optimizing CUDA Code By Kernel Fusion" and Bohrium's runtime-fused array
-//! streams (see PAPERS.md):
+//! The lowering front end (`lower::lower_loop`) resolves every op at compile
+//! time — buffer and value ids to raw indices, operators to host functions,
+//! invariants hoisted into a prelude, SSA checked once — and this backend
+//! executes the resulting micro-op streams chunk by chunk, in the style of the
+//! single-pass fused SIMD kernels of "Optimizing CUDA Code By Kernel Fusion"
+//! and Bohrium's runtime-fused array streams (see PAPERS.md). Dispatch cost
+//! is paid once per op per chunk instead of once per op per element, which
+//! is where the steady-state speedup over the interpreter comes from:
 //!
 //! * SSA values live in **arrays-of-lanes**: each value is a register row
 //!   `[[f64; LANES]; VECTORS]` (`f64x4`-style lane vectors, [`SIMD_CHUNK`]
@@ -19,9 +19,9 @@
 //!   first, then body), so an op's destination register always has a strictly
 //!   higher index than its operands. Execution then borrows destination and
 //!   operand rows disjointly via `split_at_mut` — zero-copy, no `unsafe`.
-//! * Loop-invariant hoisting is **reused from the closure lowering**
-//!   (`closure::lower_loop`): constants, scalar parameters and
-//!   broadcast loads are splatted across a register row once per stage.
+//! * Loop-invariant ops (constants, scalar parameters, broadcast loads of
+//!   buffers the loop never writes) are splatted across a register row once
+//!   per stage.
 //! * Domains that are not a multiple of the chunk width run an explicit
 //!   **masked tail**: loads fill only the valid lanes, arithmetic runs full
 //!   width (dead lanes hold stale values, which is harmless — no element's
@@ -29,7 +29,7 @@
 //!   valid lanes.
 //! * Reductions fold the valid lanes **in element order** and modules with
 //!   element-0 side channels (broadcast loads of written buffers, shared or
-//!   touched accumulators — the closure backend's exact conditions) take the
+//!   touched accumulators — the lowering's `vectorized` analysis) take the
 //!   exact per-element fallback, so results stay **bitwise-identical** to
 //!   [`crate::Interpreter`] for every module. Elementwise lane arithmetic is
 //!   bitwise-deterministic because each element's dataflow is independent and
@@ -41,30 +41,31 @@
 //!   (never payload) for NaNs; the differential harness canonicalizes
 //!   accordingly.
 //!
-//! Opaque stages (SpMV, GEMV, restrict/prolong) dispatch to the same native
-//! implementations as the interpreter, exactly like the closure backend.
+//! Opaque stages (SpMV, GEMV, restrict/prolong) dispatch once per stage to
+//! the same native implementations as the interpreter.
 //!
-//! The one-time lowering (closure lowering + renumbering) costs more than the
-//! closure backend's, which the simulated clock prices through the fitted
-//! per-backend [`CompileTimeModel`] calibration (`cargo run --release --bin
-//! calibrate`); the steady state is measurably faster on the fused cg/jacobi
-//! windows (`cargo run --release --bin kernel_backends`). Memoization then
-//! amortizes the larger surcharge exactly as §5.2 of the paper describes.
+//! The one-time lowering (resolution + renumbering) is a genuine compile
+//! cost, which the simulated clock prices through the fitted per-backend
+//! [`CompileTimeModel`] calibration (`cargo run --release --bin calibrate`);
+//! the steady state is measurably faster than the interpreter on the fused
+//! cg/jacobi windows (`cargo run --release --bin kernel_backends`).
+//! Memoization then amortizes the surcharge exactly as §5.2 of the paper
+//! describes.
 
 use std::sync::Arc;
 
 use crate::backend::{BackendKind, CompiledKernel, KernelBackend};
-use crate::closure::{lower_loop, CompiledLoop, Instr};
 use crate::cost::CompileTimeModel;
 use crate::interp::{self, ExecError};
 use crate::ir::{KernelModule, KernelStage, OpaqueOp, ReduceOp};
+use crate::lower::{lower_loop, CompiledLoop, Instr};
 
 /// Lanes per SIMD vector: the `f64x4` shape of a 256-bit double vector.
 pub const LANES: usize = 4;
 
 /// Lane vectors per register row. `LANES * VECTORS` elements are processed
-/// per chunk; sized to match the closure backend's chunk so the comparison
-/// between the two backends isolates the lane layout, not the blocking.
+/// per chunk; sized so a fused window's register rows stay L1-resident while
+/// still amortizing dispatch 64×.
 pub const VECTORS: usize = 16;
 
 /// Elements processed per chunk ([`LANES`] × [`VECTORS`]).
@@ -72,14 +73,14 @@ pub const SIMD_CHUNK: usize = LANES * VECTORS;
 
 /// Fallback compile-cost surcharge over the interpreter's baseline
 /// calibration, used only when `BENCH_compile_calibration.json` has no fitted
-/// entry for this backend (see [`CompileTimeModel::calibrated`]): the SIMD
-/// backend runs the full closure lowering plus the renumbering pass.
+/// entry for this backend (see [`CompileTimeModel::calibrated`]): every op
+/// is resolved, specialized and renumbered at compile time.
 pub const SIMD_COMPILE_FACTOR: f64 = 1.5;
 
 /// One SSA register row: [`SIMD_CHUNK`] elements as an array-of-lanes.
 type Row = [[f64; LANES]; VECTORS];
 
-/// The lane-parallel schedule for one loop stage: the closure lowering's
+/// The lane-parallel schedule for one loop stage: the lowering's
 /// prelude/body micro-op streams with values renumbered in definition order,
 /// so `dst > operands` holds for every op (the `split_at_mut` invariant).
 #[derive(Debug)]
@@ -89,8 +90,8 @@ pub(crate) struct LanePlan {
     pub(crate) num_regs: usize,
 }
 
-/// One compiled loop stage: the shared closure lowering plus, when the
-/// chunked schedule is sound for this module, the lane-parallel plan.
+/// One compiled loop stage: the lowering plus, when the chunked schedule is
+/// sound for this module, the lane-parallel plan.
 #[derive(Debug)]
 struct SimdLoop {
     inner: CompiledLoop,
@@ -127,8 +128,8 @@ impl KernelBackend for SimdBackend {
             .map(|stage| match stage {
                 KernelStage::Loop(l) => lower_loop(l).map(|inner| {
                     // The renumbering requires full SSA, which is exactly the
-                    // closure lowering's condition for the reorderable
-                    // schedule; modules with element-0 side channels keep
+                    // lowering's condition for the reorderable schedule;
+                    // modules with element-0 side channels keep
                     // `lanes: None` and run the exact per-element fallback.
                     let lanes = if inner.vectorized {
                         renumber(&inner)
@@ -187,112 +188,47 @@ impl CompiledKernel for SimdCompiled {
     }
 }
 
+/// The register an op defines (if any) and the registers it reads, mutably —
+/// what [`renumber`] rewrites.
+fn regs_mut(instr: &mut Instr) -> (Option<&mut u32>, [Option<&mut u32>; 2]) {
+    match instr {
+        Instr::Load { dst, .. }
+        | Instr::LoadScalar { dst, .. }
+        | Instr::Set { dst, .. }
+        | Instr::Param { dst, .. } => (Some(dst), [None, None]),
+        Instr::Neg { dst, a } | Instr::Unary { dst, a, .. } => (Some(dst), [Some(a), None]),
+        Instr::Add { dst, a, b }
+        | Instr::Sub { dst, a, b }
+        | Instr::Mul { dst, a, b }
+        | Instr::Div { dst, a, b }
+        | Instr::Binary { dst, a, b, .. } => (Some(dst), [Some(a), Some(b)]),
+        Instr::Store { src, .. } | Instr::Reduce { src, .. } => (None, [Some(src), None]),
+    }
+}
+
 /// Renumbers the lowered value ids in definition order (prelude first, then
 /// body) so every op's destination register index strictly exceeds its
 /// operands'. Returns `None` if any operand is read before definition —
-/// impossible for streams the closure lowering marked `vectorized`, but the
+/// impossible for streams the lowering marked `vectorized`, but the
 /// caller falls back to the exact schedule rather than trusting that.
 pub(crate) fn renumber(l: &CompiledLoop) -> Option<LanePlan> {
     const UNDEF: u32 = u32::MAX;
     let mut map = vec![UNDEF; l.num_values.max(1)];
     let mut next: u32 = 0;
-    let mut def = |map: &mut [u32], dst: u32| {
-        map[dst as usize] = next;
-        next += 1;
-        next - 1
-    };
-    let remap = |map: &[u32], v: u32| -> Option<u32> {
-        let r = map[v as usize];
-        (r != UNDEF).then_some(r)
-    };
     let mut out = Vec::with_capacity(l.prelude.len() + l.body.len());
-    for &instr in l.prelude.iter().chain(&l.body) {
-        out.push(match instr {
-            Instr::Load { dst, buf } => Instr::Load {
-                dst: def(&mut map, dst),
-                buf,
-            },
-            Instr::LoadScalar { dst, buf } => Instr::LoadScalar {
-                dst: def(&mut map, dst),
-                buf,
-            },
-            Instr::Set { dst, imm } => Instr::Set {
-                dst: def(&mut map, dst),
-                imm,
-            },
-            Instr::Param { dst, idx } => Instr::Param {
-                dst: def(&mut map, dst),
-                idx,
-            },
-            Instr::Neg { dst, a } => {
-                let a = remap(&map, a)?;
-                Instr::Neg {
-                    dst: def(&mut map, dst),
-                    a,
-                }
-            }
-            Instr::Add { dst, a, b } => {
-                let (a, b) = (remap(&map, a)?, remap(&map, b)?);
-                Instr::Add {
-                    dst: def(&mut map, dst),
-                    a,
-                    b,
-                }
-            }
-            Instr::Sub { dst, a, b } => {
-                let (a, b) = (remap(&map, a)?, remap(&map, b)?);
-                Instr::Sub {
-                    dst: def(&mut map, dst),
-                    a,
-                    b,
-                }
-            }
-            Instr::Mul { dst, a, b } => {
-                let (a, b) = (remap(&map, a)?, remap(&map, b)?);
-                Instr::Mul {
-                    dst: def(&mut map, dst),
-                    a,
-                    b,
-                }
-            }
-            Instr::Div { dst, a, b } => {
-                let (a, b) = (remap(&map, a)?, remap(&map, b)?);
-                Instr::Div {
-                    dst: def(&mut map, dst),
-                    a,
-                    b,
-                }
-            }
-            Instr::Unary { dst, a, f } => {
-                let a = remap(&map, a)?;
-                Instr::Unary {
-                    dst: def(&mut map, dst),
-                    a,
-                    f,
-                }
-            }
-            Instr::Binary { dst, a, b, f } => {
-                let (a, b) = (remap(&map, a)?, remap(&map, b)?);
-                Instr::Binary {
-                    dst: def(&mut map, dst),
-                    a,
-                    b,
-                    f,
-                }
-            }
-            Instr::Store { buf, src } => Instr::Store {
-                buf,
-                src: remap(&map, src)?,
-            },
-            Instr::Reduce { buf, src, op } => Instr::Reduce {
-                buf,
-                src: remap(&map, src)?,
-                op,
-            },
-        });
+    for &(mut instr) in l.prelude.iter().chain(&l.body) {
+        let (dst, operands) = regs_mut(&mut instr);
+        for operand in operands.into_iter().flatten() {
+            *operand = Some(map[*operand as usize]).filter(|&r| r != UNDEF)?;
+        }
+        if let Some(dst) = dst {
+            map[*dst as usize] = next;
+            *dst = next;
+            next += 1;
+        }
+        out.push(instr);
     }
-    let body_at = l.prelude.len();
-    let body = out.split_off(body_at);
+    let body = out.split_off(l.prelude.len());
     Some(LanePlan {
         prelude: out,
         body,
@@ -622,6 +558,25 @@ mod tests {
             compiled.execute(&mut mismatched, &[1.0]),
             Err(ExecError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn malformed_ssa_is_a_compile_error() {
+        use crate::ir::{LoopKernel, LoopOp, ValueId};
+        let mut m = KernelModule::new(2);
+        m.push_loop(LoopKernel {
+            name: "bad".into(),
+            domain: BufferId(0),
+            ops: vec![LoopOp::Store {
+                buffer: BufferId(1),
+                src: ValueId(3), // never defined
+            }],
+            parallel: false,
+        });
+        assert_eq!(
+            SimdBackend.compile(&m).err(),
+            Some(ExecError::UndefinedValue(ValueId(3)))
+        );
     }
 
     #[test]

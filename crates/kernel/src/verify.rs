@@ -15,7 +15,7 @@
 //!   provided — load/store offsets in bounds for every buffer.
 //! * [`verify_lowering`] — backend-specific invariants re-derived from an
 //!   independent re-lowering of the module: micro-op def-before-use for the
-//!   closure backend's streams, and the renumbered
+//!   lowered streams, and the renumbered
 //!   destination-register-strictly-above-operands invariant the SIMD
 //!   backend's `split_at_mut` borrows rely on.
 //! * [`verify_against_signature`] — consistency of a generated module with
@@ -34,9 +34,9 @@
 //! the offending stage/instruction.
 
 use crate::backend::BackendKind;
-use crate::closure::{lower_loop, Instr};
 use crate::generator::{ArgSpec, TaskSignature};
 use crate::ir::{BufferId, BufferRole, KernelModule, KernelStage, LoopKernel, LoopOp, ValueId};
+use crate::lower::{lower_loop, Instr};
 use crate::simd;
 
 /// A violated kernel-level invariant, naming the offending stage and (where
@@ -591,8 +591,8 @@ fn verify_instrs(
 }
 
 /// Re-lowers `module` exactly as `backend` would and verifies the invariants
-/// its executor relies on: micro-op def-before-use for the closure and SIMD
-/// streams, and — for SIMD lane plans — that renumbering produced
+/// its executor relies on: micro-op def-before-use for the lowered streams,
+/// and — for lane plans — that renumbering produced
 /// destination registers strictly above every operand register (the
 /// precondition of the executor's `split_at_mut` borrows). The interpreter
 /// backend has no lowering, so it verifies trivially.
@@ -628,7 +628,7 @@ pub fn verify_lowering(module: &KernelModule, backend: BackendKind) -> Result<us
             lowered.num_values.max(1),
             false,
         )?;
-        if backend == BackendKind::Simd && lowered.vectorized {
+        if lowered.vectorized {
             if let Some(plan) = simd::renumber(&lowered) {
                 checks += verify_instrs(
                     si,
@@ -898,7 +898,6 @@ mod tests {
     fn lowering_invariants_hold_for_real_modules() {
         for m in [scale_module(), dot_module()] {
             assert!(verify_lowering(&m, BackendKind::Interp).unwrap() == 0);
-            assert!(verify_lowering(&m, BackendKind::Closure).unwrap() > 0);
             assert!(verify_lowering(&m, BackendKind::Simd).unwrap() > 0);
         }
     }

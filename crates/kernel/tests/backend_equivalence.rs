@@ -1,13 +1,13 @@
-//! Three-way backend differential harness: the JIT-closure and SIMD backends
-//! must produce bitwise-identical buffers to the interpreter backend, for any
-//! kernel module, any input values and any domain length.
+//! Two-way backend differential harness: the SIMD backend must produce
+//! bitwise-identical buffers to the interpreter backend, for any kernel
+//! module, any input values and any domain length.
 //!
 //! The property test generates random modules — several stages, each either a
 //! dense loop (random straight-line SSA bodies with loads, broadcast-scalar
 //! loads, constants, scalar parameters, unary/binary arithmetic, stores and
 //! reductions) or an opaque builtin (restrict, prolong, CSR SpMV over a
-//! deterministically valid sparse structure) — compiles each module with all
-//! three backends and compares every output buffer with exact bit equality
+//! deterministically valid sparse structure) — compiles each module with
+//! both backends and compares every output buffer with exact bit equality
 //! (`f64::to_bits`, so `-0.0` is distinguished from `0.0` and subnormals must
 //! survive unflushed). The one sanctioned exception is NaN *payloads*: Rust
 //! documents the payload/sign bits of a freshly produced NaN as
@@ -36,10 +36,9 @@ use kernel::{
     OpaqueOp, ReduceOp, UnaryOp, ValueId,
 };
 
-/// Every shipped backend; index 0 is the interpreter reference the other
-/// backends are diffed against.
-const ALL_BACKENDS: [BackendKind; 3] =
-    [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd];
+/// Every shipped backend; index 0 is the interpreter reference the SIMD
+/// backend is diffed against.
+const ALL_BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Simd];
 
 /// Number of buffers every generated module uses. Buffer 0 is the loop
 /// domain / primary input, the rest are read/written freely.
@@ -177,7 +176,7 @@ fn build_loop(domain: BufferId, raw_ops: &[RawOp]) -> LoopKernel {
 /// and write strictly within equal-length buffers, so they can mix freely
 /// with random loops. GEMV and SpMV constrain buffer shapes (matrix size,
 /// valid CSR structure), so SpMV runs only against the dedicated CSR input
-/// set and GEMV is covered by the unit tests in `kernel::closure`.
+/// set and GEMV is covered by the unit tests in `kernel::interp`.
 fn build_opaque(kind: u64) -> OpaqueOp {
     if kind.is_multiple_of(2) {
         OpaqueOp::Restrict {
@@ -306,8 +305,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random modules (loops + opaque stages + reductions) produce
-    /// bitwise-identical buffers under the interpreter, closure and SIMD
-    /// backends, across masked-tail domain lengths and adversarially seeded
+    /// bitwise-identical buffers under the interpreter and SIMD backends,
+    /// across masked-tail domain lengths and adversarially seeded
     /// inputs (NaN, ±inf, signed zeros, subnormals).
     #[test]
     fn random_modules_are_backend_invariant(
@@ -461,7 +460,7 @@ fn concatenated_independent_nests_match_sequential_modules() {
     }
 }
 
-/// A hand-picked module mixing every op class, checked across all three
+/// A hand-picked module mixing every op class, checked across both
 /// backends with exact bit equality (fast sanity check that runs even when
 /// the property test budget is cut down).
 #[test]

@@ -173,16 +173,11 @@ pub struct HbChecker {
 }
 
 impl HbChecker {
-    /// Whether `DIFFUSE_VERIFY` asks for the checker: `on`, `1` or `true`
-    /// (case-insensitive). Combined with `cfg!(debug_assertions)` by the
+    /// Whether `DIFFUSE_VERIFY` asks for the checker ([`ir::env::flag`];
+    /// off unless set). Combined with `cfg!(debug_assertions)` by the
     /// executor so release builds never pay for it.
     pub fn requested_by_env() -> bool {
-        std::env::var("DIFFUSE_VERIFY")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v == "on" || v == "1" || v == "true"
-            })
-            .unwrap_or(false)
+        ir::env::flag("DIFFUSE_VERIFY", false)
     }
 
     /// Registers a task at submission, in program order, with the dependence

@@ -73,11 +73,20 @@ pub enum ExecutorKind {
     },
 }
 
+/// The accepted spellings of `DIFFUSE_EXECUTOR`.
+const SPELLINGS: [(&str, ExecutorKind); 4] = [
+    ("serial", ExecutorKind::Serial),
+    ("parallel", ExecutorKind::WorkStealing { workers: None }),
+    ("work-stealing", ExecutorKind::WorkStealing { workers: None }),
+    ("ws", ExecutorKind::WorkStealing { workers: None }),
+];
+
 impl ExecutorKind {
     /// Reads the executor choice from the `DIFFUSE_EXECUTOR` environment
-    /// variable: `parallel`, `work-stealing` or `ws` select
-    /// [`ExecutorKind::WorkStealing`]; anything else (or the variable being
-    /// unset) selects [`ExecutorKind::Serial`].
+    /// variable ([`ir::env::choice`]): `parallel`, `work-stealing` or `ws`
+    /// select [`ExecutorKind::WorkStealing`]; `serial` selects
+    /// [`ExecutorKind::Serial`], which is also the default when the variable
+    /// is unset or unrecognized.
     ///
     /// # Example
     ///
@@ -89,26 +98,7 @@ impl ExecutorKind {
     /// assert!(matches!(kind, ExecutorKind::Serial | ExecutorKind::WorkStealing { .. }));
     /// ```
     pub fn from_env() -> Self {
-        match std::env::var("DIFFUSE_EXECUTOR").as_deref() {
-            Ok("parallel") | Ok("work-stealing") | Ok("ws") => {
-                ExecutorKind::WorkStealing { workers: None }
-            }
-            Ok("serial") | Ok("") | Err(_) => ExecutorKind::Serial,
-            Ok(other) => {
-                // A typo silently running the wrong leg would invalidate any
-                // serial-vs-parallel comparison; warn once, then default.
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                let other = other.to_string();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: unrecognized DIFFUSE_EXECUTOR value {other:?} \
-                         (expected \"serial\", \"parallel\", \"work-stealing\" or \"ws\"); \
-                         using the serial executor"
-                    );
-                });
-                ExecutorKind::Serial
-            }
-        }
+        ir::env::choice("DIFFUSE_EXECUTOR", &SPELLINGS, ExecutorKind::Serial)
     }
 
     /// The number of workers this kind uses on a machine with `gpus` simulated

@@ -15,7 +15,7 @@
 //!   marks the GPU unhealthy and migrates its work.
 //! * **Compile** — a kernel backend fails to compile a fused module.
 //!   Recovered by degrading along [`kernel::BackendKind::fallback`]
-//!   (simd → closure → interp; the interpreter never fails).
+//!   (simd → interp; the interpreter never fails).
 //! * **RegionRead** — a transient failure reading a region's data (a dropped
 //!   fetch). Recovered by re-issuing the read after a priced backoff.
 //!

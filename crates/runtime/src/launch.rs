@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use ir::fingerprint::{fold_bytes, OFFSET};
 use ir::{Domain, PartitionId, Privilege};
 use kernel::CompiledKernel;
 
@@ -148,25 +149,17 @@ impl TaskLaunch {
     /// the launch's content; collisions only blur which launches share a
     /// fault stream, never correctness.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn put(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        }
-        let mut h = OFFSET;
-        put(&mut h, self.name.as_bytes());
-        put(&mut h, &self.launch_domain.size().to_le_bytes());
+        let mut h = fold_bytes(OFFSET, self.name.as_bytes());
+        h = fold_bytes(h, &self.launch_domain.size().to_le_bytes());
         for req in &self.requirements {
-            put(&mut h, &req.region.0.to_le_bytes());
+            h = fold_bytes(h, &req.region.0.to_le_bytes());
             let dir = u8::from(req.privilege.reads())
                 | u8::from(req.privilege.writes()) << 1
                 | u8::from(req.privilege.reduces()) << 2;
-            put(&mut h, &[dir]);
+            h = fold_bytes(h, &[dir]);
         }
         for s in &self.scalars {
-            put(&mut h, &s.to_bits().to_le_bytes());
+            h = fold_bytes(h, &s.to_bits().to_le_bytes());
         }
         h
     }

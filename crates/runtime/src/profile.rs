@@ -1,48 +1,80 @@
 //! Execution profile: what the runtime observed while executing launches.
 
-/// Counters accumulated across every launch executed by a [`crate::Runtime`].
-///
-/// Counters are filled in eagerly at submission time (with the cost
-/// accounting), so they never depend on which executor runs the functional
-/// work.
-///
-/// # Example
-///
-/// ```
-/// use runtime::Profile;
-///
-/// let mut p = Profile { comm_time: 1.0, kernel_time: 2.0, ..Profile::default() };
-/// assert_eq!(p.total_time(), 3.0);
-/// let earlier = p;
-/// p.kernel_time += 4.0;
-/// assert_eq!(p.since(&earlier).kernel_time, 4.0);
-/// p.reset();
-/// assert_eq!(p, Profile::default());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Profile {
-    /// Index tasks launched.
-    pub index_tasks: u64,
-    /// GPU kernels launched (one per module stage per index task).
-    pub kernel_launches: u64,
-    /// Bytes moved through GPU memory by kernels (per-GPU, on the critical
-    /// path).
-    pub kernel_bytes: u64,
-    /// Floating point operations executed (per-GPU, critical path).
-    pub kernel_flops: u64,
-    /// Bytes communicated between GPUs because data was accessed through a
-    /// partition other than the one it was produced with.
-    pub comm_bytes: u64,
-    /// Simulated seconds spent in communication.
-    pub comm_time: f64,
-    /// Simulated seconds spent in kernels (including launch overheads).
-    pub kernel_time: f64,
-    /// Simulated seconds of per-task runtime/MPI overhead.
-    pub overhead_time: f64,
-    /// Distributed allocations performed.
-    pub distributed_allocations: u64,
-    /// Bytes of distributed allocations performed.
-    pub distributed_allocation_bytes: u64,
+/// Declares [`Profile`] and its `since` from one field list, so a counter
+/// cannot be added without being differenced. `counter` fields (`u64`, only
+/// ever grow) difference saturating — snapshots passed in the wrong order read
+/// zero instead of underflowing; `seconds` fields (`f64`) difference plainly.
+macro_rules! profile_counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* $kind:ident $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// The difference between two profiles (`self - earlier`), used to
+            /// report per-phase statistics.
+            pub fn since(&self, earlier: &$name) -> $name {
+                $name {
+                    $($field: profile_counters!(@$kind self.$field, earlier.$field),)*
+                }
+            }
+        }
+    };
+    (@counter $later:expr, $earlier:expr) => { $later.saturating_sub($earlier) };
+    (@seconds $later:expr, $earlier:expr) => { $later - $earlier };
+}
+
+profile_counters! {
+    /// Counters accumulated across every launch executed by a [`crate::Runtime`].
+    ///
+    /// Counters are filled in eagerly at submission time (with the cost
+    /// accounting), so they never depend on which executor runs the functional
+    /// work.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use runtime::Profile;
+    ///
+    /// let mut p = Profile { comm_time: 1.0, kernel_time: 2.0, ..Profile::default() };
+    /// assert_eq!(p.total_time(), 3.0);
+    /// let earlier = p;
+    /// p.kernel_time += 4.0;
+    /// assert_eq!(p.since(&earlier).kernel_time, 4.0);
+    /// p.reset();
+    /// assert_eq!(p, Profile::default());
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct Profile {
+        /// Index tasks launched.
+        counter index_tasks: u64,
+        /// GPU kernels launched (one per module stage per index task).
+        counter kernel_launches: u64,
+        /// Bytes moved through GPU memory by kernels (per-GPU, on the critical
+        /// path).
+        counter kernel_bytes: u64,
+        /// Floating point operations executed (per-GPU, critical path).
+        counter kernel_flops: u64,
+        /// Bytes communicated between GPUs because data was accessed through a
+        /// partition other than the one it was produced with.
+        counter comm_bytes: u64,
+        /// Simulated seconds spent in communication.
+        seconds comm_time: f64,
+        /// Simulated seconds spent in kernels (including launch overheads).
+        seconds kernel_time: f64,
+        /// Simulated seconds of per-task runtime/MPI overhead.
+        seconds overhead_time: f64,
+        /// Distributed allocations performed.
+        counter distributed_allocations: u64,
+        /// Bytes of distributed allocations performed.
+        counter distributed_allocation_bytes: u64,
+    }
 }
 
 impl Profile {
@@ -54,25 +86,6 @@ impl Profile {
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
         *self = Profile::default();
-    }
-
-    /// The difference between two profiles (`self - earlier`), used to report
-    /// per-phase statistics.
-    pub fn since(&self, earlier: &Profile) -> Profile {
-        Profile {
-            index_tasks: self.index_tasks - earlier.index_tasks,
-            kernel_launches: self.kernel_launches - earlier.kernel_launches,
-            kernel_bytes: self.kernel_bytes - earlier.kernel_bytes,
-            kernel_flops: self.kernel_flops - earlier.kernel_flops,
-            comm_bytes: self.comm_bytes - earlier.comm_bytes,
-            comm_time: self.comm_time - earlier.comm_time,
-            kernel_time: self.kernel_time - earlier.kernel_time,
-            overhead_time: self.overhead_time - earlier.overhead_time,
-            distributed_allocations: self.distributed_allocations
-                - earlier.distributed_allocations,
-            distributed_allocation_bytes: self.distributed_allocation_bytes
-                - earlier.distributed_allocation_bytes,
-        }
     }
 }
 
@@ -99,6 +112,22 @@ mod tests {
         };
         p.reset();
         assert_eq!(p, Profile::default());
+    }
+
+    #[test]
+    fn misordered_snapshots_read_zero_instead_of_underflowing() {
+        let early = Profile {
+            index_tasks: 2,
+            ..Profile::default()
+        };
+        let late = Profile {
+            index_tasks: 7,
+            comm_bytes: 64,
+            ..Profile::default()
+        };
+        let diff = early.since(&late);
+        assert_eq!(diff.index_tasks, 0);
+        assert_eq!(diff.comm_bytes, 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! interpreter baseline produces, for any program.
 //!
 //! The property test drives all four combinations (serial/parallel ×
-//! interp/closure) with the same randomly generated launch DAG — launches
+//! interp/simd) with the same randomly generated launch DAG — launches
 //! pick random source/destination regions, so the generated programs contain
 //! every hazard class (RAW chains, WAR, WAW, concurrent readers, aliasing
 //! read+write of one region) at random widths. Determinism holds because
@@ -152,7 +152,7 @@ proptest! {
         let n = 16 * gpus;
         let (baseline, baseline_time) =
             run_program(&ops, gpus, n, ExecutorKind::Serial, BackendKind::Interp);
-        for backend in [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd] {
+        for backend in [BackendKind::Interp, BackendKind::Simd] {
             for executor in [
                 ExecutorKind::Serial,
                 ExecutorKind::WorkStealing { workers: Some(4) },
@@ -240,7 +240,7 @@ fn raw_chain_retains_program_order() {
         Op { src_a: 3, src_b: 3, dst: 4, accumulate: true },  // r4 += r3
     ];
     let (serial, _) = run_program(&ops, gpus, n, ExecutorKind::Serial, BackendKind::Interp);
-    for backend in [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd] {
+    for backend in [BackendKind::Interp, BackendKind::Simd] {
         let (parallel, _) = run_program(
             &ops,
             gpus,

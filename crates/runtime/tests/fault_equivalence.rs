@@ -177,12 +177,10 @@ fn decode_ops(raw: &[(u64, u64, u64, u64)]) -> Vec<Op> {
         .collect()
 }
 
-const MATRIX: [(ExecutorKind, BackendKind); 6] = [
+const MATRIX: [(ExecutorKind, BackendKind); 4] = [
     (ExecutorKind::Serial, BackendKind::Interp),
-    (ExecutorKind::Serial, BackendKind::Closure),
     (ExecutorKind::Serial, BackendKind::Simd),
     (ExecutorKind::WorkStealing { workers: Some(4) }, BackendKind::Interp),
-    (ExecutorKind::WorkStealing { workers: Some(4) }, BackendKind::Closure),
     (ExecutorKind::WorkStealing { workers: Some(4) }, BackendKind::Simd),
 ];
 

@@ -71,7 +71,6 @@ fn main() {
     ];
     let backends = [
         ("interp", BackendKind::Interp),
-        ("closure", BackendKind::Closure),
         ("simd", BackendKind::Simd),
     ];
 

@@ -106,7 +106,7 @@ fn checksums_are_invariant_across_fusion_executors_and_backends() {
         ExecutorKind::Serial,
         ExecutorKind::WorkStealing { workers: Some(2) },
     ];
-    let backends = [BackendKind::Interp, BackendKind::Closure, BackendKind::Simd];
+    let backends = [BackendKind::Interp, BackendKind::Simd];
     let (reference, reference_w, fused_stats) =
         run_pipeline(true, ExecutorKind::Serial, BackendKind::Interp);
     let (unfused_ref, unfused_w, unfused_stats) =
