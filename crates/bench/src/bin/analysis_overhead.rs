@@ -17,7 +17,7 @@
 //!
 //! The machine-independent quantity is the **cold/warm ratio** — how much of
 //! the analysis cost memoization amortizes away. `--check` re-measures and
-//! fails if the ratio drops below the hard floor of 5× or regresses more
+//! fails if the ratio drops below the hard floor of 2× or regresses more
 //! than the tolerance against the checked-in baseline.
 //!
 //! A third regime measures the footprint analyzer of `docs/ANALYZE.md`:
@@ -47,8 +47,13 @@ const N: u64 = 1 << 20;
 /// Simulated GPUs (launch-domain points).
 const GPUS: usize = 8;
 /// Warm-path hits the gate must never fall below, as a multiple of the cold
-/// path's per-task cost.
-const HARD_FLOOR: f64 = 5.0;
+/// path's per-task cost. Set from what is measured, not from what a slow miss
+/// path once made easy: since a partition's bounding box is closed-form
+/// (`ir::Partition::bounds_over`) a miss no longer enumerates GPUs for
+/// buffer lengths and copy rectangles, which roughly halved `cold` and took the ratio from ~7× to ~3.5× with `warm`
+/// unchanged. A faster miss path must not fail the gate; a warm path that
+/// stops amortizing (ratio → 1) still does.
+const HARD_FLOOR: f64 = 2.0;
 /// Path of the recorded trajectory, relative to the workspace root.
 const TOPIC: &str = "analysis_overhead";
 

@@ -80,12 +80,13 @@ struct CompiledArtifact {
     name: String,
     /// Merged fused args as (canonical store index, partition, privilege).
     args: Vec<(u32, PartitionId, Privilege)>,
-    /// Per-arg access volume over the launch domain.
-    arg_volumes: Vec<usize>,
-    /// Largest arg volume (sizes generator-introduced locals).
-    max_vol: usize,
-    is_temp: Vec<bool>,
-    num_generator_locals: usize,
+    /// Per arg: `Some(access volume over the launch domain)` if the arg was
+    /// demoted to a task-local temporary of that length, `None` if it is a
+    /// region requirement.
+    temp_volumes: Vec<Option<usize>>,
+    /// Lengths of the generator-introduced locals, as the module was
+    /// verified, optimized and priced on the miss that compiled it.
+    generator_local_lens: Vec<usize>,
 }
 
 /// Internal, mutable state of a [`Context`]. Exposed to the crate so that
@@ -311,27 +312,7 @@ impl ContextInner {
     /// Number of elements a (store, partition) argument touches over a launch
     /// domain: the volume of the bounding box of its sub-stores.
     fn access_volume(&self, store: StoreId, partition: &Partition, domain: &Domain) -> usize {
-        let shape: &[u64] = &self.stores[&store].shape;
-        match partition {
-            Partition::Replicate => shape.iter().product::<u64>() as usize,
-            Partition::Tiling { .. } => {
-                let mut acc: Option<ir::Rect> = None;
-                for p in domain.points() {
-                    let r = partition.sub_store_bounds(shape, &p);
-                    if r.is_empty() {
-                        continue;
-                    }
-                    acc = Some(match acc {
-                        None => r,
-                        Some(prev) => ir::Rect::new(
-                            prev.lo.iter().zip(&r.lo).map(|(&a, &b)| a.min(b)).collect(),
-                            prev.hi.iter().zip(&r.hi).map(|(&a, &b)| a.max(b)).collect(),
-                        ),
-                    });
-                }
-                acc.map(|r| r.volume() as usize).unwrap_or(0)
-            }
-        }
+        partition.bounds_over(&self.stores[&store].shape, domain).volume() as usize
     }
 
     /// Ensures a store has a backing region, allocating it lazily.
@@ -529,19 +510,7 @@ impl ContextInner {
     /// stats. Kinds in the window are analyzed (memoized) first so the
     /// classifier knows which access summaries are exact.
     fn classify_and_segment(&mut self) -> VecDeque<usize> {
-        for i in 0..self.window.len() {
-            if !self
-                .analysis
-                .contains_key(&analysis_key(&self.window.tasks()[i]))
-            {
-                let task = self.window.tasks()[i].clone();
-                self.ensure_analysis(&task);
-            }
-        }
-        let report = {
-            let this: &ContextInner = self;
-            explain_window_with(this.window.tasks(), &|t, arg| this.arg_is_exact(t, arg))
-        };
+        let report = self.explain_window();
         for boundary in &report.boundaries {
             match (&boundary.violation, &boundary.class) {
                 (FusionViolation::LaunchDomainMismatch { .. }, _) => {
@@ -705,28 +674,74 @@ impl ContextInner {
                 return;
             }
         }
-        let requirements: Vec<RegionRequirement> = task
-            .args
-            .iter()
-            .map(|a| {
-                let region = self.ensure_region(a.store);
-                RegionRequirement::new(region, a.partition, a.privilege)
-            })
-            .collect();
-        let launch = TaskLaunch {
-            name: task.name.clone(),
-            launch_domain: task.launch_domain.clone(),
+        let kernel = self.compile_artifact(&task.name, &module);
+        // The argument list goes out verbatim (un-merged): nothing is a
+        // temporary outside a fused window.
+        let args = task.args.iter().map(|a| (a.store, a.partition, a.privilege, None));
+        self.launch(kernel, task.name, task.launch_domain, args, &local_lens, task.scalars, 1);
+    }
+
+    /// The one launch tail (unfused launch, fused miss, memoized replay):
+    /// splits the resolved arguments into region requirements and task-local
+    /// temporaries (`Some(volume)` marks a temporary and gives its buffer
+    /// length), appends the generator-introduced locals, executes, and books
+    /// the launch as `constituents` tasks. The launch's vectors come from and
+    /// return to the context's scratch, so the steady-state replay allocates
+    /// nothing for requirements, scalars or buffer lengths.
+    #[allow(clippy::too_many_arguments)]
+    fn launch(
+        &mut self,
+        kernel: Arc<dyn CompiledKernel>,
+        name: String,
+        launch_domain: Domain,
+        args: impl Iterator<Item = (StoreId, PartitionId, Privilege, Option<usize>)>,
+        generator_local_lens: &[usize],
+        scalars: Vec<f64>,
+        constituents: u32,
+    ) {
+        // Buffer layout (what `launch_fused` remaps a module into): region
+        // requirements, then temporaries, then generator-introduced locals.
+        let mut requirements = std::mem::take(&mut self.req_scratch);
+        let mut local_buffer_lens = std::mem::take(&mut self.len_scratch);
+        for (store, partition, privilege, temp_volume) in args {
+            match temp_volume {
+                None => {
+                    let region = self.ensure_region(store);
+                    requirements.push(RegionRequirement::new(region, partition, privilege));
+                }
+                Some(volume) => {
+                    local_buffer_lens.push(volume.max(1));
+                    self.stats.temporaries_eliminated += 1;
+                    if self.stores[&store].region.is_none() {
+                        self.stats.distributed_allocations_avoided += 1;
+                    }
+                }
+            }
+        }
+        local_buffer_lens.extend(generator_local_lens.iter().map(|&len| len.max(1)));
+        let mut launch = TaskLaunch {
+            name,
+            launch_domain,
             requirements,
-            kernel: self.compile_artifact(&task.name, &module),
-            scalars: task.scalars.clone(),
-            local_buffer_lens: local_lens,
+            kernel,
+            scalars,
+            local_buffer_lens,
             overhead: OverheadClass::TaskRuntime,
         };
         let t0 = self.runtime.elapsed();
         self.runtime.execute(&launch).expect("launch failed");
         let delta = self.runtime.elapsed() - t0;
+        launch.requirements.clear();
+        launch.scalars.clear();
+        launch.local_buffer_lens.clear();
+        self.req_scratch = launch.requirements;
+        self.scalar_scratch = launch.scalars;
+        self.len_scratch = launch.local_buffer_lens;
         self.stats.tasks_launched += 1;
-        self.attribute_launch(1, delta);
+        if constituents > 1 {
+            self.stats.fused_tasks += 1;
+        }
+        self.attribute_launch(constituents, delta);
     }
 
     /// Composes, optimizes, compiles (or reuses a memoized compiled
@@ -785,13 +800,13 @@ impl ContextInner {
             let layout_matches = art
                 .args
                 .iter()
-                .zip(&art.is_temp)
-                .all(|((ci, _, _), &was_temp)| {
+                .zip(&art.temp_volumes)
+                .all(|((ci, _, _), was_temp)| {
                     let store = self
                         .window
                         .canonical_store(*ci as usize)
                         .expect("cached entry verified against this window");
-                    temps.contains(&store) == was_temp
+                    temps.contains(&store) == was_temp.is_some()
                 });
             if layout_matches {
                 let art = Arc::clone(art);
@@ -823,32 +838,6 @@ impl ContextInner {
             .iter()
             .map(|(s, p, _)| self.access_volume(*s, p, domain))
             .collect();
-        let max_vol = arg_volumes.iter().copied().max().unwrap_or(1);
-
-        // Launch buffer layout: non-temporary args first (they become region
-        // requirements), then temporary args (task-local buffers), then
-        // generator-introduced locals.
-        let build_remap = |num_generator_locals: usize| -> Vec<BufferId> {
-            let mut remap = vec![BufferId(0); fused.args.len() + num_generator_locals];
-            let mut next = 0u32;
-            for (i, _) in fused.args.iter().enumerate() {
-                if !is_temp[i] {
-                    remap[i] = BufferId(next);
-                    next += 1;
-                }
-            }
-            for (i, _) in fused.args.iter().enumerate() {
-                if is_temp[i] {
-                    remap[i] = BufferId(next);
-                    next += 1;
-                }
-            }
-            for j in 0..num_generator_locals {
-                remap[fused.args.len() + j] = BufferId(next);
-                next += 1;
-            }
-            remap
-        };
 
         let (module, generator_local_lens) =
             match self.compose_and_optimize(&fused, &is_temp, &arg_volumes) {
@@ -876,7 +865,18 @@ impl ContextInner {
                 }
             }
         }
-        let remap = build_remap(generator_local_lens.len());
+        // Into the launch tail's buffer layout: non-temporary args, then
+        // temporary args, then generator-introduced locals.
+        let num_args = fused.args.len();
+        let num_buffers = num_args + generator_local_lens.len();
+        let layout = (0..num_args)
+            .filter(|&i| !is_temp[i])
+            .chain((0..num_args).filter(|&i| is_temp[i]))
+            .chain(num_args..num_buffers);
+        let mut remap = vec![BufferId(0); num_buffers];
+        for (slot, buffer) in layout.enumerate() {
+            remap[buffer] = BufferId(slot as u32);
+        }
         let module = module.remap_buffers(&remap);
         if self.config.enable_verification {
             // The launch-layout module is what the backend actually lowers.
@@ -886,6 +886,11 @@ impl ContextInner {
             }
         }
         let kernel = self.compile_artifact(&fused.name, &module);
+        let temp_volumes: Vec<Option<usize>> = is_temp
+            .iter()
+            .zip(&arg_volumes)
+            .map(|(&temp, &volume)| temp.then_some(volume))
+            .collect();
         if let Some(key) = memo_key {
             // (Re)memoize the complete launch skeleton so the next
             // isomorphic window relaunches without rebuilding any of it.
@@ -912,41 +917,11 @@ impl ContextInner {
                         kernel: Arc::clone(&kernel),
                         name: fused.name.clone(),
                         args: canonical_args,
-                        arg_volumes: arg_volumes.clone(),
-                        max_vol,
-                        is_temp: is_temp.clone(),
-                        num_generator_locals: generator_local_lens.len(),
+                        temp_volumes: temp_volumes.clone(),
+                        generator_local_lens: generator_local_lens.clone(),
                     }),
                 },
             );
-        }
-
-        let mut requirements = Vec::new();
-        let mut local_lens = Vec::new();
-        for (i, (store, part, priv_)) in fused.args.iter().enumerate() {
-            if !is_temp[i] {
-                let region = self.ensure_region(*store);
-                requirements.push(RegionRequirement::new(region, *part, *priv_));
-            }
-        }
-        for (i, _) in fused.args.iter().enumerate() {
-            if is_temp[i] {
-                local_lens.push(arg_volumes[i].max(1));
-            }
-        }
-        for &len in &generator_local_lens {
-            local_lens.push(len.max(1));
-        }
-
-        // Statistics for temporaries whose distributed allocation never
-        // happened.
-        for (i, (store, _, _)) in fused.args.iter().enumerate() {
-            if is_temp[i] {
-                self.stats.temporaries_eliminated += 1;
-                if self.stores[store].region.is_none() {
-                    self.stats.distributed_allocations_avoided += 1;
-                }
-            }
         }
 
         let scalars: Vec<f64> = fused
@@ -954,23 +929,20 @@ impl ContextInner {
             .iter()
             .flat_map(|t| t.scalars.iter().copied())
             .collect();
-        let launch = TaskLaunch {
-            name: fused.name.clone(),
-            launch_domain: fused.launch_domain.clone(),
-            requirements,
+        let args = fused
+            .args
+            .iter()
+            .zip(temp_volumes)
+            .map(|(&(store, part, priv_), temp)| (store, part, priv_, temp));
+        self.launch(
             kernel,
+            fused.name,
+            fused.launch_domain,
+            args,
+            &generator_local_lens,
             scalars,
-            local_buffer_lens: local_lens,
-            overhead: OverheadClass::TaskRuntime,
-        };
-        let t0 = self.runtime.elapsed();
-        self.runtime.execute(&launch).expect("fused launch failed");
-        let delta = self.runtime.elapsed() - t0;
-        self.stats.tasks_launched += 1;
-        if fused.len() > 1 {
-            self.stats.fused_tasks += 1;
-        }
-        self.attribute_launch(prefix_len as u32, delta);
+            prefix_len as u32,
+        );
     }
 
     /// The memoization-hit fast path: instantiates a cached launch skeleton
@@ -1010,61 +982,23 @@ impl ContextInner {
         }));
         drop(self.window.drain_prefix(prefix_len));
 
-        let mut requirements = std::mem::take(&mut self.req_scratch);
-        let mut local_lens = std::mem::take(&mut self.len_scratch);
-        for (i, ((_, part, priv_), store)) in art.args.iter().zip(&arg_stores).enumerate() {
-            if !art.is_temp[i] {
-                let region = self.ensure_region(*store);
-                requirements.push(RegionRequirement::new(region, *part, *priv_));
-            }
-        }
-        for (i, store) in arg_stores.iter().enumerate() {
-            if art.is_temp[i] {
-                local_lens.push(art.arg_volumes[i].max(1));
-                self.stats.temporaries_eliminated += 1;
-                if self.stores[store].region.is_none() {
-                    self.stats.distributed_allocations_avoided += 1;
-                }
-            }
-        }
-        for _ in 0..art.num_generator_locals {
-            local_lens.push(art.max_vol.max(1));
-        }
-
-        let launch = TaskLaunch {
-            name: art.name.clone(),
+        let args = art
+            .args
+            .iter()
+            .zip(&arg_stores)
+            .zip(&art.temp_volumes)
+            .map(|((&(_, part, priv_), &store), &temp)| (store, part, priv_, temp));
+        self.launch(
+            Arc::clone(&art.kernel),
+            art.name.clone(),
             launch_domain,
-            requirements,
-            kernel: Arc::clone(&art.kernel),
+            args,
+            &art.generator_local_lens,
             scalars,
-            local_buffer_lens: local_lens,
-            overhead: OverheadClass::TaskRuntime,
-        };
-        let t0 = self.runtime.elapsed();
-        self.runtime.execute(&launch).expect("fused launch failed");
-        let delta = self.runtime.elapsed() - t0;
-        // Recover the launch's vectors for the next replay: this path is the
-        // steady state, and reuse keeps it free of per-launch allocations
-        // for requirements, scalars and buffer lengths.
-        let TaskLaunch {
-            mut requirements,
-            mut scalars,
-            mut local_buffer_lens,
-            ..
-        } = launch;
-        requirements.clear();
-        scalars.clear();
-        local_buffer_lens.clear();
+            prefix_len as u32,
+        );
         arg_stores.clear();
-        self.req_scratch = requirements;
-        self.scalar_scratch = scalars;
-        self.len_scratch = local_buffer_lens;
         self.store_scratch = arg_stores;
-        self.stats.tasks_launched += 1;
-        if prefix_len > 1 {
-            self.stats.fused_tasks += 1;
-        }
-        self.attribute_launch(prefix_len as u32, delta);
     }
 
     /// Generates every constituent task's kernel, composes them in program
@@ -1683,7 +1617,7 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::Privilege;
+    use ir::{Privilege, Projection};
     use kernel::LoopBuilder;
     use machine::MachineConfig;
 
@@ -2336,6 +2270,187 @@ mod tests {
         }
         // Drained once; a second take is empty.
         assert!(ctx.take_failures().is_empty());
+    }
+
+    /// Registers `stage`: `out[i] = in[i] + 2 * in[0]`, where the doubled
+    /// input is staged in a generator-introduced local. The staging loop
+    /// iterates over the local and the output loop broadcast-reads it (which
+    /// keeps the two loops apart and the local alive through the pipeline) —
+    /// so the local's length is a trip count the cost model prices and the
+    /// executor runs.
+    fn register_staged(ctx: &Context) -> TaskKind {
+        let lib = ctx.register_library("staged");
+        lib.register("stage", TaskSignature::new().read().write(), |_args| {
+            let mut m = KernelModule::new(2);
+            m.set_role(BufferId(1), BufferRole::Output);
+            let staged = m.add_local();
+            let mut b = LoopBuilder::new("stage_in", staged);
+            let (x, two) = (b.load(BufferId(0)), b.constant(2.0));
+            let v = b.mul(x, two);
+            b.store(staged, v);
+            m.push_loop(b.finish());
+            let mut b = LoopBuilder::new("stage_out", BufferId(1));
+            let (x, first) = (b.load(BufferId(0)), b.load_scalar(staged));
+            let v = b.add(x, first);
+            b.store(BufferId(1), v);
+            m.push_loop(b.finish());
+            m
+        })
+    }
+
+    #[test]
+    fn replay_sizes_generator_locals_as_the_miss_that_compiled_them() {
+        // One window, two store sizes: each constituent's generator local is
+        // sized by that constituent's own largest argument. A replay that
+        // sized both with the fused maximum would run (and price) the small
+        // task's staging loop over the large task's extent.
+        let run = |config: DiffuseConfig| {
+            let ctx = Context::new(config);
+            let stage = register_staged(&ctx);
+            let (small, large) = (16u64, 64u64);
+            let a = ctx.create_store(vec![small], "a");
+            let b = ctx.create_store(vec![large], "b");
+            ctx.write_store(&a, (0..small).map(|i| i as f64).collect());
+            ctx.write_store(&b, (0..large).map(|i| 0.5 * i as f64).collect());
+            let mut iterations = Vec::new();
+            for _ in 0..3 {
+                let x = ctx.create_store(vec![small], "x");
+                let y = ctx.create_store(vec![large], "y");
+                ctx.task(stage)
+                    .read(&a, block(small, 4))
+                    .write(&x, block(small, 4))
+                    .launch();
+                ctx.task(stage)
+                    .read(&b, block(large, 4))
+                    .write(&y, block(large, 4))
+                    .launch();
+                ctx.flush();
+                let data = (ctx.read_store(&x).unwrap(), ctx.read_store(&y).unwrap());
+                iterations.push((ctx.elapsed().to_bits(), data));
+            }
+            (iterations, ctx.stats())
+        };
+        let (memoized, stats) = run(DiffuseConfig::fused(MachineConfig::with_gpus(4)));
+        let (fresh, _) =
+            run(DiffuseConfig::fused(MachineConfig::with_gpus(4)).without_memoization());
+        assert_eq!(stats.fused_tasks, 3, "both sizes share one launch");
+        assert_eq!(stats.memo_hits, 2, "iterations two and three replay");
+        assert_eq!(memoized[0].1 .0[3], 3.0);
+        assert_eq!(memoized, fresh, "a replay launches exactly what its miss did");
+    }
+
+    /// One fused haloed-stencil window over a ghost-bordered `258 x 10` grid
+    /// (row blocks under `PadZeros`, one per GPU): a 5-point star through
+    /// five offset views into `t`, `t` scaled into a dropped `w`, then the
+    /// grid doubled into a dropped `z` and `z` scaled into `out` through
+    /// covering row blocks. Returns every buffer-length vector a generator
+    /// saw (sorted, deduplicated), the statistics and `out`.
+    fn haloed_stencil_window(gpus: usize) -> (Vec<Vec<usize>>, ExecutionStats, Vec<f64>) {
+        use std::sync::{Arc, Mutex};
+        let ctx = ctx_with_gpus(gpus);
+        let seen: Arc<Mutex<Vec<Vec<usize>>>> = Arc::default();
+        let lib = ctx.register_library("halo");
+        let log = Arc::clone(&seen);
+        let star = lib.register(
+            "star5",
+            TaskSignature::new().read().read().read().read().read().write().scalars(1),
+            move |args| {
+                log.lock().unwrap().push(args.buffer_lens.to_vec());
+                let mut m = KernelModule::new(6);
+                m.set_role(BufferId(5), BufferRole::Output);
+                let mut b = LoopBuilder::new("star5", BufferId(5));
+                let mut sum = b.load(BufferId(0));
+                for view in 1..5 {
+                    let v = b.load(BufferId(view));
+                    sum = b.add(sum, v);
+                }
+                let c = b.param(0);
+                let v = b.mul(sum, c);
+                b.store(BufferId(5), v);
+                m.push_loop(b.finish());
+                m
+            },
+        );
+        let log = Arc::clone(&seen);
+        let scale = lib.register(
+            "scale",
+            TaskSignature::new().read().write().scalars(1),
+            move |args| {
+                log.lock().unwrap().push(args.buffer_lens.to_vec());
+                let mut m = KernelModule::new(2);
+                m.set_role(BufferId(1), BufferRole::Output);
+                let mut b = LoopBuilder::new("scale", BufferId(1));
+                let (x, s) = (b.load(BufferId(0)), b.param(0));
+                let v = b.mul(x, s);
+                b.store(BufferId(1), v);
+                m.push_loop(b.finish());
+                m
+            },
+        );
+        let (rows, cols) = (258u64, 10u64);
+        let g = gpus as u64;
+        let view = |dr: i64, dc: i64| {
+            Partition::tiling(
+                vec![(rows - 2) / g, cols - 2],
+                vec![dr, dc],
+                Projection::PadZeros { rank: 2 },
+            )
+        };
+        // Covering row blocks; at 128 GPUs the trailing points own no rows.
+        let row_blocks =
+            Partition::tiling(vec![rows.div_ceil(g), cols], vec![0, 0], Projection::PadZeros { rank: 2 });
+        let grid = || ctx.create_store(vec![rows, cols], "grid");
+        let (u, t, w, z, out) = (grid(), grid(), grid(), grid(), grid());
+        ctx.write_store(&u, (0..rows * cols).map(|i| (i % 17) as f64).collect());
+        ctx.fill(&t, 0.0);
+        ctx.fill(&out, 0.0);
+        let before = ctx.stats();
+        ctx.task(star)
+            .read(&u, view(1, 1))
+            .read(&u, view(0, 1))
+            .read(&u, view(2, 1))
+            .read(&u, view(1, 0))
+            .read(&u, view(1, 2))
+            .write(&t, view(1, 1))
+            .scalar(0.2)
+            .launch();
+        ctx.task(scale).read(&t, view(1, 1)).write(&w, view(1, 1)).scalar(3.0).launch();
+        ctx.task(scale)
+            .read(&u, row_blocks.clone())
+            .write(&z, row_blocks.clone())
+            .scalar(2.0)
+            .launch();
+        ctx.task(scale)
+            .read(&z, row_blocks.clone())
+            .write(&out, row_blocks)
+            .scalar(0.5)
+            .launch();
+        drop((w, z));
+        ctx.flush();
+        let data = ctx.read_store(&out).unwrap();
+        let mut lens = seen.lock().unwrap().clone();
+        lens.sort();
+        lens.dedup();
+        (lens, ctx.stats().since(&before), data)
+    }
+
+    #[test]
+    fn haloed_stencil_footprints_are_pinned_at_8_and_128_gpus() {
+        let (lens8, stats8, out8) = haloed_stencil_window(8);
+        let (lens128, stats128, out128) = haloed_stencil_window(128);
+        // Expected values recorded on the enumerating implementation: the
+        // interior views all span 256 x 8, the covering row blocks the whole
+        // 258 x 10 grid, at either machine size.
+        let expected = vec![vec![2048; 2], vec![2048; 6], vec![2580; 2]];
+        assert_eq!(lens8, expected);
+        assert_eq!(lens128, expected);
+        for stats in [&stats8, &stats128] {
+            assert_eq!(stats.tasks_launched, 1);
+            assert_eq!(stats.fused_tasks, 1);
+            assert_eq!(stats.temporaries_eliminated, 2, "w and z never leave the launch");
+            assert_eq!(stats.distributed_allocations_avoided, 2);
+        }
+        assert_eq!(out8, out128, "results do not depend on the machine size");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * [`PartitionId`] — a hash-consed [`Partition`]. Two ids are equal **iff**
 //!   the partitions are structurally equal, so the fusion constraints' alias
 //!   check is a register compare. The id dereferences to the interned
-//!   partition for the few scale-aware operations (`sub_store_bounds`,
-//!   `covers`) that need the structure.
+//!   partition for the operations that need the structure: the closed-form
+//!   `bounds_over` and the few scale-aware ones — per-point
+//!   `sub_store_bounds`, `covers` and `bounds_over`'s enumerating fallback
+//!   documented in [`crate::partition`].
 //! * [`ShapeId`] — an interned store shape (`[u64]`). Stamped onto task
 //!   arguments by the Diffuse context so the analysis (canonicalization,
 //!   temporary-store elimination) never needs a side `StoreId -> shape` map.

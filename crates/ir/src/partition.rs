@@ -7,8 +7,15 @@
 //! partitions can be compared for equality (the conservative alias check used
 //! by the fusion constraints) in constant time, without enumerating
 //! sub-stores.
+//!
+//! The same holds for the *bounding box* of a partition over a launch domain,
+//! which only this module derives: [`Partition::bounds_over`] is a closed
+//! form, O(rank) whatever the number of launch points, for every tiling the
+//! libraries build. Two operations still walk the launch domain, both in
+//! here: the bounding box under a `SelectDims` that repeats a dimension, and
+//! [`Partition::covers`] (Definition 4).
 
-use crate::domain::{Point, Rect};
+use crate::domain::{Domain, Point, Rect};
 
 /// A projection function applied to a launch-domain point before the tile
 /// bounds are computed (Figure 3d–3e).
@@ -37,12 +44,22 @@ pub enum Projection {
 
 impl Projection {
     /// Applies the projection to a point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `SelectDims` names a dimension the point lacks, or if the
+    /// point is longer than a `PadZeros` rank (truncating it would alias
+    /// distinct points behind [`Projection::is_injective`]'s back).
     pub fn apply(&self, point: &[i64]) -> Point {
         match self {
             Projection::Identity => point.to_vec(),
             Projection::SelectDims(dims) => dims.iter().map(|&d| point[d]).collect(),
             Projection::Constant(p) => p.clone(),
             Projection::PadZeros { rank } => {
+                assert!(
+                    point.len() <= *rank,
+                    "PadZeros rank must be at least the point rank"
+                );
                 let mut p = point.to_vec();
                 p.resize(*rank, 0);
                 p
@@ -137,33 +154,94 @@ impl Partition {
             Partition::Replicate => store_rect,
             Partition::Tiling { tile, offset, proj } => {
                 let p = proj.apply(point);
-                let p_next: Point = p.iter().map(|&x| x + 1).collect();
                 assert_eq!(
                     p.len(),
                     tile.len(),
                     "projected point rank must match tile rank"
                 );
-                let lo: Vec<i64> = p
-                    .iter()
-                    .zip(tile)
-                    .zip(offset)
-                    .map(|((&pi, &ti), &oi)| pi * ti as i64 + oi)
-                    .collect();
-                let hi: Vec<i64> = p_next
-                    .iter()
-                    .zip(tile)
-                    .zip(offset)
-                    .map(|((&pi, &ti), &oi)| pi * ti as i64 + oi)
-                    .collect();
-                Rect::new(lo, hi).intersect(&store_rect)
+                let bound = |step: i64| -> Vec<i64> {
+                    let tiles = p.iter().zip(tile).zip(offset);
+                    tiles.map(|((&pi, &ti), &oi)| (pi + step) * ti as i64 + oi).collect()
+                };
+                Rect::new(bound(0), bound(1)).intersect(&store_rect)
             }
         }
+    }
+
+    /// The bounding box of the non-empty sub-stores over a whole launch
+    /// domain — what a (store, partition) argument touches: the length of the
+    /// buffer a kernel sees, the rectangle the runtime copies. `Rect::empty`
+    /// when no point maps to a non-empty sub-store. O(rank), not O(points),
+    /// unless a `SelectDims` repeats a dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the rank mismatches [`Partition::sub_store_bounds`] rejects,
+    /// unless the launch domain is empty.
+    pub fn bounds_over(&self, store_shape: &[u64], launch_domain: &Domain) -> Rect {
+        let rank = store_shape.len();
+        if launch_domain.is_empty() {
+            return Rect::empty(rank);
+        }
+        // Ranks do not depend on the point, so the first point's sub-store
+        // runs every check a walk over the domain would.
+        let first: Point = vec![0; launch_domain.dims()];
+        let at_first = self.sub_store_bounds(store_shape, &first);
+        let hull = match self {
+            Partition::Replicate => at_first,
+            // Repeating a dimension ties projected coordinates together: the
+            // projected points are not a box, so walk them.
+            Partition::Tiling { proj: Projection::SelectDims(dims), .. }
+                if (1..dims.len()).any(|i| dims[..i].contains(&dims[i])) =>
+            {
+                launch_domain
+                    .points()
+                    .map(|p| self.sub_store_bounds(store_shape, &p))
+                    .filter(|r| !r.is_empty())
+                    .reduce(|a, b| Rect {
+                        lo: a.lo.iter().zip(&b.lo).map(|(&x, &y)| x.min(y)).collect(),
+                        hi: a.hi.iter().zip(&b.hi).map(|(&x, &y)| x.max(y)).collect(),
+                    })
+                    .unwrap_or_else(|| Rect::empty(rank))
+            }
+            // Otherwise they are the whole box between the projected corners.
+            // Per dimension, tile `p` is `[p*t + o, (p+1)*t + o)` and meets
+            // `[0, s)` iff `(p+1)*t + o > 0` and `p*t + o < s`: one interval
+            // of indices, whose ends give the hull because tile bounds grow
+            // with `p`. An empty interval leaves `hi <= lo`.
+            Partition::Tiling { tile, offset, proj } => {
+                let last: Point = launch_domain.shape().iter().map(|&n| n as i64 - 1).collect();
+                let (lo, hi) = proj
+                    .apply(&first)
+                    .iter()
+                    .zip(&proj.apply(&last))
+                    .zip(tile.iter().zip(offset).zip(store_shape))
+                    .map(|((&p_lo, &p_hi), ((&t, &o), &s))| {
+                        let (t, s) = (t as i64, s as i64);
+                        let (p_lo, p_hi) = if t > 0 {
+                            (p_lo.max((-o).div_euclid(t)), p_hi.min((s - o - 1).div_euclid(t)))
+                        } else {
+                            (0, -1)
+                        };
+                        ((p_lo * t + o).max(0), ((p_hi + 1) * t + o).min(s))
+                    })
+                    .unzip();
+                Rect { lo, hi }
+            }
+        };
+        if hull.is_empty() { Rect::empty(rank) } else { hull }
     }
 
     /// Whether the partition covers every element of a store with shape
     /// `store_shape` when launched over `launch_domain` — the `covers`
     /// predicate used by temporary-store elimination (Definition 4).
-    pub fn covers(&self, store_shape: &[u64], launch_domain: &crate::Domain) -> bool {
+    ///
+    /// Walks the launch domain. Under an injective projection the answer is
+    /// `bounds_over(..).volume() == store volume` (distinct points get
+    /// disjoint tiles, so their union is the box; the property test below
+    /// holds the two equal), but that replacement is not made here: see
+    /// ROADMAP item 2.
+    pub fn covers(&self, store_shape: &[u64], launch_domain: &Domain) -> bool {
         match self {
             Partition::Replicate => true,
             Partition::Tiling { .. } => {
@@ -203,7 +281,152 @@ impl std::fmt::Display for Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Domain;
+    use proptest::prelude::*;
+
+    /// The bounding box as every caller computed it before
+    /// [`Partition::bounds_over`] existed: hull of the non-empty sub-stores,
+    /// one launch point at a time. Kept verbatim as the differential oracle.
+    fn enumerated_bounds(part: &Partition, shape: &[u64], domain: &Domain) -> Rect {
+        let mut acc: Option<Rect> = None;
+        for p in domain.points() {
+            let r = part.sub_store_bounds(shape, &p);
+            if r.is_empty() {
+                continue;
+            }
+            acc = Some(match acc {
+                None => r,
+                Some(prev) => Rect::new(
+                    prev.lo.iter().zip(&r.lo).map(|(&a, &b)| a.min(b)).collect(),
+                    prev.hi.iter().zip(&r.hi).map(|(&a, &b)| a.max(b)).collect(),
+                ),
+            });
+        }
+        acc.unwrap_or_else(|| Rect::empty(shape.len()))
+    }
+
+    /// A store shape, a rank-consistent tiling of it and a launch domain:
+    /// store ranks 1–3, all four projections (permuted and repeated
+    /// `SelectDims` included), tile extents from 0 to past the store, offsets
+    /// negative / non-multiple / beyond the store, domains from empty to
+    /// longer than the tiling needs.
+    fn tiling_cases() -> impl Strategy<Value = (Vec<u64>, Partition, Domain)> {
+        // Everything is drawn at rank 3 and cut to the case's ranks. Zero
+        // extents and non-zero offsets are kept to a minority of draws so
+        // that non-empty footprints and covering tilings stay common.
+        let v3 = |bound: u64| prop::collection::vec(0..bound, 3..4);
+        let rare_zero = |draws: &[u64], max: u64| -> Vec<u64> {
+            draws.iter().map(|&d| if d == 0 { 0 } else { 1 + (d - 1) % max }).collect()
+        };
+        (
+            (1usize..4, 1usize..4, 0usize..4),
+            (v3(28), v3(37), v3(50)),
+            (v3(26), v3(7), v3(3)),
+        )
+            .prop_map(move |((rank, dims, kind), (shape, tile, offset), (extents, point, select))| {
+                let offset = offset[..rank]
+                    .iter()
+                    .map(|&o| if o < 25 { o as i64 - 12 } else { 0 })
+                    .collect();
+                let (proj, dims) = match kind {
+                    0 => (Projection::Identity, rank),
+                    1 => (Projection::PadZeros { rank }, dims.min(rank)),
+                    2 => {
+                        let point = point[..rank].iter().map(|&c| c as i64 - 2).collect();
+                        (Projection::Constant(point), dims)
+                    }
+                    _ => {
+                        let select = select[..rank].iter().map(|&d| d as usize % dims).collect();
+                        (Projection::SelectDims(select), dims)
+                    }
+                };
+                (
+                    rare_zero(&shape[..rank], 9),
+                    Partition::tiling(rare_zero(&tile[..rank], 12), offset, proj),
+                    Domain::new(rare_zero(&extents[..dims], 5)),
+                )
+            })
+    }
+
+    proptest! {
+        // Miri interprets every launch point of the oracle; a reduced case
+        // count keeps the leg inside its time budget without skipping it.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 48 } else { 4096 }))]
+
+        #[test]
+        fn closed_form_matches_enumeration((shape, part, domain) in tiling_cases()) {
+            prop_assert_eq!(
+                part.bounds_over(&shape, &domain),
+                enumerated_bounds(&part, &shape, &domain),
+                "bounds_over of {} over {} on {:?}", part, domain, shape
+            );
+            // What a closed-form `covers` would rest on: disjoint tiles fill
+            // their bounding box.
+            if !part.may_alias_across_points() {
+                prop_assert_eq!(
+                    part.covers(&shape, &domain),
+                    part.bounds_over(&shape, &domain).volume() == shape.iter().product::<u64>(),
+                    "covers of {} over {} on {:?}", part, domain, shape
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replicate_bounds_are_the_store_or_empty() {
+        let p = Partition::Replicate;
+        for (shape, domain) in [
+            (vec![4u64, 3], Domain::new(vec![2, 2])),
+            (vec![4, 3], Domain::new(vec![0, 2])),
+            (vec![0, 3], Domain::linear(2)),
+        ] {
+            assert_eq!(
+                p.bounds_over(&shape, &domain),
+                enumerated_bounds(&p, &shape, &domain)
+            );
+        }
+        assert_eq!(
+            p.bounds_over(&[4, 3], &Domain::linear(2)),
+            Rect::new(vec![0, 0], vec![4, 3])
+        );
+    }
+
+    /// 2^40 launch points: only answerable without walking them.
+    #[test]
+    fn bounds_of_a_2_pow_40_point_launch_are_closed_form() {
+        let domain = Domain::new(vec![1 << 20, 1 << 20]);
+        let shape = [1u64 << 24, 1 << 24];
+        let block = Partition::block(vec![16, 16]);
+        assert_eq!(
+            block.bounds_over(&shape, &domain),
+            Rect::new(vec![0, 0], vec![1 << 24, 1 << 24])
+        );
+        // A haloed view of the same tiling misses the first row and column.
+        let shifted = Partition::tiling(vec![16, 16], vec![1, 1], Projection::Identity);
+        assert_eq!(
+            shifted.bounds_over(&shape, &domain),
+            Rect::new(vec![1, 1], vec![1 << 24, 1 << 24])
+        );
+        // One row of tiles short of the store.
+        let short = Domain::new(vec![(1 << 20) - 1, 1 << 20]);
+        assert_eq!(
+            block.bounds_over(&shape, &short),
+            Rect::new(vec![0, 0], vec![(1 << 24) - 16, 1 << 24])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "projected point rank must match tile rank")]
+    fn bounds_over_keeps_the_rank_check() {
+        let _ = Partition::block(vec![2, 2]).bounds_over(&[4, 4], &Domain::linear(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "PadZeros rank")]
+    fn padzeros_rejects_a_point_longer_than_its_rank() {
+        // (1, 0) and (1, 1) would both truncate to (1,) and alias.
+        let p = Partition::tiling(vec![2], vec![0], Projection::PadZeros { rank: 1 });
+        let _ = p.sub_store_bounds(&[4], &[1, 1]);
+    }
 
     #[test]
     fn projection_apply() {

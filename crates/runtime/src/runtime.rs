@@ -658,19 +658,8 @@ impl Runtime {
     /// of the earliest failed dependence cone), or re-raises a deferred
     /// error. Per-launch records survive until [`Runtime::take_failures`].
     pub fn flush_launches(&mut self) -> Result<(), RuntimeError> {
-        if let Some(e) = self.deferred_error.take() {
-            // Drain the executors too so the next batch starts clean.
-            let result = self.executor.flush();
-            let drained = self.executor.drain_failures();
-            self.record_failures(result, drained);
-            let (fb_result, fb_drained) = match &mut self.fallback_serial {
-                Some(s) => (s.flush(), s.drain_failures()),
-                None => (Ok(()), Vec::new()),
-            };
-            self.record_failures(fb_result, fb_drained);
-            self.batch_error = None;
-            return Err(e);
-        }
+        // Both executors drain even when a deferred error is about to be
+        // re-raised, so the next batch starts clean.
         let main_result = self.executor.flush();
         let main_drained = self.executor.drain_failures();
         let (fb_result, fb_drained) = match &mut self.fallback_serial {
@@ -679,11 +668,13 @@ impl Runtime {
         };
         self.failures.extend(main_drained);
         self.failures.extend(fb_drained);
-        // Earliest failure wins: a mid-batch stash (executor fallback switch)
-        // precedes the main executor's batch, which precedes the fallback's.
+        // Earliest failure wins: a deferred error from before this batch,
+        // then a mid-batch stash (executor fallback switch), which precedes
+        // the main executor's batch, which precedes the fallback's.
         let first = self
-            .batch_error
+            .deferred_error
             .take()
+            .or(self.batch_error.take())
             .or(main_result.err())
             .or(fb_result.err());
         match first {
@@ -1011,30 +1002,8 @@ impl Runtime {
     /// the launch domain.
     fn access_rect(&self, launch: &TaskLaunch, req_idx: usize) -> Rect {
         let req = &launch.requirements[req_idx];
-        let shape = self.regions[&req.region].shape();
-        let mut acc: Option<Rect> = None;
-        for p in launch.launch_domain.points() {
-            let r = req.partition.sub_store_bounds(shape, &p);
-            if r.is_empty() {
-                continue;
-            }
-            acc = Some(match acc {
-                None => r,
-                Some(prev) => Rect::new(
-                    prev.lo
-                        .iter()
-                        .zip(&r.lo)
-                        .map(|(&a, &b)| a.min(b))
-                        .collect(),
-                    prev.hi
-                        .iter()
-                        .zip(&r.hi)
-                        .map(|(&a, &b)| a.max(b))
-                        .collect(),
-                ),
-            });
-        }
-        acc.unwrap_or_else(|| Rect::empty(shape.len()))
+        req.partition
+            .bounds_over(self.regions[&req.region].shape(), &launch.launch_domain)
     }
 }
 
