@@ -16,8 +16,9 @@ pub enum AnalyzeMode {
     /// fingerprint) and *tighten* declared privileges the kernel provably
     /// never exercises: a declared write/read-write/reduce argument whose
     /// kernel never stores or reduces to the buffer is narrowed to read.
-    /// Tightening is bitwise-invisible to results (the runtime's copy-in is
-    /// unconditional; only the redundant identical write-back is skipped)
+    /// Tightening is bitwise-invisible to results (the runtime copies in
+    /// every buffer a stage references whatever its privilege, and writes
+    /// back only buffers a stage stored or reduced to)
     /// while windows that previously split on phantom privileges now fuse.
     Inferred,
 }

@@ -483,9 +483,10 @@ impl ContextInner {
     /// Narrows `task`'s declared privileges to what its kernel provably
     /// exercises ([`AnalyzeMode::Inferred`] only): a declared
     /// write/read-write/reduce argument whose kernel never stores or reduces
-    /// to the buffer becomes a read. The runtime's copy-in is unconditional,
-    /// so the narrowing only skips a bit-identical write-back — results are
-    /// bitwise unchanged while phantom-privilege windows fuse.
+    /// to the buffer becomes a read. The runtime's copy-in of a referenced
+    /// buffer is unconditional and it writes back only what a stage stored
+    /// or reduced to, so the narrowing moves no data — results are bitwise
+    /// unchanged while phantom-privilege windows fuse.
     fn tighten_task(&mut self, task: &mut IndexTask) {
         let key = analysis_key(task);
         if !self.analysis.contains_key(&key) {
@@ -1796,6 +1797,62 @@ mod tests {
         let stats = ctx.stats();
         assert_eq!(stats.temporaries_eliminated, 1);
         assert_eq!(stats.distributed_allocations_avoided, 1);
+    }
+
+    #[test]
+    fn eliminated_temporaries_cost_nothing_and_change_nothing() {
+        // out = (((a + b) * 0.5 + b) * 3 + a) * 0.25 as six tasks through
+        // five dropped temporaries. Fused, all five are eliminated — the
+        // runtime allocates none of them — and neither the result nor any
+        // simulated quantity may notice. Every knob an environment variable
+        // could move is pinned, so the recorded clock holds across CI legs.
+        let run = |config: DiffuseConfig| {
+            let config = DiffuseConfig {
+                fault_plan: None,
+                ..config
+                    .with_window(8, 16)
+                    .with_backend(kernel::BackendKind::Interp)
+                    .with_executor(runtime::ExecutorKind::Serial)
+                    .with_verification(false)
+                    .with_horizontal_fusion(false)
+                    .with_analyze(AnalyzeMode::Declared)
+            };
+            let ctx = Context::new(config);
+            let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+            let n = 4096u64;
+            let p = block(n, 4);
+            let store = |name: &str| ctx.create_store(vec![n], name);
+            let (a, b, out) = (store("a"), store("b"), store("out"));
+            ctx.write_store(&a, (0..n).map(|i| (i % 13) as f64 - 0.3).collect());
+            ctx.write_store(&b, (0..n).map(|i| 1.0 / (1 + i % 7) as f64).collect());
+            let read = |s: &StoreHandle| StoreArg::new(s.id(), p.clone(), Privilege::Read);
+            let write = |s: &StoreHandle| StoreArg::new(s.id(), p.clone(), Privilege::Write);
+            let add_into = |x: &StoreHandle, y: &StoreHandle, o: &StoreHandle| {
+                ctx.submit(add, "add", vec![read(x), read(y), write(o)], vec![]);
+            };
+            let scale_into = |x: &StoreHandle, o: &StoreHandle, c: f64| {
+                ctx.submit(scale, "scale", vec![read(x), write(o)], vec![c]);
+            };
+            let t: Vec<StoreHandle> = (0..5).map(|_| store("t")).collect();
+            add_into(&a, &b, &t[0]);
+            scale_into(&t[0], &t[1], 0.5);
+            add_into(&t[1], &b, &t[2]);
+            scale_into(&t[2], &t[3], 3.0);
+            add_into(&t[3], &a, &t[4]);
+            scale_into(&t[4], &out, 0.25);
+            drop(t);
+            ctx.flush();
+            (ctx.read_store(&out).unwrap(), ctx.stats(), ctx.elapsed())
+        };
+        let (fused, stats, elapsed) = run(DiffuseConfig::fused(MachineConfig::with_gpus(4)));
+        let (unfused, ..) = run(DiffuseConfig::unfused(MachineConfig::with_gpus(4)));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&fused), bits(&unfused));
+        assert_eq!(stats.tasks_launched, 1);
+        // Recorded before the runtime stopped materialising eliminated
+        // locals: the launch still declares them, so pricing cannot move.
+        assert_eq!(stats.temporaries_eliminated, 5);
+        assert_eq!(elapsed.to_bits(), 0x3F37_54EE_728B_B737, "{elapsed:e}");
     }
 
     #[test]

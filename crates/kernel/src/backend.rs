@@ -66,6 +66,14 @@ use crate::ir::KernelModule;
 /// and out *around each stage* (aliasing views of one region stay coherent
 /// through the parent region between stages); [`CompiledKernel::execute`] is
 /// the single-buffer-set convenience over that.
+///
+/// The runtime hands a stage one buffer table for the whole launch in which
+/// only the buffers of [`crate::KernelStage::referenced_buffers`] are
+/// meaningful: a requirement the stage does not reference holds whatever an
+/// earlier stage left (or nothing), and a local no stage references is an
+/// empty `Vec`. An implementation must therefore touch no buffer outside that
+/// list, and must write no buffer outside
+/// [`crate::KernelStage::written_buffers`] — only those are copied back.
 pub trait CompiledKernel: std::fmt::Debug + Send + Sync {
     /// The optimized module this artifact was compiled from. The runtime uses
     /// it for cost accounting (`kernel::cost::module_cost`) and to drive the

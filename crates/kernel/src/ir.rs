@@ -338,6 +338,47 @@ pub enum KernelStage {
     Opaque(OpaqueOp),
 }
 
+impl KernelStage {
+    /// Buffers whose contents the stage reads: a loop's elementwise then
+    /// broadcast loads, an opaque builtin's inputs. A loop's `domain` lends
+    /// only its length and is not a read (see
+    /// [`KernelStage::referenced_buffers`]).
+    pub fn read_buffers(&self) -> Vec<BufferId> {
+        match self {
+            KernelStage::Loop(l) => {
+                let mut out = l.loaded_buffers();
+                out.extend(l.scalar_loaded_buffers());
+                out
+            }
+            KernelStage::Opaque(op) => op.read_buffers(),
+        }
+    }
+
+    /// Buffers the stage stores or reduces into.
+    pub fn written_buffers(&self) -> Vec<BufferId> {
+        match self {
+            KernelStage::Loop(l) => l.written_buffers(),
+            KernelStage::Opaque(op) => op.written_buffers(),
+        }
+    }
+
+    /// Every buffer the stage touches — a loop's `domain`, then reads, then
+    /// writes (deduplicated). A buffer absent from this list is never looked
+    /// at when the stage executes.
+    pub fn referenced_buffers(&self) -> Vec<BufferId> {
+        let mut out = match self {
+            KernelStage::Loop(l) => vec![l.domain],
+            KernelStage::Opaque(_) => Vec::new(),
+        };
+        for b in self.read_buffers().into_iter().chain(self.written_buffers()) {
+            if !out.contains(&b) {
+                out.push(b);
+            }
+        }
+        out
+    }
+}
+
 /// A compilable/executable kernel: a sequence of stages over a set of buffers.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelModule {
@@ -511,6 +552,20 @@ mod tests {
         assert_eq!(k.written_buffers(), vec![BufferId(2)]);
         assert_eq!(k.arith_ops(), 1);
         assert_eq!(k.num_values(), 3);
+        // Stage level: the domain is referenced (its length is consulted)
+        // without being read, and a buffer used twice is listed once.
+        let mut lb = LoopBuilder::new("axpy", BufferId(3));
+        let (x, a) = (lb.load(BufferId(1)), lb.load_scalar(BufferId(0)));
+        let (y, ax) = (lb.load(BufferId(2)), lb.mul(a, x));
+        let s = lb.add(ax, y);
+        lb.store(BufferId(2), s);
+        let stage = KernelStage::Loop(lb.finish());
+        assert_eq!(stage.read_buffers(), vec![BufferId(1), BufferId(2), BufferId(0)]);
+        assert_eq!(stage.written_buffers(), vec![BufferId(2)]);
+        assert_eq!(
+            stage.referenced_buffers(),
+            vec![BufferId(3), BufferId(1), BufferId(2), BufferId(0)]
+        );
     }
 
     #[test]
@@ -583,6 +638,10 @@ mod tests {
         assert_eq!(op.read_buffers().len(), 4);
         assert_eq!(op.written_buffers(), vec![BufferId(4)]);
         assert_eq!(op.name(), "spmv_csr");
+        let stage = KernelStage::Opaque(op);
+        assert_eq!(stage.read_buffers().len(), 4);
+        assert_eq!(stage.written_buffers(), vec![BufferId(4)]);
+        assert_eq!(stage.referenced_buffers(), (0..5).map(BufferId).collect::<Vec<_>>());
     }
 
     #[test]

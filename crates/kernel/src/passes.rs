@@ -63,8 +63,13 @@ impl PipelineConfig {
 pub struct PipelineResult {
     /// The optimized module.
     pub module: KernelModule,
-    /// Local buffers that were eliminated entirely (their allocations never
-    /// happen at execution time).
+    /// Local buffers that were eliminated entirely: no stage of `module`
+    /// references them. They keep their buffer ids (and the launch still
+    /// declares their lengths, so cost accounting is unchanged); that their
+    /// allocations never happen at execution time is enforced by the
+    /// runtime's stage loop, which gives a local storage only if
+    /// [`KernelStage::referenced_buffers`] of some stage names it — it reads
+    /// the module, not this list.
     pub eliminated_locals: Vec<BufferId>,
     /// Number of loop stages before optimization.
     pub loops_before: usize,
@@ -364,16 +369,11 @@ fn eliminate_dead_locals(
     buffer_lens: &[usize],
 ) -> (KernelModule, Vec<BufferId>) {
     // Collect buffers that are read anywhere (loops or opaque stages).
-    let mut read: HashSet<BufferId> = HashSet::new();
-    for stage in &module.stages {
-        match stage {
-            KernelStage::Loop(l) => {
-                read.extend(l.loaded_buffers());
-                read.extend(l.scalar_loaded_buffers());
-            }
-            KernelStage::Opaque(op) => read.extend(op.read_buffers()),
-        }
-    }
+    let read: HashSet<BufferId> = module
+        .stages
+        .iter()
+        .flat_map(KernelStage::read_buffers)
+        .collect();
     // Remove stores to local buffers that are never read.
     for stage in &mut module.stages {
         if let KernelStage::Loop(l) = stage {
@@ -418,20 +418,11 @@ fn eliminate_dead_locals(
     }
     // Retarget loop domains that point at locals which carry no data accesses
     // any more, so those locals can be eliminated entirely.
-    let mut data_referenced: HashSet<BufferId> = HashSet::new();
-    for stage in &module.stages {
-        match stage {
-            KernelStage::Loop(l) => {
-                data_referenced.extend(l.loaded_buffers());
-                data_referenced.extend(l.scalar_loaded_buffers());
-                data_referenced.extend(l.written_buffers());
-            }
-            KernelStage::Opaque(op) => {
-                data_referenced.extend(op.read_buffers());
-                data_referenced.extend(op.written_buffers());
-            }
-        }
-    }
+    let data_referenced: HashSet<BufferId> = module
+        .stages
+        .iter()
+        .flat_map(|s| s.read_buffers().into_iter().chain(s.written_buffers()))
+        .collect();
     for stage in &mut module.stages {
         if let KernelStage::Loop(l) = stage {
             let domain_is_dead_local = module.roles[l.domain.0 as usize] == BufferRole::Local
@@ -450,21 +441,11 @@ fn eliminate_dead_locals(
         }
     }
     // Report locals with no remaining references at all.
-    let mut referenced: HashSet<BufferId> = HashSet::new();
-    for stage in &module.stages {
-        match stage {
-            KernelStage::Loop(l) => {
-                referenced.insert(l.domain);
-                referenced.extend(l.loaded_buffers());
-                referenced.extend(l.scalar_loaded_buffers());
-                referenced.extend(l.written_buffers());
-            }
-            KernelStage::Opaque(op) => {
-                referenced.extend(op.read_buffers());
-                referenced.extend(op.written_buffers());
-            }
-        }
-    }
+    let referenced: HashSet<BufferId> = module
+        .stages
+        .iter()
+        .flat_map(KernelStage::referenced_buffers)
+        .collect();
     let eliminated: Vec<BufferId> = (0..module.num_buffers())
         .map(BufferId)
         .filter(|b| module.roles[b.0 as usize] == BufferRole::Local && !referenced.contains(b))

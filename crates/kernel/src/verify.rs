@@ -313,13 +313,15 @@ fn buffer_uses(module: &KernelModule) -> Vec<BufferUse> {
         }
     };
     for stage in &module.stages {
+        for b in stage.read_buffers() {
+            mark(b, |u| u.loaded = true);
+        }
         match stage {
+            // Only a loop body can fold, so only here do stores and
+            // reductions need telling apart.
             KernelStage::Loop(l) => {
                 for op in &l.ops {
                     match op {
-                        LoopOp::Load { buffer, .. } | LoopOp::LoadScalar { buffer, .. } => {
-                            mark(*buffer, |u| u.loaded = true)
-                        }
                         LoopOp::Store { buffer, .. } => mark(*buffer, |u| u.stored = true),
                         LoopOp::Reduce { buffer, .. } => mark(*buffer, |u| u.reduced = true),
                         _ => {}
@@ -327,9 +329,6 @@ fn buffer_uses(module: &KernelModule) -> Vec<BufferUse> {
                 }
             }
             KernelStage::Opaque(op) => {
-                for b in op.read_buffers() {
-                    mark(b, |u| u.loaded = true);
-                }
                 for b in op.written_buffers() {
                     mark(b, |u| u.stored = true);
                 }

@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use ir::{Privilege, Rect};
-use kernel::CompiledKernel;
+use kernel::{BufferId, CompiledKernel};
 
 use crate::deps::{AccessSummary, DepTracker};
 use crate::region::{RegionHandle, RegionId};
@@ -153,8 +153,10 @@ pub struct LaunchFailure {
 
 /// A borrowed description of one launch's functional work, as handed to
 /// [`Executor::submit`]. The kernel, scalars and local-buffer sizes borrow
-/// the launch (so the serial executor runs with zero copies); only the
-/// resolved region accesses are owned, since handles are cheap `Arc` clones.
+/// the launch, so the serial executor clones nothing of the *description*
+/// (region data is still staged in and out around every stage — see
+/// `docs/RUNTIME.md`, "The stage protocol"); only the resolved region
+/// accesses are owned, since handles are cheap `Arc` clones.
 ///
 /// A parallel executor converts the request to an owned [`FunctionalWork`]
 /// with [`WorkRequest::into_owned_work`] before shipping it to a worker.
@@ -166,7 +168,8 @@ pub struct WorkRequest<'a> {
     pub kernel: &'a Arc<dyn CompiledKernel>,
     /// Scalar kernel parameters.
     pub scalars: &'a [f64],
-    /// Element counts of the task-local buffers following the region buffers.
+    /// Element counts of the task-local buffers following the region
+    /// buffers. A local no stage of the kernel references is never allocated.
     pub local_buffer_lens: &'a [usize],
     /// Region buffers in kernel-buffer order.
     pub accesses: Vec<BufferAccess>,
@@ -275,10 +278,20 @@ pub(crate) fn run_functional(
     run_stages(kernel, scalars, local_buffer_lens, accesses, num_stages)
 }
 
-/// The committing stage loop: stages execute one at a time with
-/// copy-in/copy-out around each stage so that aliasing views of the same
-/// region stay coherent through the parent region between stages (the same
-/// protocol the serial runtime always used).
+/// The stage loop: runs the first `stages` stages of the kernel one at a
+/// time over a buffer table built once for the launch, moving only the data
+/// each stage touches.
+///
+/// * A task-local buffer gets (zero-initialised) storage only if some stage
+///   references it and then lives in place across stages; a local the kernel
+///   pipeline eliminated keeps its buffer id but stays an empty `Vec`, so its
+///   allocation never happens.
+/// * Before a stage, every requirement the stage references is refreshed from
+///   its region — unconditionally, whatever its privilege — and after it,
+///   the requirements the stage wrote are copied back if their privilege
+///   permits. Aliasing views of one region therefore stay coherent through
+///   the parent region between stages, and within a stage every view is read
+///   before anything is written.
 fn run_stages(
     kernel: &dyn CompiledKernel,
     scalars: &[f64],
@@ -286,30 +299,43 @@ fn run_stages(
     accesses: &[BufferAccess],
     stages: usize,
 ) -> Result<(), RuntimeError> {
+    let stages = &kernel.module().stages[..stages];
+    let touched: Vec<Vec<BufferId>> = stages.iter().map(|s| s.referenced_buffers()).collect();
     let num_reqs = accesses.len();
-    let mut locals: Vec<Vec<f64>> = local_buffer_lens
-        .iter()
-        .map(|&len| vec![0.0; len])
-        .collect();
-    for stage in 0..stages {
+    let mut referenced = vec![false; num_reqs + local_buffer_lens.len()];
+    for b in touched.iter().flatten() {
+        // An id past the table is the kernel's to report (`MissingBuffer`).
+        if let Some(r) = referenced.get_mut(b.0 as usize) {
+            *r = true;
+        }
+    }
+    let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); num_reqs];
+    buffers.extend(
+        local_buffer_lens
+            .iter()
+            .zip(&referenced[num_reqs..])
+            .map(|(&len, &used)| if used { vec![0.0; len] } else { Vec::new() }),
+    );
+    for (index, stage) in stages.iter().enumerate() {
         // Copy-in.
-        let mut buffers: Vec<Vec<f64>> = Vec::with_capacity(num_reqs + locals.len());
-        for access in accesses {
-            buffers.push(access.handle.read_rect(&access.rect));
-        }
-        for local in &locals {
-            buffers.push(local.clone());
-        }
-        // Execute.
-        kernel.execute_stage(stage, &mut buffers, scalars)?;
-        // Copy-out written requirements and persist locals.
-        for (i, access) in accesses.iter().enumerate() {
-            if access.privilege.writes() || access.privilege.reduces() {
-                access.handle.write_rect(&access.rect, &buffers[i]);
+        for b in &touched[index] {
+            if let Some(access) = accesses.get(b.0 as usize) {
+                access
+                    .handle
+                    .read_rect_into(&access.rect, &mut buffers[b.0 as usize]);
             }
         }
-        for (j, local) in locals.iter_mut().enumerate() {
-            *local = std::mem::take(&mut buffers[num_reqs + j]);
+        // Execute.
+        kernel.execute_stage(index, &mut buffers, scalars)?;
+        // Copy-out, in requirement order (as ever: when two written views of
+        // one region overlap, the later requirement's elements win).
+        let written = stage.written_buffers();
+        for (i, access) in accesses.iter().enumerate() {
+            if (access.privilege.writes() || access.privilege.reduces())
+                && written.contains(&BufferId(i as u32))
+            {
+                access.handle.write_rect(&access.rect, &buffers[i]);
+            }
         }
     }
     Ok(())
@@ -903,7 +929,10 @@ fn worker_loop(id: usize, shared: &Shared) {
 mod tests {
     use super::*;
     use crate::region::Region;
-    use kernel::{compile_interp, BufferId, BufferRole, KernelModule, LoopBuilder};
+    use proptest::prelude::*;
+    use kernel::{
+        compile_interp, BackendKind, BinaryOp, BufferId, BufferRole, KernelModule, LoopBuilder,
+    };
 
     fn handle(id: u64, n: u64, value: f64) -> RegionHandle {
         let h = RegionHandle::new(Region::new(RegionId(id), vec![n], "r", true));
@@ -1204,6 +1233,398 @@ mod tests {
         assert_eq!(b.data().unwrap(), vec![10.5; 32]);
         // Source (read-only) untouched by the replayed attempts.
         assert_eq!(a.data().unwrap(), vec![1.5; 32]);
+    }
+
+    /// Both executors, for tests that must hold under each.
+    fn executors() -> [Box<dyn Executor>; 2] {
+        [
+            Box::new(SerialExecutor::new()),
+            Box::new(WorkStealingExecutor::new(2)),
+        ]
+    }
+
+    fn access(handle: &RegionHandle, rect: Rect, privilege: Privilege) -> BufferAccess {
+        BufferAccess {
+            region: RegionId(100),
+            handle: handle.clone(),
+            rect,
+            privilege,
+        }
+    }
+
+    /// `dst[i] = dst[i] <op> c` over the whole of `dst`.
+    fn in_place(name: &str, dst: BufferId, op: BinaryOp, c: f64) -> kernel::LoopKernel {
+        let mut lb = LoopBuilder::new(name, dst);
+        let x = lb.load(dst);
+        let c = lb.constant(c);
+        let v = lb.binary(op, x, c);
+        lb.store(dst, v);
+        lb.finish()
+    }
+
+    #[test]
+    fn aliasing_writers_are_ordered_by_the_stage_protocol() {
+        // Two ReadWrite views A and B of one region on overlapping rects;
+        // stage 0 does A += 1, stage 1 does B *= 2. B must see A's result
+        // through the parent region: 2(R+1) where they overlap. (Copying
+        // every writable view out after every stage, touched or not, let
+        // stage 0's stale copy of B overwrite A's result: 2R.)
+        let mut module = KernelModule::new(2);
+        module.set_role(BufferId(0), BufferRole::InOut);
+        module.set_role(BufferId(1), BufferRole::InOut);
+        module.push_loop(in_place("inc", BufferId(0), BinaryOp::Add, 1.0));
+        module.push_loop(in_place("dbl", BufferId(1), BinaryOp::Mul, 2.0));
+        for backend in [BackendKind::Interp, BackendKind::Simd] {
+            for mut ex in executors() {
+                let r = handle(0, 12, 0.0);
+                r.write_data((0..12).map(f64::from).collect());
+                let work = FunctionalWork {
+                    name: "alias".into(),
+                    kernel: backend.backend().compile(&module).unwrap(),
+                    scalars: vec![],
+                    accesses: vec![
+                        access(&r, Rect::new(vec![0], vec![8]), Privilege::ReadWrite),
+                        access(&r, Rect::new(vec![4], vec![12]), Privilege::ReadWrite),
+                    ],
+                    local_buffer_lens: vec![],
+                    failed_attempts: 0,
+                };
+                ex.submit(work.as_request());
+                ex.flush().unwrap();
+                let expect: Vec<f64> = (0..12)
+                    .map(|i| match (f64::from(i), i) {
+                        (v, 0..=3) => v + 1.0,
+                        (v, 4..=7) => 2.0 * (v + 1.0),
+                        (v, _) => 2.0 * v,
+                    })
+                    .collect();
+                assert_eq!(r.data().unwrap(), expect, "{backend:?} {:?}", ex.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn overlapping_views_in_one_stage_keep_jacobi_semantics() {
+        // A star stencil in place: five shifted Read views and a Write view
+        // of one 6x6 region, one stage. Every view is copied in before the
+        // stage runs, so each output sees only old neighbours (Jacobi), never
+        // a neighbour this launch already updated (Gauss-Seidel).
+        let mut module = KernelModule::new(6);
+        module.set_role(BufferId(5), BufferRole::Output);
+        let mut lb = LoopBuilder::new("star", BufferId(5));
+        let mut sum = lb.load(BufferId(0));
+        for b in 1..5 {
+            let x = lb.load(BufferId(b));
+            sum = lb.add(sum, x);
+        }
+        let fifth = lb.constant(0.2);
+        let v = lb.mul(sum, fifth);
+        lb.store(BufferId(5), v);
+        module.push_loop(lb.finish());
+        let old: Vec<f64> = (0..36).map(|i| f64::from(i * i % 11)).collect();
+        let mut expect = old.clone();
+        for r in 1..5 {
+            for c in 1..5 {
+                let at = |dr: i64, dc: i64| old[((r + dr) * 6 + c + dc) as usize];
+                expect[(r * 6 + c) as usize] =
+                    ((((at(0, 0) + at(-1, 0)) + at(1, 0)) + at(0, -1)) + at(0, 1)) * 0.2;
+            }
+        }
+        let view = |dr: i64, dc: i64| Rect::new(vec![1 + dr, 1 + dc], vec![5 + dr, 5 + dc]);
+        for backend in [BackendKind::Interp, BackendKind::Simd] {
+            for mut ex in executors() {
+                let grid = RegionHandle::new(Region::new(RegionId(0), vec![6, 6], "grid", true));
+                grid.write_data(old.clone());
+                let mut accesses: Vec<BufferAccess> = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
+                    .iter()
+                    .map(|&(dr, dc)| access(&grid, view(dr, dc), Privilege::Read))
+                    .collect();
+                accesses.push(access(&grid, view(0, 0), Privilege::Write));
+                let work = FunctionalWork {
+                    name: "star".into(),
+                    kernel: backend.backend().compile(&module).unwrap(),
+                    scalars: vec![],
+                    accesses,
+                    local_buffer_lens: vec![],
+                    failed_attempts: 0,
+                };
+                ex.submit(work.as_request());
+                ex.flush().unwrap();
+                assert_eq!(grid.data().unwrap(), expect, "{backend:?} {:?}", ex.kind());
+            }
+        }
+    }
+
+    /// Stage 0: `local += src`; stage 1: `dst = local` — over buffers
+    /// (src, dst, dead local, live local), so `dst == src` exactly when the
+    /// live local started at zero and survived from stage 0 to stage 1.
+    fn through_a_local(src: &RegionHandle, dst: &RegionHandle, n: usize) -> FunctionalWork {
+        let mut module = KernelModule::new(2);
+        module.set_role(BufferId(1), BufferRole::Output);
+        let (_dead, live) = (module.add_local(), module.add_local());
+        let mut lb = LoopBuilder::new("stash", BufferId(0));
+        let (x, acc) = (lb.load(BufferId(0)), lb.load(live));
+        let v = lb.add(acc, x);
+        lb.store(live, v);
+        module.push_loop(lb.finish());
+        let mut lb = LoopBuilder::new("fetch", BufferId(1));
+        let x = lb.load(live);
+        lb.store(BufferId(1), x);
+        module.push_loop(lb.finish());
+        let rect = Rect::new(vec![0], vec![n as i64]);
+        FunctionalWork {
+            name: "through_a_local".into(),
+            kernel: compile_interp(module),
+            scalars: vec![],
+            accesses: vec![
+                access(src, rect.clone(), Privilege::Read),
+                access(dst, rect, Privilege::Write),
+            ],
+            // The dead local could not be allocated even if asked for.
+            local_buffer_lens: vec![usize::MAX / 16, n],
+            failed_attempts: 0,
+        }
+    }
+
+    #[test]
+    fn only_referenced_locals_are_materialised() {
+        for mut ex in executors() {
+            let (a, b) = (handle(0, 16, 2.5), handle(1, 16, -1.0));
+            ex.submit(through_a_local(&a, &b, 16).as_request());
+            // Asking for the unreferenced local's 2^63 - 8 bytes could only
+            // kill the launch; the referenced one is zero-initialised and
+            // carried from stage 0 to stage 1.
+            ex.flush().unwrap();
+            assert_eq!(b.data().unwrap(), vec![2.5; 16], "{:?}", ex.kind());
+        }
+    }
+
+    #[test]
+    fn killed_attempts_leave_no_trace_in_the_committing_runs_locals() {
+        // Attempt 0 is killed after stage 0 (the local holds src), attempt 1
+        // after both stages. Each attempt builds its own buffer table, so the
+        // committing run's local starts from zero again: dst = src, not 2-3x.
+        for mut ex in executors() {
+            let (a, b) = (handle(0, 16, 2.5), handle(1, 16, -1.0));
+            let mut work = through_a_local(&a, &b, 16);
+            work.failed_attempts = 2;
+            ex.submit(work.as_request());
+            ex.flush().unwrap();
+            assert_eq!(b.data().unwrap(), vec![2.5; 16], "{:?}", ex.kind());
+        }
+    }
+
+    /// The stage loop this module had before it learned which buffers a
+    /// stage touches, verbatim: every requirement copied in and every local
+    /// cloned before every stage, every writable requirement copied out and
+    /// every local moved back after it. The oracle of
+    /// `data_plane_matches_the_copy_everything_protocol`.
+    fn run_stages_reference(
+        kernel: &dyn CompiledKernel,
+        scalars: &[f64],
+        local_buffer_lens: &[usize],
+        accesses: &[BufferAccess],
+        stages: usize,
+    ) -> Result<(), RuntimeError> {
+        let num_reqs = accesses.len();
+        let mut locals: Vec<Vec<f64>> = local_buffer_lens
+            .iter()
+            .map(|&len| vec![0.0; len])
+            .collect();
+        for stage in 0..stages {
+            // Copy-in.
+            let mut buffers: Vec<Vec<f64>> = Vec::with_capacity(num_reqs + locals.len());
+            for access in accesses {
+                buffers.push(access.handle.read_rect(&access.rect));
+            }
+            for local in &locals {
+                buffers.push(local.clone());
+            }
+            // Execute.
+            kernel.execute_stage(stage, &mut buffers, scalars)?;
+            // Copy-out written requirements and persist locals.
+            for (i, access) in accesses.iter().enumerate() {
+                if access.privilege.writes() || access.privilege.reduces() {
+                    access.handle.write_rect(&access.rect, &buffers[i]);
+                }
+            }
+            for (j, local) in locals.iter_mut().enumerate() {
+                *local = std::mem::take(&mut buffers[num_reqs + j]);
+            }
+        }
+        Ok(())
+    }
+
+    // Buffer layout of the differential test's random modules. Requirements:
+    // four vectors of N elements (the last a haloed 2-D tile), one of M < N,
+    // two scalars, a dense N x N matrix and a tridiagonal CSR triple; then
+    // four locals. Stages pick operands from POOL, so DEAD is never touched.
+    const N: usize = 6;
+    const M: usize = 4;
+    const SCALARS: [u32; 2] = [5, 6];
+    const MAT: u32 = 7;
+    const CSR: [u32; 3] = [8, 9, 10];
+    const REQ_LENS: [usize; 11] = [N, N, N, N, M, 1, 1, N * N, N + 1, 3 * N - 2, 3 * N - 2];
+    const LOCAL_LENS: [usize; 4] = [N, N, M, N];
+    const LONG: [u32; 6] = [0, 1, 2, 3, 11, 12];
+    const POOL: [u32; 8] = [0, 1, 2, 3, 4, 11, 12, 13];
+
+    /// One random stage from five raw draws (see the layout above).
+    fn push_random_stage(module: &mut KernelModule, (kind, a, b, c, d): (u8, u32, u32, u32, u32)) {
+        let pick = |set: &[u32], raw: u32| BufferId(set[raw as usize % set.len()]);
+        let (dom, x, y, dst) = (pick(&POOL, a), pick(&POOL, b), pick(&POOL, c), pick(&POOL, d));
+        let mut lb = LoopBuilder::new("s", dom);
+        match kind {
+            // dst = x (+|*) y
+            0 => {
+                let (vx, vy) = (lb.load(x), lb.load(y));
+                let v = if a % 2 == 0 { lb.add(vx, vy) } else { lb.mul(vx, vy) };
+                lb.store(dst, v);
+            }
+            // dst = x * broadcast(scalar or element 0 of a vector)
+            1 => {
+                let s = if c % 3 == 0 { y } else { pick(&SCALARS, c) };
+                let (vx, vs) = (lb.load(x), lb.load_scalar(s));
+                let v = lb.mul(vx, vs);
+                lb.store(dst, v);
+            }
+            // scalar += sum(x * x)
+            2 => {
+                let vx = lb.load(x);
+                let v = lb.mul(vx, vx);
+                lb.reduce(pick(&SCALARS, c), kernel::ReduceOp::Sum, v);
+            }
+            // dst += param 0 (an ExecError when the launch has no scalars)
+            3 => {
+                let (vx, p) = (lb.load(dst), lb.param(0));
+                let v = lb.add(vx, p);
+                lb.store(dst, v);
+            }
+            // y = A x, dense or CSR, over two distinct N-vectors
+            _ => {
+                let x = pick(&LONG, b);
+                let y = pick(&LONG, if b % 6 == d % 6 { d + 1 } else { d });
+                module.push_opaque(if kind == 4 {
+                    kernel::OpaqueOp::Gemv { a: BufferId(MAT), x, y }
+                } else {
+                    kernel::OpaqueOp::SpMvCsr {
+                        pos: BufferId(CSR[0]),
+                        crd: BufferId(CSR[1]),
+                        vals: BufferId(CSR[2]),
+                        x,
+                        y,
+                        index_width: kernel::IndexWidth::U32,
+                    }
+                });
+                return;
+            }
+        }
+        module.push_loop(lb.finish());
+    }
+
+    /// Initial contents of requirement `i`: distinct small values, except the
+    /// CSR structure arrays, which must index in bounds.
+    fn initial_contents(i: usize) -> Vec<f64> {
+        let tridiagonal = |f: fn(usize, usize) -> f64| -> Vec<f64> {
+            (0..N)
+                .flat_map(|r| (r.saturating_sub(1)..(r + 2).min(N)).map(move |c| f(r, c)))
+                .collect()
+        };
+        match i as u32 {
+            8 => (0..=N).map(|r| (3 * r).saturating_sub(1).min(3 * N - 2) as f64).collect(),
+            9 => tridiagonal(|_, c| c as f64),
+            10 => tridiagonal(|r, c| if r == c { 2.0 } else { -0.5 }),
+            _ => (0..REQ_LENS[i]).map(|k| 0.25 * (i + 1) as f64 - 0.125 * k as f64).collect(),
+        }
+    }
+
+    /// Fresh regions for one run: requirement `i` sits at a drawn offset
+    /// inside its own region (requirement 3 as a 2 x 3 tile of a 2-D one).
+    fn fresh_accesses(privileges: &[u8], offsets: &[u64]) -> Vec<BufferAccess> {
+        (0..REQ_LENS.len())
+            .map(|i| {
+                let (lo, pad, len) = (offsets[i] as i64, offsets[i] / 2, REQ_LENS[i] as i64);
+                let (shape, rect) = if i == 3 {
+                    let rect = Rect::new(vec![lo, 1], vec![lo + 2, 4]);
+                    (vec![lo as u64 + 2 + pad, 5], rect)
+                } else {
+                    (vec![(lo + len) as u64 + pad], Rect::new(vec![lo], vec![lo + len]))
+                };
+                let handle = RegionHandle::new(Region::new(RegionId(i as u64), shape, "r", true));
+                handle.fill(-7.0);
+                handle.write_rect(&rect, &initial_contents(i));
+                let privilege = match privileges[i] {
+                    0 => Privilege::Read,
+                    1 => Privilege::Write,
+                    2 => Privilege::ReadWrite,
+                    _ => Privilege::Reduce(ir::ReductionOp::Sum),
+                };
+                access(&handle, rect, privilege)
+            })
+            .collect()
+    }
+
+    /// Exact bits, every NaN canonicalised (as in `backend_equivalence`).
+    fn region_bits(accesses: &[BufferAccess]) -> Vec<Vec<u64>> {
+        accesses
+            .iter()
+            .map(|a| {
+                let data = a.handle.data().unwrap();
+                data.iter().map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() }).collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The data plane moves less than the copy-everything protocol it
+        /// replaced but commits the same bits and raises the same errors, on
+        /// non-aliasing accesses of any privilege, raw or pipeline-optimised
+        /// modules, both backends, with and without killed attempts (which
+        /// commit nothing, so the oracle never needs to run them).
+        #[test]
+        fn data_plane_matches_the_copy_everything_protocol(
+            stages in prop::collection::vec((0u8..6, 0u32..64, 0u32..64, 0u32..64, 0u32..64), 1..5),
+            privileges in prop::collection::vec(0u8..4, REQ_LENS.len()..REQ_LENS.len() + 1),
+            offsets in prop::collection::vec(0u64..4, REQ_LENS.len()..REQ_LENS.len() + 1),
+            (optimize, with_scalars, failed_attempts) in (0u8..2, 0u8..4, 0u32..2),
+        ) {
+            let mut module = KernelModule::new(REQ_LENS.len() as u32);
+            for (i, p) in privileges.iter().enumerate() {
+                use BufferRole::{InOut, Input, Output, Reduction};
+                module.set_role(BufferId(i as u32), [Input, Output, InOut, Reduction][*p as usize]);
+            }
+            for _ in LOCAL_LENS {
+                module.add_local();
+            }
+            for &stage in &stages {
+                push_random_stage(&mut module, stage);
+            }
+            if optimize == 1 {
+                let lens: Vec<usize> = REQ_LENS.iter().chain(&LOCAL_LENS).copied().collect();
+                module = kernel::Pipeline::default().run(module, &lens).module;
+            }
+            let scalars: &[f64] = if with_scalars == 0 { &[] } else { &[1.5] };
+            for backend in [BackendKind::Interp, BackendKind::Simd] {
+                let kernel = backend.backend().compile(&module).unwrap();
+                let (new, old) = (
+                    fresh_accesses(&privileges, &offsets),
+                    fresh_accesses(&privileges, &offsets),
+                );
+                let killed = failed_attempts * 2;
+                let got = run_functional(kernel.as_ref(), scalars, &LOCAL_LENS, &new, killed);
+                let want = run_stages_reference(
+                    kernel.as_ref(),
+                    scalars,
+                    &LOCAL_LENS,
+                    &old,
+                    module.num_stages(),
+                );
+                prop_assert_eq!(&got, &want, "{:?} {:?}", backend, module);
+                prop_assert_eq!(region_bits(&new), region_bits(&old), "{:?} {:?}", backend, module);
+            }
+        }
     }
 
     #[test]

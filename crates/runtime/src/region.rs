@@ -103,12 +103,25 @@ impl Region {
     /// Panics if the region is not materialized or the rect does not fit the
     /// region's rank.
     pub fn read_rect(&self, rect: &Rect) -> Vec<f64> {
-        let data = self.data.as_ref().expect("region is not materialized");
-        let mut out = Vec::with_capacity(rect.volume() as usize);
-        for idx in rect_indices(rect, &self.shape) {
-            out.push(data[idx]);
-        }
+        let mut out = Vec::new();
+        self.read_rect_into(rect, &mut out);
         out
+    }
+
+    /// [`Region::read_rect`] into a caller-owned buffer: `out` is cleared and
+    /// refilled, keeping its allocation when it is large enough (the
+    /// executor refreshes the same staging buffer before every stage).
+    ///
+    /// # Panics
+    ///
+    /// As [`Region::read_rect`].
+    pub fn read_rect_into(&self, rect: &Rect, out: &mut Vec<f64>) {
+        let data = self.data.as_ref().expect("region is not materialized");
+        out.clear();
+        out.reserve(rect.volume() as usize);
+        for_each_run(rect, &self.shape, |start, len| {
+            out.extend_from_slice(&data[start..start + len]);
+        });
     }
 
     /// Writes a dense row-major buffer into the elements inside `rect`.
@@ -123,11 +136,13 @@ impl Region {
             rect.volume(),
             "value buffer length must equal the rect volume"
         );
-        let shape = self.shape.clone();
         let data = self.data.as_mut().expect("region is not materialized");
-        for (i, idx) in rect_indices(rect, &shape).enumerate() {
-            data[idx] = values[i];
-        }
+        let mut values = values;
+        for_each_run(rect, &self.shape, |start, len| {
+            let (run, rest) = values.split_at(len);
+            data[start..start + len].copy_from_slice(run);
+            values = rest;
+        });
     }
 }
 
@@ -215,6 +230,16 @@ impl RegionHandle {
         self.cell.read().unwrap().read_rect(rect)
     }
 
+    /// [`RegionHandle::read_rect`] into a caller-owned buffer (see
+    /// [`Region::read_rect_into`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`RegionHandle::read_rect`].
+    pub fn read_rect_into(&self, rect: &Rect, out: &mut Vec<f64>) {
+        self.cell.read().unwrap().read_rect_into(rect, out);
+    }
+
     /// Writes a dense row-major buffer into the elements inside `rect`,
     /// holding the write lock only for the duration of the copy.
     ///
@@ -259,25 +284,60 @@ impl RegionHandle {
     }
 }
 
-/// Iterates the row-major linear indices of the elements of `rect` within an
-/// array of the given shape.
-///
-/// # Example
-///
-/// ```
-/// use ir::Rect;
-/// use runtime::region::rect_indices;
-///
-/// let rect = Rect::new(vec![1, 0], vec![3, 2]);
-/// let idx: Vec<usize> = rect_indices(&rect, &[4, 3]).collect();
-/// assert_eq!(idx, vec![3, 4, 6, 7]);
-/// ```
+/// Calls `copy(start, len)` for every maximal contiguous run of `rect` within
+/// a row-major array of the given shape, in row-major order: one run per
+/// innermost-dimension row, coalesced across every trailing dimension the
+/// rect spans entirely — a 1-D tile or a full-width block of rows is a single
+/// run. A zero-volume rect has no runs; a rank-0 rect is the one element.
 ///
 /// # Panics
 ///
 /// Panics if the rect rank differs from the shape rank or the rect extends
 /// outside the shape.
-pub fn rect_indices<'a>(rect: &'a Rect, shape: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+fn for_each_run(rect: &Rect, shape: &[u64], mut copy: impl FnMut(usize, usize)) {
+    assert_eq!(rect.rank(), shape.len(), "rect rank must match region rank");
+    for d in 0..rect.rank() {
+        assert!(
+            rect.lo[d] >= 0 && rect.hi[d] <= shape[d] as i64,
+            "rect {rect} out of bounds for shape {shape:?}"
+        );
+    }
+    if rect.volume() == 0 {
+        return;
+    }
+    let extent = |d: usize| (rect.hi[d] - rect.lo[d]) as usize;
+    // Fold trailing full-span dimensions into the run: afterwards `stride`
+    // is the row-major stride of the run dimension `outer` (when there is
+    // one) and dimensions `0..outer` enumerate the runs.
+    let mut outer = rect.rank().saturating_sub(1);
+    let mut stride = 1usize;
+    while outer > 0 && extent(outer) == shape[outer] as usize {
+        stride *= shape[outer] as usize;
+        outer -= 1;
+    }
+    let (first, len) = match rect.rank() {
+        0 => (0, 1),
+        _ => (rect.lo[outer] as usize * stride, extent(outer) * stride),
+    };
+    let runs: usize = (0..outer).map(extent).product();
+    for mut run in 0..runs {
+        // Decompose the run number into outer coordinates, innermost first.
+        let mut start = first;
+        let mut stride = stride;
+        for d in (0..outer).rev() {
+            stride *= shape[d + 1] as usize;
+            start += (rect.lo[d] as usize + run % extent(d)) * stride;
+            run /= extent(d);
+        }
+        copy(start, len);
+    }
+}
+
+/// The element-at-a-time index walk the run-wise copies replaced, kept as
+/// their test oracle: the row-major linear indices of the elements of `rect`
+/// within an array of the given shape.
+#[cfg(test)]
+fn rect_indices<'a>(rect: &'a Rect, shape: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
     assert_eq!(rect.rank(), shape.len(), "rect rank must match region rank");
     for d in 0..rect.rank() {
         assert!(
@@ -346,6 +406,86 @@ mod tests {
         let rect = Rect::new(vec![1, 0], vec![3, 2]);
         let idx: Vec<usize> = rect_indices(&rect, &[4, 3]).collect();
         assert_eq!(idx, vec![3, 4, 6, 7]);
+    }
+
+    /// Every rect (zero-volume ones included) of a row-major array of `shape`.
+    fn all_rects(shape: &[u64]) -> Vec<Rect> {
+        let mut rects = vec![Rect::new(vec![], vec![])];
+        for &n in shape {
+            let mut next = Vec::new();
+            for r in &rects {
+                for lo in 0..=n as i64 {
+                    for hi in lo..=n as i64 {
+                        let (mut l, mut h) = (r.lo.clone(), r.hi.clone());
+                        l.push(lo);
+                        h.push(hi);
+                        next.push(Rect::new(l, h));
+                    }
+                }
+            }
+            rects = next;
+        }
+        rects
+    }
+
+    #[test]
+    fn run_wise_copies_match_the_index_walk() {
+        // Exhaustive over small shapes rather than sampled, so the classes
+        // the run arithmetic distinguishes are all present by construction
+        // (asserted below). Miri runs the same test over fewer shapes.
+        let shapes: &[&[u64]] = if cfg!(miri) {
+            &[&[], &[3], &[3, 4], &[2, 2, 3]]
+        } else {
+            &[&[], &[1], &[6], &[3, 4], &[4, 1], &[1, 3], &[2, 3, 4], &[3, 1, 2], &[2, 4, 1]]
+        };
+        let (mut empty, mut single, mut full, mut coalesced, mut interior) = (0, 0, 0, 0, 0);
+        for &shape in shapes {
+            let mut region = Region::new(RegionId(0), shape.to_vec(), "r", true);
+            let volume = region.volume() as usize;
+            for rect in all_rects(shape) {
+                let before: Vec<f64> = (0..volume).map(|i| i as f64).collect();
+                region.data = Some(before.clone());
+                let indices: Vec<usize> = rect_indices(&rect, shape).collect();
+
+                // The runs tile the walk in order, and none could be longer.
+                let mut runs = Vec::new();
+                for_each_run(&rect, shape, |start, len| runs.push((start, len)));
+                let tiled: Vec<usize> = runs.iter().flat_map(|&(s, l)| s..s + l).collect();
+                assert_eq!(tiled, indices, "{rect} in {shape:?}");
+                assert!(runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0), "{rect} in {shape:?}");
+
+                // Read, fresh and into a dirty buffer with a stale length.
+                let expect: Vec<f64> = indices.iter().map(|&i| before[i]).collect();
+                assert_eq!(region.read_rect(&rect), expect, "{rect} in {shape:?}");
+                let mut out = vec![f64::NAN; 7];
+                region.read_rect_into(&rect, &mut out);
+                assert_eq!(out, expect, "{rect} in {shape:?}");
+
+                // Write lands exactly on the walk's elements, then reads back.
+                let values: Vec<f64> = (0..indices.len()).map(|k| -1.0 - k as f64).collect();
+                let mut after = before;
+                for (&i, &v) in indices.iter().zip(&values) {
+                    after[i] = v;
+                }
+                region.write_rect(&rect, &values);
+                assert_eq!(region.data.as_ref().unwrap(), &after, "{rect} in {shape:?}");
+                assert_eq!(region.read_rect(&rect), values, "{rect} in {shape:?}");
+
+                let rank = shape.len();
+                empty += usize::from(indices.is_empty());
+                single += usize::from(indices.len() == 1);
+                full += usize::from(indices.len() == volume);
+                let rows = if rank > 1 { rect.hi[0] - rect.lo[0] } else { 0 };
+                coalesced += usize::from(rows > 1 && runs.len() == 1);
+                interior += usize::from(
+                    rank > 1 && (0..rank).all(|d| rect.lo[d] > 0 && rect.hi[d] < shape[d] as i64)
+                        && !indices.is_empty(),
+                );
+            }
+        }
+        for class in [empty, single, full, coalesced, interior] {
+            assert!(class > 0, "{:?}", (empty, single, full, coalesced, interior));
+        }
     }
 
     #[test]

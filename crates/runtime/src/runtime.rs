@@ -834,8 +834,8 @@ impl Runtime {
     }
 
     /// Packages the functional half of a launch for the executor. The request
-    /// borrows the launch (zero-copy on the serial path); only resolved
-    /// handles and rects are owned.
+    /// borrows the launch (the serial path clones nothing of the
+    /// description); only resolved handles and rects are owned.
     fn work_request<'a>(&self, launch: &'a TaskLaunch, failed_attempts: u32) -> WorkRequest<'a> {
         let accesses: Vec<BufferAccess> = launch
             .requirements
