@@ -483,9 +483,10 @@ impl ContextInner {
     /// Narrows `task`'s declared privileges to what its kernel provably
     /// exercises ([`AnalyzeMode::Inferred`] only): a declared
     /// write/read-write/reduce argument whose kernel never stores or reduces
-    /// to the buffer becomes a read. The runtime's copy-in of a referenced
-    /// buffer is unconditional and it writes back only what a stage stored
-    /// or reduced to, so the narrowing moves no data — results are bitwise
+    /// to the buffer becomes a read. The runtime hands a stage every buffer
+    /// it references whatever the privilege (a staged copy, or — for what the
+    /// launch only reads — a view) and writes back only what a stage stored
+    /// or reduced to, so the narrowing changes no data — results are bitwise
     /// unchanged while phantom-privilege windows fuse.
     fn tighten_task(&mut self, task: &mut IndexTask) {
         let key = analysis_key(task);

@@ -177,6 +177,152 @@ impl Rect {
             .all(|(&a, &b)| a <= b)
             && self.hi.iter().zip(&other.hi).all(|(&a, &b)| a >= b)
     }
+
+    /// The maximal contiguous runs of this rect within a row-major array of
+    /// the given shape: one run per innermost-dimension row, coalesced across
+    /// every trailing dimension the rect spans entirely — a 1-D tile, a single
+    /// row or a full-width block of rows is one run. A zero-volume rect has no
+    /// runs; a rank-0 rect is the one element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rect rank differs from the shape rank or the rect extends
+    /// outside the shape.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ir::Rect;
+    ///
+    /// // The 2 x 2 interior of a 4 x 4 array: rows at offsets 5 and 9.
+    /// let runs = Rect::new(vec![1, 1], vec![3, 3]).runs_in(&[4, 4]);
+    /// assert_eq!((runs.run_len(), runs.len()), (2, 4));
+    /// assert_eq!(runs.starts().collect::<Vec<_>>(), vec![5, 9]);
+    /// assert_eq!(runs.offset(3), 10);
+    /// // Two full rows coalesce into one run.
+    /// assert!(Rect::new(vec![1, 0], vec![3, 4]).runs_in(&[4, 4]).is_contiguous());
+    /// ```
+    pub fn runs_in(&self, shape: &[u64]) -> Runs {
+        assert_eq!(self.rank(), shape.len(), "rect rank must match region rank");
+        for d in 0..self.rank() {
+            assert!(
+                self.lo[d] >= 0 && self.hi[d] <= shape[d] as i64,
+                "rect {self} out of bounds for shape {shape:?}"
+            );
+        }
+        if self.volume() == 0 {
+            return Runs {
+                first: 0,
+                run_len: 0,
+                outer: Vec::new(),
+            };
+        }
+        let extent = |d: usize| (self.hi[d] - self.lo[d]) as usize;
+        // Fold trailing full-span dimensions into the run: afterwards `stride`
+        // is the row-major stride of the run dimension `dim` (when there is
+        // one) and dimensions `0..dim` enumerate the runs.
+        let mut dim = self.rank().saturating_sub(1);
+        let mut stride = 1usize;
+        while dim > 0 && extent(dim) == shape[dim] as usize {
+            stride *= shape[dim] as usize;
+            dim -= 1;
+        }
+        let (mut first, run_len) = match self.rank() {
+            0 => (0, 1),
+            _ => (self.lo[dim] as usize * stride, extent(dim) * stride),
+        };
+        let mut outer = Vec::new();
+        for d in (0..dim).rev() {
+            stride *= shape[d + 1] as usize;
+            first += self.lo[d] as usize * stride;
+            // A dimension of extent 1 enumerates nothing: it only moves `first`.
+            if extent(d) > 1 {
+                outer.push((extent(d), stride));
+            }
+        }
+        Runs {
+            first,
+            run_len,
+            outer,
+        }
+    }
+}
+
+/// The run geometry of a rect within a row-major array ([`Rect::runs_in`]):
+/// equal-length contiguous runs at regular strides. The rect's elements in
+/// row-major order — its *logical* index space `0..len()` — are the runs laid
+/// end to end. It is the one decomposition behind the runtime's rect copies
+/// and the kernel's read-only buffer views.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Runs {
+    /// Array offset of the first run.
+    first: usize,
+    /// Elements per run (0 for a zero-volume rect).
+    run_len: usize,
+    /// `(extent, stride)` of every dimension that enumerates runs, innermost
+    /// first; empty when the rect is a single run.
+    outer: Vec<(usize, usize)>,
+}
+
+impl Runs {
+    /// Elements per run.
+    pub fn run_len(&self) -> usize {
+        self.run_len
+    }
+
+    /// Number of runs.
+    pub fn count(&self) -> usize {
+        if self.run_len == 0 {
+            return 0;
+        }
+        self.outer.iter().map(|&(extent, _)| extent).product()
+    }
+
+    /// Number of elements (the rect's volume).
+    pub fn len(&self) -> usize {
+        self.run_len * self.count()
+    }
+
+    /// Whether the rect has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.run_len == 0
+    }
+
+    /// Whether the elements are one contiguous slice of the array (also true
+    /// of a rect with no elements).
+    pub fn is_contiguous(&self) -> bool {
+        self.outer.is_empty()
+    }
+
+    /// Array offset of run number `run` (`run < count()`).
+    pub fn start(&self, mut run: usize) -> usize {
+        let Some((&(outermost, stride), inner)) = self.outer.split_last() else {
+            return self.first;
+        };
+        let mut start = self.first;
+        for &(extent, stride) in inner {
+            start += run % extent * stride;
+            run /= extent;
+        }
+        // What is left is the outermost coordinate itself: no division, which
+        // is most of what a strided 2-D view pays per element read.
+        debug_assert!(run < outermost, "run number past the last run");
+        start + run * stride
+    }
+
+    /// Array offsets of the runs, in row-major order.
+    pub fn starts(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.count()).map(|run| self.start(run))
+    }
+
+    /// Array offset of logical element `i` (`i < len()`).
+    pub fn offset(&self, i: usize) -> usize {
+        if self.is_contiguous() {
+            self.first + i
+        } else {
+            self.start(i / self.run_len) + i % self.run_len
+        }
+    }
 }
 
 impl std::fmt::Display for Rect {
@@ -262,5 +408,84 @@ mod tests {
     #[should_panic]
     fn rect_rank_mismatch_panics() {
         let _ = Rect::new(vec![0], vec![1, 2]);
+    }
+
+    /// Every rect (zero-volume ones included) of an array of `shape`, each
+    /// with the row-major array offsets of its elements in row-major order.
+    fn all_rects(shape: &[u64]) -> Vec<(Rect, Vec<usize>)> {
+        let mut rects = vec![(Rect::new(vec![], vec![]), vec![0usize])];
+        for &n in shape {
+            let mut next = Vec::new();
+            for (r, offsets) in &rects {
+                for lo in 0..=n as i64 {
+                    for hi in lo..=n as i64 {
+                        let (mut l, mut h) = (r.lo.clone(), r.hi.clone());
+                        l.push(lo);
+                        h.push(hi);
+                        let offsets = offsets
+                            .iter()
+                            .flat_map(|&o| (lo..hi).map(move |c| o * n as usize + c as usize))
+                            .collect();
+                        next.push((Rect::new(l, h), offsets));
+                    }
+                }
+            }
+            rects = next;
+        }
+        rects
+    }
+
+    #[test]
+    fn runs_tile_the_rect_in_row_major_order() {
+        // Exhaustive over small shapes, so every class the run arithmetic
+        // distinguishes is present by construction (asserted below).
+        let shapes: &[&[u64]] = if cfg!(miri) {
+            &[&[], &[3], &[3, 4], &[2, 2, 3]]
+        } else {
+            &[&[], &[1], &[6], &[3, 4], &[4, 1], &[1, 3], &[2, 3, 4], &[3, 1, 2], &[2, 4, 1], &[3, 3, 3]]
+        };
+        let (mut empty, mut single_row, mut coalesced, mut strided, mut deep) = (0, 0, 0, 0, 0);
+        for &shape in shapes {
+            for (rect, offsets) in all_rects(shape) {
+                let runs = rect.runs_in(shape);
+                assert_eq!(runs.len() as u64, rect.volume(), "{rect} in {shape:?}");
+                assert_eq!(runs.is_empty(), offsets.is_empty(), "{rect} in {shape:?}");
+                let starts: Vec<usize> = runs.starts().collect();
+                assert_eq!(starts.len(), runs.count(), "{rect} in {shape:?}");
+                let tiled: Vec<usize> =
+                    starts.iter().flat_map(|&s| s..s + runs.run_len()).collect();
+                assert_eq!(tiled, offsets, "{rect} in {shape:?}");
+                // No run could be longer: consecutive runs never touch.
+                assert!(
+                    starts.windows(2).all(|w| w[0] + runs.run_len() < w[1]),
+                    "{rect} in {shape:?}"
+                );
+                assert_eq!(runs.is_contiguous(), runs.count() <= 1, "{rect} in {shape:?}");
+                let by_index: Vec<usize> = (0..runs.len()).map(|i| runs.offset(i)).collect();
+                assert_eq!(by_index, offsets, "{rect} in {shape:?}");
+
+                let rows = if shape.len() > 1 { rect.hi[0] - rect.lo[0] } else { 0 };
+                empty += usize::from(offsets.is_empty());
+                single_row += usize::from(rows == 1 && runs.count() == 1);
+                coalesced += usize::from(rows > 1 && runs.count() == 1);
+                strided += usize::from(runs.count() > 1);
+                deep += usize::from(shape.len() == 3 && runs.count() > rows as usize && rows > 1);
+            }
+        }
+        for class in [empty, single_row, coalesced, strided, deep] {
+            assert!(class > 0, "{:?}", (empty, single_row, coalesced, strided, deep));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn runs_of_an_out_of_bounds_rect_panic() {
+        let _ = Rect::new(vec![2], vec![6]).runs_in(&[4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank must match")]
+    fn runs_of_a_rank_mismatched_rect_panic() {
+        let _ = Rect::new(vec![0], vec![1]).runs_in(&[4, 4]);
     }
 }

@@ -53,7 +53,7 @@ pub mod task;
 pub mod window;
 
 pub use deps::{dep, dependence_map, fusible_ground_truth, point_task_substores};
-pub use domain::{Domain, Point, Rect};
+pub use domain::{Domain, Point, Rect, Runs};
 pub use intern::{PartitionId, ShapeId};
 pub use partition::{Partition, Projection};
 pub use store::{StoreId, StoreInfo};

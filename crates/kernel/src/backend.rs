@@ -11,8 +11,10 @@
 //!   ([`KernelBackend::compile`]) and prices that one-time work for the
 //!   simulated clock ([`KernelBackend::compile_cost`], consulted together
 //!   with the [`CompileTimeModel`] calibration).
-//! * [`CompiledKernel`] is the artifact: stage-granular execution over host
-//!   buffers, `Send + Sync` so executors can ship it across worker threads.
+//! * [`CompiledKernel`] is the artifact: stage-granular execution over a table
+//!   of [`Buffer`]s — dense storage the stage may write, or read-only
+//!   [`BufferView`]s straight into region memory — `Send + Sync` so executors
+//!   can ship it across worker threads.
 //!
 //! Two backends ship: [`InterpBackend`] wraps the tree-walking
 //! [`Interpreter`] (the default — compilation is a no-op wrap, execution
@@ -52,28 +54,266 @@
 //! assert_eq!(results[0], results[1]);
 //! ```
 
+use std::borrow::Cow;
 use std::sync::Arc;
+
+use ir::{Rect, Runs};
 
 use crate::cost::CompileTimeModel;
 use crate::interp::{ExecError, Interpreter};
 use crate::ir::KernelModule;
 
+/// A read-only window onto the elements of a rect inside a row-major array —
+/// the array's slice plus the rect's run geometry ([`Rect::runs_in`]) —
+/// indexed over the rect's *logical* row-major index space `0..len()`, exactly
+/// as the dense copy of the rect would be. It is how a kernel reads region
+/// memory in place.
+///
+/// # Example
+///
+/// ```
+/// use ir::Rect;
+/// use kernel::BufferView;
+///
+/// // The 2 x 2 interior of a 4 x 4 array.
+/// let array: Vec<f64> = (0..16).map(f64::from).collect();
+/// let view = BufferView::new(&array, &[4, 4], &Rect::new(vec![1, 1], vec![3, 3]));
+/// assert_eq!((view.len(), view.get(2)), (4, 9.0));
+/// let mut row = [0.0; 3];
+/// view.read(1, &mut row); // spans the two runs
+/// assert_eq!(row, [6.0, 9.0, 10.0]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BufferView<'a> {
+    /// The viewed array — narrowed to the rect's elements when they are a
+    /// single run, so that a logical index is a slice index.
+    data: &'a [f64],
+    /// Number of elements of the rect.
+    len: usize,
+    /// The run geometry, when the rect is more than one run.
+    strided: Option<Runs>,
+}
+
+impl<'a> BufferView<'a> {
+    /// Views the elements of `rect` within `data`, a row-major array of the
+    /// given shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not an array of that shape, the rect rank differs
+    /// from the shape rank, or the rect extends outside the shape.
+    pub fn new(data: &'a [f64], shape: &[u64], rect: &Rect) -> Self {
+        assert_eq!(
+            data.len() as u64,
+            shape.iter().product::<u64>(),
+            "viewed array does not have shape {shape:?}"
+        );
+        let runs = rect.runs_in(shape);
+        let len = runs.len();
+        if runs.is_contiguous() {
+            let start = runs.start(0);
+            BufferView {
+                data: &data[start..start + len],
+                len,
+                strided: None,
+            }
+        } else {
+            BufferView {
+                data,
+                len,
+                strided: Some(runs),
+            }
+        }
+    }
+
+    /// Number of elements (the rect's volume).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the view has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Element `i` of the rect in row-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        match &self.strided {
+            None => self.data[i],
+            Some(runs) => {
+                assert!(i < self.len, "index {i} outside a view of {} elements", self.len);
+                self.data[runs.offset(i)]
+            }
+        }
+    }
+
+    /// All elements as one slice: the viewed memory itself when the view is
+    /// a single run, a gathered copy otherwise.
+    pub(crate) fn dense(&self) -> Cow<'a, [f64]> {
+        match &self.strided {
+            None => Cow::Borrowed(self.data),
+            Some(_) => {
+                let mut copy = vec![0.0; self.len];
+                self.read(0, &mut copy);
+                Cow::Owned(copy)
+            }
+        }
+    }
+
+    /// Copies elements `base..base + out.len()` into `out`: one
+    /// `copy_from_slice` when the view is a single run, one per run touched
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past `len()`.
+    #[inline]
+    pub fn read(&self, base: usize, out: &mut [f64]) {
+        let Some(runs) = &self.strided else {
+            return out.copy_from_slice(&self.data[base..base + out.len()]);
+        };
+        assert!(
+            base + out.len() <= self.len,
+            "range {base}..{} outside a view of {} elements",
+            base + out.len(),
+            self.len
+        );
+        let run_len = runs.run_len();
+        let (mut run, mut skip) = (base / run_len, base % run_len);
+        let mut out = out;
+        while !out.is_empty() {
+            let take = (run_len - skip).min(out.len());
+            let (head, rest) = std::mem::take(&mut out).split_at_mut(take);
+            let start = runs.start(run) + skip;
+            head.copy_from_slice(&self.data[start..start + take]);
+            (out, run, skip) = (rest, run + 1, 0);
+        }
+    }
+}
+
+/// One entry of the buffer table a stage executes over
+/// ([`CompiledKernel::execute_stage`]): dense storage the stage may read and
+/// write — task-local buffers and staged requirements — or a read-only
+/// [`BufferView`] into memory the caller only lends. Reads go through
+/// [`Buffer::len`], [`Buffer::get`] and [`Buffer::read`] and cannot tell the
+/// two apart; a stage that *writes* a view entry is rejected with
+/// [`ExecError::ReadOnlyBuffer`] before any element runs.
+#[derive(Debug, Clone)]
+pub enum Buffer<'a> {
+    /// Owned dense storage.
+    Dense(Vec<f64>),
+    /// A read-only view of borrowed memory.
+    View(BufferView<'a>),
+}
+
+impl Buffer<'_> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        match self {
+            Buffer::Dense(v) => v.len(),
+            Buffer::View(view) => view.len(),
+        }
+    }
+
+    /// Whether the buffer has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        match self {
+            Buffer::Dense(v) => v[i],
+            Buffer::View(view) => view.get(i),
+        }
+    }
+
+    /// Copies elements `base..base + out.len()` into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past `len()`.
+    #[inline]
+    pub fn read(&self, base: usize, out: &mut [f64]) {
+        match self {
+            Buffer::Dense(v) => out.copy_from_slice(&v[base..base + out.len()]),
+            Buffer::View(view) => view.read(base, out),
+        }
+    }
+
+    /// All elements as one slice: borrowed from dense storage or a
+    /// single-run view, gathered into a copy for a strided view.
+    pub(crate) fn dense(&self) -> Cow<'_, [f64]> {
+        match self {
+            Buffer::Dense(v) => Cow::Borrowed(v),
+            Buffer::View(view) => view.dense(),
+        }
+    }
+
+    /// The storage of an entry the stage's validation has already shown to
+    /// be dense, for writing.
+    #[inline]
+    pub(crate) fn writable(&mut self) -> &mut Vec<f64> {
+        match self {
+            Buffer::Dense(v) => v,
+            Buffer::View(_) => unreachable!("stage validation rejects writes to views"),
+        }
+    }
+}
+
+/// Runs `f` over `buffers` moved into a table of dense entries and moves them
+/// back — how the owned-buffer entry points reach the one stage
+/// implementation.
+pub(crate) fn with_dense_table<R>(
+    buffers: &mut [Vec<f64>],
+    f: impl FnOnce(&mut [Buffer<'static>]) -> R,
+) -> R {
+    let mut table: Vec<Buffer<'static>> = buffers
+        .iter_mut()
+        .map(|b| Buffer::Dense(std::mem::take(b)))
+        .collect();
+    let result = f(&mut table);
+    for (b, entry) in buffers.iter_mut().zip(table) {
+        if let Buffer::Dense(v) = entry {
+            *b = v;
+        }
+    }
+    result
+}
+
 /// An executable kernel artifact produced by a [`KernelBackend`].
 ///
 /// Artifacts are shared (`Arc`) between the memoization cache, task launches
 /// and executor workers, hence `Send + Sync`. Execution is exposed at stage
-/// granularity because the runtime's coherence protocol copies region data in
+/// granularity because the runtime's coherence protocol moves region data in
 /// and out *around each stage* (aliasing views of one region stay coherent
 /// through the parent region between stages); [`CompiledKernel::execute`] is
-/// the single-buffer-set convenience over that.
+/// the owned-buffer convenience over that.
 ///
 /// The runtime hands a stage one buffer table for the whole launch in which
 /// only the buffers of [`crate::KernelStage::referenced_buffers`] are
-/// meaningful: a requirement the stage does not reference holds whatever an
-/// earlier stage left (or nothing), and a local no stage references is an
-/// empty `Vec`. An implementation must therefore touch no buffer outside that
-/// list, and must write no buffer outside
+/// meaningful: a staged requirement the stage does not reference holds
+/// whatever an earlier stage left (or nothing), and a local no stage
+/// references is an empty `Vec`. An implementation must therefore touch no
+/// buffer outside that list, and must write no buffer outside
 /// [`crate::KernelStage::written_buffers`] — only those are copied back.
+///
+/// An entry of the table is a [`Buffer`]: dense storage, or a read-only
+/// [`BufferView`] of region memory the launch borrows (a requirement no stage
+/// writes). An implementation reads every entry through [`Buffer::len`],
+/// [`Buffer::get`] and [`Buffer::read`], and validates **once per stage,
+/// before any element runs**, that every buffer of `written_buffers` is dense,
+/// returning [`ExecError::ReadOnlyBuffer`] otherwise.
 pub trait CompiledKernel: std::fmt::Debug + Send + Sync {
     /// The optimized module this artifact was compiled from. The runtime uses
     /// it for cost accounting (`kernel::cost::module_cost`) and to drive the
@@ -85,32 +325,33 @@ pub trait CompiledKernel: std::fmt::Debug + Send + Sync {
     /// [`KernelBackend::id`]).
     fn backend_id(&self) -> &'static str;
 
-    /// Executes stage `stage` of the module over `buffers` (indexed by
-    /// [`crate::BufferId`]) with the given scalar parameters.
+    /// Executes stage `stage` of the module over the buffer table `buffers`
+    /// (indexed by [`crate::BufferId`]) with the given scalar parameters.
     ///
     /// # Errors
     ///
     /// Returns an error if the stage references a buffer or scalar parameter
-    /// that is not provided, or if buffer lengths are inconsistent with the
+    /// that is not provided, if buffer lengths are inconsistent with the
     /// stage's iteration domain — the same contract as
-    /// [`Interpreter::execute`].
+    /// [`Interpreter::execute`] — or if the stage writes a buffer bound as a
+    /// read-only view.
     fn execute_stage(
         &self,
         stage: usize,
-        buffers: &mut [Vec<f64>],
+        buffers: &mut [Buffer<'_>],
         scalars: &[f64],
     ) -> Result<(), ExecError>;
 
-    /// Executes every stage in order over one buffer set.
+    /// Executes every stage in order over one set of owned dense buffers.
     ///
     /// # Errors
     ///
     /// First error of any stage, as in [`CompiledKernel::execute_stage`].
     fn execute(&self, buffers: &mut [Vec<f64>], scalars: &[f64]) -> Result<(), ExecError> {
-        for stage in 0..self.module().num_stages() {
-            self.execute_stage(stage, buffers, scalars)?;
-        }
-        Ok(())
+        with_dense_table(buffers, |table| {
+            (0..self.module().num_stages())
+                .try_for_each(|stage| self.execute_stage(stage, table, scalars))
+        })
     }
 }
 
@@ -276,7 +517,7 @@ impl CompiledKernel for InterpCompiled {
     fn execute_stage(
         &self,
         stage: usize,
-        buffers: &mut [Vec<f64>],
+        buffers: &mut [Buffer<'_>],
         scalars: &[f64],
     ) -> Result<(), ExecError> {
         self.interp
@@ -367,5 +608,306 @@ mod tests {
         let mut bufs = vec![vec![2.0], vec![0.0]];
         kernel.execute(&mut bufs, &[]).unwrap();
         assert_eq!(bufs[1], vec![3.0]);
+    }
+
+    #[test]
+    fn views_index_the_rect_in_row_major_order() {
+        let array: Vec<f64> = (0..60).map(f64::from).collect();
+        let shape = [3, 4, 5];
+        for rect in [
+            Rect::new(vec![0, 0, 0], vec![3, 4, 5]), // everything: one run
+            Rect::new(vec![1, 0, 0], vec![3, 4, 5]), // coalesced planes
+            Rect::new(vec![2, 1, 0], vec![3, 2, 5]), // a single row
+            Rect::new(vec![0, 1, 1], vec![3, 3, 4]), // strided in two dimensions
+            Rect::new(vec![1, 1, 2], vec![3, 4, 3]), // runs of one element
+            Rect::new(vec![1, 2, 2], vec![1, 3, 4]), // no elements
+        ] {
+            let view = BufferView::new(&array, &shape, &rect);
+            let mut dense = Vec::new();
+            for i in rect.lo[0]..rect.hi[0] {
+                for j in rect.lo[1]..rect.hi[1] {
+                    dense.extend((rect.lo[2]..rect.hi[2]).map(|k| ((i * 4 + j) * 5 + k) as f64));
+                }
+            }
+            assert_eq!((view.len(), view.is_empty()), (dense.len(), dense.is_empty()), "{rect}");
+            let got: Vec<f64> = (0..view.len()).map(|i| view.get(i)).collect();
+            assert_eq!(got, dense, "{rect}");
+            // Every sub-range, so reads start and end inside, on and across runs.
+            for base in 0..=dense.len() {
+                for len in 0..=dense.len() - base {
+                    let mut out = vec![f64::NAN; len];
+                    view.read(base, &mut out);
+                    assert_eq!(out, dense[base..base + len], "{rect} {base}+{len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a view")]
+    fn view_reads_past_the_rect_panic() {
+        // In bounds of the array, out of bounds of the rect.
+        let array = [0.0; 16];
+        let view = BufferView::new(&array, &[4, 4], &Rect::new(vec![1, 1], vec![3, 3]));
+        view.read(2, &mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a view")]
+    fn view_gets_past_the_rect_panic() {
+        let array = [0.0; 16];
+        BufferView::new(&array, &[4, 4], &Rect::new(vec![1, 1], vec![3, 3])).get(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn views_of_out_of_bounds_rects_panic() {
+        let _ = BufferView::new(&[0.0; 4], &[4], &Rect::new(vec![2], vec![6]));
+    }
+
+    #[test]
+    fn a_write_to_a_view_is_a_structured_error() {
+        use crate::ir::{OpaqueOp, ReduceOp};
+        // Stage 0 stores into buffer 1, stage 1 reduces into it, stage 2 is
+        // an opaque builtin writing it.
+        let mut module = scale_module(2.0);
+        let mut lb = LoopBuilder::new("sum", BufferId(0));
+        let x = lb.load(BufferId(0));
+        lb.reduce(BufferId(1), ReduceOp::Sum, x);
+        module.push_loop(lb.finish());
+        module.push_opaque(OpaqueOp::Restrict {
+            fine: BufferId(0),
+            coarse: BufferId(1),
+        });
+        let (input, target) = (vec![1.0, 2.0, 3.0], [7.0; 5]);
+        let target_view = BufferView::new(&target, &[5], &Rect::new(vec![1], vec![4]));
+        for kind in [BackendKind::Interp, BackendKind::Simd] {
+            let compiled = kind.backend().compile(&module).unwrap();
+            for stage in 0..3 {
+                let mut table = vec![
+                    Buffer::Dense(input.clone()),
+                    Buffer::View(target_view.clone()),
+                ];
+                assert_eq!(
+                    compiled.execute_stage(stage, &mut table, &[]),
+                    Err(ExecError::ReadOnlyBuffer(BufferId(1))),
+                    "{kind:?} stage {stage}"
+                );
+                // The same stage over an input *read* through a view runs.
+                let input_view = BufferView::new(&input, &[3], &Rect::new(vec![0], vec![3]));
+                let mut table = vec![Buffer::View(input_view), Buffer::Dense(vec![0.0; 3])];
+                compiled.execute_stage(stage, &mut table, &[]).unwrap();
+            }
+        }
+    }
+
+    mod view_equivalence {
+        //! Differential property: a module run with some of its read-only
+        //! buffers bound as views into larger arrays commits the same bits
+        //! as the same module over dense copies of those buffers.
+
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        use proptest::prelude::*;
+
+        use super::super::*;
+        use crate::builder::LoopBuilder;
+        use crate::ir::{BufferId, KernelStage, OpaqueOp, ReduceOp};
+        use crate::simd::{LANES, SIMD_CHUNK};
+
+        // Buffers 0-3 are never written (view candidates; 3 is mostly read as
+        // a broadcast scalar), 4, 5 and 7 are written elementwise, 6 is the
+        // one-element accumulator.
+        const READ_ONLY: [u32; 4] = [0, 1, 2, 3];
+        const WRITABLE: [u32; 3] = [4, 5, 7];
+        const ACC: BufferId = BufferId(6);
+        const BUFS: u32 = 8;
+
+        /// Stages that ran on the lane schedule / the per-element schedule /
+        /// over a view that one chunk crosses at least three runs of.
+        static LANE: AtomicUsize = AtomicUsize::new(0);
+        static ELEMENTWISE: AtomicUsize = AtomicUsize::new(0);
+        static THREE_RUN_CHUNKS: AtomicUsize = AtomicUsize::new(0);
+
+        /// One random stage from four raw draws.
+        fn push_stage(module: &mut KernelModule, (kind, a, b, c): (u8, u32, u32, u32)) {
+            let pick = |set: &[u32], raw: u32| BufferId(set[raw as usize % set.len()]);
+            let (input, dst) = (pick(&READ_ONLY, a), pick(&WRITABLE, c));
+            let any = if b % 2 == 0 { pick(&READ_ONLY, b / 2) } else { pick(&WRITABLE, b / 2) };
+            // The domain lends only its length: a view serves as well.
+            let mut lb = LoopBuilder::new("s", if c % 2 == 0 { input } else { dst });
+            match kind {
+                // dst = input (+|*) any
+                0 => {
+                    let (x, y) = (lb.load(input), lb.load(any));
+                    let v = if a % 2 == 0 { lb.add(x, y) } else { lb.mul(x, y) };
+                    lb.store(dst, v);
+                }
+                // dst = any * element 0 of a never-written buffer (hoisted)
+                1 => {
+                    let (x, s) = (lb.load(any), lb.load_scalar(input));
+                    let v = lb.mul(x, s);
+                    lb.store(dst, v);
+                }
+                // acc = fold(acc, input * any)
+                2 => {
+                    let (x, y) = (lb.load(input), lb.load(any));
+                    let v = lb.mul(x, y);
+                    let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][b as usize % 3];
+                    lb.reduce(ACC, op, v);
+                }
+                // acc += input * acc: every element sees the running value,
+                // so only the per-element schedule is exact.
+                3 => {
+                    let (s, x) = (lb.load_scalar(ACC), lb.load(input));
+                    let v = lb.mul(x, s);
+                    lb.reduce(ACC, ReduceOp::Sum, v);
+                }
+                // dst = input + element 0 of dst (per-element again)
+                4 => {
+                    let (x, s) = (lb.load(input), lb.load_scalar(dst));
+                    let v = lb.add(x, s);
+                    lb.store(dst, v);
+                }
+                _ => {
+                    module.push_opaque(if a % 2 == 0 {
+                        OpaqueOp::Restrict { fine: input, coarse: dst }
+                    } else {
+                        OpaqueOp::Prolong { coarse: input, fine: dst }
+                    });
+                    return;
+                }
+            }
+            module.push_loop(lb.finish());
+        }
+
+        /// An array and a rect of it holding `rows * run_len` elements:
+        /// a 1-D tile, a strided 2-D or 3-D interior, or full-width rows.
+        fn geometry(kind: u32, rows: usize, run_len: usize, pad: u64) -> (Vec<u64>, Rect) {
+            let (rows, run) = (rows as i64, run_len as i64);
+            let (lo, p) = (pad as i64 % 3, pad);
+            match kind % 4 {
+                0 => (vec![(rows * run) as u64 + 2 * p], Rect::new(vec![lo], vec![lo + rows * run])),
+                1 => (
+                    vec![rows as u64 + p, run as u64 + 1 + p],
+                    Rect::new(vec![lo.min(p as i64), 1], vec![lo.min(p as i64) + rows, 1 + run]),
+                ),
+                2 => {
+                    let inner = if rows % 2 == 0 { 2 } else { 1 };
+                    (
+                        vec![(rows / inner) as u64 + 1, inner as u64 + p, run as u64 + 1],
+                        Rect::new(vec![1, 0, 0], vec![1 + rows / inner, inner, run]),
+                    )
+                }
+                _ => (
+                    vec![rows as u64 + 2 * p, run as u64],
+                    Rect::new(vec![lo.min(2 * p as i64), 0], vec![lo.min(2 * p as i64) + rows, run]),
+                ),
+            }
+        }
+
+        /// Exact bits, every NaN canonicalised (payloads are not
+        /// deterministic; see `crate::simd`).
+        fn bits(table: &[Buffer<'_>]) -> Vec<Vec<u64>> {
+            table
+                .iter()
+                .map(|b| {
+                    (0..b.len())
+                        .map(|i| if b.get(i).is_nan() { u64::MAX } else { b.get(i).to_bits() })
+                        .collect()
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 160 }))]
+
+            fn views_match_their_dense_copies(
+                stages in prop::collection::vec((0u8..6, 0u32..64, 0u32..64, 0u32..64), 1..5),
+                run_len in prop_oneof![
+                    Just(1),
+                    Just(LANES - 1),
+                    Just(LANES + 1),
+                    Just(20),
+                    Just(SIMD_CHUNK - 1),
+                    Just(SIMD_CHUNK + 1),
+                    2usize..12,
+                ],
+                rows in 1usize..if cfg!(miri) { 3 } else { 6 },
+                views in prop::collection::vec((0u32..8, 0u64..4), READ_ONLY.len()..READ_ONLY.len() + 1),
+                special_stride in 0usize..5,
+            ) {
+                let n = rows * run_len;
+                let mut module = KernelModule::new(BUFS);
+                for &stage in &stages {
+                    push_stage(&mut module, stage);
+                }
+                let contents = |b: u32| -> Vec<f64> {
+                    let len = if BufferId(b) == ACC { 1 } else { n };
+                    (0..len)
+                        .map(|i| {
+                            if special_stride > 0 && (i + b as usize).is_multiple_of(special_stride + 2) {
+                                [f64::NAN, f64::INFINITY, -0.0, f64::MIN_POSITIVE / 2.0][i % 4]
+                            } else {
+                                (b as f64 + 1.0) * 0.375 + i as f64 * 0.25 - 2.0
+                            }
+                        })
+                        .collect()
+                };
+                // Kinds 4-7 leave the buffer dense: some, all or none are views.
+                let arrays: Vec<_> = READ_ONLY
+                    .iter()
+                    .zip(&views)
+                    .map(|(&b, &(kind, pad))| {
+                        (kind < 4).then(|| {
+                            let (shape, rect) = geometry(kind, rows, run_len, pad);
+                            let volume = shape.iter().product::<u64>() as usize;
+                            let mut array: Vec<f64> = (0..volume).map(|i| -7e7 - i as f64).collect();
+                            let runs = rect.runs_in(&shape);
+                            for (i, v) in contents(b).into_iter().enumerate() {
+                                array[runs.offset(i)] = v;
+                            }
+                            if runs.count() >= 3 && 2 * runs.run_len() < SIMD_CHUNK {
+                                THREE_RUN_CHUNKS.fetch_add(1, Ordering::Relaxed);
+                            }
+                            (array, shape, rect)
+                        })
+                    })
+                    .collect();
+                for stage in &module.stages {
+                    if let KernelStage::Loop(l) = stage {
+                        let lanes = crate::lower::lower_loop(l).unwrap().vectorized;
+                        (if lanes { &LANE } else { &ELEMENTWISE }).fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                for kind in [BackendKind::Interp, BackendKind::Simd] {
+                    let compiled = kind.backend().compile(&module).unwrap();
+                    let mut dense: Vec<Buffer<'_>> =
+                        (0..BUFS).map(|b| Buffer::Dense(contents(b))).collect();
+                    let mut viewed = dense.clone();
+                    for (entry, array) in viewed.iter_mut().zip(&arrays) {
+                        if let Some((array, shape, rect)) = array {
+                            *entry = Buffer::View(BufferView::new(array, shape, rect));
+                        }
+                    }
+                    for stage in 0..module.num_stages() {
+                        let want = compiled.execute_stage(stage, &mut dense, &[]);
+                        let got = compiled.execute_stage(stage, &mut viewed, &[]);
+                        prop_assert_eq!(&got, &want, "{:?} stage {} of {:?}", kind, stage, module);
+                        prop_assert_eq!(got, Ok(()));
+                    }
+                    prop_assert_eq!(bits(&viewed), bits(&dense), "{:?} {:?}", kind, module);
+                }
+            }
+        }
+
+        #[test]
+        fn views_match_their_dense_copies_on_every_schedule() {
+            views_match_their_dense_copies();
+            // The property above is only as good as what it generated.
+            for class in [&LANE, &ELEMENTWISE, &THREE_RUN_CHUNKS] {
+                assert!(class.load(Ordering::Relaxed) > 0);
+            }
+        }
     }
 }

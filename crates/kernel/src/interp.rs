@@ -5,6 +5,9 @@
 //! unfused executions of the same program therefore produce comparable
 //! numerical results, which the integration tests rely on.
 
+use std::borrow::Cow;
+
+use crate::backend::{with_dense_table, Buffer};
 use crate::ir::{
     BinaryOp, BufferId, KernelModule, KernelStage, LoopKernel, LoopOp, OpaqueOp, UnaryOp, ValueId,
 };
@@ -25,6 +28,9 @@ pub enum ExecError {
     },
     /// An SSA value was used before being defined.
     UndefinedValue(ValueId),
+    /// A stage stores or reduces into a buffer bound as a read-only view
+    /// ([`crate::Buffer::View`]).
+    ReadOnlyBuffer(BufferId),
 }
 
 impl std::fmt::Display for ExecError {
@@ -38,6 +44,9 @@ impl std::fmt::Display for ExecError {
                 buffer.0, domain.0
             ),
             ExecError::UndefinedValue(v) => write!(f, "value {} used before definition", v.0),
+            ExecError::ReadOnlyBuffer(b) => {
+                write!(f, "buffer {} is a read-only view but the stage writes it", b.0)
+            }
         }
     }
 }
@@ -68,23 +77,26 @@ impl Interpreter {
         buffers: &mut [Vec<f64>],
         scalars: &[f64],
     ) -> Result<(), ExecError> {
-        for stage in &module.stages {
-            self.execute_stage(stage, buffers, scalars)?;
-        }
-        Ok(())
+        with_dense_table(buffers, |table| {
+            module
+                .stages
+                .iter()
+                .try_for_each(|stage| self.execute_stage(stage, table, scalars))
+        })
     }
 
-    /// Executes one stage of a module. The runtime's copy-in/copy-out
+    /// Executes one stage of a module over a buffer table. The runtime's
     /// coherence protocol runs stages one at a time, so backends expose
     /// stage-granular execution; this is the interpreter's implementation.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Interpreter::execute`], restricted to one stage.
+    /// Same contract as [`Interpreter::execute`], restricted to one stage,
+    /// plus [`ExecError::ReadOnlyBuffer`] if the stage writes a view entry.
     pub fn execute_stage(
         &self,
         stage: &KernelStage,
-        buffers: &mut [Vec<f64>],
+        buffers: &mut [Buffer<'_>],
         scalars: &[f64],
     ) -> Result<(), ExecError> {
         match stage {
@@ -96,7 +108,7 @@ impl Interpreter {
     fn execute_loop(
         &self,
         l: &LoopKernel,
-        buffers: &mut [Vec<f64>],
+        buffers: &mut [Buffer<'_>],
         scalars: &[f64],
     ) -> Result<(), ExecError> {
         let n = buffer_len(buffers, l.domain)?;
@@ -121,17 +133,18 @@ impl Interpreter {
                 });
             }
         }
+        check_writable(buffers, &l.written_buffers())?;
         let mut values = vec![f64::NAN; l.num_values()];
         let mut defined = vec![false; l.num_values()];
         for i in 0..n {
             for op in &l.ops {
                 match op {
                     LoopOp::Load { dst, buffer } => {
-                        values[dst.0 as usize] = buffers[buffer.0 as usize][i];
+                        values[dst.0 as usize] = buffers[buffer.0 as usize].get(i);
                         defined[dst.0 as usize] = true;
                     }
                     LoopOp::LoadScalar { dst, buffer } => {
-                        values[dst.0 as usize] = buffers[buffer.0 as usize][0];
+                        values[dst.0 as usize] = buffers[buffer.0 as usize].get(0);
                         defined[dst.0 as usize] = true;
                     }
                     LoopOp::Const { dst, value } => {
@@ -156,12 +169,12 @@ impl Interpreter {
                     }
                     LoopOp::Store { buffer, src } => {
                         let v = Self::read_value(&values, &defined, *src)?;
-                        buffers[buffer.0 as usize][i] = v;
+                        buffers[buffer.0 as usize].writable()[i] = v;
                     }
                     LoopOp::Reduce { buffer, op, src } => {
                         let v = Self::read_value(&values, &defined, *src)?;
-                        let acc = buffers[buffer.0 as usize][0];
-                        buffers[buffer.0 as usize][0] = op.apply(acc, v);
+                        let acc = &mut buffers[buffer.0 as usize].writable()[0];
+                        *acc = op.apply(*acc, v);
                     }
                 }
             }
@@ -183,81 +196,95 @@ impl Interpreter {
 }
 
 /// Length of a buffer, or [`ExecError::MissingBuffer`] if it is not provided.
-pub(crate) fn buffer_len(buffers: &[Vec<f64>], b: BufferId) -> Result<usize, ExecError> {
+pub(crate) fn buffer_len(buffers: &[Buffer<'_>], b: BufferId) -> Result<usize, ExecError> {
     buffers
         .get(b.0 as usize)
-        .map(Vec::len)
+        .map(Buffer::len)
         .ok_or(ExecError::MissingBuffer(b))
 }
 
-/// Executes one opaque builtin over host buffers. Shared by every backend —
+/// The last of a stage's up-front checks, shared by every backend: a buffer
+/// the stage writes must be dense storage, not a view.
+pub(crate) fn check_writable(buffers: &[Buffer<'_>], written: &[BufferId]) -> Result<(), ExecError> {
+    match written
+        .iter()
+        .find(|b| matches!(buffers.get(b.0 as usize), Some(Buffer::View(_))))
+    {
+        Some(&b) => Err(ExecError::ReadOnlyBuffer(b)),
+        None => Ok(()),
+    }
+}
+
+/// Executes one opaque builtin over a buffer table. Shared by every backend —
 /// opaque stages dispatch once per stage (their inner loops are already native
 /// Rust), so there is nothing for a compiling backend to specialize and all
 /// backends are bitwise-identical on them by construction.
-pub(crate) fn run_opaque(op: &OpaqueOp, buffers: &mut [Vec<f64>]) -> Result<(), ExecError> {
-    {
-        match op {
-            OpaqueOp::SpMvCsr {
-                pos,
-                crd,
-                vals,
-                x,
-                y,
-                ..
-            } => {
-                let rows = buffer_len(buffers, *y)?;
-                buffer_len(buffers, *pos)?;
-                buffer_len(buffers, *crd)?;
-                buffer_len(buffers, *vals)?;
-                buffer_len(buffers, *x)?;
-                for r in 0..rows {
-                    let start = buffers[pos.0 as usize][r] as usize;
-                    let end = buffers[pos.0 as usize][r + 1] as usize;
-                    let mut acc = 0.0;
-                    for k in start..end {
-                        let c = buffers[crd.0 as usize][k] as usize;
-                        acc += buffers[vals.0 as usize][k] * buffers[x.0 as usize][c];
-                    }
-                    buffers[y.0 as usize][r] = acc;
+///
+/// The inner loops run over plain slices: the output's storage is detached
+/// from the table for the duration, and every input is borrowed in place —
+/// dense storage or a single-run view — or, for a strided view, gathered into
+/// a dense copy first (`Buffer::dense`). An input that *is* the output
+/// reads the output's contents from before the stage.
+pub(crate) fn run_opaque(op: &OpaqueOp, buffers: &mut [Buffer<'_>]) -> Result<(), ExecError> {
+    let output = op.written_buffers()[0];
+    buffer_len(buffers, output)?;
+    for b in op.read_buffers() {
+        buffer_len(buffers, b)?;
+    }
+    check_writable(buffers, &[output])?;
+    let mut out = std::mem::take(buffers[output.0 as usize].writable());
+    let input = |b: BufferId| {
+        if b == output {
+            Cow::Owned(out.clone())
+        } else {
+            buffers[b.0 as usize].dense()
+        }
+    };
+    match op {
+        OpaqueOp::SpMvCsr {
+            pos, crd, vals, x, ..
+        } => {
+            let (pos, crd, vals, x) = (input(*pos), input(*crd), input(*vals), input(*x));
+            for (r, y) in out.iter_mut().enumerate() {
+                let (start, end) = (pos[r] as usize, pos[r + 1] as usize);
+                let mut acc = 0.0;
+                for k in start..end {
+                    acc += vals[k] * x[crd[k] as usize];
                 }
-            }
-            OpaqueOp::Gemv { a, x, y } => {
-                let rows = buffer_len(buffers, *y)?;
-                let cols = buffer_len(buffers, *x)?;
-                buffer_len(buffers, *a)?;
-                for r in 0..rows {
-                    let mut acc = 0.0;
-                    for c in 0..cols {
-                        acc += buffers[a.0 as usize][r * cols + c] * buffers[x.0 as usize][c];
-                    }
-                    buffers[y.0 as usize][r] = acc;
-                }
-            }
-            OpaqueOp::Restrict { fine, coarse } => {
-                let nc = buffer_len(buffers, *coarse)?;
-                let nf = buffer_len(buffers, *fine)?;
-                for i in 0..nc {
-                    let j = (2 * i).min(nf.saturating_sub(1));
-                    buffers[coarse.0 as usize][i] = buffers[fine.0 as usize][j];
-                }
-            }
-            OpaqueOp::Prolong { coarse, fine } => {
-                let nc = buffer_len(buffers, *coarse)?;
-                let nf = buffer_len(buffers, *fine)?;
-                for i in 0..nf {
-                    let c = (i / 2).min(nc.saturating_sub(1));
-                    if i % 2 == 0 {
-                        buffers[fine.0 as usize][i] = buffers[coarse.0 as usize][c];
-                    } else {
-                        let c2 = (c + 1).min(nc.saturating_sub(1));
-                        buffers[fine.0 as usize][i] =
-                            0.5 * (buffers[coarse.0 as usize][c] + buffers[coarse.0 as usize][c2]);
-                    }
-                }
+                *y = acc;
             }
         }
-        Ok(())
+        OpaqueOp::Gemv { a, x, .. } => {
+            let (a, x) = (input(*a), input(*x));
+            let cols = x.len();
+            for (r, y) in out.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for c in 0..cols {
+                    acc += a[r * cols + c] * x[c];
+                }
+                *y = acc;
+            }
+        }
+        OpaqueOp::Restrict { fine, .. } => {
+            let fine = input(*fine);
+            for (i, coarse) in out.iter_mut().enumerate() {
+                *coarse = fine[(2 * i).min(fine.len().saturating_sub(1))];
+            }
+        }
+        OpaqueOp::Prolong { coarse, .. } => {
+            let coarse = input(*coarse);
+            let last = coarse.len().saturating_sub(1);
+            for (i, fine) in out.iter_mut().enumerate() {
+                let c = (i / 2).min(last);
+                *fine = match i % 2 {
+                    0 => coarse[c],
+                    _ => 0.5 * (coarse[c] + coarse[(c + 1).min(last)]),
+                };
+            }
+        }
     }
+    buffers[output.0 as usize] = Buffer::Dense(out);
+    Ok(())
 }
 
 /// Resolves a unary operator to its host function. Every backend evaluates
@@ -418,6 +445,20 @@ mod tests {
         let mut bufs = vec![vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 1.0], vec![0.0, 0.0]];
         Interpreter::new().execute(&module, &mut bufs, &[]).unwrap();
         assert_eq!(bufs[2], vec![3.0, 7.0]);
+    }
+
+    #[test]
+    fn an_opaque_input_that_is_the_output_reads_its_old_contents() {
+        // y = A y with A = [[0, 1], [1, 0]]: a swap, not [y1, y1].
+        let mut m = KernelModule::new(2);
+        m.push_opaque(OpaqueOp::Gemv {
+            a: BufferId(0),
+            x: BufferId(1),
+            y: BufferId(1),
+        });
+        let mut bufs = vec![vec![0.0, 1.0, 1.0, 0.0], vec![3.0, 5.0]];
+        Interpreter::new().execute(&m, &mut bufs, &[]).unwrap();
+        assert_eq!(bufs[1], vec![5.0, 3.0]);
     }
 
     #[test]

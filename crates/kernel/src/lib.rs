@@ -75,7 +75,9 @@ pub use analyze::{
     effective_signature, infer_footprint, EffectiveSignature, Interval, ModuleSummary,
     StageFootprint,
 };
-pub use backend::{compile_interp, BackendKind, CompiledKernel, InterpBackend, KernelBackend};
+pub use backend::{
+    compile_interp, BackendKind, Buffer, BufferView, CompiledKernel, InterpBackend, KernelBackend,
+};
 pub use builder::LoopBuilder;
 pub use cost::{host_compile_model, CompileTimeModel, HostCompileModel, KernelCost};
 pub use simd::SimdBackend;

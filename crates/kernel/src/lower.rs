@@ -36,7 +36,8 @@
 //! renumbers them into arrays-of-lanes); [`crate::verify::verify_lowering`]
 //! re-derives them independently to check the executor's invariants.
 
-use crate::interp::{self, buffer_len, ExecError};
+use crate::backend::Buffer;
+use crate::interp::{self, buffer_len, check_writable, ExecError};
 use crate::ir::{BinaryOp, BufferId, LoopKernel, LoopOp, ReduceOp, UnaryOp, ValueId};
 
 /// One pre-resolved micro-op. All ids are raw indices; operator variants the
@@ -80,13 +81,13 @@ pub(crate) enum Instr {
 pub(crate) fn run_instr(
     instr: Instr,
     values: &mut [f64],
-    buffers: &mut [Vec<f64>],
+    buffers: &mut [Buffer<'_>],
     scalars: &[f64],
     i: usize,
 ) {
     match instr {
-        Instr::Load { dst, buf } => values[dst as usize] = buffers[buf as usize][i],
-        Instr::LoadScalar { dst, buf } => values[dst as usize] = buffers[buf as usize][0],
+        Instr::Load { dst, buf } => values[dst as usize] = buffers[buf as usize].get(i),
+        Instr::LoadScalar { dst, buf } => values[dst as usize] = buffers[buf as usize].get(0),
         Instr::Set { dst, imm } => values[dst as usize] = imm,
         Instr::Param { dst, idx } => values[dst as usize] = scalars[idx as usize],
         Instr::Neg { dst, a } => values[dst as usize] = -values[a as usize],
@@ -106,9 +107,10 @@ pub(crate) fn run_instr(
         Instr::Binary { dst, a, b, f } => {
             values[dst as usize] = f(values[a as usize], values[b as usize])
         }
-        Instr::Store { buf, src } => buffers[buf as usize][i] = values[src as usize],
+        Instr::Store { buf, src } => buffers[buf as usize].writable()[i] = values[src as usize],
         Instr::Reduce { buf, src, op } => {
-            buffers[buf as usize][0] = op.apply(buffers[buf as usize][0], values[src as usize])
+            let acc = &mut buffers[buf as usize].writable()[0];
+            *acc = op.apply(*acc, values[src as usize])
         }
     }
 }
@@ -125,6 +127,8 @@ pub(crate) struct CompiledLoop {
     pub(crate) elem_buffers: Vec<(BufferId, bool)>,
     /// Buffers read as broadcast scalars (must be non-empty).
     pub(crate) scalar_buffers: Vec<BufferId>,
+    /// Buffers stored or reduced into (must be dense storage, not views).
+    pub(crate) written: Vec<BufferId>,
     /// Scalar-parameter indices in first-use order (checked before the loop
     /// runs, so the error matches the interpreter's first failing `Param`).
     pub(crate) params_in_order: Vec<usize>,
@@ -143,10 +147,10 @@ pub(crate) struct CompiledLoop {
 impl CompiledLoop {
     /// Runtime validation before a stage executes: checks buffer
     /// presence, lengths against the iteration domain, broadcast-scalar
-    /// non-emptiness and (for non-empty domains) scalar-parameter presence —
-    /// the same contract, in the same order, as the interpreter. Returns the
+    /// non-emptiness and that no written buffer is a read-only view — the
+    /// same contract, in the same order, as the interpreter. Returns the
     /// domain length; `0` means the stage is a no-op.
-    pub(crate) fn check(&self, buffers: &[Vec<f64>]) -> Result<usize, ExecError> {
+    pub(crate) fn check(&self, buffers: &[Buffer<'_>]) -> Result<usize, ExecError> {
         let n = buffer_len(buffers, self.domain)?;
         for &(b, is_reduction_target) in &self.elem_buffers {
             let len = buffer_len(buffers, b)?;
@@ -165,6 +169,7 @@ impl CompiledLoop {
                 });
             }
         }
+        check_writable(buffers, &self.written)?;
         Ok(n)
     }
 
@@ -185,7 +190,7 @@ impl CompiledLoop {
     /// [`Self::check`].
     pub(crate) fn run_elementwise(
         &self,
-        buffers: &mut [Vec<f64>],
+        buffers: &mut [Buffer<'_>],
         scalars: &[f64],
         n: usize,
     ) {
@@ -366,6 +371,7 @@ pub(crate) fn lower_loop(l: &LoopKernel) -> Result<CompiledLoop, ExecError> {
         domain: l.domain,
         elem_buffers,
         scalar_buffers: l.scalar_loaded_buffers(),
+        written,
         params_in_order,
         num_values,
         prelude,

@@ -54,7 +54,7 @@
 
 use std::sync::Arc;
 
-use crate::backend::{BackendKind, CompiledKernel, KernelBackend};
+use crate::backend::{BackendKind, Buffer, CompiledKernel, KernelBackend};
 use crate::cost::CompileTimeModel;
 use crate::interp::{self, ExecError};
 use crate::ir::{KernelModule, KernelStage, OpaqueOp, ReduceOp};
@@ -166,7 +166,7 @@ impl CompiledKernel for SimdCompiled {
     fn execute_stage(
         &self,
         stage: usize,
-        buffers: &mut [Vec<f64>],
+        buffers: &mut [Buffer<'_>],
         scalars: &[f64],
     ) -> Result<(), ExecError> {
         match &self.stages[stage] {
@@ -271,13 +271,13 @@ macro_rules! lane_op {
 
 /// Executes the lane-parallel schedule over a non-empty domain of `n`
 /// elements. The caller has already validated buffers and scalars.
-fn run_lanes(plan: &LanePlan, buffers: &mut [Vec<f64>], scalars: &[f64], n: usize) {
+fn run_lanes(plan: &LanePlan, buffers: &mut [Buffer<'_>], scalars: &[f64], n: usize) {
     let mut regs: Vec<Row> = vec![splat(0.0); plan.num_regs.max(1)];
     for &instr in &plan.prelude {
         let (dst, v) = match instr {
             Instr::Set { dst, imm } => (dst, imm),
             Instr::Param { dst, idx } => (dst, scalars[idx as usize]),
-            Instr::LoadScalar { dst, buf } => (dst, buffers[buf as usize][0]),
+            Instr::LoadScalar { dst, buf } => (dst, buffers[buf as usize].get(0)),
             _ => unreachable!("only invariant ops are hoisted"),
         };
         regs[dst as usize] = splat(v);
@@ -294,15 +294,22 @@ fn run_lanes(plan: &LanePlan, buffers: &mut [Vec<f64>], scalars: &[f64], n: usiz
 /// `base`. `len < SIMD_CHUNK` only on the final masked tail: loads fill only
 /// the valid lanes, arithmetic runs full width (stale dead lanes are never
 /// observable), stores and reductions mask back down to `len`.
-fn run_chunk(body: &[Instr], regs: &mut [Row], buffers: &mut [Vec<f64>], base: usize, len: usize) {
+fn run_chunk(
+    body: &[Instr],
+    regs: &mut [Row],
+    buffers: &mut [Buffer<'_>],
+    base: usize,
+    len: usize,
+) {
     for &instr in body {
         match instr {
             Instr::Load { dst, buf } => {
                 // Row-major lane order is element order and the row layout is
                 // exactly `[f64; SIMD_CHUNK]`, so a (possibly masked) load is
-                // one flat memcpy into the leading lanes.
+                // one flat memcpy into the leading lanes — one per run the
+                // chunk spans when the buffer is a strided view.
                 let row = regs[dst as usize].as_flattened_mut();
-                row[..len].copy_from_slice(&buffers[buf as usize][base..base + len]);
+                buffers[buf as usize].read(base, &mut row[..len]);
             }
             Instr::Neg { dst, a } => lane_op!(regs, dst, a, |x| -x),
             Instr::Add { dst, a, b } => lane_op!(regs, dst, a, b, |x, y| x + y),
@@ -315,13 +322,13 @@ fn run_chunk(body: &[Instr], regs: &mut [Row], buffers: &mut [Vec<f64>], base: u
                 // The masked write-back mirrors the load: only the `len`
                 // valid leading lanes reach memory.
                 let row = regs[src as usize].as_flattened();
-                buffers[buf as usize][base..base + len].copy_from_slice(&row[..len]);
+                buffers[buf as usize].writable()[base..base + len].copy_from_slice(&row[..len]);
             }
             Instr::Reduce { buf, src, op } => {
                 // Row-major lane order *is* element order, so this fold is
                 // bitwise-identical to the interpreter's.
                 let row = &regs[src as usize].as_flattened()[..len];
-                let mut acc = buffers[buf as usize][0];
+                let mut acc = buffers[buf as usize].get(0);
                 match op {
                     ReduceOp::Sum => {
                         for &x in row {
@@ -339,7 +346,7 @@ fn run_chunk(body: &[Instr], regs: &mut [Row], buffers: &mut [Vec<f64>], base: u
                         }
                     }
                 }
-                buffers[buf as usize][0] = acc;
+                buffers[buf as usize].writable()[0] = acc;
             }
             Instr::LoadScalar { .. } | Instr::Set { .. } | Instr::Param { .. } => {
                 unreachable!("invariant ops are always hoisted on the lane path")

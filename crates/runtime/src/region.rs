@@ -3,12 +3,15 @@
 //! A [`Region`] is the plain data holder. The runtime and its executors never
 //! share `Region`s directly; they share [`RegionHandle`]s, which put the data
 //! behind an interior-mutability-safe lock while keeping the immutable
-//! metadata (shape, name) lock-free to read. Executor workers running on
-//! different threads lock individual regions only for the duration of a
-//! copy-in or copy-out, so launches touching disjoint regions proceed fully in
-//! parallel (see `docs/RUNTIME.md`).
+//! metadata (shape, name) lock-free to read. An executor worker takes a
+//! region's write lock only for the duration of a copy-out, and its read lock
+//! either for one copy-in or — when the launch only reads the region and
+//! borrows it — for the whole launch (`RegionHandle::read_guard`); readers
+//! share the lock, so launches that only read a region, or touch disjoint
+//! regions, proceed fully in parallel (see `docs/RUNTIME.md`, "The stage
+//! protocol").
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, TryLockError};
 
 use ir::Rect;
 
@@ -117,11 +120,14 @@ impl Region {
     /// As [`Region::read_rect`].
     pub fn read_rect_into(&self, rect: &Rect, out: &mut Vec<f64>) {
         let data = self.data.as_ref().expect("region is not materialized");
+        // Validate, then reserve: an out-of-range rect must raise the bounds
+        // panic the executors catch, not ask the allocator for its volume.
+        let runs = rect.runs_in(&self.shape);
         out.clear();
-        out.reserve(rect.volume() as usize);
-        for_each_run(rect, &self.shape, |start, len| {
-            out.extend_from_slice(&data[start..start + len]);
-        });
+        out.reserve(runs.len());
+        for start in runs.starts() {
+            out.extend_from_slice(&data[start..start + runs.run_len()]);
+        }
     }
 
     /// Writes a dense row-major buffer into the elements inside `rect`.
@@ -137,12 +143,13 @@ impl Region {
             "value buffer length must equal the rect volume"
         );
         let data = self.data.as_mut().expect("region is not materialized");
+        let runs = rect.runs_in(&self.shape);
         let mut values = values;
-        for_each_run(rect, &self.shape, |start, len| {
-            let (run, rest) = values.split_at(len);
-            data[start..start + len].copy_from_slice(run);
+        for start in runs.starts() {
+            let (run, rest) = values.split_at(runs.run_len());
+            data[start..start + runs.run_len()].copy_from_slice(run);
             values = rest;
-        });
+        }
     }
 }
 
@@ -205,6 +212,12 @@ impl RegionHandle {
         &self.meta.name
     }
 
+    /// The region's id, for tests that build a `BufferAccess` by hand.
+    #[cfg(test)]
+    pub(crate) fn id(&self) -> RegionId {
+        self.cell.read().unwrap().id
+    }
+
     /// Number of elements.
     pub fn volume(&self) -> u64 {
         self.meta.shape.iter().product()
@@ -238,6 +251,31 @@ impl RegionHandle {
     /// As [`RegionHandle::read_rect`].
     pub fn read_rect_into(&self, rect: &Rect, out: &mut Vec<f64>) {
         self.cell.read().unwrap().read_rect_into(rect, out);
+    }
+
+    /// The region behind its read lock, for a launch that borrows the
+    /// contents instead of copying them. The caller holds the guard for the
+    /// whole launch, so it takes one per region (re-locking a lock this thread
+    /// already holds can deadlock) and never while it may write the region.
+    ///
+    /// The lock is free of writers by construction: the executors'
+    /// [`crate::DepTracker`] orders every writer of a region against every
+    /// launch that reads it, and the runtime flushes before touching region
+    /// data itself. Debug builds assert that the guard is taken without
+    /// waiting, so a scheduling bug trips an assertion instead of blocking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a writer panicked while holding the lock.
+    pub(crate) fn read_guard(&self) -> RwLockReadGuard<'_, Region> {
+        self.cell.try_read().unwrap_or_else(|e| {
+            debug_assert!(
+                matches!(e, TryLockError::Poisoned(_)),
+                "a launch borrowing region {:?} had to wait for a writer",
+                self.name()
+            );
+            self.cell.read().unwrap()
+        })
     }
 
     /// Writes a dense row-major buffer into the elements inside `rect`,
@@ -281,55 +319,6 @@ impl RegionHandle {
         if region.is_materialized() {
             region.data = Some(data);
         }
-    }
-}
-
-/// Calls `copy(start, len)` for every maximal contiguous run of `rect` within
-/// a row-major array of the given shape, in row-major order: one run per
-/// innermost-dimension row, coalesced across every trailing dimension the
-/// rect spans entirely — a 1-D tile or a full-width block of rows is a single
-/// run. A zero-volume rect has no runs; a rank-0 rect is the one element.
-///
-/// # Panics
-///
-/// Panics if the rect rank differs from the shape rank or the rect extends
-/// outside the shape.
-fn for_each_run(rect: &Rect, shape: &[u64], mut copy: impl FnMut(usize, usize)) {
-    assert_eq!(rect.rank(), shape.len(), "rect rank must match region rank");
-    for d in 0..rect.rank() {
-        assert!(
-            rect.lo[d] >= 0 && rect.hi[d] <= shape[d] as i64,
-            "rect {rect} out of bounds for shape {shape:?}"
-        );
-    }
-    if rect.volume() == 0 {
-        return;
-    }
-    let extent = |d: usize| (rect.hi[d] - rect.lo[d]) as usize;
-    // Fold trailing full-span dimensions into the run: afterwards `stride`
-    // is the row-major stride of the run dimension `outer` (when there is
-    // one) and dimensions `0..outer` enumerate the runs.
-    let mut outer = rect.rank().saturating_sub(1);
-    let mut stride = 1usize;
-    while outer > 0 && extent(outer) == shape[outer] as usize {
-        stride *= shape[outer] as usize;
-        outer -= 1;
-    }
-    let (first, len) = match rect.rank() {
-        0 => (0, 1),
-        _ => (rect.lo[outer] as usize * stride, extent(outer) * stride),
-    };
-    let runs: usize = (0..outer).map(extent).product();
-    for mut run in 0..runs {
-        // Decompose the run number into outer coordinates, innermost first.
-        let mut start = first;
-        let mut stride = stride;
-        for d in (0..outer).rev() {
-            stride *= shape[d + 1] as usize;
-            start += (rect.lo[d] as usize + run % extent(d)) * stride;
-            run /= extent(d);
-        }
-        copy(start, len);
     }
 }
 
@@ -448,8 +437,9 @@ mod tests {
                 let indices: Vec<usize> = rect_indices(&rect, shape).collect();
 
                 // The runs tile the walk in order, and none could be longer.
-                let mut runs = Vec::new();
-                for_each_run(&rect, shape, |start, len| runs.push((start, len)));
+                let geometry = rect.runs_in(shape);
+                let runs: Vec<(usize, usize)> =
+                    geometry.starts().map(|start| (start, geometry.run_len())).collect();
                 let tiled: Vec<usize> = runs.iter().flat_map(|&(s, l)| s..s + l).collect();
                 assert_eq!(tiled, indices, "{rect} in {shape:?}");
                 assert!(runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0), "{rect} in {shape:?}");
@@ -493,6 +483,15 @@ mod tests {
     fn out_of_bounds_rect_panics() {
         let r = Region::new(RegionId(0), vec![4], "v", true);
         let _ = r.read_rect(&Rect::new(vec![2], vec![6]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn huge_out_of_bounds_rect_panics_before_reserving() {
+        // Reserving the rect's 2^40 elements first would abort the process in
+        // the allocator instead of raising the panic the executors catch.
+        let r = Region::new(RegionId(0), vec![8], "v", true);
+        let _ = r.read_rect(&Rect::new(vec![0], vec![1 << 40]));
     }
 
     #[test]
