@@ -167,6 +167,14 @@ mod tests {
         // combines another.
         assert_eq!(vertical.launches_per_iteration, 2.0 * batches as f64);
         assert_eq!(horizontal.launches_per_iteration, 2.0);
+        // The payoff of the feature, in the unit the paper reports: 14 fewer
+        // launch overheads per iteration of simulated time.
+        assert!(
+            horizontal.throughput > vertical.throughput,
+            "horizontal {} it/s vs vertical {} it/s",
+            horizontal.throughput,
+            vertical.throughput
+        );
         // The unfused baseline launches every submitted task.
         assert!(unfused.launches_per_iteration > 30.0 * batches as f64);
     }

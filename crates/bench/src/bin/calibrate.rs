@@ -21,21 +21,16 @@
 //!
 //! Absolute nanoseconds are machine-dependent; the ratios are not (they
 //! compare two code paths on the same host), so `--check` re-measures and
-//! fails on a >30% drift of the ratio against the recorded baseline
-//! (`CALIBRATE_TOLERANCE` overrides; `CALIBRATE_MS` scales the per-point
-//! measurement window).
+//! fails on a drift of the ratio beyond [`TOLERANCE_PCT`] against the
+//! recorded baseline.
 //!
 //! ```sh
 //! cargo run --release --bin calibrate            # rewrite the baseline
 //! cargo run --release --bin calibrate -- --check # CI drift gate
 //! ```
 
-use std::time::Instant;
-
+use bench::{Bound, JsonValue};
 use kernel::{BackendKind, BufferId, BufferRole, KernelModule, LoopBuilder};
-
-/// Path of the recorded calibration, relative to the workspace root.
-const BENCH_FILE: &str = "BENCH_compile_calibration.json";
 
 /// The calibrated backends, in recording order. The interpreter is the
 /// reference the ratios are taken against.
@@ -52,11 +47,13 @@ const CHAIN: [usize; 3] = [2, 8, 24];
 const REF_STAGES: usize = 16;
 const REF_CHAIN: usize = 8;
 
-/// Per-grid-point measurement window in milliseconds (`CALIBRATE_MS`
-/// overrides). `--check` runs double-length windows, like the other gates.
-fn measure_ms() -> u64 {
-    bench::measure_ms("CALIBRATE_MS", 15)
-}
+/// Compilations timed per grid point (the grid's largest module compiles in
+/// ≈15 µs under simd, its smallest in ≈0.1 µs under the interpreter).
+const COMPILES: u64 = 4000;
+
+/// Allowed drift of the simd ÷ interp compile-cost ratio against the
+/// recorded one, percent.
+const TOLERANCE_PCT: f64 = 30.0;
 
 /// A module of `stages` identical loop stages, each an SSA chain of `chain`
 /// arithmetic ops — the vectorizable shape every backend lowers fully, so
@@ -81,16 +78,10 @@ fn module(stages: usize, chain: usize) -> KernelModule {
 /// Mean wall-clock nanoseconds of one compilation of `m` under `kind`.
 fn time_compile(kind: BackendKind, m: &KernelModule) -> f64 {
     let backend = kind.backend();
+    let compile = || drop(backend.compile(m).expect("compile failed"));
     // Warm up (page in code, resolve one-time lazies).
-    let _ = backend.compile(m).expect("compile failed");
-    let budget = std::time::Duration::from_millis(measure_ms());
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < budget {
-        let _ = backend.compile(m).expect("compile failed");
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
+    bench::batch_ns(1, compile);
+    bench::batch_ns(COMPILES, compile) / COMPILES as f64
 }
 
 /// One backend's fitted host model plus its fit quality.
@@ -133,32 +124,9 @@ fn ratio_vs_interp(own: &Fitted, interp: &Fitted) -> f64 {
 /// Key of the one drift-gated ratio line.
 const RATIO_KEY: &str = "compile_calibration/simd_vs_interp";
 
-fn json_lines(fits: &[Fitted], ratio: f64) -> Vec<String> {
-    use bench::JsonValue;
-    let mut out = Vec::new();
-    for f in fits {
-        out.push(bench::json_line(
-            &format!("compile_calibration/{}", f.kind.id()),
-            &[
-                ("backend", JsonValue::Str(f.kind.id().to_string())),
-                ("base_ns", JsonValue::Num(f.beta[0])),
-                ("per_op_ns", JsonValue::Num(f.beta[1])),
-                ("per_stage_ns", JsonValue::Num(f.beta[2])),
-                ("r2", JsonValue::Num(f.r2)),
-            ],
-        ));
-    }
-    out.push(bench::json_line(RATIO_KEY, &[("ratio", JsonValue::Num(ratio))]));
-    out
-}
-
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
     println!("=== Compile-time calibration: fitted per-backend coefficients ===");
-    println!(
-        "(grid: stages {STAGES:?} x chain {CHAIN:?}, {} ms/point)\n",
-        measure_ms()
-    );
+    println!("(grid: stages {STAGES:?} x chain {CHAIN:?}, {COMPILES} compilations/point)\n");
     println!(
         "{:<10}{:>12}{:>12}{:>14}{:>8}",
         "Backend", "base ns", "per-op ns", "per-stage ns", "R2"
@@ -180,25 +148,26 @@ fn main() {
     // clone-and-wrap; a ratio below 1 means the measurement is broken.
     assert!(ratio > 1.0, "fitted simd ratio {ratio:.3} is not above 1.0");
 
-    if check {
-        let baseline = std::fs::read_to_string(BENCH_FILE)
-            .unwrap_or_else(|e| panic!("--check needs a checked-in {BENCH_FILE}: {e}"));
-        // Allowed ratio drift in percent.
-        let tolerance = bench::tolerance_pct("CALIBRATE_TOLERANCE", 30.0);
-        let base = bench::parse_metric(&baseline, RATIO_KEY, "ratio")
-            .unwrap_or_else(|| panic!("no baseline entry for {RATIO_KEY} in {BENCH_FILE}"));
-        let drift_pct = (ratio - base).abs() / base * 100.0;
-        println!("{RATIO_KEY}: baseline {base:.2}x, current {ratio:.2}x, drift {drift_pct:.1}%");
-        assert!(
-            drift_pct <= tolerance,
-            "compile-cost ratio drifted >{tolerance}% vs {BENCH_FILE}; re-record \
-             the baseline (`cargo run --release --bin calibrate` + rebuild) if \
-             the lowering legitimately changed, or raise CALIBRATE_TOLERANCE \
-             for a hardware migration"
-        );
-        println!("\ncheck passed: ratio within {tolerance}% of the recorded baseline.");
-    } else {
-        let path = bench::write_bench_file("compile_calibration", &json_lines(&fits, ratio));
-        println!("recorded {path} — rebuild so kernel::cost embeds the new coefficients");
-    }
+    let notes = fits
+        .iter()
+        .map(|f| {
+            bench::json_line(
+                &format!("compile_calibration/{}", f.kind.id()),
+                &[
+                    ("backend", JsonValue::Str(f.kind.id().to_string())),
+                    ("base_ns", JsonValue::Num(f.beta[0])),
+                    ("per_op_ns", JsonValue::Num(f.beta[1])),
+                    ("per_stage_ns", JsonValue::Num(f.beta[2])),
+                    ("r2", JsonValue::Num(f.r2)),
+                ],
+            )
+        })
+        .collect();
+    // Re-recording moves every simulated compile surcharge under simd:
+    // rebuild afterwards so `kernel::cost` embeds the new coefficients.
+    bench::record_or_check(
+        "compile_calibration",
+        notes,
+        &[(RATIO_KEY, "ratio", ratio, Bound::Drift { pct: TOLERANCE_PCT })],
+    );
 }

@@ -1,22 +1,22 @@
-//! Times the interpreter vs SIMD kernel backends on the fused CG and Jacobi
-//! windows and records the trajectory in
+//! Times the interpreter against the SIMD kernel backend on the fused CG
+//! and Jacobi windows and records the trajectory in
 //! `BENCH_kernel_backends.json` (schema in `docs/BENCHMARKS.md`).
 //!
 //! The windows are built exactly the way `diffuse::Context` builds them: the
 //! constituent task bodies are composed in program order and pushed through
 //! `kernel::Pipeline::default()`, so the measured artifact is the real fused
-//! loop nest, not a synthetic microbenchmark. For each backend the binary
-//! reports
+//! loop nest, not a synthetic microbenchmark. Per window the binary reports
 //!
-//! * **ns_per_element** — steady-state execution wall-clock divided by
-//!   elements processed (the quantity memoized execution pays per iteration),
-//! * **compile_ns** — one-time host cost of `KernelBackend::compile` (the
-//!   quantity memoization amortizes).
+//! * **simd_speedup** — interp ÷ simd steady-state execution time per
+//!   element, both compiled kernels alive in one process and timed in
+//!   alternating pairs by `bench::paired` (the quantity memoized execution
+//!   pays per iteration),
+//! * **compile_ns** — one-time host cost of `KernelBackend::compile` per
+//!   backend (the quantity memoization amortizes; recorded, not gated).
 //!
 //! Absolute nanoseconds are machine-dependent, so the regression gate runs on
-//! the machine-independent **speedup ratio** (interp ÷ simd per-element
-//! time): `kernel_backends --check` re-measures and fails if the current
-//! speedup regressed more than 20% against the checked-in baseline, or if the
+//! the **speedup ratio**: `kernel_backends --check` fails if it regressed
+//! more than [`TOLERANCE_PCT`] against the checked-in baseline, or if the
 //! SIMD backend is no longer faster than the interpreter at all.
 //!
 //! ```sh
@@ -24,25 +24,26 @@
 //! cargo run --release --bin kernel_backends -- --check # CI regression gate
 //! ```
 
-use std::time::Instant;
-
+use bench::{Bound, JsonValue};
 use kernel::{
-    BackendKind, BufferId, BufferRole, CompiledKernel, KernelBackend, KernelModule, LoopBuilder,
+    BackendKind, BufferId, BufferRole, CompiledKernel, KernelModule, LoopBuilder,
     Pipeline,
 };
 
 /// Elements per buffer in the measured windows.
 const N: usize = 1 << 15;
-
-/// Path of the recorded trajectory, relative to the workspace root.
-const BENCH_FILE: &str = "BENCH_kernel_backends.json";
-
-/// Measurement window in milliseconds (`KERNEL_BACKENDS_MS` overrides).
-/// `--check` runs double-length windows: the regression verdict deserves
-/// more stability than a baseline refresh.
-fn measure_ms() -> u64 {
-    bench::measure_ms("KERNEL_BACKENDS_MS", 200)
-}
+/// Alternating pairs per window.
+const PAIRS: usize = 60;
+/// Kernel executions per timed batch, indexed like [`BACKENDS`]: the
+/// interpreter is ≈20× slower per element, so its batches run fewer.
+const EXECS: [u64; 2] = [4, 40];
+/// Compilations per backend behind the recorded `compile_ns`.
+const COMPILES: u64 = 2000;
+/// Allowed regression of a window's speedup against the recorded one,
+/// percent. The floor of 1.0 is the SIMD backend's reason to exist:
+/// resolving ops once and streaming them over lanes must beat re-matching
+/// the IR per element.
+const TOLERANCE_PCT: f64 = 20.0;
 
 /// The fused CG vector window: x += alpha*p; r -= alpha*q; rs += r*r;
 /// p = r + beta*p — the four vector updates between SpMVs that Diffuse fuses
@@ -137,31 +138,15 @@ fn jacobi_window() -> (KernelModule, Vec<Vec<f64>>, Vec<f64>) {
     (fused, buffers, vec![1.0 / 64.0])
 }
 
-/// Steady-state per-element execution time in nanoseconds.
-fn time_execute(kernel: &dyn CompiledKernel, buffers: &mut [Vec<f64>], scalars: &[f64]) -> f64 {
-    // Warm up once (page in buffers, populate caches).
-    kernel.execute(buffers, scalars).expect("kernel failed");
-    let budget = std::time::Duration::from_millis(measure_ms());
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < budget {
-        kernel.execute(buffers, scalars).expect("kernel failed");
-        iters += 1;
-    }
-    let total_ns = start.elapsed().as_nanos() as f64;
-    total_ns / (iters as f64 * N as f64)
-}
-
-/// Mean one-time compilation cost in nanoseconds.
-fn time_compile(backend: &dyn KernelBackend, module: &KernelModule) -> f64 {
-    let budget = std::time::Duration::from_millis(measure_ms() / 4);
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < budget {
-        let _ = backend.compile(module).expect("compile failed");
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
+/// Steady-state execution nanoseconds per element over one timed batch.
+fn batch_ns_per_element(
+    kernel: &dyn CompiledKernel,
+    execs: u64,
+    buffers: &mut [Vec<f64>],
+    scalars: &[f64],
+) -> f64 {
+    let ns = bench::batch_ns(execs, || kernel.execute(buffers, scalars).expect("kernel failed"));
+    ns / (execs * N as u64) as f64
 }
 
 /// The measured backends, in column order.
@@ -169,23 +154,12 @@ const BACKENDS: [BackendKind; 2] = [BackendKind::Interp, BackendKind::Simd];
 
 struct WindowResult {
     window: &'static str,
-    /// Per-element execution ns and one-time compile ns, indexed like
-    /// [`BACKENDS`].
-    ns: [f64; 2],
+    /// `bench` key of the gated ratio line.
+    key: String,
+    /// interp ÷ simd per-element execution time (the gated ratio).
+    speedup: bench::Paired,
+    /// One-time compile ns, indexed like [`BACKENDS`].
     compile_ns: [f64; 2],
-}
-
-impl WindowResult {
-    fn interp_ns(&self) -> f64 {
-        self.ns[0]
-    }
-    fn simd_ns(&self) -> f64 {
-        self.ns[1]
-    }
-    /// interp ÷ simd per-element time (the gated ratio).
-    fn simd_speedup(&self) -> f64 {
-        self.interp_ns() / self.simd_ns().max(1e-9)
-    }
 }
 
 /// A benchmark case: the module to run plus its input buffers and scalars.
@@ -193,125 +167,66 @@ type WindowCase = (KernelModule, Vec<Vec<f64>>, Vec<f64>);
 
 fn measure_window(window: &'static str, build: fn() -> WindowCase) -> WindowResult {
     let (module, buffers, scalars) = build();
-    let mut result = WindowResult {
-        window,
-        ns: [0.0; 2],
-        compile_ns: [0.0; 2],
-    };
-    for (i, kind) in BACKENDS.into_iter().enumerate() {
-        let backend = kind.backend();
-        result.compile_ns[i] = time_compile(backend.as_ref(), &module);
-        let compiled = backend.compile(&module).expect("compile failed");
-        let mut bufs = buffers.clone();
-        result.ns[i] = time_execute(compiled.as_ref(), &mut bufs, &scalars);
-    }
-    result
-}
-
-/// Records the measured windows through the shared `BENCH_*.json` helpers
-/// (`crates/bench/src/lib.rs`).
-fn json_lines(results: &[WindowResult]) -> Vec<String> {
-    use bench::JsonValue;
-    let mut out = Vec::new();
-    for r in results {
-        for (i, kind) in BACKENDS.into_iter().enumerate() {
-            out.push(bench::json_line(
-                &format!("kernel_backends/{}/{}", r.window, kind.id()),
-                &[
-                    ("backend", JsonValue::Str(kind.id().to_string())),
-                    ("ns_per_element", JsonValue::Num(r.ns[i])),
-                    ("compile_ns", JsonValue::Num(r.compile_ns[i])),
-                    ("elements", JsonValue::Int(N as u64)),
-                ],
-            ));
-        }
-        out.push(bench::json_line(
-            &format!("kernel_backends/{}/simd_speedup", r.window),
-            &[("speedup", JsonValue::Num(r.simd_speedup()))],
-        ));
-    }
-    out
+    let backends = BACKENDS.map(BackendKind::backend);
+    let compile_ns = backends.each_ref().map(|backend| {
+        let compile = || drop(backend.compile(&module).expect("compile failed"));
+        bench::batch_ns(COMPILES, compile) / COMPILES as f64
+    });
+    let [interp, simd] = backends.each_ref().map(|b| b.compile(&module).expect("compile failed"));
+    let (mut interp_bufs, mut simd_bufs) = (buffers.clone(), buffers);
+    // Warm up once (page in buffers, populate caches).
+    batch_ns_per_element(interp.as_ref(), 1, &mut interp_bufs, &scalars);
+    batch_ns_per_element(simd.as_ref(), 1, &mut simd_bufs, &scalars);
+    let speedup = bench::paired(
+        PAIRS,
+        || batch_ns_per_element(interp.as_ref(), EXECS[0], &mut interp_bufs, &scalars),
+        || batch_ns_per_element(simd.as_ref(), EXECS[1], &mut simd_bufs, &scalars),
+    );
+    let key = format!("kernel_backends/{window}/simd_speedup");
+    WindowResult { window, key, speedup, compile_ns }
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
     println!("=== Kernel backends: interpreter vs SIMD (wall-clock) ===");
-    println!("({N} elements/buffer, {} ms windows)\n", measure_ms());
+    println!("({N} elements/buffer, {PAIRS} alternating pairs per window)\n");
     println!(
-        "{:<10}{:>14}{:>12}{:>10}{:>14}{:>12}",
-        "Window", "interp ns/e", "simd ns/e", "simd spd", "simd compile", "int compile"
+        "{:<10}{:>14}{:>12}{:>10}{:>20}{:>14}{:>12}",
+        "Window", "interp ns/e", "simd ns/e", "simd spd", "(pair quartiles)", "simd compile", "int compile"
     );
     let results = [
         measure_window("cg", cg_window),
         measure_window("jacobi", jacobi_window),
     ];
+    let mut notes = Vec::new();
     for r in &results {
+        let ns = [r.speedup.numerator, r.speedup.denominator];
         println!(
-            "{:<10}{:>14.2}{:>12.2}{:>9.2}x{:>11.0} ns{:>9.0} ns",
+            "{:<10}{:>14.2}{:>12.2}{:>9.2}x{:>20}{:>11.0} ns{:>9.0} ns",
             r.window,
-            r.interp_ns(),
-            r.simd_ns(),
-            r.simd_speedup(),
+            ns[0],
+            ns[1],
+            r.speedup.ratio.median,
+            format!("{:.2}x / {:.2}x", r.speedup.ratio.q1, r.speedup.ratio.q3),
             r.compile_ns[1],
             r.compile_ns[0]
         );
+        for (i, kind) in BACKENDS.into_iter().enumerate() {
+            notes.push(bench::json_line(
+                &format!("kernel_backends/{}/{}", r.window, kind.id()),
+                &[
+                    ("backend", JsonValue::Str(kind.id().to_string())),
+                    ("ns_per_element", JsonValue::Num(ns[i])),
+                    ("compile_ns", JsonValue::Num(r.compile_ns[i])),
+                    ("elements", JsonValue::Int(N as u64)),
+                ],
+            ));
+        }
     }
     println!();
-
-    for r in &results {
-        // The SIMD backend's whole reason to exist: resolving ops once and
-        // streaming them over lanes must beat re-matching the IR per element.
-        assert!(
-            r.simd_speedup() > 1.0,
-            "{}: simd backend must beat the interpreter per element \
-             (interp {:.2} ns vs simd {:.2} ns)",
-            r.window,
-            r.interp_ns(),
-            r.simd_ns()
-        );
-    }
-
-    if check {
-        let baseline = std::fs::read_to_string(BENCH_FILE)
-            .unwrap_or_else(|e| panic!("--check needs a checked-in {BENCH_FILE}: {e}"));
-        let mut failed = false;
-        let mut any = false;
-        // Allowed speedup regression in percent (raise it once when migrating
-        // the baseline to different CI hardware, then re-record and lower it).
-        let tolerance = bench::tolerance_pct("KERNEL_BACKENDS_TOLERANCE", 20.0);
-        for r in &results {
-            let ratio_key = format!("kernel_backends/{}/simd_speedup", r.window);
-            let current = r.simd_speedup();
-            // The writer replaces the file; parse_metric tolerates
-            // hand-appended history by taking the last entry.
-            let Some(base) = bench::parse_metric(&baseline, &ratio_key, "speedup") else {
-                println!("warning: no baseline entry for {ratio_key}; skipping");
-                continue;
-            };
-            any = true;
-            let floor = base * (1.0 - tolerance / 100.0);
-            let verdict = if current < floor {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{ratio_key}: baseline {base:.2}x, current {current:.2}x, \
-                 floor {floor:.2}x — {verdict}"
-            );
-        }
-        assert!(any, "no speedup entries in {BENCH_FILE}");
-        assert!(
-            !failed,
-            "kernel-backend speedup regressed >{tolerance}% vs {BENCH_FILE}; if this \
-             run is on different hardware than the baseline, re-record it there \
-             (`cargo run --release --bin kernel_backends`) or raise \
-             KERNEL_BACKENDS_TOLERANCE for the migration"
-        );
-        println!("\ncheck passed: speedups within {tolerance}% of the recorded baseline.");
-    } else {
-        let path = bench::write_bench_file("kernel_backends", &json_lines(&results));
-        println!("recorded {path}");
-    }
+    let bound = Bound::Floor { min: 1.0, pct: TOLERANCE_PCT };
+    let gated: Vec<bench::Gated<'_>> = results
+        .iter()
+        .map(|r| (r.key.as_str(), "speedup", r.speedup.ratio.median, bound))
+        .collect();
+    bench::record_or_check("kernel_backends", notes, &gated);
 }

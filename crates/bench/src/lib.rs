@@ -1,8 +1,9 @@
-//! Benchmark harness utilities shared by the figure-regeneration binaries.
+//! The paper's figures, and the host-time ratio gates CI can resolve.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-//! measured results):
+//! The paper's evaluation (§7, Figures 9–13) is *simulated*; each figure
+//! binary in `src/bin/` regenerates one table deterministically (the
+//! paper-to-binary index and the measured results are in
+//! `docs/BENCHMARKS.md`):
 //!
 //! * `fig09_task_table` — tasks per iteration with/without fusion (Figure 9)
 //! * `fig10_microbench` — Black-Scholes and Jacobi weak scaling (Figure 10)
@@ -11,12 +12,18 @@
 //! * `fig13_warmup`     — warmup/compilation times and breakeven (Figure 13)
 //! * `summary`          — headline geometric-mean speedups (Section 7)
 //! * `ablation`         — task-fusion-only and no-memoization ablations
-//! * `executor_compare` — host wall-clock of functional runs under the serial
-//!   vs work-stealing runtime executor (docs/RUNTIME.md)
+//! * `executor_compare` — asserts simulated time and checksums are bitwise
+//!   identical across the executor × backend matrix (docs/BACKENDS.md)
 //!
-//! The Criterion benches in `benches/` measure the *wall-clock* cost of the
-//! analyses themselves (fusion constraint checking, canonicalization, kernel
-//! compilation), demonstrating the scale-free property of the IR.
+//! Host time is measured one way. End to end and per layer it is
+//! `diffuse-bench/`'s job (its own workspace). What stays here are four
+//! *ratios of two code paths on one host* that a shared CI runner can
+//! resolve — `kernel_backends`, `analysis_overhead`, `fault_overhead`,
+//! `calibrate` — and they share one harness: [`batch_ns`] is the only clock,
+//! [`paired`] alternates two legs in one process and reports the quartiles
+//! of the per-pair ratio, [`gate`] holds a ratio to its recorded
+//! `BENCH_*.json` line, and [`WarmTrace`] is the one memo-warm trace the two
+//! layer-overhead gates replay.
 //!
 //! # Example
 //!
@@ -27,6 +34,10 @@
 //! ```
 
 use apps::{BenchmarkResult, Mode};
+use diffuse::{AnalyzeMode, Context, DiffuseConfig, FaultPlan, StoreHandle, TaskSignature};
+use ir::{Partition, PartitionId};
+use kernel::{BufferId, BufferRole, KernelModule, LoopBuilder, TaskKind};
+use machine::MachineConfig;
 
 /// The GPU counts of the paper's weak-scaling studies.
 pub const GPU_COUNTS: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128];
@@ -110,10 +121,8 @@ where
 // ---------------------------------------------------------------------------
 // Shared `BENCH_*.json` trajectory recording (docs/BENCHMARKS.md).
 //
-// Every recorder — the dedicated binaries (`kernel_backends`,
-// `analysis_overhead`) and the criterion-output scraper (`bench_scrape`) —
-// goes through these helpers, so the JSON-lines schema and date stamping
-// live in exactly one place.
+// Every gate binary records through these helpers, so the JSON-lines schema
+// and date stamping live in exactly one place.
 // ---------------------------------------------------------------------------
 
 /// One field of a recorded benchmark entry.
@@ -199,79 +208,421 @@ pub fn parse_metric(contents: &str, bench: &str, field: &str) -> Option<f64> {
         })
 }
 
-/// Parses the vendored criterion stub's report lines
-/// (`name    time:  14.2 µs/iter  (...)`) into `(benchmark name,
-/// nanoseconds per iteration)` pairs, ready to record via [`json_line`].
-///
-/// # Example
-///
-/// ```
-/// let out = "fusible_prefix/window/32    time:   14.2 µs/iter  (211 iters, 3 samples)\n";
-/// let parsed = bench::scrape_criterion(out);
-/// assert_eq!(parsed, vec![("fusible_prefix/window/32".to_string(), 14_200.0)]);
-/// ```
-pub fn scrape_criterion(output: &str) -> Vec<(String, f64)> {
-    let mut entries = Vec::new();
-    for line in output.lines() {
-        let Some((name, rest)) = line.split_once("time:") else {
-            continue;
-        };
-        let name = name.trim();
-        if name.is_empty() {
-            continue;
-        }
-        let Some((value, _)) = rest.split_once("/iter") else {
-            continue;
-        };
-        let value = value.trim();
-        let Some((num, unit)) = value.split_once(char::is_whitespace) else {
-            continue;
-        };
-        let Ok(num) = num.trim().parse::<f64>() else {
-            continue;
-        };
-        let scale = match unit.trim() {
-            "ns" => 1.0,
-            "µs" | "us" => 1e3,
-            "ms" => 1e6,
-            "s" => 1e9,
-            _ => continue,
-        };
-        entries.push((name.to_string(), num * scale));
-    }
-    entries
-}
-
 // ---------------------------------------------------------------------------
-// Gate knobs shared by the `--check` binaries (`analysis_overhead`,
+// The paired harness shared by the `--check` binaries (`analysis_overhead`,
 // `calibrate`, `fault_overhead`, `kernel_backends`).
 // ---------------------------------------------------------------------------
 
-/// A gate binary's measurement window in milliseconds: the environment
-/// variable `var` (`<NAME>_MS`) when it parses, otherwise `default`. `--check`
-/// runs double-length windows: the regression verdict deserves more stability
-/// than a baseline refresh.
-pub fn measure_ms(var: &str, default: u64) -> u64 {
-    let base = env_or(var, default);
-    if std::env::args().any(|a| a == "--check") {
-        base * 2
-    } else {
-        base
+/// Wall-clock nanoseconds of `iters` back-to-back calls of `f` — the one
+/// clock every host-time number of this crate is read from.
+pub fn batch_ns(iters: u64, mut f: impl FnMut()) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64
+}
+
+/// First quartile, median and third quartile of a sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    /// 25th percentile.
+    pub q1: f64,
+    /// 50th percentile — the estimate the gates read.
+    pub median: f64,
+    /// 75th percentile.
+    pub q3: f64,
+}
+
+impl Quartiles {
+    /// Quartiles by linear interpolation between order statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty sample or one holding a NaN.
+    pub fn of(mut sample: Vec<f64>) -> Self {
+        assert!(!sample.is_empty(), "quartiles of an empty sample");
+        sample.sort_by(|a, b| a.partial_cmp(b).expect("NaN in a timing sample"));
+        let at = |q: f64| {
+            let pos = q * (sample.len() - 1) as f64;
+            let (lo, frac) = (pos.floor() as usize, pos.fract());
+            let hi = (lo + 1).min(sample.len() - 1);
+            sample[lo] + (sample[hi] - sample[lo]) * frac
+        };
+        Quartiles { q1: at(0.25), median: at(0.5), q3: at(0.75) }
     }
 }
 
-/// A gate's allowed regression or drift in percent before `--check` fails:
-/// the environment variable `var` (`<NAME>_TOLERANCE`) when it parses,
-/// otherwise `default`.
-pub fn tolerance_pct(var: &str, default: f64) -> f64 {
-    env_or(var, default)
+/// What [`paired`] measured: the distribution of the per-pair ratio, and each
+/// leg's median batch cost for the record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Paired {
+    /// Quartiles of `numerator ÷ denominator` over the pairs.
+    pub ratio: Quartiles,
+    /// Median cost the numerator leg reported.
+    pub numerator: f64,
+    /// Median cost the denominator leg reported.
+    pub denominator: f64,
 }
 
-fn env_or<T: std::str::FromStr>(var: &str, default: T) -> T {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Compares two code paths that live side by side in one process: `pairs`
+/// times, runs one batch of each back to back — the order flipped every pair,
+/// so neither leg always inherits the other's cache and frequency state —
+/// and takes the ratio *within* the pair. Whatever the machine's other
+/// tenants do lasts longer than a pair and so hits both of its halves; a
+/// burst that hits one half moves that pair's ratio far out, where the
+/// median does not look. Timed in two separate windows, a 1 % difference
+/// reads anywhere from −29 % to +22 % on a shared box; as the median of 600
+/// pairs it repeats within a point (docs/BENCHMARKS.md).
+///
+/// Each leg reports its own cost — nanoseconds per task, per element,
+/// whatever both share — so the statistic is testable with scripted clocks.
+pub fn paired(
+    pairs: usize,
+    mut numerator: impl FnMut() -> f64,
+    mut denominator: impl FnMut() -> f64,
+) -> Paired {
+    let (mut nums, mut dens) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+    for pair in 0..pairs {
+        let (n, d) = if pair % 2 == 0 {
+            let n = numerator();
+            (n, denominator())
+        } else {
+            let d = denominator();
+            (numerator(), d)
+        };
+        nums.push(n);
+        dens.push(d);
+    }
+    let ratios = nums.iter().zip(&dens).map(|(n, d)| n / d).collect();
+    Paired {
+        ratio: Quartiles::of(ratios),
+        numerator: Quartiles::of(nums).median,
+        denominator: Quartiles::of(dens).median,
+    }
+}
+
+/// How [`gate`] holds a measured ratio to its recorded line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Higher is better: never below `min`, nor more than `pct` percent
+    /// below the recorded value.
+    Floor {
+        /// Absolute floor, whatever was recorded.
+        min: f64,
+        /// Allowed regression against the recorded value, in percent.
+        pct: f64,
+    },
+    /// Lower is better, and the claim is absolute ("this layer costs < 2 %"):
+    /// never above `max`, whatever was recorded.
+    Ceiling {
+        /// Absolute ceiling.
+        max: f64,
+    },
+    /// Neither direction is better (a calibration): within `pct` percent of
+    /// the recorded value.
+    Drift {
+        /// Allowed drift against the recorded value, in percent.
+        pct: f64,
+    },
+}
+
+/// One gated quantity of a `--check` binary: the `bench` key and field of
+/// its `BENCH_*.json` line, the value just measured, and its bound.
+pub type Gated<'a> = (&'a str, &'a str, f64, Bound);
+
+/// Holds `current` to the last `key` line of the recorded `file`: prints the
+/// verdict line and returns an error naming the file when the value is out
+/// of bound — or when the file, the line or the field is missing: a gate
+/// that cannot find its baseline has not passed.
+pub fn gate(file: &str, key: &str, field: &str, current: f64, bound: Bound) -> Result<(), String> {
+    let contents = std::fs::read_to_string(file)
+        .map_err(|e| format!("{key}: --check needs a checked-in {file}: {e}"))?;
+    let recorded = parse_metric(&contents, key, field)
+        .ok_or_else(|| format!("{key}: no \"{field}\" recorded in {file}"))?;
+    let (allowed, ok) = match bound {
+        Bound::Floor { min, pct } => {
+            let floor = (recorded * (1.0 - pct / 100.0)).max(min);
+            (format!("floor {floor:.3}"), current >= floor)
+        }
+        Bound::Ceiling { max } => (format!("ceiling {max:.3}"), current <= max),
+        Bound::Drift { pct } => (
+            format!("within {pct}%"),
+            (current - recorded).abs() <= recorded.abs() * pct / 100.0,
+        ),
+    };
+    let verdict = if ok { "ok" } else { "OUT OF BOUND" };
+    println!("{key}: recorded {recorded:.3}, current {current:.3}, {allowed} — {verdict}");
+    if ok {
+        Ok(())
+    } else {
+        Err(format!(
+            "{key}: current {current:.3} against {recorded:.3} recorded in {file} ({allowed})"
+        ))
+    }
+}
+
+/// How every gate binary ends. Without `--check`: rewrites
+/// `BENCH_<topic>.json` from the informational `notes` plus one line per
+/// gated value. With it: holds every gated value to that file through
+/// [`gate`], prints every verdict, and exits non-zero listing the ones that
+/// failed. Baselines are ratios of two code paths on one host; re-record
+/// (run without `--check`) when the code legitimately moves one.
+pub fn record_or_check(topic: &str, notes: Vec<String>, gated: &[Gated<'_>]) {
+    if std::env::args().any(|a| a == "--check") {
+        let file = format!("BENCH_{topic}.json");
+        let failed: Vec<String> = gated
+            .iter()
+            .filter_map(|&(key, field, current, bound)| gate(&file, key, field, current, bound).err())
+            .collect();
+        if !failed.is_empty() {
+            eprintln!("\ncheck FAILED:\n{}", failed.join("\n"));
+            std::process::exit(1);
+        }
+        println!("\ncheck passed: {} gated value(s) within bound of {file}.", gated.len());
+    } else {
+        let mut lines = notes;
+        for &(key, field, current, _) in gated {
+            lines.push(json_line(key, &[(field, JsonValue::Num(current))]));
+        }
+        println!("recorded {}", write_bench_file(topic, &lines));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The warm trace the layer-overhead gates replay (`analysis_overhead`,
+// `fault_overhead`).
+// ---------------------------------------------------------------------------
+
+/// Elements per store of the [`WarmTrace`] (simulation-only: sizes only
+/// feed the cost model).
+const TRACE_ELEMENTS: u64 = 1 << 20;
+/// Simulated GPUs (launch-domain points) of the [`WarmTrace`].
+const TRACE_GPUS: usize = 8;
+/// Length of the trace's elementwise-chain window: the shape the adaptive
+/// window converges to on elementwise-heavy traces, and long enough that
+/// per-launch costs dominate per-window costs.
+const TRACE_CHAIN: usize = 24;
+/// All-hit iterations per timed batch of a [`WarmTrace::leg`] (≈1 ms: long
+/// against the timer, short against whatever else the machine is doing).
+const LEG_ITERS: u64 = 20;
+/// Batches a [`WarmTrace::leg`] times before it rebuilds its context.
+const LEG_REBUILD_EVERY: usize = 50;
+
+/// A CG-style trace over persistent stores in a simulation-only context:
+/// per iteration a 4-task vector window with a reduction tail, a 3-task
+/// Jacobi-style correction window and a 24-task elementwise chain, each
+/// flushed the way a solver flushes per iteration. CG reuses its vectors, so
+/// successive iterations are isomorphic and, once the memo is populated,
+/// every window is a hit: the steady-state submit path whose cost the
+/// opt-in layers (analyzer, fault plan) must not move.
+pub struct WarmTrace {
+    ctx: Context,
+    add: TaskKind,
+    scale: TaskKind,
+    dot: TaskKind,
+    /// An add with a declared read-write scratch argument its kernel never
+    /// touches: what the inferred leg must tighten.
+    phantom: TaskKind,
+    block: PartitionId,
+    replicate: PartitionId,
+    x: StoreHandle,
+    p: StoreHandle,
+    t: StoreHandle,
+    q: StoreHandle,
+    s: StoreHandle,
+    rs: StoreHandle,
+    chain: Vec<StoreHandle>,
+}
+
+impl WarmTrace {
+    /// Tasks one [`WarmTrace::iterate`] submits.
+    pub const TASKS: u64 = 7 + TRACE_CHAIN as u64;
+
+    /// The trace over a fresh context — memo empty, so the first iteration
+    /// is all misses. Both layer settings are explicit so the process
+    /// environment (`DIFFUSE_ANALYZE`, `DIFFUSE_FAULTS`) never picks a leg.
+    pub fn cold(mode: AnalyzeMode, plan: Option<FaultPlan>) -> Self {
+        // Buffer the whole chain window before analyzing (the adaptive policy
+        // would get there on its own; pinning it keeps batches uniform).
+        let mut config = DiffuseConfig::fused(MachineConfig::with_gpus(TRACE_GPUS))
+            .simulation_only()
+            .with_window(32, 70)
+            .with_analyze(mode);
+        config.fault_plan = plan;
+        let ctx = Context::new(config);
+        let lib = ctx.register_library("warmtrace");
+        let add = lib.register("add", TaskSignature::new().read().read().write(), |_| add_module(3));
+        let scale = lib.register("scale", TaskSignature::new().read().write().scalars(1), |_| {
+            let mut m = KernelModule::new(2);
+            m.set_role(BufferId(1), BufferRole::Output);
+            let mut b = LoopBuilder::new("scale", BufferId(1));
+            let x = b.load(BufferId(0));
+            let a = b.param(0);
+            let v = b.mul(x, a);
+            b.store(BufferId(1), v);
+            m.push_loop(b.finish());
+            m
+        });
+        let dot = lib.register("dot", TaskSignature::new().read().reduce(), |_| {
+            let mut m = KernelModule::new(2);
+            m.set_role(BufferId(1), BufferRole::Reduction);
+            let mut b = LoopBuilder::new("dot", BufferId(0));
+            let x = b.load(BufferId(0));
+            let xx = b.mul(x, x);
+            b.reduce(BufferId(1), kernel::ReduceOp::Sum, xx);
+            m.push_loop(b.finish());
+            m
+        });
+        let phantom = lib.register(
+            "phantom_add",
+            TaskSignature::new().read().read().write().read_write(),
+            |_| add_module(4),
+        );
+        let store = |name: &str| ctx.create_store(vec![TRACE_ELEMENTS], name);
+        WarmTrace {
+            add,
+            scale,
+            dot,
+            phantom,
+            block: PartitionId::intern(&Partition::block(vec![
+                TRACE_ELEMENTS.div_ceil(TRACE_GPUS as u64),
+            ])),
+            replicate: PartitionId::intern(&Partition::Replicate),
+            x: store("x"),
+            p: store("p"),
+            t: store("t"),
+            q: store("q"),
+            s: store("s"),
+            rs: ctx.create_store(vec![1], "rs"),
+            chain: (0..=TRACE_CHAIN).map(|i| store(&format!("c{i}"))).collect(),
+            ctx,
+        }
+    }
+
+    /// One leg of a [`paired`] comparison: each call times one batch of
+    /// all-hit iterations and reports nanoseconds per task. The leg rebuilds
+    /// its context every 50 batches (`LEG_REBUILD_EVERY`), so one process
+    /// samples a dozen heap layouts and hash seeds instead of one: with a
+    /// single context per leg, ten processes' medians of the armed-plan
+    /// ratio spread 1.5 points on the reference box; rebuilt, 0.6 (two sets
+    /// of ten) and 1.2 (a third).
+    pub fn leg(mode: AnalyzeMode, plan: Option<FaultPlan>) -> impl FnMut() -> f64 {
+        let mut trace = WarmTrace::warm(mode, plan);
+        let mut batches = 0;
+        move || {
+            if batches == LEG_REBUILD_EVERY {
+                trace = WarmTrace::warm(mode, plan);
+                batches = 0;
+            }
+            batches += 1;
+            trace.timed_ns_per_task(LEG_ITERS)
+        }
+    }
+
+    /// The trace with its memo populated (and the adaptive window settled):
+    /// every later iteration is all hits. Under [`AnalyzeMode::Inferred`] it
+    /// also proves the analyzer is live in this leg: one launch of the
+    /// phantom add, outside every timed batch, must be tightened.
+    fn warm(mode: AnalyzeMode, plan: Option<FaultPlan>) -> Self {
+        let trace = WarmTrace::cold(mode, plan);
+        for _ in 0..3 {
+            trace.iterate();
+        }
+        if mode == AnalyzeMode::Inferred {
+            trace
+                .ctx
+                .task(trace.phantom)
+                .name("phantom_probe")
+                .read(&trace.x, trace.block)
+                .read(&trace.p, trace.block)
+                .write(&trace.t, trace.block)
+                .read_write(&trace.q, trace.block)
+                .launch();
+            trace.ctx.flush();
+            assert!(
+                trace.ctx.stats().privileges_tightened > 0,
+                "the inferred leg must actually tighten the phantom scratch"
+            );
+        }
+        trace
+    }
+
+    /// The context the trace runs in (for its counters).
+    pub fn context(&self) -> &Context {
+        &self.ctx
+    }
+
+    /// Submits one iteration: [`WarmTrace::TASKS`] tasks in three windows.
+    pub fn iterate(&self) {
+        let ctx = &self.ctx;
+        let ew = |name: &str, a: &StoreHandle, b: &StoreHandle, o: &StoreHandle| {
+            ctx.task(self.add)
+                .name(name)
+                .read(a, self.block)
+                .read(b, self.block)
+                .write(o, self.block)
+                .launch();
+        };
+        let scale = |name: &str, alpha: f64| {
+            ctx.task(self.scale)
+                .name(name)
+                .read(&self.t, self.block)
+                .write(&self.q, self.block)
+                .scalar(alpha)
+                .launch();
+        };
+        // Window 1: t = x + p; q = alpha * t; s = q + x; rs += s . s
+        ew("add_xp", &self.x, &self.p, &self.t);
+        scale("scale_t", 1.0e-3);
+        ew("add_qx", &self.q, &self.x, &self.s);
+        ctx.task(self.dot)
+            .name("dot_ss")
+            .read(&self.s, self.block)
+            .reduce(&self.rs, self.replicate, ir::ReductionOp::Sum)
+            .launch();
+        ctx.flush();
+        // Window 2: t = p + s; q = beta * t; x' = q + p (Jacobi-style tail).
+        ew("add_ps", &self.p, &self.s, &self.t);
+        scale("scale_t2", 0.5);
+        ew("add_qp", &self.q, &self.p, &self.x);
+        ctx.flush();
+        // Window 3: the long fully-fusible elementwise chain.
+        for i in 0..TRACE_CHAIN {
+            ew("chain", &self.chain[i], &self.p, &self.chain[i + 1]);
+        }
+        ctx.flush();
+    }
+
+    /// Host nanoseconds per task over one timed batch of `iters` iterations.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the batch was the steady state the gates claim to time:
+    /// every window a memo hit, nothing compiled, no fault fired.
+    fn timed_ns_per_task(&self, iters: u64) -> f64 {
+        let before = self.ctx.stats();
+        let ns = batch_ns(iters, || self.iterate());
+        let delta = self.ctx.stats().since(&before);
+        assert_eq!(delta.memo_misses, 0, "warm path must be all hits");
+        assert_eq!(delta.compilations, 0, "warm path must not compile");
+        assert_eq!(delta.memo_hits, 3 * iters, "three windows per iteration");
+        assert_eq!(delta.faults_injected, 0, "a timed batch must not recover from faults");
+        ns / (iters * Self::TASKS) as f64
+    }
+}
+
+/// `out = a + b` over buffers 0, 1 → 2 of a module with `buffers` arguments
+/// (a fourth is the phantom scratch the kernel never touches).
+fn add_module(buffers: u32) -> KernelModule {
+    let mut m = KernelModule::new(buffers);
+    m.set_role(BufferId(2), BufferRole::Output);
+    let mut b = LoopBuilder::new("add", BufferId(2));
+    let (x, y) = (b.load(BufferId(0)), b.load(BufferId(1)));
+    let s = b.add(x, y);
+    b.store(BufferId(2), s);
+    m.push_loop(b.finish());
+    m
 }
 
 // ---------------------------------------------------------------------------
@@ -420,19 +771,104 @@ mod tests {
         assert_eq!(parse_metric(contents, "b/x", "v"), None);
     }
 
+    /// A leg that replays a script of costs, one per call, logging `tag`.
+    fn scripted(costs: Vec<f64>, log: &std::cell::RefCell<Vec<char>>, tag: char) -> impl FnMut() -> f64 + '_ {
+        let mut next = costs.into_iter();
+        move || {
+            log.borrow_mut().push(tag);
+            next.next().expect("script exhausted")
+        }
+    }
+
     #[test]
-    fn scrape_criterion_units() {
-        let out = "\
-a/b    time:     250.0 ns/iter  (1 iters, 1 samples)
-c      time:      1.5 ms/iter  (2 iters, 1 samples)
-noise line without timing
-d      time:      2.000 s/iter  (1 iters, 1 samples)
-";
-        let parsed = scrape_criterion(out);
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0], ("a/b".to_string(), 250.0));
-        assert_eq!(parsed[1], ("c".to_string(), 1.5e6));
-        assert_eq!(parsed[2], ("d".to_string(), 2.0e9));
+    fn paired_alternates_the_order_and_reports_quartiles_of_the_ratio() {
+        let log = std::cell::RefCell::new(Vec::new());
+        // Per-pair ratios 1, 2, 3, 4, 5 on a denominator that drifts 10× —
+        // the drift is common to both halves of a pair and cancels.
+        let dens = vec![10.0, 20.0, 40.0, 80.0, 100.0];
+        let nums = dens.iter().zip(1..).map(|(d, k)| d * k as f64).collect();
+        let got = paired(5, scripted(nums, &log, 'n'), scripted(dens, &log, 'd'));
+        assert_eq!(log.borrow().iter().collect::<String>(), "nddnnddnnd");
+        assert_eq!(got.ratio, Quartiles { q1: 2.0, median: 3.0, q3: 4.0 });
+        assert_eq!((got.numerator, got.denominator), (120.0, 40.0));
+    }
+
+    #[test]
+    fn a_one_sided_outlier_in_a_tenth_of_the_pairs_does_not_move_the_median() {
+        let log = std::cell::RefCell::new(Vec::new());
+        // True ratio 1.01; every tenth pair a burst triples the numerator.
+        let nums = (0..100).map(|i| if i % 10 == 3 { 303.0 } else { 101.0 }).collect();
+        let got = paired(100, scripted(nums, &log, 'n'), scripted(vec![100.0; 100], &log, 'd'));
+        assert_eq!(got.ratio.median, 1.01);
+        assert_eq!((got.ratio.q1, got.ratio.q3), (1.01, 1.01));
+        // (The mean of these ratios is 1.21.)
+    }
+
+    /// A scratch `BENCH_*.json` holding one recorded ratio of 10.
+    fn recorded_ten(test: &str) -> String {
+        let file = std::env::temp_dir()
+            .join(format!("bench_gate_{test}_{}.json", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        std::fs::write(&file, "{\"bench\":\"w/speedup\",\"speedup\":10.0}\n").unwrap();
+        file
+    }
+
+    #[test]
+    fn gate_holds_floors_ceilings_and_drift() {
+        let file = recorded_ten("bounds");
+        let check = |current, bound| gate(&file, "w/speedup", "speedup", current, bound);
+        let floor = Bound::Floor { min: 2.0, pct: 20.0 };
+        assert!(check(8.0, floor).is_ok());
+        assert!(check(30.0, floor).is_ok(), "a floor does not cap improvements");
+        assert!(check(7.9, floor).unwrap_err().contains(&file));
+        // The absolute floor binds when the recorded value is itself low.
+        assert!(check(8.5, Bound::Floor { min: 9.0, pct: 20.0 }).is_err());
+        let ceiling = Bound::Ceiling { max: 1.02 };
+        assert!(check(1.02, ceiling).is_ok());
+        assert!(check(0.5, ceiling).is_ok(), "a ceiling does not cap improvements");
+        assert!(check(1.021, ceiling).unwrap_err().contains(&file));
+        let drift = Bound::Drift { pct: 30.0 };
+        assert!(check(7.0, drift).is_ok() && check(13.0, drift).is_ok());
+        assert!(check(6.9, drift).is_err() && check(13.1, drift).is_err());
+        std::fs::remove_file(&file).unwrap();
+    }
+
+    #[test]
+    fn gate_without_a_baseline_is_an_error_naming_the_file() {
+        let file = recorded_ten("missing");
+        let bound = Bound::Ceiling { max: 100.0 };
+        // A misspelt key or field must not pass as "nothing to compare".
+        let err = gate(&file, "w/speedupp", "speedup", 1.0, bound).unwrap_err();
+        assert!(err.contains(&file) && err.contains("w/speedupp"), "{err}");
+        let err = gate(&file, "w/speedup", "ratio", 1.0, bound).unwrap_err();
+        assert!(err.contains(&file) && err.contains("ratio"), "{err}");
+        std::fs::remove_file(&file).unwrap();
+        let err = gate(&file, "w/speedup", "speedup", 1.0, bound).unwrap_err();
+        assert!(err.contains(&file), "{err}");
+    }
+
+    #[test]
+    fn warm_trace_batches_are_all_hits_in_every_leg() {
+        // `timed_ns_per_task` asserts hits-only, no compilation and no fired
+        // fault; `warm` asserts the inferred leg tightened the phantom.
+        for (mode, plan) in [
+            (AnalyzeMode::Declared, None),
+            (AnalyzeMode::Inferred, None),
+            (AnalyzeMode::Declared, Some(FaultPlan::new(1, f64::MIN_POSITIVE))),
+        ] {
+            let trace = WarmTrace::warm(mode, plan);
+            assert!(trace.timed_ns_per_task(2) > 0.0);
+            let stats = trace.context().stats();
+            assert_eq!(stats.privileges_tightened > 0, mode == AnalyzeMode::Inferred);
+            assert_eq!(stats.faults_injected, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "warm path must be all hits")]
+    fn warm_trace_refuses_to_time_a_cold_batch() {
+        WarmTrace::cold(AnalyzeMode::Declared, None).timed_ns_per_task(1);
     }
 
     #[test]

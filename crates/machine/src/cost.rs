@@ -4,7 +4,7 @@ use crate::{GpuId, MachineConfig, SimTime, Topology};
 
 /// Analytic cost model over a [`MachineConfig`].
 ///
-/// The model follows the structure described in DESIGN.md: a GPU kernel costs
+/// The model is a roofline plus fixed overheads: a GPU kernel costs
 /// the maximum of its memory-traffic time and its arithmetic time plus a fixed
 /// launch overhead; a task additionally pays the runtime's per-task overhead;
 /// and moving bytes between GPUs pays latency plus bytes over the bandwidth of

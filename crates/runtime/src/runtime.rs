@@ -278,16 +278,9 @@ pub struct Runtime {
     /// Per-GPU device-fault strikes; a GPU with `recovery.unhealthy_after`
     /// strikes is unhealthy and its share of work migrates to the rest.
     gpu_strikes: Vec<u32>,
-    /// Engaged when the last healthy GPU is lost: the batch restarts and all
-    /// further functional work runs serially (parallel→serial fallback).
-    fallback_serial: Option<SerialExecutor>,
-    /// Per-launch failure records drained from the executors, surfaced via
+    /// Per-launch failure records drained from the executor, surfaced via
     /// [`Runtime::take_failures`].
     failures: Vec<LaunchFailure>,
-    /// First error of the current batch recorded by a mid-batch internal
-    /// flush (executor fallback switch); returned by the next
-    /// [`Runtime::flush_launches`].
-    batch_error: Option<RuntimeError>,
 }
 
 impl Drop for Runtime {
@@ -334,9 +327,7 @@ impl Runtime {
             fault_occurrence: HashMap::new(),
             fault_stats: FaultStats::default(),
             gpu_strikes: vec![0; gpus],
-            fallback_serial: None,
             failures: Vec::new(),
-            batch_error: None,
         }
     }
 
@@ -582,11 +573,11 @@ impl Runtime {
                 .iter()
                 .map(AccessSummary::from_requirement)
                 .collect();
-            self.active_executor()
+            self.executor
                 .poison(&launch.name, &summaries, RuntimeError::Faulted(event));
         } else if self.config.materialize_data {
             let work = self.work_request(launch, failed_attempts);
-            self.active_executor().submit(work);
+            self.executor.submit(work);
         }
         Ok(())
     }
@@ -658,28 +649,14 @@ impl Runtime {
     /// of the earliest failed dependence cone), or re-raises a deferred
     /// error. Per-launch records survive until [`Runtime::take_failures`].
     pub fn flush_launches(&mut self) -> Result<(), RuntimeError> {
-        // Both executors drain even when a deferred error is about to be
+        // The executor drains even when a deferred error is about to be
         // re-raised, so the next batch starts clean.
-        let main_result = self.executor.flush();
-        let main_drained = self.executor.drain_failures();
-        let (fb_result, fb_drained) = match &mut self.fallback_serial {
-            Some(s) => (s.flush(), s.drain_failures()),
-            None => (Ok(()), Vec::new()),
-        };
-        self.failures.extend(main_drained);
-        self.failures.extend(fb_drained);
-        // Earliest failure wins: a deferred error from before this batch,
-        // then a mid-batch stash (executor fallback switch), which precedes
-        // the main executor's batch, which precedes the fallback's.
-        let first = self
-            .deferred_error
-            .take()
-            .or(self.batch_error.take())
-            .or(main_result.err())
-            .or(fb_result.err());
-        match first {
+        let result = self.executor.flush();
+        self.failures.extend(self.executor.drain_failures());
+        // Earliest failure wins: a deferred error predates this batch.
+        match self.deferred_error.take() {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => result,
         }
     }
 
@@ -689,9 +666,6 @@ impl Runtime {
     pub fn take_failures(&mut self) -> Vec<LaunchFailure> {
         let mut out = std::mem::take(&mut self.failures);
         out.extend(self.executor.drain_failures());
-        if let Some(fb) = &mut self.fallback_serial {
-            out.extend(fb.drain_failures());
-        }
         out
     }
 
@@ -710,23 +684,7 @@ impl Runtime {
     /// dependence cone: the accesses join hazard tracking so every downstream
     /// launch is skipped.
     pub fn poison_launch(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError) {
-        self.active_executor().poison(name, accesses, error);
-    }
-
-    /// The executor functional work currently routes to: the serial fallback
-    /// once a machine restart engaged it, the configured executor otherwise.
-    fn active_executor(&mut self) -> &mut dyn Executor {
-        match &mut self.fallback_serial {
-            Some(s) => s,
-            None => self.executor.as_mut(),
-        }
-    }
-
-    fn record_failures(&mut self, result: Result<(), RuntimeError>, drained: Vec<LaunchFailure>) {
-        if let Err(e) = result {
-            self.batch_error.get_or_insert(e);
-        }
-        self.failures.extend(drained);
+        self.executor.poison(name, accesses, error);
     }
 
     /// Decides this launch's injected faults and prices recovery — on the
@@ -814,18 +772,15 @@ impl Runtime {
 
     /// Registers a device-fault strike against the launch's deterministic
     /// target GPU (`fingerprint % gpus`). Losing the last healthy GPU
-    /// restarts the machine: outstanding work drains, further functional work
-    /// runs on a serial fallback executor (parallel→serial degradation),
-    /// health resets, and the restart penalty is charged.
+    /// restarts the simulated machine: health resets and the restart penalty
+    /// is charged. The host executor is untouched — simulated GPUs dying
+    /// says nothing about host threads, and its failure map and dependence
+    /// tracker must survive the restart for cone containment to hold.
     fn strike_gpu(&mut self, fp: u64) {
         self.fault_stats.degraded_launches += 1;
         let target = (fp % self.gpu_strikes.len() as u64) as usize;
         self.gpu_strikes[target] = self.gpu_strikes[target].saturating_add(1);
         if self.healthy_gpus() == 0 {
-            let result = self.active_executor().flush();
-            let drained = self.active_executor().drain_failures();
-            self.record_failures(result, drained);
-            self.fallback_serial.get_or_insert_with(SerialExecutor::new);
             self.gpu_strikes.iter_mut().for_each(|s| *s = 0);
             let penalty = self.recovery.restart_penalty();
             self.fault_stats.recovery_sim_time += penalty;
@@ -1410,9 +1365,10 @@ mod tests {
     }
 
     #[test]
-    fn losing_every_gpu_degrades_to_the_serial_fallback() {
+    fn losing_every_gpu_prices_a_restart_and_loses_no_launch() {
         // One GPU, one strike allowed: the first exhausted launch restarts
-        // the machine onto the serial fallback; later launches still commit.
+        // the simulated machine; the restart is priced and later launches
+        // still commit.
         let recovery = RecoveryPolicy::default()
             .with_max_retries(1)
             .with_unhealthy_after(1);
@@ -1435,6 +1391,50 @@ mod tests {
         // Recovery never loses a launch: the chain committed bit-identically.
         assert_eq!(rt.region_data(c).unwrap(), vec![18.0; 8]);
         assert!(rt.take_failures().is_empty());
+    }
+
+    #[test]
+    fn fault_containment_survives_a_machine_restart() {
+        // A launch fails on its own (missing scalar), an unrelated launch
+        // then takes the strike that restarts the machine, and only then a
+        // reader of the failed output arrives. The restart is a simulated
+        // event: the reader must still be poisoned and its output untouched.
+        for kind in [ExecutorKind::Serial, ExecutorKind::WorkStealing { workers: Some(2) }] {
+            let recovery = RecoveryPolicy::default()
+                .with_max_retries(1)
+                .with_unhealthy_after(2);
+            let config = RuntimeConfig::functional(MachineConfig::with_gpus(1))
+                .with_executor(kind)
+                .with_fault_plan(FaultPlan::new(11, 1.0))
+                .with_recovery(recovery);
+            let mut rt = Runtime::new(config);
+            let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| rt.allocate_region(vec![8], n));
+            rt.write_region_data(a, vec![2.0; 8]).unwrap();
+            rt.write_region_data(c, vec![7.0; 8]).unwrap();
+            rt.write_region_data(d, vec![1.0; 8]).unwrap();
+            let mut bad = scale_launch(a, b, 1, 8);
+            bad.name = "bad".into();
+            bad.kernel = compile_interp(missing_param_module());
+            rt.execute(&bad).unwrap(); // first strike; fails when it runs
+            rt.execute(&scale_launch(d, e, 1, 8)).unwrap(); // second strike: restart
+            let mut reader = scale_launch(b, c, 1, 8);
+            reader.name = "reader".into();
+            rt.execute(&reader).unwrap();
+            let err = rt.flush_launches().unwrap_err();
+            assert!(matches!(err, RuntimeError::Exec(_)), "{kind:?}: {err:?}");
+            assert!(rt.fault_stats().recovery_sim_time >= recovery.restart_penalty());
+            assert_eq!(rt.region_data(e).unwrap(), vec![3.0; 8], "{kind:?}");
+            assert_eq!(rt.region_data(c).unwrap(), vec![7.0; 8], "{kind:?}");
+            let failures = rt.take_failures();
+            assert_eq!(failures.len(), 2, "{kind:?}: {failures:?}");
+            assert_eq!(failures[0].launch, "bad");
+            assert!(matches!(failures[0].error, RuntimeError::Exec(_)));
+            assert_eq!(failures[1].launch, "reader");
+            assert!(matches!(
+                &failures[1].error,
+                RuntimeError::Poisoned { upstream, .. } if upstream == "bad"
+            ));
+        }
     }
 
     #[test]
