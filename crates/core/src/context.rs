@@ -1,7 +1,22 @@
 //! The Diffuse context: task window management, fusion, JIT and lowering.
+//!
+//! A flush (`flush_window`, the `flush_window` of Figure 6) is three stages
+//! with plain data between them:
+//!
+//! 1. **Plan.** `pack_horizontally` reorders the window for horizontal
+//!    fusion; then `next_step` decides, one step at a time, what happens to
+//!    the head of the window — one task launched unfused, a memoized
+//!    skeleton replayed, or a fusible prefix compiled.
+//! 2. **Lower.** `lower` composes, optimizes and compiles a prefix into the
+//!    skeleton a replay relaunches. Every check of every stage passes through
+//!    one verification gate (`verify`), and every failed check reaches one
+//!    containment path (`contain`).
+//! 3. **Launch.** `launch` is the one tail: region requirements, task-local
+//!    temporaries, execution and accounting.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -43,34 +58,25 @@ struct StoreMeta {
     app_refs: u64,
 }
 
-/// Cached analysis + compilation result for one canonical window. Each
-/// context owns one cache created for its configured backend, so artifacts
-/// are keyed by (canonical window, backend) by construction. The compiled
-/// artifact is shared behind an `Arc` so a memoization hit clones a pointer,
-/// not a buffer layout.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    prefix_len: usize,
-    compiled: Arc<CompiledArtifact>,
-}
-
-/// A backend-compiled fused kernel plus the complete **launch skeleton** it
-/// was compiled under: everything a memoization hit needs to relaunch the
-/// fused window without rebuilding the fused task — the merged arguments in
-/// *canonical* store numbering (instantiated against the concrete window via
-/// [`TaskWindow::canonical_store`]), their access volumes (a function of the
-/// canonical window: shapes and partitions are part of the key), the fused
-/// name and the buffer layout.
+/// One memoized window: the backend-compiled fused kernel of its fusible
+/// prefix plus the complete **launch skeleton** it was compiled under —
+/// everything a memo hit needs to relaunch the prefix without rebuilding the
+/// fused task. Each context owns one cache created for its configured
+/// backend, so skeletons are keyed by (canonical window, backend) by
+/// construction; the cache holds them behind an `Arc`, so a hit clones a
+/// pointer.
 ///
 /// The layout — which fused args were demoted to task-local temporaries
 /// (this fixes both the requirement/local split and the buffer permutation)
 /// and how many generator locals follow — depends on store liveness, which
 /// the canonical window does not capture. It is therefore recomputed per
-/// launch and the artifact is reused only when it matches: a kernel compiled
-/// with an eliminated temporary can never be resurrected for a window where
-/// that store is live and must be written.
-#[derive(Debug, Clone)]
-struct CompiledArtifact {
+/// launch and the skeleton is replayed only when it matches: a kernel
+/// compiled with an eliminated temporary can never be resurrected for a
+/// window where that store is live and must be written.
+#[derive(Debug)]
+struct Skeleton {
+    /// Length of the fusible prefix of the memoized window.
+    prefix_len: usize,
     kernel: Arc<dyn CompiledKernel>,
     /// Fused name (`fused[a+b+...]`) of the window that was memoized. Task
     /// names are not part of the canonical key, so an isomorphic window
@@ -79,6 +85,9 @@ struct CompiledArtifact {
     /// structure (and the kernel actually run) rather than the instance.
     name: String,
     /// Merged fused args as (canonical store index, partition, privilege).
+    /// The indices number the prefix's stores by first occurrence — a prefix
+    /// of the whole window's numbering, so they resolve through
+    /// [`TaskWindow::canonical_store`] unchanged.
     args: Vec<(u32, PartitionId, Privilege)>,
     /// Per arg: `Some(access volume over the launch domain)` if the arg was
     /// demoted to a task-local temporary of that length, `None` if it is a
@@ -87,6 +96,17 @@ struct CompiledArtifact {
     /// Lengths of the generator-introduced locals, as the module was
     /// verified, optimized and priced on the miss that compiled it.
     generator_local_lens: Vec<usize>,
+}
+
+/// What the plan stage decided to do with the head of the window.
+enum Step {
+    /// Launch the head task alone, through its own generated kernel.
+    Unfused,
+    /// Relaunch a memoized skeleton, its arguments resolved to these stores.
+    Replay(Arc<Skeleton>, Vec<StoreId>),
+    /// Fuse and compile a prefix of this many tasks whose temporaries are
+    /// these stores, memoizing it under the key when memoization is on.
+    Compile(usize, HashSet<StoreId>, Option<CanonicalWindow>),
 }
 
 /// Internal, mutable state of a [`Context`]. Exposed to the crate so that
@@ -98,26 +118,13 @@ pub struct ContextInner {
     registry: GeneratorRegistry,
     window: TaskWindow,
     adaptive: AdaptiveWindow,
-    memo: MemoCache<MemoEntry>,
+    memo: MemoCache<Arc<Skeleton>>,
     backend: Arc<dyn KernelBackend>,
     compile_model: CompileTimeModel,
     stats: ExecutionStats,
     stores: HashMap<StoreId, StoreMeta>,
     next_store: u64,
     next_task: u64,
-    /// Reusable per-launch scratch: (library, constituent-task count) pairs of
-    /// the prefix being launched. Kept on the context so the hot launch path
-    /// never allocates for attribution.
-    lib_scratch: Vec<(u16, u32)>,
-    /// Reusable launch-skeleton scratch, recovered from the previous
-    /// memoized launch's [`TaskLaunch`] so the steady-state replay path
-    /// allocates nothing for requirements, scalars or local buffer lengths.
-    req_scratch: Vec<RegionRequirement>,
-    scalar_scratch: Vec<f64>,
-    len_scratch: Vec<usize>,
-    /// Resolved concrete stores of the skeleton's canonical arg indices
-    /// (cleared and refilled per memoized launch).
-    store_scratch: Vec<StoreId>,
     /// Task kinds already run through the privilege-precision lint (the lint
     /// reports once per kind, not once per launch).
     linted_kinds: HashSet<u32>,
@@ -130,9 +137,6 @@ pub struct ContextInner {
     /// Inferred module summaries memoized by module content fingerprint, so
     /// two task kinds generating the same kernel share one analysis.
     summaries: HashMap<u64, Arc<kernel::ModuleSummary>>,
-    /// Per-launch failure records drained from the runtime across batch
-    /// boundaries, kept until [`Context::take_failures`].
-    batch_failures: Vec<LaunchFailure>,
 }
 
 /// Deterministic content key of a kernel module for the [`FaultSite::Compile`]
@@ -190,12 +194,11 @@ struct KindAnalysis {
 }
 
 /// Fingerprint of everything a task kind's generated module depends on: the
-/// kind itself, each argument's interned shape and partition, the launch
-/// domain, and the scalar parameters (all inputs of `GenArgs`). Pure integer
-/// word-wise FNV-1a — no allocation and one multiply per word, because this
-/// runs on every submission under [`AnalyzeMode::Inferred`] and the
-/// `analysis_overhead` bench gates the whole probe below 2% of the warm
-/// path.
+/// kind itself, each argument's interned shape and partition, and the launch
+/// domain — the inputs of `GenArgs`. Pure integer word-wise FNV-1a — no
+/// allocation and one multiply per word, because this runs on every
+/// submission under [`AnalyzeMode::Inferred`] and the `analysis_overhead`
+/// bench gates the whole probe below 2% of the warm path.
 fn analysis_key(task: &IndexTask) -> (u32, u64) {
     let mut h = OFFSET;
     let mut mix = |v: u64| h = fold_u64(h, v);
@@ -205,9 +208,6 @@ fn analysis_key(task: &IndexTask) -> (u32, u64) {
     }
     for &d in task.launch_domain.shape() {
         mix(d);
-    }
-    for &s in &task.scalars {
-        mix(s.to_bits());
     }
     (task.kind, h)
 }
@@ -265,34 +265,29 @@ impl ContextInner {
         self.registry.lookup(library, name)
     }
 
-    /// Tallies the libraries contributing to a prefix into the reusable
-    /// scratch: one `(library, task count)` pair per distinct library.
-    fn collect_libraries(scratch: &mut Vec<(u16, u32)>, tasks: &[IndexTask]) {
-        scratch.clear();
+    /// Attributes one launch of `tasks` to their libraries: launch counts,
+    /// cross-library participation, and the launch's simulated time split
+    /// proportionally to each library's constituent-task count.
+    fn attribute_launch(&mut self, tasks: &[IndexTask], elapsed_delta: f64) {
+        let mut libraries: Vec<(u16, u32)> = Vec::new();
         for t in tasks {
             let lib = (t.kind >> 16) as u16;
-            match scratch.iter_mut().find(|(l, _)| *l == lib) {
+            match libraries.iter_mut().find(|(l, _)| *l == lib) {
                 Some((_, c)) => *c += 1,
-                None => scratch.push((lib, 1)),
+                None => libraries.push((lib, 1)),
             }
         }
-    }
-
-    /// Attributes one launch to the libraries tallied in `lib_scratch`:
-    /// launch counts, cross-library participation, and the launch's simulated
-    /// time split proportionally to each library's constituent-task count.
-    fn attribute_launch(&mut self, total_tasks: u32, elapsed_delta: f64) {
-        let cross = self.lib_scratch.len() > 1;
+        let cross = libraries.len() > 1;
         if cross {
             self.stats.cross_library_fused_tasks += 1;
         }
-        for &(lib, count) in &self.lib_scratch {
+        for (lib, count) in libraries {
             if let Some(ls) = self.stats.per_library.get_mut(lib as usize) {
                 ls.launches += 1;
                 if cross {
                     ls.cross_library_launches += 1;
                 }
-                ls.simulated_time += elapsed_delta * count as f64 / total_tasks.max(1) as f64;
+                ls.simulated_time += elapsed_delta * count as f64 / tasks.len().max(1) as f64;
             }
         }
     }
@@ -337,12 +332,17 @@ impl ContextInner {
             .iter()
             .flat_map(|t| t.stores())
             .collect();
-        let dead: Vec<StoreId> = self
+        let mut dead: Vec<StoreId> = self
             .stores
             .iter()
             .filter(|(id, m)| m.app_refs == 0 && m.region.is_some() && !pending.contains(id))
             .map(|(id, _)| *id)
             .collect();
+        // Free in creation order, not hash order: the order regions go back
+        // to the allocator decides where the next ones land, and with it
+        // whether a fresh context's upload reuses freed pages or faults new
+        // ones in — hash order made that a per-process coin flip.
+        dead.sort_unstable();
         for id in dead {
             if let Some(region) = self.stores.get_mut(&id).and_then(|m| m.region.take()) {
                 let _ = self.runtime.free_region(region);
@@ -350,124 +350,53 @@ impl ContextInner {
         }
     }
 
-    /// Access volume of each of a task's store arguments over its launch
-    /// domain — the buffer lengths its generator (and the verifier) sees.
-    fn task_arg_lens(&self, task: &IndexTask) -> Vec<usize> {
-        task.args
+    /// Generates one task's kernel module at the access volume of each of its
+    /// arguments over the launch domain. Returns the module with every
+    /// buffer's length: the arguments', then the task's largest argument
+    /// volume for each generator-introduced local.
+    fn generate(&self, task: &IndexTask) -> (KernelModule, Vec<usize>) {
+        let mut lens: Vec<usize> = task
+            .args
             .iter()
             .map(|a| self.access_volume(a.store, &a.partition, &task.launch_domain))
-            .collect()
-    }
-
-    /// Generates the kernel module for a single task, given the argument
-    /// buffer lengths from [`ContextInner::task_arg_lens`].
-    fn generate_task_module(&self, task: &IndexTask, arg_lens: &[usize]) -> KernelModule {
-        let args = GenArgs {
-            buffer_lens: arg_lens,
-            scalars: &task.scalars,
-        };
-        self.registry
-            .generate(TaskKind::decode(task.kind), &args)
-            .unwrap_or_else(|| {
-                panic!(
-                    "no generator registered for task kind {}",
-                    TaskKind::decode(task.kind)
-                )
-            })
-    }
-
-    /// Kernel-level verification of one generated task module: IR/micro-op
-    /// invariants with the concrete buffer lengths, consistency against the
-    /// task kind's declared [`TaskSignature`], and the once-per-kind
-    /// privilege-precision lint. Returns the rendered violation (routed by
-    /// the caller through [`ContextInner::verify_violation`]); lint findings
-    /// only warn (over-broad privileges are legal — they just inhibit
-    /// fusion).
-    fn verify_task_module(
-        &mut self,
-        task: &IndexTask,
-        module: &KernelModule,
-        lens: &[usize],
-    ) -> Result<(), String> {
-        let mut checks = kernel::verify::verify_module(module, Some(lens)).map_err(|e| {
-            format!("kernel module of `{}` violates an IR invariant: {e}", task.name)
-        })?;
+            .collect();
         let kind = TaskKind::decode(task.kind);
-        let mut lints = Vec::new();
-        if let Some(sig) = self.registry.signature(kind) {
-            checks += kernel::verify::verify_against_signature(module, sig).map_err(|e| {
-                format!(
-                    "kernel of `{}` is inconsistent with its declared signature: {e}",
-                    task.name
-                )
-            })?;
-            // Independent cross-check of the analyzer (the PR contract of
-            // `AnalyzeMode::Inferred`): every tightened signature must itself
-            // survive the translation validator — a read argument the kernel
-            // stores or reduces to would be an analyzer soundness bug and
-            // fails loudly here.
-            if self.config.analyze == AnalyzeMode::Inferred {
-                let eff = kernel::analyze::effective_signature(module, sig);
-                if eff.is_tightened() {
-                    checks += kernel::verify::verify_against_signature(module, &eff.to_signature())
-                        .map_err(|e| {
-                            format!(
-                                "analyzer-tightened signature of `{}` failed independent \
-                                 re-verification: {e}",
-                                task.name
-                            )
-                        })?;
-                }
-            }
-            if !self.linted_kinds.contains(&task.kind) {
-                lints = kernel::verify::lint_privilege_precision(module, sig);
-            }
-        }
-        if self.linted_kinds.insert(task.kind) {
-            for lint in lints {
-                self.stats.privilege_lint_warnings += 1;
-                eprintln!("diffuse-verify: lint: `{}`: {lint}", task.name);
-            }
-        }
-        self.stats.verification_checks += checks as u64;
-        Ok(())
+        let module = self
+            .registry
+            .generate(kind, &GenArgs { buffer_lens: &lens })
+            .unwrap_or_else(|| panic!("no generator registered for task kind {kind}"));
+        let local_len = lens.iter().copied().max().unwrap_or(1);
+        lens.resize(module.num_buffers() as usize, local_len);
+        (module, lens)
     }
 
-    /// Runs the footprint analyzer over `task`'s generated kernel and
-    /// memoizes the result under [`analysis_key`]. The module summary itself
-    /// is additionally shared by module content fingerprint, so two kinds
-    /// generating identical kernels analyze once. No-op on a cache hit.
-    fn ensure_analysis(&mut self, task: &IndexTask) {
-        self.ensure_analysis_keyed(analysis_key(task), task);
-    }
-
-    /// [`ensure_analysis`](Self::ensure_analysis) with the key already
-    /// computed — the per-submit tightening path computes it once and reuses
-    /// it for the lookup after the (usually hitting) insertion probe.
-    fn ensure_analysis_keyed(&mut self, key: (u32, u64), task: &IndexTask) {
-        if self.analysis.contains_key(&key) {
-            return;
-        }
-        let lens = self.task_arg_lens(task);
-        let module = self.generate_task_module(task, &lens);
-        let summary = match self.summaries.entry(module_content_key(&module)) {
-            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                Arc::clone(e.insert(Arc::new(kernel::infer_footprint(&module))))
-            }
-        };
-        let num_args = task.args.len();
-        let exact: Vec<bool> = (0..num_args).map(|i| summary.buffer(i).is_exact()).collect();
-        let mut tighten = vec![false; num_args];
-        if let Some(sig) = self.registry.signature(TaskKind::decode(task.kind)) {
-            let eff = kernel::analyze::effective_signature_from_summary(&summary, sig);
-            for (arg, _, _) in eff.tightened() {
-                if arg < num_args {
-                    tighten[arg] = true;
+    /// The analyzer memo's one entry point: the footprint analysis of
+    /// `task`'s kernel at its launch shape, run on first use and memoized
+    /// under [`analysis_key`]. The module summary itself is also shared by
+    /// module content fingerprint, so two kinds generating identical kernels
+    /// analyze once.
+    fn analyze(&mut self, task: &IndexTask) -> &KindAnalysis {
+        let key = analysis_key(task);
+        if !self.analysis.contains_key(&key) {
+            let (module, _) = self.generate(task);
+            let summary = self
+                .summaries
+                .entry(module_content_key(&module))
+                .or_insert_with(|| Arc::new(kernel::infer_footprint(&module)));
+            let num_args = task.args.len();
+            let exact = (0..num_args).map(|i| summary.buffer(i).is_exact()).collect();
+            let mut tighten = vec![false; num_args];
+            if let Some(sig) = self.registry.signature(TaskKind::decode(task.kind)) {
+                let eff = kernel::analyze::effective_signature_from_summary(summary, sig);
+                for (arg, _, _) in eff.tightened() {
+                    if arg < num_args {
+                        tighten[arg] = true;
+                    }
                 }
             }
+            self.analysis.insert(key, KindAnalysis { tighten, exact });
         }
-        self.analysis.insert(key, KindAnalysis { tighten, exact });
+        &self.analysis[&key]
     }
 
     /// Whether the kernel-level access summary for `task`'s argument `arg` is
@@ -489,16 +418,10 @@ impl ContextInner {
     /// or reduced to, so the narrowing changes no data — results are bitwise
     /// unchanged while phantom-privilege windows fuse.
     fn tighten_task(&mut self, task: &mut IndexTask) {
-        let key = analysis_key(task);
-        if !self.analysis.contains_key(&key) {
-            self.ensure_analysis_keyed(key, task);
-        }
-        let Some(analysis) = self.analysis.get(&key) else {
-            return;
-        };
+        let analysis = self.analyze(task);
         let mut tightened = 0;
-        for (arg, tighten) in task.args.iter_mut().zip(&analysis.tighten) {
-            if *tighten && (arg.privilege.writes() || arg.privilege.reduces()) {
+        for (arg, &tighten) in task.args.iter_mut().zip(&analysis.tighten) {
+            if tighten && (arg.privilege.writes() || arg.privilege.reduces()) {
                 arg.privilege = Privilege::Read;
                 tightened += 1;
             }
@@ -509,8 +432,7 @@ impl ContextInner {
     /// One-pass fusible segmentation of the window (miss path only) with the
     /// why-not explainer over every split boundary: each rejection is
     /// classified ([`DepClass`]) and counted in the per-class rejection
-    /// stats. Kinds in the window are analyzed (memoized) first so the
-    /// classifier knows which access summaries are exact.
+    /// stats.
     fn classify_and_segment(&mut self) -> VecDeque<usize> {
         let report = self.explain_window();
         for boundary in &report.boundaries {
@@ -533,81 +455,16 @@ impl ContextInner {
     /// constraint, the dependence classification, and what change would
     /// admit fusion. Does not flush or otherwise perturb the window.
     pub(crate) fn explain_window(&mut self) -> fusion::WindowReport {
-        for i in 0..self.window.len() {
-            if !self
-                .analysis
-                .contains_key(&analysis_key(&self.window.tasks()[i]))
-            {
-                let task = self.window.tasks()[i].clone();
-                self.ensure_analysis(&task);
-            }
+        // Every kind in the window is analyzed (memoized) first, so the
+        // classifier knows which access summaries are exact. The window is
+        // set aside meanwhile: its tasks are read while the memo fills.
+        let window = std::mem::take(&mut self.window);
+        for task in window.tasks() {
+            self.analyze(task);
         }
+        self.window = window;
         let this: &ContextInner = self;
         explain_window_with(this.window.tasks(), &|t, arg| this.arg_is_exact(t, arg))
-    }
-
-    /// Backend-lowering verification of a module that is about to be (or
-    /// was) compiled for real execution: re-lowers each loop through the
-    /// configured backend's path and checks register SSA/disjointness.
-    fn verify_lowered(&mut self, name: &str, module: &KernelModule) -> Result<(), String> {
-        let checks = kernel::verify::verify_lowering(module, self.config.backend).map_err(|e| {
-            format!(
-                "{:?} lowering of `{name}` violates an invariant: {e}",
-                self.config.backend
-            )
-        })?;
-        self.stats.verification_checks += checks as u64;
-        Ok(())
-    }
-
-    /// Routes one verifier violation according to the fail-fast bit.
-    ///
-    /// With `verify_fail_fast` on (the default in debug builds) the
-    /// violation panics at the check site — the historical behavior, kept so
-    /// test suites stop at the first broken invariant. With it off the
-    /// violation becomes a structured [`RuntimeError::Verify`] recorded
-    /// against the launch: its dependence cone (everything downstream of
-    /// `accesses`) is poisoned and skipped, independent work proceeds, and
-    /// the record is retrievable via [`Context::take_failures`].
-    fn verify_violation(&mut self, launch: &str, detail: String, accesses: &[AccessSummary]) {
-        if self.config.verify_fail_fast {
-            panic!("diffuse-verify: {detail}");
-        }
-        eprintln!("diffuse-verify: contained: verification of `{launch}` failed: {detail}");
-        let error = RuntimeError::Verify {
-            launch: launch.to_string(),
-            detail,
-        };
-        self.runtime.poison_launch(launch, accesses, error);
-    }
-
-    /// Access summaries of a launch's store arguments (allocating backing
-    /// regions as needed) — the hazard set a contained verification failure
-    /// poisons.
-    fn poison_accesses(&mut self, args: &[(StoreId, Privilege)]) -> Vec<AccessSummary> {
-        args.iter()
-            .map(|&(store, privilege)| {
-                let region = self.ensure_region(store);
-                AccessSummary::from_privilege(region, privilege)
-            })
-            .collect()
-    }
-
-    /// Contains a verification failure of a built fused task: the launch is
-    /// never executed; its would-be accesses poison the dependence cone.
-    fn poison_fused(&mut self, fused: &FusedTask, detail: String) {
-        let args: Vec<(StoreId, Privilege)> =
-            fused.args.iter().map(|(s, _, pr)| (*s, *pr)).collect();
-        let accesses = self.poison_accesses(&args);
-        self.verify_violation(&fused.name, detail, &accesses);
-    }
-
-    /// Contains a verification failure of a planned (not yet drained) fused
-    /// prefix: drains it — it will not be launched — and fails its cone.
-    fn poison_fused_prefix(&mut self, prefix_len: usize, detail: String) {
-        let prefix = self.window.drain_prefix(prefix_len);
-        let fused = FusedTask::build(prefix);
-        self.poison_fused(&fused, detail);
     }
 
     /// Compiles a module into a launchable artifact. Simulation-only
@@ -623,7 +480,7 @@ impl ContextInner {
     /// interpreter is terminal (its "compilation" is a wrap that cannot
     /// fail). Faults are keyed by module content, so an identical module
     /// degrades identically under any executor, backend memoization state or
-    /// window permutation — and the memoized artifact (keyed by
+    /// window permutation — and the memoized skeleton (keyed by
     /// `(CanonicalWindow, backend)` through the per-context cache) simply
     /// carries the degraded tier's kernel.
     fn compile_artifact(&mut self, name: &str, module: &KernelModule) -> Arc<dyn CompiledKernel> {
@@ -651,60 +508,464 @@ impl ContextInner {
         self.backend.compile(module).expect("kernel compilation failed")
     }
 
-    /// Launches a single task without fusion. The module is compiled through
-    /// the configured backend but charges no simulated compile time: the
-    /// unfused baseline models a library of pre-compiled per-task kernels
-    /// (only fused windows pay the JIT, as in the paper).
-    fn launch_unfused(&mut self, task: IndexTask) {
-        Self::collect_libraries(&mut self.lib_scratch, std::slice::from_ref(&task));
-        let arg_lens = self.task_arg_lens(&task);
-        let module = self.generate_task_module(&task, &arg_lens);
-        let max_arg = arg_lens.iter().copied().max().unwrap_or(1);
-        let num_locals = module.num_buffers() as usize - task.args.len();
-        let local_lens = vec![max_arg; num_locals];
-        if self.config.enable_verification {
-            let mut lens = arg_lens;
-            lens.extend(local_lens.iter().copied());
-            let verdict = self
-                .verify_task_module(&task, &module, &lens)
-                .and_then(|()| self.verify_lowered(&task.name, &module));
-            if let Err(detail) = verdict {
-                let args: Vec<(StoreId, Privilege)> =
-                    task.args.iter().map(|a| (a.store, a.privilege)).collect();
-                let accesses = self.poison_accesses(&args);
-                self.verify_violation(&task.name, detail, &accesses);
-                return;
+    /// The one verification gate (`docs/VERIFY.md`): every check of the
+    /// window pipeline passes through here. With verification off it does
+    /// nothing; otherwise it runs `check`, counts the checks it performed
+    /// into `verification_checks`, and renders a failure as
+    /// `"{what}: {error}"` for [`ContextInner::contain`].
+    fn verify<E: fmt::Display>(
+        &mut self,
+        what: fmt::Arguments<'_>,
+        check: impl FnOnce(&mut Self) -> Result<usize, E>,
+    ) -> Result<(), String> {
+        if !self.config.enable_verification {
+            return Ok(());
+        }
+        let checks = check(self).map_err(|e| format!("{what}: {e}"))?;
+        self.stats.verification_checks += checks as u64;
+        Ok(())
+    }
+
+    /// The checks on one generated task module (run through the gate): IR
+    /// invariants at the concrete buffer lengths, consistency with the kind's
+    /// declared [`TaskSignature`] and — the PR contract of
+    /// [`AnalyzeMode::Inferred`] — an independent re-verification of the
+    /// analyzer-tightened signature (a read argument the kernel stores or
+    /// reduces to would be an analyzer soundness bug). Then the once-per-kind
+    /// privilege-precision lint, which only warns: over-broad privileges are
+    /// legal, they just inhibit fusion.
+    fn check_task_module(
+        &mut self,
+        task: &IndexTask,
+        module: &KernelModule,
+        lens: &[usize],
+    ) -> Result<usize, String> {
+        use kernel::verify::{lint_privilege_precision, verify_against_signature, verify_module};
+        let mut checks = verify_module(module, Some(lens))
+            .map_err(|e| format!("IR invariant violated: {e}"))?;
+        let mut lints = Vec::new();
+        if let Some(sig) = self.registry.signature(TaskKind::decode(task.kind)) {
+            checks += verify_against_signature(module, sig)
+                .map_err(|e| format!("inconsistent with its declared signature: {e}"))?;
+            if self.config.analyze == AnalyzeMode::Inferred {
+                let eff = kernel::analyze::effective_signature(module, sig);
+                if eff.is_tightened() {
+                    let tightened = eff.to_signature();
+                    checks += verify_against_signature(module, &tightened).map_err(|e| {
+                        format!("analyzer-tightened signature failed re-verification: {e}")
+                    })?;
+                }
             }
+            if !self.linted_kinds.contains(&task.kind) {
+                lints = lint_privilege_precision(module, sig);
+            }
+        }
+        if self.linted_kinds.insert(task.kind) {
+            for lint in lints {
+                self.stats.privilege_lint_warnings += 1;
+                eprintln!("diffuse-verify: lint: `{}`: {lint}", task.name);
+            }
+        }
+        Ok(checks)
+    }
+
+    /// The one containment path: a check failed, so the launch it guarded
+    /// never runs. With `verify_fail_fast` (the debug default, so test suites
+    /// stop at the first broken invariant) that panics. Otherwise the failure
+    /// becomes a structured [`RuntimeError::Verify`] recorded against
+    /// `launch`: the launch's accesses poison their dependence cone,
+    /// independent work proceeds, and the record is retrievable via
+    /// [`Context::take_failures`].
+    fn contain(
+        &mut self,
+        launch: &str,
+        accesses: impl Iterator<Item = (StoreId, Privilege)>,
+        detail: String,
+    ) {
+        if self.config.verify_fail_fast {
+            panic!("diffuse-verify: {detail}");
+        }
+        eprintln!("diffuse-verify: contained: verification of `{launch}` failed: {detail}");
+        let accesses: Vec<AccessSummary> = accesses
+            .map(|(store, privilege)| {
+                AccessSummary::from_privilege(self.ensure_region(store), privilege)
+            })
+            .collect();
+        let error = RuntimeError::Verify {
+            launch: launch.to_string(),
+            detail,
+        };
+        self.runtime.poison_launch(launch, &accesses, error);
+    }
+
+    /// Flushes the whole buffered window (the `flush_window` operation of
+    /// Figure 6): plan, lower and launch, one step at a time, until the
+    /// window is empty.
+    fn flush_window(&mut self) {
+        if let Err(detail) = self.pack_horizontally() {
+            self.contain("horizontal-plan", std::iter::empty(), detail);
+        }
+        let mut segments = None;
+        while !self.window.is_empty() {
+            let window_len = self.window.len();
+            let launched = match self.next_step(&mut segments) {
+                Step::Unfused => {
+                    let task = self.window.drain_prefix(1).pop().unwrap();
+                    self.launch_unfused(task);
+                    1
+                }
+                Step::Replay(skeleton, stores) => {
+                    self.replay(&skeleton, &stores);
+                    skeleton.prefix_len
+                }
+                Step::Compile(len, temps, key) => {
+                    self.compile(len, &temps, key);
+                    len
+                }
+            };
+            if self.config.enable_task_fusion {
+                self.adaptive.record(window_len, launched);
+            }
+        }
+        self.stats.windows_flushed += 1;
+        self.sweep_dead_stores();
+    }
+
+    /// Plan, once per flush: horizontal fusion. Segments the window
+    /// vertically, packs independent equal-domain segments into launch groups
+    /// and reorders the window so each group is contiguous; the steps then
+    /// fuse every group into one wide launch, and the memo probe keys on the
+    /// *permuted* canonical stream, so isomorphic batches replay the packed
+    /// skeleton regardless of submission order. The planner's claims are
+    /// re-checked independently — every group pairwise independent
+    /// (write-disjoint with matching domains), the reorder never flipping a
+    /// dependent pair — and a failed check leaves the window as submitted:
+    /// the un-permuted window is always legal, so the plan degrades to
+    /// vertical-only fusion rather than failing any launch.
+    fn pack_horizontally(&mut self) -> Result<(), String> {
+        let config = &self.config;
+        if !config.enable_task_fusion || !config.enable_horizontal_fusion || self.window.len() < 2 {
+            return Ok(());
+        }
+        let segments = fusible_segments(self.window.tasks());
+        if segments.len() < 2 {
+            return Ok(());
+        }
+        let plan = plan_horizontal(self.window.tasks(), &segments);
+        if plan.is_identity() {
+            return Ok(());
+        }
+        self.verify(
+            format_args!("horizontal launch plan violates an independence invariant"),
+            |this| fusion::verify_horizontal_plan(this.window.tasks(), &segments, &plan),
+        )?;
+        let permuted = plan.apply(self.window.tasks());
+        self.verify(
+            format_args!("horizontal reorder does not preserve the dependence order"),
+            |this| fusion::verify_reorder(this.window.tasks(), &permuted),
+        )?;
+        self.stats.horizontally_fused_tasks += plan.merged_tasks();
+        self.window.reorder(permuted);
+        Ok(())
+    }
+
+    /// Plan, per step: what happens to the head of the window. Memo on and
+    /// off share it. The probe keys on the window's incrementally maintained
+    /// fingerprint, so a hit builds no `CanonicalWindow`; on the first miss
+    /// of a flush the window's fusible segmentation (with the why-not
+    /// rejection counters) is computed once and then consumed front to back,
+    /// so draining a prefix never re-checks the untouched suffix.
+    fn next_step(&mut self, segments: &mut Option<VecDeque<usize>>) -> Step {
+        if !self.config.enable_task_fusion {
+            return Step::Unfused;
+        }
+        let memoize = self.config.enable_memoization;
+        let hit = if memoize {
+            let hit = self.memo.probe(&self.window).cloned();
+            match hit {
+                Some(_) => self.stats.memo_hits += 1,
+                None => self.stats.memo_misses += 1,
+            }
+            hit
+        } else {
+            None
+        };
+        let len = match &hit {
+            Some(skeleton) => skeleton.prefix_len,
+            None => {
+                let segments = segments.get_or_insert_with(|| self.classify_and_segment());
+                segments.front().copied().unwrap_or(1)
+            }
+        };
+        let len = len.min(self.window.len()).max(1);
+        // Keep the segmentation aligned with the drain. A memoized prefix
+        // length always equals the front segment (the memoized decision is a
+        // function of the canonical window), but a disagreement drops the
+        // segmentation rather than assuming it.
+        match segments {
+            Some(s) if s.front() == Some(&len) => {
+                s.pop_front();
+            }
+            _ => *segments = None,
+        }
+        if len == 1 && !self.config.enable_kernel_fusion {
+            // A singleton with no kernel-level optimization is just an
+            // unfused launch.
+            return Step::Unfused;
+        }
+        // Liveness (which fused args become task-local temporaries) is the
+        // only launch input the canonical window does not determine, so it is
+        // recomputed per launch, before anything is drained.
+        let temps = if self.config.enable_temp_elimination {
+            let (prefix, pending) = self.window.tasks().split_at(len);
+            let stores = &self.stores;
+            temporary_stores(prefix, pending, |s| stores.get(&s).is_some_and(|m| m.app_refs > 0))
+        } else {
+            HashSet::new()
+        };
+        if let Some(skeleton) = hit {
+            // Replay only if the current liveness agrees with the layout the
+            // skeleton was compiled under. Its canonical indices resolve
+            // through the window's numbering, before a drain renumbers it.
+            let stores: Vec<StoreId> = skeleton
+                .args
+                .iter()
+                .map(|&(ci, _, _)| {
+                    let store = self.window.canonical_store(ci as usize);
+                    store.expect("a memo hit matched this window")
+                })
+                .collect();
+            let layout_matches = stores
+                .iter()
+                .zip(&skeleton.temp_volumes)
+                .all(|(store, was_temp)| temps.contains(store) == was_temp.is_some());
+            if layout_matches {
+                return Step::Replay(skeleton, stores);
+            }
+            // A liveness drift recompiles conservatively and re-memoizes
+            // under the probed window's key (drift is rare; the steady state
+            // never builds this key).
+        }
+        let key = memoize.then(|| CanonicalWindow::new(self.window.tasks()));
+        Step::Compile(len, temps, key)
+    }
+
+    /// Lowers and launches a fusible prefix that missed the memo (or whose
+    /// cached layout drifted), memoizing its skeleton under `key`.
+    fn compile(&mut self, len: usize, temps: &HashSet<StoreId>, key: Option<CanonicalWindow>) {
+        let fused = FusedTask::build(self.window.drain_prefix(len));
+        match self.lower(&fused, temps) {
+            Ok(skeleton) => {
+                let skeleton = Arc::new(skeleton);
+                if let Some(key) = key {
+                    self.memo.insert(key, Arc::clone(&skeleton));
+                }
+                let stores: Vec<StoreId> = fused.args.iter().map(|&(store, _, _)| store).collect();
+                self.launch_skeleton(&fused.tasks, &skeleton, &stores);
+            }
+            Err(detail) => {
+                let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
+                self.contain(&fused.name, accesses, detail);
+            }
+        }
+    }
+
+    /// Lower, miss side: composes every constituent's kernel in program
+    /// order, optimizes the composite, remaps it into the launch tail's
+    /// buffer layout and compiles it, returning the skeleton a replay
+    /// relaunches. Each check — the prefix's translation validation (the
+    /// fusion decision preserves every re-derived dependence edge; see
+    /// `fusion::verify`), every constituent module against its signature,
+    /// the optimized module and the lowered one — goes through the gate, and
+    /// the first failure is returned for [`ContextInner::contain`]. JIT time
+    /// is charged through the backend's cost hook, priced from the composed,
+    /// pre-optimization module (the backend lowers the whole pipeline input).
+    fn lower(&mut self, fused: &FusedTask, temps: &HashSet<StoreId>) -> Result<Skeleton, String> {
+        self.verify(
+            format_args!("planned fused prefix violates a dependence invariant"),
+            |_| fusion::verify_fused_prefix(&fused.tasks),
+        )?;
+        let num_args = fused.args.len();
+        let is_temp: Vec<bool> = fused.args.iter().map(|(s, _, _)| temps.contains(s)).collect();
+        let mut module = KernelModule::new(num_args as u32);
+        for (i, &(_, _, privilege)) in fused.args.iter().enumerate() {
+            let role = match privilege {
+                _ if is_temp[i] => BufferRole::Local,
+                p if p.reduces() => BufferRole::Reduction,
+                p if p.writes() && p.reads() => BufferRole::InOut,
+                p if p.writes() => BufferRole::Output,
+                _ => BufferRole::Input,
+            };
+            module.set_role(BufferId(i as u32), role);
+        }
+        // Buffer lengths: the fused args' access volumes, then one per
+        // generator-introduced local.
+        let mut lens: Vec<usize> = fused
+            .args
+            .iter()
+            .map(|(s, p, _)| self.access_volume(*s, p, &fused.launch_domain))
+            .collect();
+        let mut scalar_offset = 0;
+        for (task, arg_map) in fused.tasks.iter().zip(&fused.arg_map) {
+            // Each constituent is checked before it is composed, against the
+            // lengths it was generated for.
+            let (mut body, task_lens) = self.generate(task);
+            self.verify(format_args!("kernel of `{}`", task.name), |this| {
+                this.check_task_module(task, &body, &task_lens)
+            })?;
+            body.offset_params(scalar_offset);
+            scalar_offset += task.scalars.len();
+            // Generator buffers 0..args -> fused arg positions; generator
+            // locals -> fresh locals in the fused module.
+            let mut map: Vec<BufferId> = arg_map.iter().map(|&i| BufferId(i as u32)).collect();
+            for &len in &task_lens[task.args.len()..] {
+                map.push(module.add_local());
+                lens.push(len);
+            }
+            module.append(body.remap_buffers(&map));
+        }
+        self.stats.compile_time += self.backend.compile_cost(&module, &self.compile_model);
+        self.stats.compilations += 1;
+        let pipeline = if self.config.enable_kernel_fusion {
+            PipelineConfig::default()
+        } else {
+            PipelineConfig {
+                parallelize: true,
+                ..PipelineConfig::disabled()
+            }
+        };
+        let module = Pipeline::new(pipeline).run(module, &lens).module;
+        self.verify(
+            format_args!("optimized module of `{}` violates an IR invariant", fused.name),
+            |_| kernel::verify::verify_module(&module, Some(&lens)),
+        )?;
+        // Into the launch tail's buffer layout: non-temporary args, then
+        // temporary args, then generator-introduced locals.
+        let layout = (0..num_args)
+            .filter(|&i| !is_temp[i])
+            .chain((0..num_args).filter(|&i| is_temp[i]))
+            .chain(num_args..lens.len());
+        let mut remap = vec![BufferId(0); lens.len()];
+        for (slot, buffer) in layout.enumerate() {
+            remap[buffer] = BufferId(slot as u32);
+        }
+        let module = module.remap_buffers(&remap);
+        // The launch-layout module is what the backend actually lowers.
+        let backend = self.config.backend;
+        self.verify(
+            format_args!("{backend:?} lowering of `{}` violates an invariant", fused.name),
+            |_| kernel::verify::verify_lowering(&module, backend),
+        )?;
+        let kernel = self.compile_artifact(&fused.name, &module);
+        let mut canon: HashMap<StoreId, u32> = HashMap::new();
+        for arg in fused.tasks.iter().flat_map(|t| &t.args) {
+            let next = canon.len() as u32;
+            canon.entry(arg.store).or_insert(next);
+        }
+        Ok(Skeleton {
+            prefix_len: fused.tasks.len(),
+            kernel,
+            name: fused.name.clone(),
+            args: fused.args.iter().map(|(s, p, pr)| (canon[s], *p, *pr)).collect(),
+            temp_volumes: is_temp.iter().zip(&lens).map(|(&t, &len)| t.then_some(len)).collect(),
+            generator_local_lens: lens[num_args..].to_vec(),
+        })
+    }
+
+    /// Lower, replay side: a memo hit relaunches its skeleton after the same
+    /// prefix translation validation as a miss plus `verify_skeleton` — the
+    /// replayed structure must match the probe window, so a fingerprint
+    /// collision is caught here by construction. No fused task is built, no
+    /// access volume computed and no name assembled.
+    fn replay(&mut self, skeleton: &Skeleton, stores: &[StoreId]) {
+        let prefix = self.window.drain_prefix(skeleton.prefix_len);
+        let checked = self
+            .verify(
+                format_args!("planned fused prefix violates a dependence invariant"),
+                |_| fusion::verify_fused_prefix(&prefix),
+            )
+            .and_then(|()| {
+                self.verify(
+                    format_args!(
+                        "memo-replayed skeleton `{}` does not match the probe window",
+                        skeleton.name
+                    ),
+                    |_| fusion::verify_skeleton(&prefix, &skeleton.args),
+                )
+            });
+        match checked {
+            Ok(()) => self.launch_skeleton(&prefix, skeleton, stores),
+            Err(detail) => {
+                let fused = FusedTask::build(prefix);
+                let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
+                self.contain(&fused.name, accesses, detail);
+            }
+        }
+    }
+
+    /// Launches one task without fusion, through its own generated kernel.
+    /// The module is compiled through the configured backend but charges no
+    /// simulated compile time: the unfused baseline models a library of
+    /// pre-compiled per-task kernels (only fused windows pay the JIT, as in
+    /// the paper).
+    fn launch_unfused(&mut self, task: IndexTask) {
+        let (module, lens) = self.generate(&task);
+        let backend = self.config.backend;
+        let checked = self
+            .verify(format_args!("kernel of `{}`", task.name), |this| {
+                this.check_task_module(&task, &module, &lens)
+            })
+            .and_then(|()| {
+                self.verify(
+                    format_args!("{backend:?} lowering of `{}` violates an invariant", task.name),
+                    |_| kernel::verify::verify_lowering(&module, backend),
+                )
+            });
+        if let Err(detail) = checked {
+            let accesses = task.args.iter().map(|a| (a.store, a.privilege));
+            self.contain(&task.name, accesses, detail);
+            return;
         }
         let kernel = self.compile_artifact(&task.name, &module);
         // The argument list goes out verbatim (un-merged): nothing is a
         // temporary outside a fused window.
         let args = task.args.iter().map(|a| (a.store, a.partition, a.privilege, None));
-        self.launch(kernel, task.name, task.launch_domain, args, &local_lens, task.scalars, 1);
+        let locals = &lens[task.args.len()..];
+        self.launch(std::slice::from_ref(&task), kernel, task.name.clone(), args, locals);
     }
 
-    /// The one launch tail (unfused launch, fused miss, memoized replay):
-    /// splits the resolved arguments into region requirements and task-local
-    /// temporaries (`Some(volume)` marks a temporary and gives its buffer
-    /// length), appends the generator-introduced locals, executes, and books
-    /// the launch as `constituents` tasks. The launch's vectors come from and
-    /// return to the context's scratch, so the steady-state replay allocates
-    /// nothing for requirements, scalars or buffer lengths.
-    #[allow(clippy::too_many_arguments)]
+    /// Launches `tasks` through a skeleton whose arguments resolve to
+    /// `stores`, one per skeleton argument.
+    fn launch_skeleton(&mut self, tasks: &[IndexTask], skeleton: &Skeleton, stores: &[StoreId]) {
+        let args = skeleton
+            .args
+            .iter()
+            .zip(stores)
+            .zip(&skeleton.temp_volumes)
+            .map(|((&(_, part, privilege), &store), &temp)| (store, part, privilege, temp));
+        let kernel = Arc::clone(&skeleton.kernel);
+        let locals = &skeleton.generator_local_lens;
+        self.launch(tasks, kernel, skeleton.name.clone(), args, locals);
+    }
+
+    /// Launch: the one tail of every path (unfused task, compiled prefix,
+    /// memo replay). Splits the resolved arguments into region requirements
+    /// and task-local temporaries (`Some(volume)` marks a temporary and gives
+    /// its buffer length), appends the generator-introduced locals, gathers
+    /// the constituent `tasks`' scalars, executes, and books the launch as
+    /// `tasks.len()` tasks.
     fn launch(
         &mut self,
+        tasks: &[IndexTask],
         kernel: Arc<dyn CompiledKernel>,
         name: String,
-        launch_domain: Domain,
         args: impl Iterator<Item = (StoreId, PartitionId, Privilege, Option<usize>)>,
         generator_local_lens: &[usize],
-        scalars: Vec<f64>,
-        constituents: u32,
     ) {
-        // Buffer layout (what `launch_fused` remaps a module into): region
+        // Buffer layout (what `lower` remaps a module into): region
         // requirements, then temporaries, then generator-introduced locals.
-        let mut requirements = std::mem::take(&mut self.req_scratch);
-        let mut local_buffer_lens = std::mem::take(&mut self.len_scratch);
+        let mut requirements = Vec::new();
+        let mut local_buffer_lens = Vec::new();
         for (store, partition, privilege, temp_volume) in args {
             match temp_volume {
                 None => {
@@ -721,499 +982,23 @@ impl ContextInner {
             }
         }
         local_buffer_lens.extend(generator_local_lens.iter().map(|&len| len.max(1)));
-        let mut launch = TaskLaunch {
+        let launch = TaskLaunch {
             name,
-            launch_domain,
+            launch_domain: tasks[0].launch_domain.clone(),
             requirements,
             kernel,
-            scalars,
+            scalars: tasks.iter().flat_map(|t| t.scalars.iter().copied()).collect(),
             local_buffer_lens,
             overhead: OverheadClass::TaskRuntime,
         };
         let t0 = self.runtime.elapsed();
         self.runtime.execute(&launch).expect("launch failed");
         let delta = self.runtime.elapsed() - t0;
-        launch.requirements.clear();
-        launch.scalars.clear();
-        launch.local_buffer_lens.clear();
-        self.req_scratch = launch.requirements;
-        self.scalar_scratch = launch.scalars;
-        self.len_scratch = launch.local_buffer_lens;
         self.stats.tasks_launched += 1;
-        if constituents > 1 {
+        if tasks.len() > 1 {
             self.stats.fused_tasks += 1;
         }
-        self.attribute_launch(constituents, delta);
-    }
-
-    /// Composes, optimizes, compiles (or reuses a memoized compiled
-    /// artifact) and launches a fused task built from the first `prefix_len`
-    /// buffered tasks.
-    ///
-    /// On a memoization hit the backend is not consulted at all — the cached
-    /// `Arc<dyn CompiledKernel>` is launched directly and no compile time is
-    /// charged. On a miss the fused module is composed, optimized, remapped
-    /// into launch layout and compiled by the configured backend, which
-    /// prices the one-time work via [`KernelBackend::compile_cost`]; the
-    /// artifact is then memoized under `memo_key` (the canonical form of the
-    /// whole window at probe time).
-    fn launch_fused(
-        &mut self,
-        prefix_len: usize,
-        cached: Option<Arc<CompiledArtifact>>,
-        memo_key: Option<CanonicalWindow>,
-    ) {
-        // Re-derive the dependence edges of the planned prefix and check the
-        // fusion decision preserves them (translation validation of the
-        // window analysis — see `fusion::verify`).
-        if self.config.enable_verification {
-            match fusion::verify_fused_prefix(&self.window.tasks()[..prefix_len]) {
-                Ok(checks) => self.stats.verification_checks += checks as u64,
-                Err(e) => {
-                    let detail =
-                        format!("planned fused prefix violates a dependence invariant: {e}");
-                    self.poison_fused_prefix(prefix_len, detail);
-                    return;
-                }
-            }
-        }
-
-        // Liveness (which fused args become task-local temporaries) is the
-        // only launch input the canonical window does not determine, so it
-        // is recomputed per launch — over borrowed window slices, before
-        // anything is drained or built.
-        let (prefix_slice, pending) = self.window.tasks().split_at(prefix_len);
-        let temps: HashSet<StoreId> = if self.config.enable_temp_elimination {
-            let stores = &self.stores;
-            temporary_stores(prefix_slice, pending, |s| {
-                stores.get(&s).map(|m| m.app_refs > 0).unwrap_or(false)
-            })
-        } else {
-            HashSet::new()
-        };
-
-        if let Some(art) = &cached {
-            // Layout check: the cached artifact was compiled under a
-            // particular temporary split; relaunch it directly only if the
-            // current liveness agrees. The artifact's canonical indices were
-            // assigned over the prefix, which is a prefix of the whole
-            // window's first-occurrence numbering, so they resolve through
-            // the window's numbering unchanged.
-            let layout_matches = art
-                .args
-                .iter()
-                .zip(&art.temp_volumes)
-                .all(|((ci, _, _), was_temp)| {
-                    let store = self
-                        .window
-                        .canonical_store(*ci as usize)
-                        .expect("cached entry verified against this window");
-                    temps.contains(&store) == was_temp.is_some()
-                });
-            if layout_matches {
-                let art = Arc::clone(art);
-                self.launch_from_skeleton(prefix_len, &art);
-                return;
-            }
-        }
-
-        // Miss, or a liveness drift on a hit — which recompiles
-        // conservatively and re-memoizes. The fast path skipped key
-        // construction, so a drift rebuilds the probed window's key here
-        // (drift is rare; the steady state never pays this).
-        let memo_key = memo_key.or_else(|| {
-            if cached.is_some() && self.config.enable_memoization {
-                Some(CanonicalWindow::new(self.window.tasks()))
-            } else {
-                None
-            }
-        });
-        Self::collect_libraries(&mut self.lib_scratch, &self.window.tasks()[..prefix_len]);
-        let prefix = self.window.drain_prefix(prefix_len);
-        let fused = FusedTask::build(prefix);
-
-        // Which fused args are temporaries (become task-local buffers).
-        let is_temp: Vec<bool> = fused.args.iter().map(|(s, _, _)| temps.contains(s)).collect();
-        let domain = &fused.launch_domain;
-        let arg_volumes: Vec<usize> = fused
-            .args
-            .iter()
-            .map(|(s, p, _)| self.access_volume(*s, p, domain))
-            .collect();
-
-        let (module, generator_local_lens) =
-            match self.compose_and_optimize(&fused, &is_temp, &arg_volumes) {
-                Ok(v) => v,
-                Err(detail) => {
-                    self.poison_fused(&fused, detail);
-                    return;
-                }
-            };
-        if self.config.enable_verification {
-            // The optimized composite, still in fused-arg numbering: check
-            // IR invariants against the concrete buffer lengths the pipeline
-            // was given.
-            let mut lens = arg_volumes.clone();
-            lens.extend(generator_local_lens.iter().copied());
-            match kernel::verify::verify_module(&module, Some(&lens)) {
-                Ok(checks) => self.stats.verification_checks += checks as u64,
-                Err(e) => {
-                    let detail = format!(
-                        "optimized module of `{}` violates an IR invariant: {e}",
-                        fused.name
-                    );
-                    self.poison_fused(&fused, detail);
-                    return;
-                }
-            }
-        }
-        // Into the launch tail's buffer layout: non-temporary args, then
-        // temporary args, then generator-introduced locals.
-        let num_args = fused.args.len();
-        let num_buffers = num_args + generator_local_lens.len();
-        let layout = (0..num_args)
-            .filter(|&i| !is_temp[i])
-            .chain((0..num_args).filter(|&i| is_temp[i]))
-            .chain(num_args..num_buffers);
-        let mut remap = vec![BufferId(0); num_buffers];
-        for (slot, buffer) in layout.enumerate() {
-            remap[buffer] = BufferId(slot as u32);
-        }
-        let module = module.remap_buffers(&remap);
-        if self.config.enable_verification {
-            // The launch-layout module is what the backend actually lowers.
-            if let Err(detail) = self.verify_lowered(&fused.name, &module) {
-                self.poison_fused(&fused, detail);
-                return;
-            }
-        }
-        let kernel = self.compile_artifact(&fused.name, &module);
-        let temp_volumes: Vec<Option<usize>> = is_temp
-            .iter()
-            .zip(&arg_volumes)
-            .map(|(&temp, &volume)| temp.then_some(volume))
-            .collect();
-        if let Some(key) = memo_key {
-            // (Re)memoize the complete launch skeleton so the next
-            // isomorphic window relaunches without rebuilding any of it.
-            // Canonical indices are assigned by first occurrence across the
-            // prefix (a prefix of the window numbering the probe verifies
-            // against).
-            let mut canon: HashMap<StoreId, u32> = HashMap::new();
-            for t in &fused.tasks {
-                for a in &t.args {
-                    let next = canon.len() as u32;
-                    canon.entry(a.store).or_insert(next);
-                }
-            }
-            let canonical_args: Vec<(u32, PartitionId, Privilege)> = fused
-                .args
-                .iter()
-                .map(|(s, p, pr)| (canon[s], *p, *pr))
-                .collect();
-            self.memo.insert(
-                key,
-                MemoEntry {
-                    prefix_len,
-                    compiled: Arc::new(CompiledArtifact {
-                        kernel: Arc::clone(&kernel),
-                        name: fused.name.clone(),
-                        args: canonical_args,
-                        temp_volumes: temp_volumes.clone(),
-                        generator_local_lens: generator_local_lens.clone(),
-                    }),
-                },
-            );
-        }
-
-        let scalars: Vec<f64> = fused
-            .tasks
-            .iter()
-            .flat_map(|t| t.scalars.iter().copied())
-            .collect();
-        let args = fused
-            .args
-            .iter()
-            .zip(temp_volumes)
-            .map(|(&(store, part, priv_), temp)| (store, part, priv_, temp));
-        self.launch(
-            kernel,
-            fused.name,
-            fused.launch_domain,
-            args,
-            &generator_local_lens,
-            scalars,
-            prefix_len as u32,
-        );
-    }
-
-    /// The memoization-hit fast path: instantiates a cached launch skeleton
-    /// against the current window's concrete stores. No fused task is built,
-    /// no access volumes are computed and no name is assembled — the only
-    /// per-launch work is resolving canonical indices to store ids, ensuring
-    /// backing regions and gathering scalars.
-    fn launch_from_skeleton(&mut self, prefix_len: usize, art: &CompiledArtifact) {
-        Self::collect_libraries(&mut self.lib_scratch, &self.window.tasks()[..prefix_len]);
-        // A fingerprint probe found this skeleton; check the replayed
-        // structure actually matches the probe window (a fingerprint
-        // collision would be caught here, by construction).
-        if self.config.enable_verification {
-            match fusion::verify_skeleton(&self.window.tasks()[..prefix_len], &art.args) {
-                Ok(checks) => self.stats.verification_checks += checks as u64,
-                Err(e) => {
-                    let detail = format!(
-                        "memo-replayed skeleton `{}` does not match the probe window: {e}",
-                        art.name
-                    );
-                    self.poison_fused_prefix(prefix_len, detail);
-                    return;
-                }
-            }
-        }
-        let prefix = &self.window.tasks()[..prefix_len];
-        let launch_domain = prefix[0].launch_domain.clone();
-        let mut scalars = std::mem::take(&mut self.scalar_scratch);
-        scalars.extend(prefix.iter().flat_map(|t| t.scalars.iter().copied()));
-        // Resolve the skeleton's canonical store indices against this window
-        // before draining (draining renumbers the remaining suffix).
-        let mut arg_stores = std::mem::take(&mut self.store_scratch);
-        arg_stores.extend(art.args.iter().map(|(ci, _, _)| {
-            self.window
-                .canonical_store(*ci as usize)
-                .expect("cached entry verified against this window")
-        }));
-        drop(self.window.drain_prefix(prefix_len));
-
-        let args = art
-            .args
-            .iter()
-            .zip(&arg_stores)
-            .zip(&art.temp_volumes)
-            .map(|((&(_, part, priv_), &store), &temp)| (store, part, priv_, temp));
-        self.launch(
-            Arc::clone(&art.kernel),
-            art.name.clone(),
-            launch_domain,
-            args,
-            &art.generator_local_lens,
-            scalars,
-            prefix_len as u32,
-        );
-        arg_stores.clear();
-        self.store_scratch = arg_stores;
-    }
-
-    /// Generates every constituent task's kernel, composes them in program
-    /// order, and runs the optimization pipeline. Returns the optimized module
-    /// (buffer ids: fused args then generator locals) and the lengths of the
-    /// generator-introduced locals. Charges JIT compilation time through the
-    /// backend's cost hook (priced from the composed, pre-optimization module
-    /// — the backend lowers the whole pipeline input).
-    fn compose_and_optimize(
-        &mut self,
-        fused: &FusedTask,
-        is_temp: &[bool],
-        arg_volumes: &[usize],
-    ) -> Result<(KernelModule, Vec<usize>), String> {
-        let mut module = KernelModule::new(fused.args.len() as u32);
-        for (i, (_, _, priv_)) in fused.args.iter().enumerate() {
-            let role = if is_temp[i] {
-                BufferRole::Local
-            } else if priv_.reduces() {
-                BufferRole::Reduction
-            } else if priv_.writes() && priv_.reads() {
-                BufferRole::InOut
-            } else if priv_.writes() {
-                BufferRole::Output
-            } else {
-                BufferRole::Input
-            };
-            module.set_role(BufferId(i as u32), role);
-        }
-        let mut generator_local_lens: Vec<usize> = Vec::new();
-        let mut scalar_offset = 0usize;
-        for (ti, task) in fused.tasks.iter().enumerate() {
-            let arg_lens = self.task_arg_lens(task);
-            let mut body = self.generate_task_module(task, &arg_lens);
-            let max_arg_vol = arg_lens.iter().copied().max().unwrap_or(1);
-            if self.config.enable_verification {
-                // Each constituent generator's output is checked before it
-                // is composed: arity/role consistency against the declared
-                // signature, SSA and bounds against the lengths it was
-                // generated for.
-                let mut lens = arg_lens;
-                let num_locals = body.num_buffers() as usize - task.args.len();
-                lens.extend(std::iter::repeat_n(max_arg_vol, num_locals));
-                self.verify_task_module(task, &body, &lens)?;
-            }
-            body.offset_params(scalar_offset);
-            scalar_offset += task.scalars.len();
-            // Remap: generator buffers 0..args -> fused arg positions;
-            // generator locals -> fresh locals in the fused module.
-            let mut map: Vec<BufferId> = fused.arg_map[ti]
-                .iter()
-                .map(|&i| BufferId(i as u32))
-                .collect();
-            for _ in task.args.len()..body.num_buffers() as usize {
-                let local = module.add_local();
-                map.push(local);
-                generator_local_lens.push(max_arg_vol);
-            }
-            let remapped = body.remap_buffers(&map);
-            module.append(remapped);
-        }
-        // Charge JIT time for the composed module through the backend's hook.
-        self.stats.compile_time += self.backend.compile_cost(&module, &self.compile_model);
-        self.stats.compilations += 1;
-
-        // Buffer lengths for the pipeline: fused arg volumes then locals.
-        let mut lens: Vec<usize> = arg_volumes.to_vec();
-        lens.extend(generator_local_lens.iter().copied());
-        let pipeline_config = if self.config.enable_kernel_fusion {
-            PipelineConfig::default()
-        } else {
-            PipelineConfig {
-                parallelize: true,
-                ..PipelineConfig::disabled()
-            }
-        };
-        // Alias pairs: fused args backed by the same store through different
-        // partitions must not be loop-fused (they may overlap in memory).
-        let compiled = Pipeline::new(pipeline_config).run(module, &lens);
-        Ok((compiled.module, generator_local_lens))
-    }
-
-    /// Processes the entire buffered window: repeatedly extract a fusible
-    /// prefix (or a single task) and launch it.
-    ///
-    /// The hot path is allocation-free up to the launch itself: the memo
-    /// lookup probes by the window's incrementally maintained fingerprint
-    /// (no `CanonicalWindow` is built on a hit), and on misses the fusible
-    /// segmentation of the whole window is computed **once** and consumed
-    /// front to back, so draining a prefix never re-checks the untouched
-    /// suffix.
-    fn process_window(&mut self) {
-        // Horizontal pass (when enabled): segment the window vertically,
-        // pack independent equal-domain segments into launch groups, and
-        // reorder the window so each group is contiguous. The vertical
-        // analysis below then fuses every group into one wide launch; the
-        // memo probe keys on the *permuted* canonical stream, so isomorphic
-        // batches replay the packed skeleton regardless of submission order.
-        if self.config.enable_task_fusion
-            && self.config.enable_horizontal_fusion
-            && self.window.len() > 1
-        {
-            let segments = fusible_segments(self.window.tasks());
-            if segments.len() > 1 {
-                let plan = plan_horizontal(self.window.tasks(), &segments);
-                if !plan.is_identity() {
-                    // Independently re-check the planner's claims: every
-                    // launch group is pairwise independent (write-disjoint
-                    // with matching domains), and the reorder it implies
-                    // never flips a dependent pair. A contained violation
-                    // (fail-fast off) records the failure and skips the
-                    // reorder — the un-permuted window is always legal, so
-                    // the plan degrades to vertical-only fusion rather than
-                    // failing any launch.
-                    let mut plan_ok = true;
-                    if self.config.enable_verification {
-                        match fusion::verify_horizontal_plan(self.window.tasks(), &segments, &plan)
-                        {
-                            Ok(checks) => self.stats.verification_checks += checks as u64,
-                            Err(e) => {
-                                let detail = format!(
-                                    "horizontal launch plan violates an independence \
-                                     invariant: {e}"
-                                );
-                                self.verify_violation("horizontal-plan", detail, &[]);
-                                plan_ok = false;
-                            }
-                        }
-                    }
-                    if plan_ok {
-                        let permuted = plan.apply(self.window.tasks());
-                        if self.config.enable_verification {
-                            match fusion::verify_reorder(self.window.tasks(), &permuted) {
-                                Ok(checks) => self.stats.verification_checks += checks as u64,
-                                Err(e) => {
-                                    let detail = format!(
-                                        "horizontal reorder does not preserve the dependence \
-                                         order: {e}"
-                                    );
-                                    self.verify_violation("horizontal-plan", detail, &[]);
-                                    plan_ok = false;
-                                }
-                            }
-                        }
-                        if plan_ok {
-                            self.stats.horizontally_fused_tasks += plan.merged_tasks();
-                            self.window.reorder(permuted);
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut segments: VecDeque<usize> = VecDeque::new();
-        let mut segments_valid = false;
-        while !self.window.is_empty() {
-            if !self.config.enable_task_fusion {
-                let task = self.window.drain_prefix(1).pop().unwrap();
-                self.launch_unfused(task);
-                continue;
-            }
-            let window_len = self.window.len();
-            // Fingerprint-first memo probe; a full canonical key is built
-            // only on a miss (to insert after compilation).
-            let (prefix_len, cached, memo_key) = if self.config.enable_memoization {
-                match self.memo.probe(&self.window) {
-                    Some(entry) => {
-                        self.stats.memo_hits += 1;
-                        (entry.prefix_len, Some(Arc::clone(&entry.compiled)), None)
-                    }
-                    None => {
-                        self.stats.memo_misses += 1;
-                        if !segments_valid {
-                            segments = self.classify_and_segment();
-                            segments_valid = true;
-                        }
-                        let len = segments.front().copied().unwrap_or(1);
-                        (len, None, Some(CanonicalWindow::new(self.window.tasks())))
-                    }
-                }
-            } else {
-                if !segments_valid {
-                    segments = self.classify_and_segment();
-                    segments_valid = true;
-                }
-                let len = segments.front().copied().unwrap_or(1);
-                (len, None, None)
-            };
-            let prefix_len = prefix_len.min(window_len).max(1);
-            // Keep the cached segmentation aligned with the drain. A memoized
-            // prefix length always equals the front segment (the memoized
-            // decision is a function of the canonical window), but guard by
-            // invalidating on any disagreement rather than assuming it.
-            if segments_valid {
-                if segments.front() == Some(&prefix_len) {
-                    segments.pop_front();
-                } else {
-                    segments_valid = false;
-                }
-            }
-            if prefix_len == 1 && !self.config.enable_kernel_fusion {
-                // A singleton prefix with no kernel-level optimization is just
-                // an unfused launch.
-                let task = self.window.drain_prefix(1).pop().unwrap();
-                self.launch_unfused(task);
-            } else {
-                self.launch_fused(prefix_len, cached, memo_key);
-            }
-            self.adaptive.record(window_len, prefix_len);
-        }
-        self.stats.windows_flushed += 1;
-        self.stats.current_window_size = self.adaptive.size() as u64;
-        self.sweep_dead_stores();
+        self.attribute_launch(tasks, delta);
     }
 }
 
@@ -1307,15 +1092,9 @@ impl Context {
             stores: HashMap::new(),
             next_store: 0,
             next_task: 0,
-            lib_scratch: Vec::new(),
-            req_scratch: Vec::new(),
-            scalar_scratch: Vec::new(),
-            len_scratch: Vec::new(),
-            store_scratch: Vec::new(),
             linted_kinds: HashSet::new(),
             analysis: HashMap::default(),
             summaries: HashMap::new(),
-            batch_failures: Vec::new(),
             config,
         };
         Context {
@@ -1425,8 +1204,7 @@ impl Context {
         let mut inner = self.inner.borrow_mut();
         let region = inner.ensure_region(store.id);
         if let Err(e) = inner.runtime.flush_launches() {
-            let failures = inner.runtime.take_failures();
-            inner.batch_failures.extend(failures);
+            // The runtime keeps the per-launch records until `take_failures`.
             let contained =
                 inner.runtime.fault_plan().is_some() || !inner.config.verify_fail_fast;
             assert!(contained, "deferred launch failed: {e}");
@@ -1456,18 +1234,7 @@ impl Context {
         args: Vec<StoreArg>,
         scalars: Vec<f64>,
     ) -> TaskId {
-        let mut inner = self.inner.borrow_mut();
-        let gpus = inner.runtime.gpus() as u64;
-        let id = TaskId(inner.next_task);
-        inner.next_task += 1;
-        // Default launch domain: one point per GPU; libraries express the
-        // decomposition through partitions.
-        let launch_domain = Domain::linear(gpus);
-        self.submit_task_locked(
-            &mut inner,
-            IndexTask::new(id, kind.encode(), name, launch_domain, args, scalars),
-        );
-        id
+        self.submit_task(kind, name.to_string(), None, args, scalars)
     }
 
     /// Submission endpoint of the typed [`LaunchBuilder`]: resolves the
@@ -1487,8 +1254,8 @@ impl Context {
         args: Vec<StoreArg>,
         scalars: Vec<f64>,
     ) -> TaskId {
-        let mut inner = self.inner.borrow_mut();
         let name = {
+            let inner = self.inner.borrow();
             let registry = &inner.registry;
             let registered = registry.name(kind).unwrap_or_else(|| {
                 panic!(
@@ -1500,18 +1267,26 @@ impl Context {
             validate_against_signature(registry, kind, &args, &scalars);
             name.unwrap_or_else(|| registered.to_string())
         };
-        let launch_domain =
-            domain.unwrap_or_else(|| Domain::linear(inner.runtime.gpus() as u64));
-        let id = TaskId(inner.next_task);
-        inner.next_task += 1;
-        self.submit_task_locked(
-            &mut inner,
-            IndexTask::new(id, kind.encode(), name, launch_domain, args, scalars),
-        );
-        id
+        self.submit_task(kind, name, domain, args, scalars)
     }
 
-    fn submit_task_locked(&self, inner: &mut ContextInner, mut task: IndexTask) {
+    /// The one submission tail of [`Context::submit`] and the builder: the
+    /// task's id and default launch domain (one point per GPU; libraries
+    /// express the decomposition through partitions), then the window.
+    fn submit_task(
+        &self,
+        kind: TaskKind,
+        name: String,
+        domain: Option<Domain>,
+        args: Vec<StoreArg>,
+        scalars: Vec<f64>,
+    ) -> TaskId {
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
+        let id = TaskId(inner.next_task);
+        inner.next_task += 1;
+        let launch_domain = domain.unwrap_or_else(|| Domain::linear(inner.runtime.gpus() as u64));
+        let mut task = IndexTask::new(id, kind.encode(), name, launch_domain, args, scalars);
         // Stamp every argument with its store's interned shape: from here on
         // the analyses (fingerprinting, canonicalization, temporary
         // elimination) read shapes straight off the arguments.
@@ -1536,8 +1311,9 @@ impl Context {
         }
         inner.window.push(task);
         if inner.window.len() >= inner.adaptive.size() {
-            inner.process_window();
+            inner.flush_window();
         }
+        id
     }
 
     /// Explains the currently buffered (unflushed) task window: the fusible
@@ -1554,7 +1330,7 @@ impl Context {
     pub fn flush(&self) {
         let mut inner = self.inner.borrow_mut();
         if !inner.window.is_empty() {
-            inner.process_window();
+            inner.flush_window();
         }
     }
 
@@ -1587,14 +1363,10 @@ impl Context {
     pub fn take_failures(&self) -> Vec<LaunchFailure> {
         self.flush();
         let mut inner = self.inner.borrow_mut();
-        if let Err(e) = inner.runtime.flush_launches() {
-            // The record set below carries strictly more detail than the
-            // first-error summary.
-            let _ = e;
-        }
-        let mut out = std::mem::take(&mut inner.batch_failures);
-        out.extend(inner.runtime.take_failures());
-        out
+        // The records carry strictly more detail than the first-error
+        // summary the flush returns.
+        let _ = inner.runtime.flush_launches();
+        inner.runtime.take_failures()
     }
 
     /// The runtime's execution profile.
@@ -2509,6 +2281,56 @@ mod tests {
             assert_eq!(stats.distributed_allocations_avoided, 2);
         }
         assert_eq!(out8, out128, "results do not depend on the machine size");
+    }
+
+    #[test]
+    fn scalar_values_reach_neither_generators_nor_the_analysis_memo() {
+        // 64 `scale` tasks over one shape, each with its own scalar, in one
+        // window that fuses whole. Generators never see scalar values, so
+        // the analyzer memo holds one entry and generates once for it; the
+        // other 64 generator calls compose the fused kernel.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for analyze in [AnalyzeMode::Declared, AnalyzeMode::Inferred] {
+            let ctx = Context::new(
+                DiffuseConfig::fused(MachineConfig::with_gpus(4))
+                    .with_window(64, 64)
+                    .with_horizontal_fusion(false)
+                    .with_analyze(analyze),
+            );
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&calls);
+            let scale = ctx.register_library("scales").register(
+                "scale",
+                TaskSignature::new().read().write().scalars(1),
+                move |_args| {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    let mut m = KernelModule::new(2);
+                    m.set_role(BufferId(1), BufferRole::Output);
+                    let mut b = LoopBuilder::new("scale", BufferId(1));
+                    let (x, s) = (b.load(BufferId(0)), b.param(0));
+                    let v = b.mul(x, s);
+                    b.store(BufferId(1), v);
+                    m.push_loop(b.finish());
+                    m
+                },
+            );
+            let p = block(16, 4);
+            let x = ctx.create_store(vec![16], "x");
+            ctx.fill(&x, 2.0);
+            let outs: Vec<StoreHandle> = (0..64)
+                .map(|k| {
+                    let out = ctx.create_store(vec![16], "out");
+                    let task = ctx.task(scale).read(&x, p.clone()).write(&out, p.clone());
+                    task.scalar(k as f64).launch();
+                    out
+                })
+                .collect();
+            ctx.flush();
+            assert_eq!(ctx.read_store(&outs[63]).unwrap(), vec![126.0; 16]);
+            assert_eq!(ctx.stats().tasks_launched, 1, "{analyze:?}");
+            assert_eq!(ctx.inner.borrow().analysis.len(), 1, "{analyze:?}");
+            assert_eq!(calls.load(Ordering::Relaxed), 1 + 64, "{analyze:?}");
+        }
     }
 
     #[test]

@@ -83,33 +83,6 @@ impl FusedTask {
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
-
-    /// Whether this "fused" task wraps a single task (no fusion happened).
-    pub fn is_singleton(&self) -> bool {
-        self.tasks.len() == 1
-    }
-
-    /// The stores written (or read-written) by the fused task.
-    pub fn written_stores(&self) -> Vec<StoreId> {
-        let mut out = Vec::new();
-        for (s, _, pr) in &self.args {
-            if pr.writes() && !out.contains(s) {
-                out.push(*s);
-            }
-        }
-        out
-    }
-
-    /// The stores only read by the fused task.
-    pub fn read_only_stores(&self) -> Vec<StoreId> {
-        let mut out = Vec::new();
-        for (s, _, pr) in &self.args {
-            if pr.reads() && !pr.writes() && !out.contains(s) {
-                out.push(*s);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -147,8 +120,6 @@ mod tests {
             .find(|(s, _, _)| *s == StoreId(1))
             .unwrap();
         assert_eq!(s1.2, Privilege::ReadWrite);
-        assert_eq!(fused.written_stores(), vec![StoreId(1), StoreId(2)]);
-        assert_eq!(fused.read_only_stores(), vec![StoreId(0)]);
     }
 
     #[test]
@@ -177,7 +148,7 @@ mod tests {
             vec![],
         );
         let fused = FusedTask::build(vec![t]);
-        assert!(fused.is_singleton());
+        assert_eq!(fused.len(), 1);
         assert_eq!(fused.args.len(), 2, "different views are distinct arguments");
     }
 

@@ -55,10 +55,7 @@ pub use explain::{explain_window, explain_window_with, BoundaryReport, WindowRep
 pub use fused::FusedTask;
 pub use horizontal::{plan_horizontal, HorizontalPlan, HorizontalViolation, SegmentFootprint};
 pub use memo::{CanonicalWindow, MemoCache};
-pub use prefix::{
-    find_fusible_prefix, find_fusible_prefix_explained, fusible_segments,
-    fusible_segments_explained,
-};
+pub use prefix::{find_fusible_prefix, fusible_segments, fusible_segments_explained};
 pub use temporaries::temporary_stores;
 pub use verify::{
     verify_fused_prefix, verify_horizontal_plan, verify_reorder, verify_skeleton, DepKind,

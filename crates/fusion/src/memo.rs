@@ -174,8 +174,9 @@ struct Slot<V> {
     last_used: u64,
 }
 
-/// A bounded, fingerprint-indexed memoization cache with LRU eviction and
-/// hit/miss/eviction statistics.
+/// A bounded, fingerprint-indexed memoization cache with LRU eviction (and
+/// an eviction count; hits and misses are counted by the caller, in
+/// `ExecutionStats`).
 ///
 /// Each Diffuse context owns one cache, created for its configured kernel
 /// backend, so compiled artifacts are never shared between backends (the
@@ -190,8 +191,6 @@ pub struct MemoCache<V> {
     live: usize,
     capacity: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
     evictions: u64,
     /// Reusable store numbering for collision verification.
     scratch: HashMap<StoreId, u32>,
@@ -223,79 +222,39 @@ impl<V> MemoCache<V> {
             live: 0,
             capacity,
             tick: 0,
-            hits: 0,
-            misses: 0,
             evictions: 0,
             scratch: HashMap::new(),
         }
     }
 
     /// The fingerprint-first fast path: looks up the entry for the buffered
-    /// window, recording a hit or miss. Uses the window's incrementally
-    /// maintained fingerprint and verifies candidates in place — **no heap
-    /// allocation and no `CanonicalWindow` construction on either outcome**
-    /// (the caller builds the key only when inserting after a miss).
+    /// window. Uses the window's incrementally maintained fingerprint and
+    /// verifies candidates in place — **no heap allocation and no
+    /// `CanonicalWindow` construction on either outcome** (the caller builds
+    /// the key only when inserting after a miss).
     pub fn probe(&mut self, window: &TaskWindow) -> Option<&V> {
-        self.probe_tasks(window.fingerprint(), window.tasks())
-    }
-
-    /// [`MemoCache::probe`] over an explicit (fingerprint, tasks) pair, for
-    /// callers that manage their own rolling fingerprints.
-    pub fn probe_tasks(&mut self, fingerprint: u64, tasks: &[IndexTask]) -> Option<&V> {
         self.tick += 1;
-        let mut found: Option<u32> = None;
-        if let Some(candidates) = self.index.get(&fingerprint) {
-            for &si in candidates {
-                let slot = self.slots[si as usize]
-                    .as_ref()
-                    .expect("indexed slot is live");
-                if slot.key.matches(tasks, &mut self.scratch) {
-                    found = Some(si);
-                    break;
-                }
-            }
-        }
-        match found {
-            Some(si) => {
-                self.hits += 1;
-                let slot = self.slots[si as usize].as_mut().expect("live");
-                slot.last_used = self.tick;
-                Some(&slot.value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let candidates = self.index.get(&window.fingerprint())?;
+        let si = *candidates.iter().find(|&&si| {
+            let slot = self.slots[si as usize].as_ref().expect("indexed slot is live");
+            slot.key.matches(window.tasks(), &mut self.scratch)
+        })?;
+        let slot = self.slots[si as usize].as_mut().expect("live");
+        slot.last_used = self.tick;
+        Some(&slot.value)
     }
 
-    /// Full-key lookup, recording a hit or miss. Equivalent to
-    /// [`MemoCache::probe`] with a pre-built key; used by benchmarks and as
-    /// the reference path in equivalence tests.
+    /// Full-key lookup. Equivalent to [`MemoCache::probe`] with a pre-built
+    /// key; the reference path of the equivalence tests.
     pub fn get(&mut self, key: &CanonicalWindow) -> Option<&V> {
         self.tick += 1;
-        let mut found: Option<u32> = None;
-        if let Some(candidates) = self.index.get(&key.fingerprint) {
-            for &si in candidates {
-                let slot = self.slots[si as usize].as_ref().expect("live");
-                if slot.key == *key {
-                    found = Some(si);
-                    break;
-                }
-            }
-        }
-        match found {
-            Some(si) => {
-                self.hits += 1;
-                let slot = self.slots[si as usize].as_mut().expect("live");
-                slot.last_used = self.tick;
-                Some(&slot.value)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let candidates = self.index.get(&key.fingerprint)?;
+        let si = *candidates
+            .iter()
+            .find(|&&si| self.slots[si as usize].as_ref().expect("live").key == *key)?;
+        let slot = self.slots[si as usize].as_mut().expect("live");
+        slot.last_used = self.tick;
+        Some(&slot.value)
     }
 
     /// Inserts an analysis result under a canonical key. If the key is
@@ -377,16 +336,6 @@ impl<V> MemoCache<V> {
     /// The configured capacity bound.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of lookups that hit.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Number of entries evicted to stay within the capacity bound.
@@ -476,13 +425,11 @@ mod tests {
             Some(&42),
             "isomorphic window hits the cache"
         );
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-        // The full-key reference path agrees.
+        // The full-key reference path agrees, on the hit and on the miss.
         assert_eq!(cache.get(&CanonicalWindow::new(&w2)), Some(&42));
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.get(&CanonicalWindow::new(&[rw_task(0, 1, 1)])), None);
     }
 
     #[test]

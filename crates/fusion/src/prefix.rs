@@ -8,20 +8,8 @@ use crate::constraints::{ConstraintState, FusionViolation};
 /// fusion constraints (Section 4.2). A result of `0` or `1` means no fusion is
 /// possible at the head of the window.
 pub fn find_fusible_prefix(tasks: &[IndexTask]) -> usize {
-    find_fusible_prefix_explained(tasks).0
-}
-
-/// Like [`find_fusible_prefix`], additionally returning the constraint
-/// violation that stopped the prefix (if the whole window did not fuse).
-pub fn find_fusible_prefix_explained(tasks: &[IndexTask]) -> (usize, Option<FusionViolation>) {
     let mut state = ConstraintState::new();
-    for (i, task) in tasks.iter().enumerate() {
-        match state.try_push(task) {
-            Ok(()) => {}
-            Err(violation) => return (i, Some(violation)),
-        }
-    }
-    (tasks.len(), None)
+    tasks.iter().take_while(|task| state.try_push(task).is_ok()).count()
 }
 
 /// Partitions a whole window into consecutive fusible segments in **one
@@ -177,11 +165,12 @@ mod tests {
         let tasks = vec![add1, add2, mult, copy_back];
         // The adds and the multiply fuse; the copy back into the aliased
         // center view does not (anti dependence against the north/east reads).
-        let (len, violation) = find_fusible_prefix_explained(&tasks);
-        assert_eq!(len, 3);
+        assert_eq!(find_fusible_prefix(&tasks), 3);
+        let segments = fusible_segments_explained(&tasks);
+        assert_eq!(segments[0].0, 3);
         assert!(matches!(
-            violation,
-            Some(crate::FusionViolation::AntiDependence { store }) if store == grid
+            segments[0].1,
+            Some(FusionViolation::AntiDependence { store }) if store == grid
         ));
     }
 
@@ -196,11 +185,12 @@ mod tests {
             vec![StoreArg::new(StoreId(2), block(), Privilege::Read)],
             vec![],
         ));
-        let (len, violation) = find_fusible_prefix_explained(&tasks);
-        assert_eq!(len, 2);
+        assert_eq!(find_fusible_prefix(&tasks), 2);
+        let segments = fusible_segments_explained(&tasks);
+        assert_eq!(segments[0].0, 2);
         assert!(matches!(
-            violation,
-            Some(crate::FusionViolation::LaunchDomainMismatch { .. })
+            segments[0].1,
+            Some(FusionViolation::LaunchDomainMismatch { .. })
         ));
     }
 

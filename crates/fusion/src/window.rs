@@ -10,7 +10,6 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveWindow {
     current: usize,
-    initial: usize,
     max: usize,
 }
 
@@ -26,7 +25,6 @@ impl AdaptiveWindow {
         assert!(initial <= max, "initial window may not exceed the maximum");
         AdaptiveWindow {
             current: initial,
-            initial,
             max,
         }
     }
@@ -35,11 +33,6 @@ impl AdaptiveWindow {
     /// fusion analysis.
     pub fn size(&self) -> usize {
         self.current
-    }
-
-    /// The configured maximum window size.
-    pub fn max(&self) -> usize {
-        self.max
     }
 
     /// Records the outcome of analyzing a full window: `window_len` tasks were
@@ -52,18 +45,6 @@ impl AdaptiveWindow {
         if fused_len >= window_len && window_len >= self.current {
             self.current = (self.current * 2).min(self.max);
         }
-    }
-
-    /// Resets the window size to its initial value (used between applications
-    /// or phases).
-    pub fn reset(&mut self) {
-        self.current = self.initial;
-    }
-}
-
-impl Default for AdaptiveWindow {
-    fn default() -> Self {
-        AdaptiveWindow::new(5, 70)
     }
 }
 
@@ -88,7 +69,6 @@ mod tests {
         assert_eq!(w.size(), 40);
         w.record(40, 40);
         assert_eq!(w.size(), 40);
-        assert_eq!(w.max(), 40);
     }
 
     #[test]
@@ -107,14 +87,6 @@ mod tests {
         let mut w = AdaptiveWindow::new(8, 64);
         w.record(2, 2);
         assert_eq!(w.size(), 8);
-    }
-
-    #[test]
-    fn reset_restores_initial() {
-        let mut w = AdaptiveWindow::new(5, 70);
-        w.record(5, 5);
-        w.reset();
-        assert_eq!(w.size(), 5);
     }
 
     #[test]

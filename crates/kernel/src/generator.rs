@@ -158,16 +158,20 @@ impl TaskSignature {
 /// Buffer ids `0..buffer_lens.len()` refer to the task's store arguments in
 /// argument order; the generator may add task-local buffers beyond that range
 /// via [`KernelModule::add_local`].
+///
+/// Generators see buffer lengths, never scalar values; kernels read values
+/// through `Param`. That is what lets the Diffuse core replay one compiled
+/// kernel across every value of a task's scalars (the memo keys on their
+/// count) and analyze each kind once per launch shape.
 #[derive(Debug, Clone, Copy)]
 pub struct GenArgs<'a> {
     /// Element count of each store argument, in argument order.
     pub buffer_lens: &'a [usize],
-    /// Scalar parameters of the task (e.g. the 0.2 in Figure 1).
-    pub scalars: &'a [f64],
 }
 
 /// A generator function: produces a kernel module describing one task kind's
-/// computation over its arguments.
+/// computation over its arguments. Generators see buffer lengths, never
+/// scalar values (see [`GenArgs`]).
 pub type GeneratorFn = Arc<dyn Fn(&GenArgs<'_>) -> KernelModule + Send + Sync>;
 
 /// One registered operation: its name, declared signature and generator.
@@ -385,7 +389,6 @@ mod tests {
         assert_eq!(reg.lookup(lib, "mul"), None);
         let args = GenArgs {
             buffer_lens: &[4, 4, 4],
-            scalars: &[],
         };
         let module = reg.generate(kind, &args).expect("generator registered");
         assert_eq!(module.num_loop_stages(), 1);

@@ -257,17 +257,6 @@ pub struct FaultStats {
     pub recovery_sim_time: f64,
 }
 
-impl FaultStats {
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
-        self.degraded_launches += other.degraded_launches;
-        self.abandoned_launches += other.abandoned_launches;
-        self.recovery_sim_time += other.recovery_sim_time;
-    }
-}
-
 /// One injected fault that failed a launch (recovery disabled or
 /// exhausted) — the payload of [`crate::RuntimeError::Faulted`].
 #[derive(Debug, Clone, PartialEq)]
@@ -337,22 +326,5 @@ mod tests {
         assert_eq!(p.backoff(1), 4.0);
         assert_eq!(p.backoff(2), 8.0);
         assert_eq!(p.restart_penalty(), p.backoff(p.max_retries + 1));
-    }
-
-    #[test]
-    fn fault_stats_merge_adds_counters() {
-        let mut a = FaultStats {
-            faults_injected: 1,
-            retries: 2,
-            degraded_launches: 3,
-            abandoned_launches: 4,
-            recovery_sim_time: 0.5,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.faults_injected, 2);
-        assert_eq!(a.retries, 4);
-        assert_eq!(a.degraded_launches, 6);
-        assert_eq!(a.abandoned_launches, 8);
-        assert_eq!(a.recovery_sim_time, 1.0);
     }
 }
