@@ -12,9 +12,9 @@
 //!   simulated clock ([`KernelBackend::compile_cost`], consulted together
 //!   with the [`CompileTimeModel`] calibration).
 //! * [`CompiledKernel`] is the artifact: stage-granular execution over a table
-//!   of [`Buffer`]s — dense storage the stage may write, or read-only
-//!   [`BufferView`]s straight into region memory — `Send + Sync` so executors
-//!   can ship it across worker threads.
+//!   of [`Buffer`]s — dense storage, read-only [`BufferView`]s or writable
+//!   [`BufferViewMut`]s straight into region memory — `Send + Sync` so
+//!   executors can ship it across worker threads.
 //!
 //! Two backends ship: [`InterpBackend`] wraps the tree-walking
 //! [`Interpreter`] (the default — compilation is a no-op wrap, execution
@@ -55,6 +55,7 @@
 //! ```
 
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ir::{Rect, Runs};
@@ -62,6 +63,102 @@ use ir::{Rect, Runs};
 use crate::cost::CompileTimeModel;
 use crate::interp::{ExecError, Interpreter};
 use crate::ir::KernelModule;
+
+/// Where the elements of a rect sit inside a row-major array: the rect's
+/// volume and, when it is more than one run, its run geometry
+/// ([`Rect::runs_in`]). A view narrows its slice to the rect's elements when
+/// they are a single run, so that there a logical index is a slice index.
+/// [`BufferView`] and [`BufferViewMut`] share it, so reads and writes go by
+/// the same runs.
+#[derive(Debug, Clone)]
+struct Geometry {
+    /// Number of elements of the rect.
+    len: usize,
+    /// The run geometry, when the rect is more than one run.
+    strided: Option<Runs>,
+}
+
+impl Geometry {
+    /// The geometry of `rect` in an array of `data_len` elements and the
+    /// given shape, plus the range of the array a view keeps.
+    ///
+    /// # Panics
+    ///
+    /// As [`BufferView::new`].
+    fn new(data_len: usize, shape: &[u64], rect: &Rect) -> (Self, Range<usize>) {
+        assert_eq!(
+            data_len as u64,
+            shape.iter().product::<u64>(),
+            "viewed array does not have shape {shape:?}"
+        );
+        let runs = rect.runs_in(shape);
+        let len = runs.len();
+        if runs.is_contiguous() {
+            let start = runs.start(0);
+            (Geometry { len, strided: None }, start..start + len)
+        } else {
+            (Geometry { len, strided: Some(runs) }, 0..data_len)
+        }
+    }
+
+    /// The slice index of logical element `i`.
+    #[inline]
+    fn index(&self, i: usize) -> usize {
+        match &self.strided {
+            None => i,
+            Some(runs) => {
+                assert!(i < self.len, "index {i} outside a view of {} elements", self.len);
+                runs.offset(i)
+            }
+        }
+    }
+
+    /// Calls `f(start, at)` for each piece of logical elements
+    /// `base..base + n`: slice indices `start..start + at.len()` hold the
+    /// piece, `at` is its place within the `n` elements. One piece when the
+    /// view is a single run, one per run touched otherwise.
+    #[inline]
+    fn for_each_run(&self, base: usize, n: usize, mut f: impl FnMut(usize, Range<usize>)) {
+        let Some(runs) = &self.strided else {
+            return f(base, 0..n);
+        };
+        assert!(
+            base + n <= self.len,
+            "range {base}..{} outside a view of {} elements",
+            base + n,
+            self.len
+        );
+        let run_len = runs.run_len();
+        let (mut run, mut skip, mut done) = (base / run_len, base % run_len, 0);
+        while done < n {
+            let take = (run_len - skip).min(n - done);
+            f(runs.start(run) + skip, done..done + take);
+            (run, skip, done) = (run + 1, 0, done + take);
+        }
+    }
+
+    /// Copies elements `base..base + out.len()` of `data` into `out`.
+    #[inline]
+    fn read(&self, data: &[f64], base: usize, out: &mut [f64]) {
+        self.for_each_run(base, out.len(), |start, at| {
+            let len = at.len();
+            out[at].copy_from_slice(&data[start..start + len]);
+        });
+    }
+
+    /// All elements of `data` as one slice: `data` itself when the view is a
+    /// single run, a gathered copy otherwise.
+    fn dense<'d>(&self, data: &'d [f64]) -> Cow<'d, [f64]> {
+        match &self.strided {
+            None => Cow::Borrowed(data),
+            Some(_) => {
+                let mut copy = vec![0.0; self.len];
+                self.read(data, 0, &mut copy);
+                Cow::Owned(copy)
+            }
+        }
+    }
+}
 
 /// A read-only window onto the elements of a rect inside a row-major array —
 /// the array's slice plus the rect's run geometry ([`Rect::runs_in`]) —
@@ -85,13 +182,9 @@ use crate::ir::KernelModule;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BufferView<'a> {
-    /// The viewed array — narrowed to the rect's elements when they are a
-    /// single run, so that a logical index is a slice index.
+    /// The viewed array, narrowed to the rect when it is a single run.
     data: &'a [f64],
-    /// Number of elements of the rect.
-    len: usize,
-    /// The run geometry, when the rect is more than one run.
-    strided: Option<Runs>,
+    geometry: Geometry,
 }
 
 impl<'a> BufferView<'a> {
@@ -103,37 +196,21 @@ impl<'a> BufferView<'a> {
     /// Panics if `data` is not an array of that shape, the rect rank differs
     /// from the shape rank, or the rect extends outside the shape.
     pub fn new(data: &'a [f64], shape: &[u64], rect: &Rect) -> Self {
-        assert_eq!(
-            data.len() as u64,
-            shape.iter().product::<u64>(),
-            "viewed array does not have shape {shape:?}"
-        );
-        let runs = rect.runs_in(shape);
-        let len = runs.len();
-        if runs.is_contiguous() {
-            let start = runs.start(0);
-            BufferView {
-                data: &data[start..start + len],
-                len,
-                strided: None,
-            }
-        } else {
-            BufferView {
-                data,
-                len,
-                strided: Some(runs),
-            }
+        let (geometry, kept) = Geometry::new(data.len(), shape, rect);
+        BufferView {
+            data: &data[kept],
+            geometry,
         }
     }
 
     /// Number of elements (the rect's volume).
     pub fn len(&self) -> usize {
-        self.len
+        self.geometry.len
     }
 
     /// Whether the view has no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.geometry.len == 0
     }
 
     /// Element `i` of the rect in row-major order.
@@ -143,26 +220,7 @@ impl<'a> BufferView<'a> {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn get(&self, i: usize) -> f64 {
-        match &self.strided {
-            None => self.data[i],
-            Some(runs) => {
-                assert!(i < self.len, "index {i} outside a view of {} elements", self.len);
-                self.data[runs.offset(i)]
-            }
-        }
-    }
-
-    /// All elements as one slice: the viewed memory itself when the view is
-    /// a single run, a gathered copy otherwise.
-    pub(crate) fn dense(&self) -> Cow<'a, [f64]> {
-        match &self.strided {
-            None => Cow::Borrowed(self.data),
-            Some(_) => {
-                let mut copy = vec![0.0; self.len];
-                self.read(0, &mut copy);
-                Cow::Owned(copy)
-            }
-        }
+        self.data[self.geometry.index(i)]
     }
 
     /// Copies elements `base..base + out.len()` into `out`: one
@@ -174,41 +232,124 @@ impl<'a> BufferView<'a> {
     /// Panics if the range extends past `len()`.
     #[inline]
     pub fn read(&self, base: usize, out: &mut [f64]) {
-        let Some(runs) = &self.strided else {
-            return out.copy_from_slice(&self.data[base..base + out.len()]);
-        };
-        assert!(
-            base + out.len() <= self.len,
-            "range {base}..{} outside a view of {} elements",
-            base + out.len(),
-            self.len
-        );
-        let run_len = runs.run_len();
-        let (mut run, mut skip) = (base / run_len, base % run_len);
-        let mut out = out;
-        while !out.is_empty() {
-            let take = (run_len - skip).min(out.len());
-            let (head, rest) = std::mem::take(&mut out).split_at_mut(take);
-            let start = runs.start(run) + skip;
-            head.copy_from_slice(&self.data[start..start + take]);
-            (out, run, skip) = (rest, run + 1, 0);
+        self.geometry.read(self.data, base, out);
+    }
+}
+
+/// The writable counterpart of [`BufferView`]: the same window onto the
+/// elements of a rect inside a row-major array, over the same logical index
+/// space and run geometry, through which a kernel also stores into the
+/// array. It is how a kernel writes region memory in place.
+///
+/// # Example
+///
+/// ```
+/// use ir::Rect;
+/// use kernel::BufferViewMut;
+///
+/// // The 2 x 2 interior of a 4 x 4 array.
+/// let mut array = vec![0.0; 16];
+/// let mut view = BufferViewMut::new(&mut array, &[4, 4], &Rect::new(vec![1, 1], vec![3, 3]));
+/// view.write(1, &[1.0, 2.0]); // spans the two runs
+/// view.set(3, 3.0);
+/// assert_eq!((view.len(), view.get(2)), (4, 2.0));
+/// assert_eq!(array[5..11], [0.0, 1.0, 0.0, 0.0, 2.0, 3.0]);
+/// ```
+#[derive(Debug)]
+pub struct BufferViewMut<'a> {
+    /// The viewed array, narrowed to the rect when it is a single run.
+    data: &'a mut [f64],
+    geometry: Geometry,
+}
+
+impl<'a> BufferViewMut<'a> {
+    /// Views the elements of `rect` within `data`, a row-major array of the
+    /// given shape, for reading and writing.
+    ///
+    /// # Panics
+    ///
+    /// As [`BufferView::new`].
+    pub fn new(data: &'a mut [f64], shape: &[u64], rect: &Rect) -> Self {
+        let (geometry, kept) = Geometry::new(data.len(), shape, rect);
+        BufferViewMut {
+            data: &mut data[kept],
+            geometry,
         }
+    }
+
+    /// Number of elements (the rect's volume).
+    pub fn len(&self) -> usize {
+        self.geometry.len
+    }
+
+    /// Whether the view has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.geometry.len == 0
+    }
+
+    /// Element `i` of the rect in row-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        self.data[self.geometry.index(i)]
+    }
+
+    /// Copies elements `base..base + out.len()` into `out`, as
+    /// [`BufferView::read`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past `len()`.
+    #[inline]
+    pub fn read(&self, base: usize, out: &mut [f64]) {
+        self.geometry.read(self.data, base, out);
+    }
+
+    /// Stores `value` as element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn set(&mut self, i: usize, value: f64) {
+        self.data[self.geometry.index(i)] = value;
+    }
+
+    /// Stores `values` as elements `base..base + values.len()`: one
+    /// `copy_from_slice` when the view is a single run, one per run touched
+    /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past `len()`.
+    #[inline]
+    pub fn write(&mut self, base: usize, values: &[f64]) {
+        let data = &mut *self.data;
+        self.geometry.for_each_run(base, values.len(), |start, at| {
+            data[start..start + at.len()].copy_from_slice(&values[at]);
+        });
     }
 }
 
 /// One entry of the buffer table a stage executes over
-/// ([`CompiledKernel::execute_stage`]): dense storage the stage may read and
-/// write — task-local buffers and staged requirements — or a read-only
-/// [`BufferView`] into memory the caller only lends. Reads go through
-/// [`Buffer::len`], [`Buffer::get`] and [`Buffer::read`] and cannot tell the
-/// two apart; a stage that *writes* a view entry is rejected with
-/// [`ExecError::ReadOnlyBuffer`] before any element runs.
-#[derive(Debug, Clone)]
+/// ([`CompiledKernel::execute_stage`]): dense storage — task-local buffers
+/// and staged requirements — a read-only [`BufferView`] or a writable
+/// [`BufferViewMut`] into memory the caller lends, typically region memory.
+/// Reads go through [`Buffer::len`], [`Buffer::get`] and [`Buffer::read`],
+/// writes through [`Buffer::set`] and [`Buffer::write`], and neither can tell
+/// the kinds apart; a stage that *writes* a read-only view entry is rejected
+/// with [`ExecError::ReadOnlyBuffer`] before any element runs.
+#[derive(Debug)]
 pub enum Buffer<'a> {
     /// Owned dense storage.
     Dense(Vec<f64>),
     /// A read-only view of borrowed memory.
     View(BufferView<'a>),
+    /// A writable view of borrowed memory.
+    ViewMut(BufferViewMut<'a>),
 }
 
 impl Buffer<'_> {
@@ -217,6 +358,7 @@ impl Buffer<'_> {
         match self {
             Buffer::Dense(v) => v.len(),
             Buffer::View(view) => view.len(),
+            Buffer::ViewMut(view) => view.len(),
         }
     }
 
@@ -235,6 +377,7 @@ impl Buffer<'_> {
         match self {
             Buffer::Dense(v) => v[i],
             Buffer::View(view) => view.get(i),
+            Buffer::ViewMut(view) => view.get(i),
         }
     }
 
@@ -248,6 +391,36 @@ impl Buffer<'_> {
         match self {
             Buffer::Dense(v) => out.copy_from_slice(&v[base..base + out.len()]),
             Buffer::View(view) => view.read(base, out),
+            Buffer::ViewMut(view) => view.read(base, out),
+        }
+    }
+
+    /// Stores `value` as element `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()` or the entry is a read-only view — which a
+    /// stage's up-front validation rules out.
+    #[inline]
+    pub fn set(&mut self, i: usize, value: f64) {
+        match self {
+            Buffer::Dense(v) => v[i] = value,
+            Buffer::ViewMut(view) => view.set(i, value),
+            Buffer::View(_) => unreachable!("stage validation rejects writes to read-only views"),
+        }
+    }
+
+    /// Stores `values` as elements `base..base + values.len()`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Buffer::set`], for the range.
+    #[inline]
+    pub fn write(&mut self, base: usize, values: &[f64]) {
+        match self {
+            Buffer::Dense(v) => v[base..base + values.len()].copy_from_slice(values),
+            Buffer::ViewMut(view) => view.write(base, values),
+            Buffer::View(_) => unreachable!("stage validation rejects writes to read-only views"),
         }
     }
 
@@ -256,17 +429,18 @@ impl Buffer<'_> {
     pub(crate) fn dense(&self) -> Cow<'_, [f64]> {
         match self {
             Buffer::Dense(v) => Cow::Borrowed(v),
-            Buffer::View(view) => view.dense(),
+            Buffer::View(view) => view.geometry.dense(view.data),
+            Buffer::ViewMut(view) => view.geometry.dense(view.data),
         }
     }
 
-    /// The storage of an entry the stage's validation has already shown to
-    /// be dense, for writing.
-    #[inline]
-    pub(crate) fn writable(&mut self) -> &mut Vec<f64> {
+    /// All elements as one writable slice, when they are one: dense storage
+    /// or a single-run writable view.
+    pub(crate) fn contiguous_mut(&mut self) -> Option<&mut [f64]> {
         match self {
-            Buffer::Dense(v) => v,
-            Buffer::View(_) => unreachable!("stage validation rejects writes to views"),
+            Buffer::Dense(v) => Some(v),
+            Buffer::ViewMut(view) if view.geometry.strided.is_none() => Some(&mut *view.data),
+            _ => None,
         }
     }
 }
@@ -308,12 +482,16 @@ pub(crate) fn with_dense_table<R>(
 /// buffer outside that list, and must write no buffer outside
 /// [`crate::KernelStage::written_buffers`] — only those are copied back.
 ///
-/// An entry of the table is a [`Buffer`]: dense storage, or a read-only
-/// [`BufferView`] of region memory the launch borrows (a requirement no stage
-/// writes). An implementation reads every entry through [`Buffer::len`],
-/// [`Buffer::get`] and [`Buffer::read`], and validates **once per stage,
-/// before any element runs**, that every buffer of `written_buffers` is dense,
-/// returning [`ExecError::ReadOnlyBuffer`] otherwise.
+/// An entry of the table is a [`Buffer`]: dense storage, or a view of region
+/// memory the launch lends — read-only ([`BufferView`]) or writable
+/// ([`BufferViewMut`]), in which case a store lands in the region itself. An
+/// implementation reads every entry through [`Buffer::len`], [`Buffer::get`]
+/// and [`Buffer::read`] and writes only through [`Buffer::set`] and
+/// [`Buffer::write`]. It validates **once per stage, before any element
+/// runs**, everything that can fail — that no buffer of `written_buffers` is
+/// a read-only view ([`ExecError::ReadOnlyBuffer`]), buffer presence and
+/// lengths, scalar parameters and value definitions — so a stage that returns
+/// an error has written nothing.
 pub trait CompiledKernel: std::fmt::Debug + Send + Sync {
     /// The optimized module this artifact was compiled from. The runtime uses
     /// it for cost accounting (`kernel::cost::module_cost`) and to drive the
@@ -334,7 +512,7 @@ pub trait CompiledKernel: std::fmt::Debug + Send + Sync {
     /// that is not provided, if buffer lengths are inconsistent with the
     /// stage's iteration domain — the same contract as
     /// [`Interpreter::execute`] — or if the stage writes a buffer bound as a
-    /// read-only view.
+    /// read-only view. A stage that returns an error has written nothing.
     fn execute_stage(
         &self,
         stage: usize,
@@ -702,9 +880,10 @@ mod tests {
     }
 
     mod view_equivalence {
-        //! Differential property: a module run with some of its read-only
-        //! buffers bound as views into larger arrays commits the same bits
-        //! as the same module over dense copies of those buffers.
+        //! Differential property: a module run with some of its buffers bound
+        //! as views into larger arrays — read-only views for what it never
+        //! writes, writable ones for the rest — commits the same bits as the
+        //! same module over dense copies of those buffers.
 
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -724,10 +903,12 @@ mod tests {
         const BUFS: u32 = 8;
 
         /// Stages that ran on the lane schedule / the per-element schedule /
-        /// over a view that one chunk crosses at least three runs of.
+        /// over a view that one chunk crosses at least three runs of; written
+        /// buffers bound as strided writable views.
         static LANE: AtomicUsize = AtomicUsize::new(0);
         static ELEMENTWISE: AtomicUsize = AtomicUsize::new(0);
         static THREE_RUN_CHUNKS: AtomicUsize = AtomicUsize::new(0);
+        static STRIDED_WRITABLE: AtomicUsize = AtomicUsize::new(0);
 
         /// One random stage from four raw draws.
         fn push_stage(module: &mut KernelModule, (kind, a, b, c): (u8, u32, u32, u32)) {
@@ -808,20 +989,21 @@ mod tests {
 
         /// Exact bits, every NaN canonicalised (payloads are not
         /// deterministic; see `crate::simd`).
+        fn bits_of(values: impl Iterator<Item = f64>) -> Vec<u64> {
+            values.map(|v| if v.is_nan() { u64::MAX } else { v.to_bits() }).collect()
+        }
+
         fn bits(table: &[Buffer<'_>]) -> Vec<Vec<u64>> {
-            table
-                .iter()
-                .map(|b| {
-                    (0..b.len())
-                        .map(|i| if b.get(i).is_nan() { u64::MAX } else { b.get(i).to_bits() })
-                        .collect()
-                })
-                .collect()
+            table.iter().map(|b| bits_of((0..b.len()).map(|i| b.get(i)))).collect()
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 6 } else { 160 }))]
 
+            /// Read-only buffers may be [`BufferView`]s and written ones
+            /// [`BufferViewMut`]s; the arrays behind the writable views end
+            /// up as their old contents with the dense result written over
+            /// the rect.
             fn views_match_their_dense_copies(
                 stages in prop::collection::vec((0u8..6, 0u32..64, 0u32..64, 0u32..64), 1..5),
                 run_len in prop_oneof![
@@ -834,7 +1016,7 @@ mod tests {
                     2usize..12,
                 ],
                 rows in 1usize..if cfg!(miri) { 3 } else { 6 },
-                views in prop::collection::vec((0u32..8, 0u64..4), READ_ONLY.len()..READ_ONLY.len() + 1),
+                views in prop::collection::vec((0u32..8, 0u64..4), BUFS as usize..BUFS as usize + 1),
                 special_stride in 0usize..5,
             ) {
                 let n = rows * run_len;
@@ -855,11 +1037,11 @@ mod tests {
                         .collect()
                 };
                 // Kinds 4-7 leave the buffer dense: some, all or none are views.
-                let arrays: Vec<_> = READ_ONLY
-                    .iter()
+                let placed: Vec<_> = (0..BUFS)
                     .zip(&views)
-                    .map(|(&b, &(kind, pad))| {
+                    .map(|(b, &(kind, pad))| {
                         (kind < 4).then(|| {
+                            let (rows, run_len) = if BufferId(b) == ACC { (1, 1) } else { (rows, run_len) };
                             let (shape, rect) = geometry(kind, rows, run_len, pad);
                             let volume = shape.iter().product::<u64>() as usize;
                             let mut array: Vec<f64> = (0..volume).map(|i| -7e7 - i as f64).collect();
@@ -869,6 +1051,9 @@ mod tests {
                             }
                             if runs.count() >= 3 && 2 * runs.run_len() < SIMD_CHUNK {
                                 THREE_RUN_CHUNKS.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if !READ_ONLY.contains(&b) && !runs.is_contiguous() {
+                                STRIDED_WRITABLE.fetch_add(1, Ordering::Relaxed);
                             }
                             (array, shape, rect)
                         })
@@ -884,12 +1069,20 @@ mod tests {
                     let compiled = kind.backend().compile(&module).unwrap();
                     let mut dense: Vec<Buffer<'_>> =
                         (0..BUFS).map(|b| Buffer::Dense(contents(b))).collect();
-                    let mut viewed = dense.clone();
-                    for (entry, array) in viewed.iter_mut().zip(&arrays) {
-                        if let Some((array, shape, rect)) = array {
-                            *entry = Buffer::View(BufferView::new(array, shape, rect));
-                        }
-                    }
+                    let mut arrays = placed.clone();
+                    let mut viewed: Vec<Buffer<'_>> = (0..BUFS)
+                        .zip(&mut arrays)
+                        .map(|(b, array)| match array {
+                            None => Buffer::Dense(contents(b)),
+                            Some((array, shape, rect)) => {
+                                if READ_ONLY.contains(&b) {
+                                    Buffer::View(BufferView::new(array, shape, rect))
+                                } else {
+                                    Buffer::ViewMut(BufferViewMut::new(array, shape, rect))
+                                }
+                            }
+                        })
+                        .collect();
                     for stage in 0..module.num_stages() {
                         let want = compiled.execute_stage(stage, &mut dense, &[]);
                         let got = compiled.execute_stage(stage, &mut viewed, &[]);
@@ -897,6 +1090,23 @@ mod tests {
                         prop_assert_eq!(got, Ok(()));
                     }
                     prop_assert_eq!(bits(&viewed), bits(&dense), "{:?} {:?}", kind, module);
+                    drop(viewed);
+                    // Outside its rect an array is untouched; inside, it holds
+                    // exactly what writing the dense result over the rect would.
+                    for ((before, after), result) in placed.iter().zip(&arrays).zip(&dense) {
+                        if let (Some((before, shape, rect)), Some((after, ..))) = (before, after) {
+                            let mut want = before.clone();
+                            let runs = rect.runs_in(shape);
+                            for i in 0..runs.len() {
+                                want[runs.offset(i)] = result.get(i);
+                            }
+                            prop_assert_eq!(
+                                bits_of(after.iter().copied()),
+                                bits_of(want.into_iter()),
+                                "{:?} {:?}", kind, module
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -905,7 +1115,7 @@ mod tests {
         fn views_match_their_dense_copies_on_every_schedule() {
             views_match_their_dense_copies();
             // The property above is only as good as what it generated.
-            for class in [&LANE, &ELEMENTWISE, &THREE_RUN_CHUNKS] {
+            for class in [&LANE, &ELEMENTWISE, &THREE_RUN_CHUNKS, &STRIDED_WRITABLE] {
                 assert!(class.load(Ordering::Relaxed) > 0);
             }
         }

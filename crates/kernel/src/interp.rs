@@ -92,7 +92,8 @@ impl Interpreter {
     /// # Errors
     ///
     /// Same contract as [`Interpreter::execute`], restricted to one stage,
-    /// plus [`ExecError::ReadOnlyBuffer`] if the stage writes a view entry.
+    /// plus [`ExecError::ReadOnlyBuffer`] if the stage writes a read-only
+    /// view entry. Every error is raised before any element runs.
     pub fn execute_stage(
         &self,
         stage: &KernelStage,
@@ -134,65 +135,73 @@ impl Interpreter {
             }
         }
         check_writable(buffers, &l.written_buffers())?;
+        if n > 0 {
+            check_ops(l, scalars)?;
+        }
         let mut values = vec![f64::NAN; l.num_values()];
-        let mut defined = vec![false; l.num_values()];
         for i in 0..n {
             for op in &l.ops {
-                match op {
+                match *op {
                     LoopOp::Load { dst, buffer } => {
                         values[dst.0 as usize] = buffers[buffer.0 as usize].get(i);
-                        defined[dst.0 as usize] = true;
                     }
                     LoopOp::LoadScalar { dst, buffer } => {
                         values[dst.0 as usize] = buffers[buffer.0 as usize].get(0);
-                        defined[dst.0 as usize] = true;
                     }
-                    LoopOp::Const { dst, value } => {
-                        values[dst.0 as usize] = *value;
-                        defined[dst.0 as usize] = true;
-                    }
-                    LoopOp::Param { dst, index } => {
-                        values[dst.0 as usize] =
-                            *scalars.get(*index).ok_or(ExecError::MissingParam(*index))?;
-                        defined[dst.0 as usize] = true;
-                    }
+                    LoopOp::Const { dst, value } => values[dst.0 as usize] = value,
+                    LoopOp::Param { dst, index } => values[dst.0 as usize] = scalars[index],
                     LoopOp::Unary { dst, op, a } => {
-                        let a = Self::read_value(&values, &defined, *a)?;
-                        values[dst.0 as usize] = apply_unary(*op, a);
-                        defined[dst.0 as usize] = true;
+                        values[dst.0 as usize] = apply_unary(op, values[a.0 as usize]);
                     }
                     LoopOp::Binary { dst, op, a, b } => {
-                        let a = Self::read_value(&values, &defined, *a)?;
-                        let b = Self::read_value(&values, &defined, *b)?;
-                        values[dst.0 as usize] = apply_binary(*op, a, b);
-                        defined[dst.0 as usize] = true;
+                        values[dst.0 as usize] =
+                            apply_binary(op, values[a.0 as usize], values[b.0 as usize]);
                     }
                     LoopOp::Store { buffer, src } => {
-                        let v = Self::read_value(&values, &defined, *src)?;
-                        buffers[buffer.0 as usize].writable()[i] = v;
+                        buffers[buffer.0 as usize].set(i, values[src.0 as usize]);
                     }
                     LoopOp::Reduce { buffer, op, src } => {
-                        let v = Self::read_value(&values, &defined, *src)?;
-                        let acc = &mut buffers[buffer.0 as usize].writable()[0];
-                        *acc = op.apply(*acc, v);
+                        let acc = &mut buffers[buffer.0 as usize];
+                        acc.set(0, op.apply(acc.get(0), values[src.0 as usize]));
                     }
                 }
             }
         }
         Ok(())
     }
+}
 
-    fn read_value(values: &[f64], defined: &[bool], v: ValueId) -> Result<f64, ExecError> {
-        if !defined
-            .get(v.0 as usize)
-            .copied()
-            .unwrap_or(false)
+/// The error element 0 of a non-empty loop would raise at its first failing
+/// op — a scalar parameter not provided, or a value read before the loop
+/// defines it — found before any element runs, so a failing stage writes
+/// nothing (its buffers may be region memory). Definitions only accumulate
+/// from element to element, so once element 0 could run every element can,
+/// and the loop itself needs no checks.
+fn check_ops(l: &LoopKernel, scalars: &[f64]) -> Result<(), ExecError> {
+    let mut defined = vec![false; l.num_values()];
+    for op in &l.ops {
+        let reads = match *op {
+            LoopOp::Param { index, .. } if index >= scalars.len() => {
+                return Err(ExecError::MissingParam(index));
+            }
+            LoopOp::Unary { a, .. }
+            | LoopOp::Store { src: a, .. }
+            | LoopOp::Reduce { src: a, .. } => [Some(a), None],
+            LoopOp::Binary { a, b, .. } => [Some(a), Some(b)],
+            _ => [None, None],
+        };
+        if let Some(v) = reads
+            .into_iter()
+            .flatten()
+            .find(|v| !defined.get(v.0 as usize).copied().unwrap_or(false))
         {
             return Err(ExecError::UndefinedValue(v));
         }
-        Ok(values[v.0 as usize])
+        if let Some(dst) = op.dst() {
+            defined[dst.0 as usize] = true;
+        }
     }
-
+    Ok(())
 }
 
 /// Length of a buffer, or [`ExecError::MissingBuffer`] if it is not provided.
@@ -203,8 +212,8 @@ pub(crate) fn buffer_len(buffers: &[Buffer<'_>], b: BufferId) -> Result<usize, E
         .ok_or(ExecError::MissingBuffer(b))
 }
 
-/// The last of a stage's up-front checks, shared by every backend: a buffer
-/// the stage writes must be dense storage, not a view.
+/// The last of a stage's buffer checks, shared by every backend: a buffer the
+/// stage writes must not be a read-only view.
 pub(crate) fn check_writable(buffers: &[Buffer<'_>], written: &[BufferId]) -> Result<(), ExecError> {
     match written
         .iter()
@@ -220,11 +229,13 @@ pub(crate) fn check_writable(buffers: &[Buffer<'_>], written: &[BufferId]) -> Re
 /// Rust), so there is nothing for a compiling backend to specialize and all
 /// backends are bitwise-identical on them by construction.
 ///
-/// The inner loops run over plain slices: the output's storage is detached
-/// from the table for the duration, and every input is borrowed in place —
-/// dense storage or a single-run view — or, for a strided view, gathered into
-/// a dense copy first (`Buffer::dense`). An input that *is* the output
-/// reads the output's contents from before the stage.
+/// The inner loops run over plain slices: the output's entry is detached
+/// from the table for the duration and written in place — dense storage or a
+/// single-run view — or, for a strided view, computed into a dense copy and
+/// scattered back by runs. Every input is borrowed in place — dense storage
+/// or a single-run view — or, for a strided view, gathered into a dense copy
+/// first (`Buffer::dense`). An input that *is* the output reads the output's
+/// contents from before the stage.
 pub(crate) fn run_opaque(op: &OpaqueOp, buffers: &mut [Buffer<'_>]) -> Result<(), ExecError> {
     let output = op.written_buffers()[0];
     buffer_len(buffers, output)?;
@@ -232,14 +243,34 @@ pub(crate) fn run_opaque(op: &OpaqueOp, buffers: &mut [Buffer<'_>]) -> Result<()
         buffer_len(buffers, b)?;
     }
     check_writable(buffers, &[output])?;
-    let mut out = std::mem::take(buffers[output.0 as usize].writable());
-    let input = |b: BufferId| {
-        if b == output {
-            Cow::Owned(out.clone())
-        } else {
-            buffers[b.0 as usize].dense()
-        }
+    let mut entry = std::mem::replace(&mut buffers[output.0 as usize], Buffer::Dense(Vec::new()));
+    let old = op
+        .read_buffers()
+        .contains(&output)
+        .then(|| entry.dense().into_owned());
+    let input = |b: BufferId| match &old {
+        Some(old) if b == output => Cow::Borrowed(&old[..]),
+        _ => buffers[b.0 as usize].dense(),
     };
+    match entry.contiguous_mut() {
+        Some(out) => apply_opaque(op, out, input),
+        None => {
+            let mut out = vec![0.0; entry.len()];
+            apply_opaque(op, &mut out, input);
+            entry.write(0, &out);
+        }
+    }
+    buffers[output.0 as usize] = entry;
+    Ok(())
+}
+
+/// The arithmetic of an opaque builtin: overwrites every element of `out`
+/// from the inputs `input` resolves.
+fn apply_opaque<'b>(
+    op: &OpaqueOp,
+    out: &mut [f64],
+    input: impl Fn(BufferId) -> Cow<'b, [f64]>,
+) {
     match op {
         OpaqueOp::SpMvCsr {
             pos, crd, vals, x, ..
@@ -283,8 +314,6 @@ pub(crate) fn run_opaque(op: &OpaqueOp, buffers: &mut [Buffer<'_>]) -> Result<()
             }
         }
     }
-    buffers[output.0 as usize] = Buffer::Dense(out);
-    Ok(())
 }
 
 /// Resolves a unary operator to its host function. Every backend evaluates

@@ -76,7 +76,8 @@ pub use analyze::{
     StageFootprint,
 };
 pub use backend::{
-    compile_interp, BackendKind, Buffer, BufferView, CompiledKernel, InterpBackend, KernelBackend,
+    compile_interp, BackendKind, Buffer, BufferView, BufferViewMut, CompiledKernel, InterpBackend,
+    KernelBackend,
 };
 pub use builder::LoopBuilder;
 pub use cost::{host_compile_model, CompileTimeModel, HostCompileModel, KernelCost};

@@ -107,10 +107,10 @@ pub(crate) fn run_instr(
         Instr::Binary { dst, a, b, f } => {
             values[dst as usize] = f(values[a as usize], values[b as usize])
         }
-        Instr::Store { buf, src } => buffers[buf as usize].writable()[i] = values[src as usize],
+        Instr::Store { buf, src } => buffers[buf as usize].set(i, values[src as usize]),
         Instr::Reduce { buf, src, op } => {
-            let acc = &mut buffers[buf as usize].writable()[0];
-            *acc = op.apply(*acc, values[src as usize])
+            let acc = &mut buffers[buf as usize];
+            acc.set(0, op.apply(acc.get(0), values[src as usize]))
         }
     }
 }
@@ -127,7 +127,7 @@ pub(crate) struct CompiledLoop {
     pub(crate) elem_buffers: Vec<(BufferId, bool)>,
     /// Buffers read as broadcast scalars (must be non-empty).
     pub(crate) scalar_buffers: Vec<BufferId>,
-    /// Buffers stored or reduced into (must be dense storage, not views).
+    /// Buffers stored or reduced into (must not be read-only views).
     pub(crate) written: Vec<BufferId>,
     /// Scalar-parameter indices in first-use order (checked before the loop
     /// runs, so the error matches the interpreter's first failing `Param`).
@@ -149,7 +149,10 @@ impl CompiledLoop {
     /// presence, lengths against the iteration domain, broadcast-scalar
     /// non-emptiness and that no written buffer is a read-only view — the
     /// same contract, in the same order, as the interpreter. Returns the
-    /// domain length; `0` means the stage is a no-op.
+    /// domain length; `0` means the stage is a no-op. Together with
+    /// [`Self::check_params`] (and the def-before-use check lowering already
+    /// made) it is every way the stage can fail, so one that fails writes
+    /// nothing.
     pub(crate) fn check(&self, buffers: &[Buffer<'_>]) -> Result<usize, ExecError> {
         let n = buffer_len(buffers, self.domain)?;
         for &(b, is_reduction_target) in &self.elem_buffers {

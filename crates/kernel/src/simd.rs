@@ -322,7 +322,7 @@ fn run_chunk(
                 // The masked write-back mirrors the load: only the `len`
                 // valid leading lanes reach memory.
                 let row = regs[src as usize].as_flattened();
-                buffers[buf as usize].writable()[base..base + len].copy_from_slice(&row[..len]);
+                buffers[buf as usize].write(base, &row[..len]);
             }
             Instr::Reduce { buf, src, op } => {
                 // Row-major lane order *is* element order, so this fold is
@@ -346,7 +346,7 @@ fn run_chunk(
                         }
                     }
                 }
-                buffers[buf as usize].writable()[0] = acc;
+                buffers[buf as usize].set(0, acc);
             }
             Instr::LoadScalar { .. } | Instr::Set { .. } | Instr::Param { .. } => {
                 unreachable!("invariant ops are always hoisted on the lane path")

@@ -3,15 +3,20 @@
 //! A [`Region`] is the plain data holder. The runtime and its executors never
 //! share `Region`s directly; they share [`RegionHandle`]s, which put the data
 //! behind an interior-mutability-safe lock while keeping the immutable
-//! metadata (shape, name) lock-free to read. An executor worker takes a
-//! region's write lock only for the duration of a copy-out, and its read lock
-//! either for one copy-in or — when the launch only reads the region and
-//! borrows it — for the whole launch (`RegionHandle::read_guard`); readers
-//! share the lock, so launches that only read a region, or touch disjoint
-//! regions, proceed fully in parallel (see `docs/RUNTIME.md`, "The stage
-//! protocol").
+//! metadata (shape, name) lock-free to read. An executor worker holds a
+//! region's lock for a whole launch when the launch views the region in place
+//! — the read lock when it only reads it (`RegionHandle::read_guard`), the
+//! write lock when it is the one requirement of the launch on the region
+//! (`RegionHandle::write_guard`) — and otherwise only for one copy in or out.
+//! Readers share the lock, so launches that only read a region, or touch
+//! disjoint regions, proceed fully in parallel (see `docs/RUNTIME.md`, "The
+//! stage protocol").
+//!
+//! A panic while a write guard is held poisons the lock. Every lock site here
+//! recovers the data from the poisoned lock instead of panicking in turn: the
+//! failed launch's dependence cone already marks what it wrote untrustworthy.
 
-use std::sync::{Arc, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use ir::Rect;
 
@@ -155,15 +160,18 @@ impl Region {
 
 /// A shared, thread-safe handle to a [`Region`].
 ///
-/// The handle caches the region's immutable metadata (shape and name) outside
-/// the lock, so cost accounting and dependency analysis never contend with
-/// executor workers; only the mutable contents live behind the [`RwLock`].
-/// Cloning a handle is cheap and yields another reference to the same region.
+/// The handle caches the region's immutable metadata (id, shape and name)
+/// outside the lock, so cost accounting and dependency analysis never contend
+/// with executor workers; only the mutable contents live behind the
+/// [`RwLock`]. Cloning a handle is cheap and yields another reference to the
+/// same region.
 ///
 /// Concurrent readers share the lock; a writer takes it exclusively. The
-/// executor's dependency tracking (see [`crate::deps`]) already serializes
-/// conflicting launches, so in practice the lock is only ever contended by
-/// launches that access disjoint rectangles of the same region.
+/// executor's dependency tracking (see [`crate::deps`]) orders every launch
+/// that writes a region against every other launch that touches it, at
+/// region granularity, and the runtime flushes before it touches region data
+/// itself — so a launch never waits for the lock of a region it views in
+/// place.
 ///
 /// # Example
 ///
@@ -186,6 +194,7 @@ pub struct RegionHandle {
 
 #[derive(Debug)]
 struct RegionMeta {
+    id: RegionId,
     shape: Vec<u64>,
     name: String,
 }
@@ -195,6 +204,7 @@ impl RegionHandle {
     pub fn new(region: Region) -> Self {
         RegionHandle {
             meta: Arc::new(RegionMeta {
+                id: region.id,
                 shape: region.shape.clone(),
                 name: region.name.clone(),
             }),
@@ -212,10 +222,19 @@ impl RegionHandle {
         &self.meta.name
     }
 
-    /// The region's id, for tests that build a `BufferAccess` by hand.
-    #[cfg(test)]
-    pub(crate) fn id(&self) -> RegionId {
-        self.cell.read().unwrap().id
+    /// The region's id (lock-free).
+    pub fn id(&self) -> RegionId {
+        self.meta.id
+    }
+
+    /// The read lock, recovered if a panic poisoned it.
+    fn read(&self) -> RwLockReadGuard<'_, Region> {
+        self.cell.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The write lock, recovered if a panic poisoned it.
+    fn write(&self) -> RwLockWriteGuard<'_, Region> {
+        self.cell.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of elements.
@@ -230,7 +249,7 @@ impl RegionHandle {
 
     /// Whether the region's contents are materialized.
     pub fn is_materialized(&self) -> bool {
-        self.cell.read().unwrap().is_materialized()
+        self.read().is_materialized()
     }
 
     /// Copies the elements inside `rect` into a dense row-major buffer,
@@ -240,7 +259,7 @@ impl RegionHandle {
     ///
     /// Panics if the region is not materialized or the rect does not fit.
     pub fn read_rect(&self, rect: &Rect) -> Vec<f64> {
-        self.cell.read().unwrap().read_rect(rect)
+        self.read().read_rect(rect)
     }
 
     /// [`RegionHandle::read_rect`] into a caller-owned buffer (see
@@ -250,11 +269,11 @@ impl RegionHandle {
     ///
     /// As [`RegionHandle::read_rect`].
     pub fn read_rect_into(&self, rect: &Rect, out: &mut Vec<f64>) {
-        self.cell.read().unwrap().read_rect_into(rect, out);
+        self.read().read_rect_into(rect, out);
     }
 
-    /// The region behind its read lock, for a launch that borrows the
-    /// contents instead of copying them. The caller holds the guard for the
+    /// The region behind its read lock, for a launch that reads the contents
+    /// in place instead of copying them. The caller holds the guard for the
     /// whole launch, so it takes one per region (re-locking a lock this thread
     /// already holds can deadlock) and never while it may write the region.
     ///
@@ -263,19 +282,43 @@ impl RegionHandle {
     /// launch that reads it, and the runtime flushes before touching region
     /// data itself. Debug builds assert that the guard is taken without
     /// waiting, so a scheduling bug trips an assertion instead of blocking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a writer panicked while holding the lock.
     pub(crate) fn read_guard(&self) -> RwLockReadGuard<'_, Region> {
-        self.cell.try_read().unwrap_or_else(|e| {
-            debug_assert!(
-                matches!(e, TryLockError::Poisoned(_)),
-                "a launch borrowing region {:?} had to wait for a writer",
-                self.name()
-            );
-            self.cell.read().unwrap()
-        })
+        match self.cell.try_read() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                debug_assert!(
+                    false,
+                    "a launch reading region {:?} in place had to wait for a writer",
+                    self.name()
+                );
+                self.read()
+            }
+        }
+    }
+
+    /// The region behind its write lock, for a launch that writes the
+    /// contents in place instead of staging a copy: the launch's one
+    /// requirement on the region, held for the whole launch.
+    ///
+    /// The lock is free by construction: the executors' [`crate::DepTracker`]
+    /// orders a launch that writes a region against every other launch that
+    /// touches it, and the runtime flushes before touching region data
+    /// itself. Debug builds assert that the guard is taken without waiting,
+    /// as [`RegionHandle::read_guard`] does.
+    pub(crate) fn write_guard(&self) -> RwLockWriteGuard<'_, Region> {
+        match self.cell.try_write() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                debug_assert!(
+                    false,
+                    "a launch writing region {:?} in place had to wait for the lock",
+                    self.name()
+                );
+                self.write()
+            }
+        }
     }
 
     /// Writes a dense row-major buffer into the elements inside `rect`,
@@ -286,20 +329,20 @@ impl RegionHandle {
     /// Panics if the region is not materialized, the rect does not fit, or
     /// `values` has the wrong length.
     pub fn write_rect(&self, rect: &Rect, values: &[f64]) {
-        self.cell.write().unwrap().write_rect(rect, values);
+        self.write().write_rect(rect, values);
     }
 
     /// Fills every materialized element with `value` (no-op when the region is
     /// not materialized).
     pub fn fill(&self, value: f64) {
-        if let Some(data) = self.cell.write().unwrap().data.as_mut() {
+        if let Some(data) = self.write().data.as_mut() {
             data.fill(value);
         }
     }
 
     /// A copy of the region's full contents, when materialized.
     pub fn data(&self) -> Option<Vec<f64>> {
-        self.cell.read().unwrap().data.clone()
+        self.read().data.clone()
     }
 
     /// Overwrites the full contents (no-op when not materialized).
@@ -309,13 +352,13 @@ impl RegionHandle {
     /// Panics if the data length does not match the region volume.
     pub fn write_data(&self, data: Vec<f64>) {
         // Validate before taking the lock: a panic while holding the write
-        // guard would poison the RwLock and break every later access.
+        // guard would poison the RwLock.
         assert_eq!(
             data.len() as u64,
             self.volume(),
             "data length must match region volume"
         );
-        let mut region = self.cell.write().unwrap();
+        let mut region = self.write();
         if region.is_materialized() {
             region.data = Some(data);
         }
