@@ -123,6 +123,8 @@ pub struct ContextInner {
     compile_model: CompileTimeModel,
     stats: ExecutionStats,
     stores: HashMap<StoreId, StoreMeta>,
+    /// Stores whose last application handle dropped since the last sweep.
+    dead: Vec<StoreId>,
     next_store: u64,
     next_task: u64,
     /// Task kinds already run through the privilege-precision lint (the lint
@@ -301,6 +303,9 @@ impl ContextInner {
     pub(crate) fn drop_app_ref(&mut self, id: StoreId) {
         if let Some(meta) = self.stores.get_mut(&id) {
             meta.app_refs = meta.app_refs.saturating_sub(1);
+            if meta.app_refs == 0 {
+                self.dead.push(id);
+            }
         }
     }
 
@@ -316,35 +321,23 @@ impl ContextInner {
         if let Some(r) = meta.region {
             return r;
         }
-        let region = self
-            .runtime
-            .allocate_region(meta.shape.to_vec(), meta.name.clone());
-        self.stores.get_mut(&store).unwrap().region = Some(region);
+        let region = self.runtime.allocate_region(meta.shape.to_vec(), meta.name.clone());
+        meta.region = Some(region);
         region
     }
 
-    /// Frees regions of stores with no application references once the window
-    /// no longer mentions them.
+    /// Retires the stores whose last handle dropped since the last sweep
+    /// (`drop_app_ref` lists them): each leaves the map and frees its region,
+    /// if it got one. Runs once the window has drained, so no pending task
+    /// names them; a launch in flight holds its own handle to its regions.
     fn sweep_dead_stores(&mut self) {
-        let pending: HashSet<StoreId> = self
-            .window
-            .tasks()
-            .iter()
-            .flat_map(|t| t.stores())
-            .collect();
-        let mut dead: Vec<StoreId> = self
-            .stores
-            .iter()
-            .filter(|(id, m)| m.app_refs == 0 && m.region.is_some() && !pending.contains(id))
-            .map(|(id, _)| *id)
-            .collect();
-        // Free in creation order, not hash order: the order regions go back
-        // to the allocator decides where the next ones land, and with it
-        // whether a fresh context's upload reuses freed pages or faults new
-        // ones in — hash order made that a per-process coin flip.
-        dead.sort_unstable();
-        for id in dead {
-            if let Some(region) = self.stores.get_mut(&id).and_then(|m| m.region.take()) {
+        debug_assert!(self.window.is_empty(), "a sweep must not outrun the window");
+        // Free in creation order: the order regions go back to the allocator
+        // decides where the next ones land, and so whether a fresh context's
+        // upload reuses freed pages or faults new ones in.
+        self.dead.sort_unstable();
+        for id in self.dead.drain(..) {
+            if let Some(region) = self.stores.remove(&id).and_then(|m| m.region) {
                 let _ = self.runtime.free_region(region);
             }
         }
@@ -1090,6 +1083,7 @@ impl Context {
             compile_model: CompileTimeModel::default(),
             stats: ExecutionStats::default(),
             stores: HashMap::new(),
+            dead: Vec::new(),
             next_store: 0,
             next_task: 0,
             linted_kinds: HashSet::new(),
@@ -1227,6 +1221,11 @@ impl Context {
     /// builder; this entry point exists for harnesses that need to compare
     /// against builder-produced launches (they are bit-identical — see
     /// `crates/core/tests/launch_builder.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics ("unknown store") if an argument names a store that is not live
+    /// here, such as one whose last handle dropped before a window flush.
     pub fn submit(
         &self,
         kind: TaskKind,
@@ -2361,5 +2360,130 @@ mod tests {
         }
         ctx.flush();
         assert!(ctx.stats().current_window_size > 2);
+    }
+
+    /// Store lifetime: a store whose last handle drops is retired by the next
+    /// flush, never earlier than its last pending use.
+    mod store_lifetime {
+        use super::*;
+        use runtime::ExecutorKind;
+
+        #[test]
+        fn bookkeeping_stays_bounded_by_the_live_handles() {
+            // 1 000 iterations of a CG-style update `x = 0.5 x + b` over fresh
+            // arrays, flushed each iteration: the superseded iterate and the
+            // temporary die every time, so what the context keeps must not
+            // grow with the iterations it has run.
+            let ctx = ctx_with_gpus(2);
+            let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+            let n = 16u64;
+            let p = block(n, 2);
+            let b = ctx.create_store(vec![n], "b");
+            let mut x = ctx.create_store(vec![n], "x");
+            ctx.write_store(&b, (0..n).map(|i| i as f64).collect());
+            ctx.fill(&x, 1.0);
+            let mut expected = vec![1.0; n as usize];
+            let live_handles = 2;
+            for _ in 0..1000 {
+                let t = ctx.create_store(vec![n], "t");
+                let next = ctx.create_store(vec![n], "x");
+                ctx.task(scale).read(&x, p.clone()).write(&t, p.clone()).scalar(0.5).launch();
+                ctx.task(add)
+                    .read(&t, p.clone())
+                    .read(&b, p.clone())
+                    .write(&next, p.clone())
+                    .launch();
+                drop(t);
+                x = next;
+                ctx.flush();
+                for (i, e) in expected.iter_mut().enumerate() {
+                    *e = *e * 0.5 + i as f64;
+                }
+                let inner = ctx.inner.borrow();
+                let with_region = inner.stores.values().filter(|m| m.region.is_some()).count();
+                assert!(inner.stores.len() <= live_handles + 2, "{}", inner.stores.len());
+                assert!(with_region <= live_handles + 2, "{with_region}");
+            }
+            assert_eq!(ctx.read_store(&x).unwrap(), expected);
+        }
+
+        #[test]
+        fn a_store_dropped_while_pending_tasks_use_it_reads_back_correctly() {
+            // `src` is read and `mid` written and then read by tasks still in
+            // the window when both handles drop. Unfused, `mid` gets a region
+            // of its own; under the work-stealing executor the sweep may run
+            // while the launches that use the regions are in flight.
+            let run = |config: DiffuseConfig| {
+                let ctx = Context::new(config);
+                let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+                let n = 32u64;
+                let p = block(n, 4);
+                let out = ctx.create_store(vec![n], "out");
+                let src = ctx.create_store(vec![n], "src");
+                let mid = ctx.create_store(vec![n], "mid");
+                ctx.write_store(&src, (0..n).map(|i| i as f64).collect());
+                ctx.task(scale).read(&src, p.clone()).write(&mid, p.clone()).scalar(2.0).launch();
+                ctx.task(add)
+                    .read(&mid, p.clone())
+                    .read(&src, p.clone())
+                    .write(&out, p.clone())
+                    .launch();
+                drop((src, mid));
+                ctx.flush();
+                let live = ctx.inner.borrow().stores.len();
+                (ctx.read_store(&out).unwrap(), live)
+            };
+            let expected: Vec<f64> = (0..32).map(|i| 3.0 * i as f64).collect();
+            let machine = || MachineConfig::with_gpus(4);
+            for executor in [ExecutorKind::Serial, ExecutorKind::WorkStealing { workers: Some(2) }] {
+                for config in [DiffuseConfig::fused(machine()), DiffuseConfig::unfused(machine())] {
+                    let got = run(config.with_executor(executor));
+                    assert_eq!(got, (expected.clone(), 1), "{executor:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn an_eliminated_temporary_leaves_the_store_map() {
+            let ctx = ctx_with_gpus(4);
+            let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+            let n = 32u64;
+            let p = block(n, 4);
+            let a = ctx.create_store(vec![n], "a");
+            let out = ctx.create_store(vec![n], "out");
+            ctx.fill(&a, 1.0);
+            let t = ctx.create_store(vec![n], "t");
+            let temporary = t.id();
+            ctx.task(add).read(&a, p.clone()).read(&a, p.clone()).write(&t, p.clone()).launch();
+            ctx.task(scale).read(&t, p.clone()).write(&out, p).scalar(0.5).launch();
+            drop(t);
+            ctx.flush();
+            assert_eq!(ctx.read_store(&out).unwrap(), vec![1.0; 32]);
+            assert_eq!(ctx.stats().distributed_allocations_avoided, 1);
+            assert!(!ctx.inner.borrow().stores.contains_key(&temporary));
+        }
+
+        #[test]
+        #[should_panic(expected = "unknown store")]
+        fn submitting_a_retired_store_fails_loudly() {
+            let ctx = ctx_with_gpus(2);
+            let add = register_add(&ctx);
+            let p = block(16, 2);
+            let a = ctx.create_store(vec![16], "a");
+            ctx.fill(&a, 1.0);
+            let t = ctx.create_store(vec![16], "t");
+            let retired = t.id();
+            let args = || {
+                vec![
+                    StoreArg::new(a.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(a.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(retired, p.clone(), Privilege::Write),
+                ]
+            };
+            ctx.submit(add, "add", args(), vec![]);
+            drop(t);
+            ctx.flush();
+            ctx.submit(add, "add", args(), vec![]);
+        }
     }
 }

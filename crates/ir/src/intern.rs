@@ -38,11 +38,16 @@
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 use crate::partition::Partition;
 
 /// Append-only interner state: dedup map plus id-indexed storage.
+///
+/// Every lock site recovers a poisoned lock: a writer checks everything that
+/// can fail before it pushes, and pushes an item and its map entry with
+/// nothing that can panic in between, so a thread that panicked while holding
+/// the lock left the state consistent.
 struct Interner<T: ?Sized + 'static> {
     map: HashMap<&'static T, u32>,
     items: Vec<&'static T>,
@@ -89,10 +94,10 @@ impl PartitionId {
     /// twice returns the same id.
     pub fn intern(partition: &Partition) -> PartitionId {
         let lock = partitions();
-        if let Some(&id) = lock.read().unwrap().map.get(partition) {
+        if let Some(&id) = lock.read().unwrap_or_else(PoisonError::into_inner).map.get(partition) {
             return PartitionId(id);
         }
-        let mut w = lock.write().unwrap();
+        let mut w = lock.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = w.map.get(partition) {
             return PartitionId(id);
         }
@@ -105,7 +110,7 @@ impl PartitionId {
 
     /// The interned partition.
     pub fn get(self) -> &'static Partition {
-        partitions().read().unwrap().items[self.0 as usize]
+        partitions().read().unwrap_or_else(PoisonError::into_inner).items[self.0 as usize]
     }
 
     /// The raw interner index (stable for the lifetime of the process; used
@@ -180,10 +185,10 @@ impl ShapeId {
     /// interning.
     pub fn intern(shape: &[u64]) -> ShapeId {
         let lock = shapes();
-        if let Some(&id) = lock.read().unwrap().map.get(shape) {
+        if let Some(&id) = lock.read().unwrap_or_else(PoisonError::into_inner).map.get(shape) {
             return ShapeId(id);
         }
-        let mut w = lock.write().unwrap();
+        let mut w = lock.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(&id) = w.map.get(shape) {
             return ShapeId(id);
         }
@@ -206,7 +211,7 @@ impl ShapeId {
             !self.is_unknown(),
             "store shape was never stamped (ShapeId::UNKNOWN)"
         );
-        shapes().read().unwrap().items[self.0 as usize]
+        shapes().read().unwrap_or_else(PoisonError::into_inner).items[self.0 as usize]
     }
 
     /// The interned shape as a slice (alias of [`ShapeId::get`]).
@@ -307,5 +312,25 @@ mod tests {
     #[should_panic]
     fn unknown_shape_deref_panics() {
         let _ = ShapeId::UNKNOWN.get();
+    }
+
+    #[test]
+    fn a_poisoned_interner_still_interns() {
+        // A thread that panics while holding an interner's write lock
+        // poisons it for the whole process; interning must go on regardless.
+        let poisoned = std::thread::spawn(|| {
+            let _partitions = partitions().write().unwrap_or_else(PoisonError::into_inner);
+            let _shapes = shapes().write().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning both interners on purpose");
+        });
+        assert!(poisoned.join().is_err());
+        assert!(partitions().is_poisoned() && shapes().is_poisoned());
+        let tiling = Partition::block(vec![3, 5, 7]);
+        let p = PartitionId::intern(&tiling);
+        assert_eq!(p, PartitionId::intern(&tiling));
+        assert_eq!(p.get(), &tiling);
+        let s = ShapeId::intern(&[3, 5, 7]);
+        assert_eq!(s, ShapeId::intern(&[3, 5, 7]));
+        assert_eq!(s.get(), &[3, 5, 7]);
     }
 }

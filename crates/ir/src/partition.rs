@@ -245,7 +245,11 @@ impl Partition {
         match self {
             Partition::Replicate => true,
             Partition::Tiling { .. } => {
-                let total: u64 = store_shape.iter().product();
+                // A store too large to count is never claimed covered.
+                let Some(total) = store_shape.iter().try_fold(1u64, |v, &d| v.checked_mul(d))
+                else {
+                    return false;
+                };
                 let mut covered: u64 = 0;
                 // Tilings produced by the libraries are disjoint; summing
                 // clamped tile volumes is exact for disjoint tiles and a safe
@@ -505,6 +509,16 @@ mod tests {
         let p = Partition::block(vec![4]);
         let r = p.sub_store_bounds(&[8], &[5]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn covers_is_false_when_the_store_volume_overflows() {
+        // 2^32 x 2^32 elements do not fit a u64 count: the two tiles do
+        // cover the store, but `covers` will not claim what it cannot count.
+        let shape = [1u64 << 32, 1 << 32];
+        let p = Partition::block(vec![1 << 32, 1 << 31]);
+        assert!(!p.covers(&shape, &Domain::new(vec![1, 2])));
+        assert!(Partition::Replicate.covers(&shape, &Domain::linear(1)));
     }
 
     #[test]
