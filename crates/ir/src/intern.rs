@@ -9,10 +9,10 @@
 //! * [`PartitionId`] — a hash-consed [`Partition`]. Two ids are equal **iff**
 //!   the partitions are structurally equal, so the fusion constraints' alias
 //!   check is a register compare. The id dereferences to the interned
-//!   partition for the operations that need the structure: the closed-form
-//!   `bounds_over` and the few scale-aware ones — per-point
-//!   `sub_store_bounds`, `covers` and `bounds_over`'s enumerating fallback
-//!   documented in [`crate::partition`].
+//!   partition for the operations that need the structure: the closed forms
+//!   (`bounds_over`, `covers`, `tile_class_starts`) and the few scale-aware
+//!   ones — per-point `sub_store_bounds` and the enumerating fallbacks of
+//!   `covers` and `bounds_over` documented in [`crate::partition`].
 //! * [`ShapeId`] — an interned store shape (`[u64]`). Stamped onto task
 //!   arguments by the Diffuse context so the analysis (canonicalization,
 //!   temporary-store elimination) never needs a side `StoreId -> shape` map.

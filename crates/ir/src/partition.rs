@@ -8,12 +8,15 @@
 //! by the fusion constraints) in constant time, without enumerating
 //! sub-stores.
 //!
-//! The same holds for the *bounding box* of a partition over a launch domain,
-//! which only this module derives: [`Partition::bounds_over`] is a closed
-//! form, O(rank) whatever the number of launch points, for every tiling the
-//! libraries build. Two operations still walk the launch domain, both in
-//! here: the bounding box under a `SelectDims` that repeats a dimension, and
-//! [`Partition::covers`] (Definition 4).
+//! The same holds for the geometry of a partition over a launch domain, which
+//! only this module derives, in closed form for every tiling the libraries
+//! build: the *bounding box* ([`Partition::bounds_over`], O(rank) whatever
+//! the number of launch points), Definition 4's [`Partition::covers`] under
+//! an injective projection, and the *tile classes* on which every sub-store
+//! has the same shape ([`tile_class_starts`], what the runtime prices a launch
+//! by). Two operations still walk the launch domain, both in here: `covers`
+//! under an aliasing projection, and the bounding box under a `SelectDims`
+//! that repeats a dimension. No library writes through either.
 
 use crate::domain::{Domain, Point, Rect};
 
@@ -234,41 +237,94 @@ impl Partition {
 
     /// Whether the partition covers every element of a store with shape
     /// `store_shape` when launched over `launch_domain` — the `covers`
-    /// predicate used by temporary-store elimination (Definition 4).
+    /// predicate used by temporary-store elimination (Definition 4). A store
+    /// too large to count (its volume overflows `u64`) is never claimed
+    /// covered.
     ///
-    /// Walks the launch domain. Under an injective projection the answer is
-    /// `bounds_over(..).volume() == store volume` (distinct points get
-    /// disjoint tiles, so their union is the box; the property test below
-    /// holds the two equal), but that replacement is not made here: see
-    /// ROADMAP item 2.
+    /// Under an injective projection distinct points get disjoint tiles, so
+    /// they cover the store iff their bounding box is the store: O(rank),
+    /// whatever the number of launch points. An aliasing projection
+    /// (`SelectDims`, `Constant`) walks the launch domain and answers `false`
+    /// as soon as two tiles overlap — a conservative answer no library write
+    /// reaches.
     pub fn covers(&self, store_shape: &[u64], launch_domain: &Domain) -> bool {
-        match self {
-            Partition::Replicate => true,
-            Partition::Tiling { .. } => {
-                // A store too large to count is never claimed covered.
-                let Some(total) = store_shape.iter().try_fold(1u64, |v, &d| v.checked_mul(d))
-                else {
-                    return false;
-                };
-                let mut covered: u64 = 0;
-                // Tilings produced by the libraries are disjoint; summing
-                // clamped tile volumes is exact for disjoint tiles and a safe
-                // underestimate otherwise (covers() may return false
-                // negatives, never false positives, for aliased tilings this
-                // conservative answer is acceptable).
-                let mut rects: Vec<Rect> = Vec::new();
-                for p in launch_domain.points() {
-                    let r = self.sub_store_bounds(store_shape, &p);
-                    if rects.iter().any(|prev| prev.overlaps(&r)) {
-                        return false;
-                    }
-                    covered += r.volume();
-                    rects.push(r);
-                }
-                covered == total
+        if self.is_replicate() {
+            return true;
+        }
+        let Some(total) = store_shape.iter().try_fold(1u64, |v, &d| v.checked_mul(d)) else {
+            return false;
+        };
+        if !self.may_alias_across_points() {
+            return self.bounds_over(store_shape, launch_domain).volume() == total;
+        }
+        let mut covered: u64 = 0;
+        let mut rects: Vec<Rect> = Vec::new();
+        for p in launch_domain.points() {
+            let r = self.sub_store_bounds(store_shape, &p);
+            if rects.iter().any(|prev| prev.overlaps(&r)) {
+                return false;
             }
+            covered += r.volume();
+            rects.push(r);
+        }
+        covered == total
+    }
+}
+
+/// Splits a launch domain into *tile classes*: boxes of launch points on
+/// which every listed argument's sub-store has the same shape (so the same
+/// volume and buffer length). Returns, per launch dimension, the sorted
+/// coordinates at which a run of that dimension starts: `0`, then every
+/// coordinate at which some argument's clamped tile extent can change. A
+/// class is one run per dimension; its first point in row-major order is
+/// the tuple of its runs' starts. An empty dimension has no runs, and an
+/// empty domain no classes.
+///
+/// Per (argument, store dimension) a tiling with tile `t > 0`, offset `o`
+/// and store extent `s` has at most four breaks in the projected coordinate
+/// `k`: tiles below `k0 = ⌊−o/t⌋` miss the store, `k0` is clipped at 0,
+/// `k1 = ⌊(s−1−o)/t⌋` at `s`, and tiles above `k1` miss it; between, the
+/// extent is `t`. The projection maps each break to the launch dimension
+/// that coordinate comes from. `Replicate`, `Constant`, a zero tile extent
+/// and the padded dimensions of `PadZeros` add none. O(arguments × rank),
+/// whatever the number of launch points.
+pub fn tile_class_starts<'a>(
+    args: impl IntoIterator<Item = (&'a Partition, &'a [u64])>,
+    launch_domain: &Domain,
+) -> Vec<Vec<u64>> {
+    let shape = launch_domain.shape();
+    let mut starts: Vec<Vec<u64>> =
+        shape.iter().map(|&n| if n == 0 { vec![] } else { vec![0] }).collect();
+    for (part, store_shape) in args {
+        let Partition::Tiling { tile, offset, proj } = part else {
+            continue;
+        };
+        for (j, ((&t, &o), &s)) in tile.iter().zip(offset).zip(store_shape).enumerate() {
+            let dim = match proj {
+                Projection::Identity | Projection::PadZeros { .. } => Some(j),
+                Projection::SelectDims(dims) => dims.get(j).copied(),
+                Projection::Constant(_) => break,
+            };
+            // Padded dimensions (and ranks `sub_store_bounds` rejects) map to
+            // no launch dimension.
+            let Some(d) = dim.filter(|&d| d < shape.len() && t > 0) else {
+                continue;
+            };
+            let (t, s) = (t as i64, s as i64);
+            let (k0, k1) = ((-o).div_euclid(t), (s - 1 - o).div_euclid(t));
+            starts[d].extend(
+                [k0, k0 + 1, k1, k1 + 1]
+                    .into_iter()
+                    .filter(|&k| k > 0 && (k as u64) < shape[d])
+                    .map(|k| k as u64),
+            );
         }
     }
+    for runs in &mut starts {
+        runs.sort_unstable();
+        runs.dedup();
+    }
+    starts
 }
 
 impl std::fmt::Display for Partition {
@@ -306,6 +362,39 @@ mod tests {
             });
         }
         acc.unwrap_or_else(|| Rect::empty(shape.len()))
+    }
+
+    /// Definition 4 by enumeration, the differential oracle for `covers`:
+    /// sum the clamped tile volumes, refusing on the first overlap.
+    fn enumerated_covers(part: &Partition, shape: &[u64], domain: &Domain) -> bool {
+        match part {
+            Partition::Replicate => true,
+            Partition::Tiling { .. } => {
+                let Some(total) = shape.iter().try_fold(1u64, |v, &d| v.checked_mul(d)) else {
+                    return false;
+                };
+                let mut covered: u64 = 0;
+                let mut rects: Vec<Rect> = Vec::new();
+                for p in domain.points() {
+                    let r = part.sub_store_bounds(shape, &p);
+                    if rects.iter().any(|prev| prev.overlaps(&r)) {
+                        return false;
+                    }
+                    covered += r.volume();
+                    rects.push(r);
+                }
+                covered == total
+            }
+        }
+    }
+
+    /// The first point of `point`'s tile class under `starts`.
+    fn class_representative(starts: &[Vec<u64>], point: &[i64]) -> Point {
+        starts
+            .iter()
+            .zip(point)
+            .map(|(runs, &c)| runs[runs.partition_point(|&x| x <= c as u64) - 1] as i64)
+            .collect()
     }
 
     /// A store shape, a rank-consistent tiling of it and a launch domain:
@@ -363,16 +452,78 @@ mod tests {
                 enumerated_bounds(&part, &shape, &domain),
                 "bounds_over of {} over {} on {:?}", part, domain, shape
             );
-            // What a closed-form `covers` would rest on: disjoint tiles fill
-            // their bounding box.
-            if !part.may_alias_across_points() {
+            prop_assert_eq!(
+                part.covers(&shape, &domain),
+                enumerated_covers(&part, &shape, &domain),
+                "covers of {} over {} on {:?}", part, domain, shape
+            );
+        }
+
+        #[test]
+        fn every_point_has_its_class_representatives_volume(
+            (shape, part, domain) in tiling_cases()
+        ) {
+            let starts = tile_class_starts([(&part, &shape[..])], &domain);
+            prop_assert_eq!(starts.len(), domain.dims());
+            for p in domain.points() {
+                let rep = class_representative(&starts, &p);
                 prop_assert_eq!(
-                    part.covers(&shape, &domain),
-                    part.bounds_over(&shape, &domain).volume() == shape.iter().product::<u64>(),
-                    "covers of {} over {} on {:?}", part, domain, shape
+                    part.sub_store_bounds(&shape, &p).volume(),
+                    part.sub_store_bounds(&shape, &rep).volume(),
+                    "{} on {:?}: point {:?}, representative {:?}", part, shape, p, rep
                 );
             }
         }
+    }
+
+    #[test]
+    fn tile_classes_of_an_uneven_haloed_launch() {
+        // 1 000 elements over 128 points in tiles of 8: tile 124 ends the
+        // store and 125..=127 miss it; the break at 1 is `k0 + 1`, conservative
+        // here because tile 0 starts at the store's origin. The same tiling shifted
+        // by -1 clips tiles 0 and 125 and leaves 126.. empty.
+        let (block, haloed) = (
+            Partition::block(vec![8]),
+            Partition::tiling(vec![8], vec![-1], Projection::Identity),
+        );
+        let domain = Domain::linear(128);
+        assert_eq!(
+            tile_class_starts([(&block, &[1000u64][..])], &domain),
+            vec![vec![0, 1, 124, 125]]
+        );
+        assert_eq!(
+            tile_class_starts([(&block, &[1000u64][..]), (&haloed, &[1000u64][..])], &domain),
+            vec![vec![0, 1, 124, 125, 126]]
+        );
+        // Replicate and Constant split nothing; padded dimensions neither.
+        let padded = Partition::tiling(vec![8, 3], vec![0, 0], Projection::PadZeros { rank: 2 });
+        let constant = Partition::tiling(vec![8], vec![0], Projection::Constant(vec![3]));
+        assert_eq!(
+            tile_class_starts(
+                [
+                    (&Partition::Replicate, &[7u64][..]),
+                    (&constant, &[1000u64][..]),
+                    (&padded, &[1000u64, 3][..]),
+                ],
+                &domain
+            ),
+            vec![vec![0, 1, 124, 125]]
+        );
+        assert_eq!(tile_class_starts([(&block, &[1000u64][..])], &Domain::linear(0)), vec![vec![]]);
+    }
+
+    /// 2^40 launch points, as for `bounds_over` below: `covers` under an
+    /// injective tiling is the bounding box's volume and the tile classes
+    /// come from the breaks alone, so neither visits them.
+    #[test]
+    fn covers_of_a_2_pow_40_point_launch_is_closed_form() {
+        let domain = Domain::new(vec![1 << 20, 1 << 20]);
+        let shape = [1u64 << 24, 1 << 24];
+        assert!(Partition::block(vec![16, 16]).covers(&shape, &domain));
+        let shifted = Partition::tiling(vec![16, 16], vec![1, 1], Projection::Identity);
+        assert!(!shifted.covers(&shape, &domain));
+        let starts = tile_class_starts([(&shifted, &shape[..])], &domain);
+        assert_eq!(starts, vec![vec![0, (1 << 20) - 1]; 2]);
     }
 
     #[test]

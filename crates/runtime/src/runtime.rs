@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use std::sync::Arc;
 
-use ir::{PartitionId, Rect};
+use ir::{Domain, PartitionId, Rect};
 use kernel::{cost as kcost, BackendKind, CompiledKernel, ExecError, KernelBackend, KernelModule};
 use machine::{CostModel, MachineConfig, MemoryTracker, SimClock};
 
@@ -893,24 +893,35 @@ impl Runtime {
 
     /// Charges kernel execution time for the launch. Returns the simulated
     /// seconds on the critical-path GPU.
+    ///
+    /// Prices one point per tile class ([`ir::partition::tile_class_starts`]):
+    /// every point of a class sees the same buffer lengths, so the same
+    /// cost. Classes are visited in row-major order of their first points
+    /// and the worst is kept on a strict `>`, so the chosen cost is the one
+    /// a walk over every point would choose — whatever the number of points.
     fn charge_kernels(&mut self, launch: &TaskLaunch) -> f64 {
         let domain_size = launch.launch_domain.size().max(1);
         let mut worst_time = 0.0f64;
         let mut worst_cost = kcost::KernelCost::default();
-        // Under block partitionings most (often all) points see identical
-        // buffer lengths; the module cost is a pure function of the lengths,
-        // so reuse the previous point's cost when they repeat. This changes
-        // host wall-clock only — the simulated worst-point time is identical.
+        // The module cost is a pure function of the lengths, so reuse the
+        // previous class's cost when they repeat. This changes host
+        // wall-clock only — the simulated worst-point time is identical.
         let mut lens: Vec<usize> = Vec::new();
         let mut prev: Option<(Vec<usize>, kcost::KernelCost, f64)> = None;
         // Resolve each requirement's interned partition once, outside the
-        // per-point loop (each deref takes the interner's read lock).
+        // per-class loop (each deref takes the interner's read lock).
         let req_parts: Vec<(&ir::Partition, &[u64])> = launch
             .requirements
             .iter()
             .map(|req| (req.partition.get(), self.regions[&req.region].shape()))
             .collect();
-        for p in launch.launch_domain.points() {
+        let starts =
+            ir::partition::tile_class_starts(req_parts.iter().copied(), &launch.launch_domain);
+        let classes = Domain::new(starts.iter().map(|runs| runs.len() as u64).collect());
+        for class in classes.points() {
+            // The class's first point: the start of its run in every dimension.
+            let p: Vec<i64> =
+                class.iter().zip(&starts).map(|(&k, runs)| runs[k as usize] as i64).collect();
             lens.clear();
             lens.extend(
                 req_parts
@@ -966,7 +977,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::launch::RegionRequirement;
-    use ir::{Domain, Partition, Privilege};
+    use ir::{Partition, Privilege, Projection};
     use kernel::{compile_interp, BufferId, BufferRole, KernelModule, LoopBuilder};
 
     fn functional_runtime(gpus: usize) -> Runtime {
@@ -1149,6 +1160,175 @@ mod tests {
         assert!(rt.region_data(b).is_none());
         assert!(rt.elapsed() > 0.0);
         assert!(rt.profile().kernel_bytes > 0);
+    }
+
+    /// The differential oracle for `charge_kernels`: price every launch
+    /// point, in row-major order (the degraded machine's stretch left out).
+    fn per_point_kernel_charge(rt: &Runtime, launch: &TaskLaunch) -> (f64, kcost::KernelCost) {
+        let domain_size = launch.launch_domain.size().max(1);
+        let mut worst_time = 0.0f64;
+        let mut worst_cost = kcost::KernelCost::default();
+        let mut lens: Vec<usize> = Vec::new();
+        let mut prev: Option<(Vec<usize>, kcost::KernelCost, f64)> = None;
+        let req_parts: Vec<(&ir::Partition, &[u64])> = launch
+            .requirements
+            .iter()
+            .map(|req| (req.partition.get(), rt.regions[&req.region].shape()))
+            .collect();
+        for p in launch.launch_domain.points() {
+            lens.clear();
+            lens.extend(
+                req_parts
+                    .iter()
+                    .map(|(part, shape)| part.sub_store_bounds(shape, &p).volume() as usize),
+            );
+            for &full in &launch.local_buffer_lens {
+                let per_point = if full <= 1 {
+                    full
+                } else {
+                    (full as u64).div_ceil(domain_size) as usize
+                };
+                lens.push(per_point.max(1));
+            }
+            let (c, t) = match &prev {
+                Some((prev_lens, c, t)) if *prev_lens == lens => (*c, *t),
+                _ => {
+                    let c = kcost::module_cost(launch.kernel.module(), &lens);
+                    let t = rt.cost.kernel_time(c.bytes, c.flops, 0)
+                        + c.launches as f64 * rt.cost.launch_time();
+                    prev = Some((lens.clone(), c, t));
+                    (c, t)
+                }
+            };
+            if t > worst_time {
+                worst_time = t;
+                worst_cost = c;
+            }
+        }
+        (worst_time, worst_cost)
+    }
+
+    /// One loop per buffer, over that buffer, with `1 + b % 3` multiplies:
+    /// every buffer's length moves the module cost, by a different weight.
+    fn per_buffer_module(args: u32, locals: u32) -> KernelModule {
+        let mut module = KernelModule::new(args);
+        for _ in 0..locals {
+            module.add_local();
+        }
+        for b in 0..args + locals {
+            let mut lb = LoopBuilder::new("touch", BufferId(b));
+            let mut v = lb.load(BufferId(b));
+            for _ in 0..=b % 3 {
+                let k = lb.constant(1.5);
+                v = lb.mul(v, k);
+            }
+            lb.store(BufferId(b), v);
+            module.push_loop(lb.finish());
+        }
+        module
+    }
+
+    #[test]
+    fn pricing_by_tile_class_matches_every_point() {
+        let tiled = |tile: Vec<u64>, offset: Vec<i64>, proj| Partition::tiling(tile, offset, proj);
+        type Case = (Domain, Vec<(Vec<u64>, Partition)>, Vec<usize>);
+        let cases: Vec<Case> = vec![
+            // Uneven: 1 000 elements over 128 points, plain and haloed.
+            (
+                Domain::linear(128),
+                vec![
+                    (vec![1000], Partition::block(vec![8])),
+                    (vec![1000], tiled(vec![8], vec![-1], Projection::Identity)),
+                    (vec![1000], tiled(vec![8], vec![3], Projection::Identity)),
+                ],
+                vec![],
+            ),
+            // Row blocks through `PadZeros`, a replicated argument, locals.
+            (
+                Domain::linear(128),
+                vec![
+                    (vec![1000, 3], tiled(vec![8, 3], vec![0, 0], Projection::PadZeros { rank: 2 })),
+                    (vec![64], Partition::Replicate),
+                ],
+                vec![1000, 1, 0, 129],
+            ),
+            // Non-repeating `SelectDims` (one dropped, one permuted) beside
+            // a haloed 2-D block.
+            (
+                Domain::new(vec![16, 8]),
+                vec![
+                    (vec![1000], tiled(vec![63], vec![0], Projection::SelectDims(vec![0]))),
+                    (vec![10, 100], tiled(vec![1, 13], vec![0, -2], Projection::SelectDims(vec![1, 0]))),
+                    (vec![100, 50], tiled(vec![7, 7], vec![0, -3], Projection::Identity)),
+                ],
+                vec![7],
+            ),
+            // Empty domains price nothing.
+            (Domain::linear(0), vec![(vec![8], Partition::block(vec![4]))], vec![3]),
+            (Domain::new(vec![4, 0]), vec![(vec![8, 8], Partition::block(vec![2, 2]))], vec![]),
+        ];
+        for (domain, args, locals) in cases {
+            let mut rt = Runtime::new(RuntimeConfig::simulation_only(MachineConfig::with_gpus(128)));
+            let requirements = args
+                .into_iter()
+                .map(|(shape, part)| {
+                    let region = rt.allocate_region(shape, "arg");
+                    RegionRequirement::new(region, part, Privilege::Read)
+                })
+                .collect::<Vec<_>>();
+            let module = per_buffer_module(requirements.len() as u32, locals.len() as u32);
+            let launch = TaskLaunch {
+                name: "priced".into(),
+                launch_domain: domain.clone(),
+                requirements,
+                kernel: compile_interp(module),
+                scalars: vec![],
+                local_buffer_lens: locals,
+                overhead: OverheadClass::TaskRuntime,
+            };
+            let (want_time, want) = per_point_kernel_charge(&rt, &launch);
+            let time = rt.charge_kernels(&launch);
+            assert_eq!(time.to_bits(), want_time.to_bits(), "time over {domain}");
+            let profile = rt.profile();
+            assert_eq!(
+                (profile.kernel_bytes, profile.kernel_flops, profile.kernel_launches),
+                (want.bytes, want.flops, want.launches),
+                "cost over {domain}"
+            );
+        }
+    }
+
+    /// 2^24 launch points, priced by their four tile classes: a per-point
+    /// walk would visit every one.
+    #[test]
+    fn pricing_a_2_pow_24_point_launch_is_scale_free() {
+        let mut rt = Runtime::new(RuntimeConfig::simulation_only(MachineConfig::with_gpus(8)));
+        let a = rt.allocate_region(vec![1 << 16, 1 << 16], "a");
+        let b = rt.allocate_region(vec![1 << 16, 1 << 16], "b");
+        // The haloed read clips the first row of tiles to 8 x 16; every
+        // other tile of either argument is a full 16 x 16.
+        let haloed = Partition::tiling(vec![16, 16], vec![-8, 0], Projection::Identity);
+        let launch = TaskLaunch {
+            name: "scale".into(),
+            launch_domain: Domain::new(vec![1 << 12, 1 << 12]),
+            requirements: vec![
+                RegionRequirement::new(a, haloed, Privilege::Read),
+                RegionRequirement::new(b, Partition::block(vec![16, 16]), Privilege::Write),
+            ],
+            kernel: compile_interp(scale_module(3.0)),
+            scalars: vec![],
+            local_buffer_lens: vec![],
+            overhead: OverheadClass::TaskRuntime,
+        };
+        let start = std::time::Instant::now();
+        rt.execute(&launch).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        // One loop over 256 elements: a load stream and a store stream.
+        let profile = rt.profile();
+        assert_eq!(
+            (profile.kernel_bytes, profile.kernel_flops, profile.kernel_launches),
+            (2 * 256 * 8, 256, 1)
+        );
     }
 
     #[test]
