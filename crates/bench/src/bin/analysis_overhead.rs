@@ -37,10 +37,18 @@ const PAIRS: usize = 600;
 /// that stops amortizing (ratio → 1) still does.
 const AMORTIZATION_FLOOR: f64 = 2.0;
 /// Allowed regression of cold ÷ warm against the recorded ratio, percent.
-const AMORTIZATION_TOLERANCE_PCT: f64 = 30.0;
+/// The ratio moves more between hosts than between runs: the tree before
+/// launch plans were reused recorded 3.93× on one host and read 5.2–5.8×
+/// in ten runs on another, so a baseline recorded on the second must leave
+/// a host reading 1.46× lower inside the bound. A warm path back at twice
+/// its length still fails it.
+const AMORTIZATION_TOLERANCE_PCT: f64 = 40.0;
 /// Allowed cost of `DIFFUSE_ANALYZE=inferred` on the warm path, percent of
-/// the declared warm path (it measures +0.9 %: docs/ANALYZE.md).
-const ANALYZER_CEILING_PCT: f64 = 2.0;
+/// the declared warm path. Nineteen medians read +2.4 … +4.3 % (centre
+/// +3.4) on a 2-core host once replays reused their launch plans and the
+/// warm path halved; the ceiling is that centre plus twice that spread
+/// (docs/ANALYZE.md).
+const ANALYZER_CEILING_PCT: f64 = 7.5;
 
 /// One all-miss iteration over a fresh context, in nanoseconds per task
 /// (context construction is outside the timed batch).

@@ -25,10 +25,13 @@ use diffuse::{AnalyzeMode, FaultPlan};
 /// Alternating pairs (see `analysis_overhead`: same trace, same estimator).
 const PAIRS: usize = 600;
 /// Allowed cost of an armed plan that never fires, percent of the warm path
-/// without a plan. The layer measures +1.8 % on the reference box (twenty
-/// medians +1.0 … +2.2), so a 2 % ceiling would sit inside the measurement;
-/// this one is that centre plus twice that spread.
-const ARMED_CEILING_PCT: f64 = 4.5;
+/// without a plan. Since replays reuse their launch plans the warm path is
+/// about half as long, and the layer's same ≈37 ns per task reads about
+/// twice the percent: sixteen of nineteen medians on a 2-core host read
+/// +5.2 … +6.1 % (centre +5.6); the other three, whose warm path landed in a
+/// slower mode (≈1 070 against ≈670 ns per task), read +3.4 … +3.6 %. The
+/// ceiling is the upper mode's centre plus twice its spread.
+const ARMED_CEILING_PCT: f64 = 7.5;
 
 /// Saturated-schedule smoke: every launch faults at least once, recovery
 /// repairs all of it. Returns per-iteration (faults, retries, degraded).

@@ -11,8 +11,10 @@
 //!    skeleton a replay relaunches. Every check of every stage passes through
 //!    one verification gate (`verify`), and every failed check reaches one
 //!    containment path (`contain`).
-//! 3. **Launch.** `launch` is the one tail: region requirements, task-local
-//!    temporaries, execution and accounting.
+//! 3. **Launch.** `task_launch` builds the runtime launch (region
+//!    requirements, task-local temporaries, scalars) and `launch` is the one
+//!    tail: execution under a runtime launch plan — the skeleton's on a
+//!    replay, a fresh one otherwise — and accounting.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -35,8 +37,8 @@ use kernel::{
     PipelineConfig, TaskKind, TaskSignature,
 };
 use runtime::{
-    AccessSummary, FaultSite, LaunchFailure, OverheadClass, Profile, RegionId, RegionRequirement,
-    Runtime, RuntimeConfig, RuntimeError, TaskLaunch,
+    AccessSummary, FaultSite, LaunchFailure, LaunchPlan, OverheadClass, Profile, RegionId,
+    RegionRequirement, Runtime, RuntimeConfig, RuntimeError, TaskLaunch,
 };
 
 use crate::config::{AnalyzeMode, DiffuseConfig};
@@ -61,10 +63,11 @@ struct StoreMeta {
 /// One memoized window: the backend-compiled fused kernel of its fusible
 /// prefix plus the complete **launch skeleton** it was compiled under —
 /// everything a memo hit needs to relaunch the prefix without rebuilding the
-/// fused task. Each context owns one cache created for its configured
-/// backend, so skeletons are keyed by (canonical window, backend) by
-/// construction; the cache holds them behind an `Arc`, so a hit clones a
-/// pointer.
+/// fused task, down to the runtime's [`LaunchPlan`] (access rects, kernel
+/// price and data-plane bindings), which a replay therefore re-derives none
+/// of. Each context owns one cache created for its configured backend, so
+/// skeletons are keyed by (canonical window, backend) by construction; the
+/// cache holds them behind an `Arc`, so a hit clones a pointer.
 ///
 /// The layout — which fused args were demoted to task-local temporaries
 /// (this fixes both the requirement/local split and the buffer permutation)
@@ -96,6 +99,22 @@ struct Skeleton {
     /// Lengths of the generator-introduced locals, as the module was
     /// verified, optimized and priced on the miss that compiled it.
     generator_local_lens: Vec<usize>,
+    /// The runtime's plan of the launch the miss issued. It is a function of
+    /// the partitions, store shapes, privileges, store sharing, launch
+    /// domain, module and local lengths — all fixed by the canonical window
+    /// and the layout above — so it holds for every replay.
+    plan: LaunchPlan,
+}
+
+impl Skeleton {
+    /// Of `stores`, one per skeleton argument, the ones demoted to
+    /// task-local temporaries.
+    fn temps<'a>(
+        &'a self,
+        stores: impl Iterator<Item = StoreId> + 'a,
+    ) -> impl Iterator<Item = StoreId> + 'a {
+        stores.zip(&self.temp_volumes).filter_map(|(store, temp)| temp.map(|_| store))
+    }
 }
 
 /// What the plan stage decided to do with the head of the window.
@@ -200,7 +219,7 @@ struct KindAnalysis {
 /// domain — the inputs of `GenArgs`. Pure integer word-wise FNV-1a — no
 /// allocation and one multiply per word, because this runs on every
 /// submission under [`AnalyzeMode::Inferred`] and the `analysis_overhead`
-/// bench gates the whole probe below 2% of the warm path.
+/// bench gates the whole probe as a share of the warm path.
 fn analysis_key(task: &IndexTask) -> (u32, u64) {
     let mut h = OFFSET;
     let mut mix = |v: u64| h = fold_u64(h, v);
@@ -748,13 +767,14 @@ impl ContextInner {
     fn compile(&mut self, len: usize, temps: &HashSet<StoreId>, key: Option<CanonicalWindow>) {
         let fused = FusedTask::build(self.window.drain_prefix(len));
         match self.lower(&fused, temps) {
-            Ok(skeleton) => {
+            Ok((skeleton, launch)) => {
                 let skeleton = Arc::new(skeleton);
                 if let Some(key) = key {
                     self.memo.insert(key, Arc::clone(&skeleton));
                 }
-                let stores: Vec<StoreId> = fused.args.iter().map(|&(store, _, _)| store).collect();
-                self.launch_skeleton(&fused.tasks, &skeleton, &stores);
+                let stores = fused.args.iter().map(|&(store, _, _)| store);
+                let demoted = skeleton.temps(stores);
+                self.launch(&fused.tasks, &launch, &skeleton.plan, demoted);
             }
             Err(detail) => {
                 let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
@@ -766,14 +786,20 @@ impl ContextInner {
     /// Lower, miss side: composes every constituent's kernel in program
     /// order, optimizes the composite, remaps it into the launch tail's
     /// buffer layout and compiles it, returning the skeleton a replay
-    /// relaunches. Each check — the prefix's translation validation (the
-    /// fusion decision preserves every re-derived dependence edge; see
-    /// `fusion::verify`), every constituent module against its signature,
-    /// the optimized module and the lowered one — goes through the gate, and
-    /// the first failure is returned for [`ContextInner::contain`]. JIT time
-    /// is charged through the backend's cost hook, priced from the composed,
-    /// pre-optimization module (the backend lowers the whole pipeline input).
-    fn lower(&mut self, fused: &FusedTask, temps: &HashSet<StoreId>) -> Result<Skeleton, String> {
+    /// relaunches together with the launch the miss issues, whose runtime
+    /// plan the skeleton keeps. Each check — the prefix's translation
+    /// validation (the fusion decision preserves every re-derived dependence
+    /// edge; see `fusion::verify`), every constituent module against its
+    /// signature, the optimized module and the lowered one — goes through the
+    /// gate, and the first failure is returned for [`ContextInner::contain`].
+    /// JIT time is charged through the backend's cost hook, priced from the
+    /// composed, pre-optimization module (the backend lowers the whole
+    /// pipeline input).
+    fn lower(
+        &mut self,
+        fused: &FusedTask,
+        temps: &HashSet<StoreId>,
+    ) -> Result<(Skeleton, TaskLaunch), String> {
         self.verify(
             format_args!("planned fused prefix violates a dependence invariant"),
             |_| fusion::verify_fused_prefix(&fused.tasks),
@@ -850,29 +876,46 @@ impl ContextInner {
             |_| kernel::verify::verify_lowering(&module, backend),
         )?;
         let kernel = self.compile_artifact(&fused.name, &module);
+        let temp_volumes: Vec<Option<usize>> =
+            is_temp.iter().zip(&lens).map(|(&t, &len)| t.then_some(len)).collect();
+        let generator_local_lens = lens[num_args..].to_vec();
+        let args = fused.args.iter().zip(&temp_volumes);
+        let launch = self.task_launch(
+            &fused.tasks,
+            Arc::clone(&kernel),
+            fused.name.clone(),
+            args.map(|(&(store, part, privilege), &temp)| (store, part, privilege, temp)),
+            &generator_local_lens,
+        );
+        let plan = self.runtime.plan(&launch).expect("a context launch names live regions");
         let mut canon: HashMap<StoreId, u32> = HashMap::new();
         for arg in fused.tasks.iter().flat_map(|t| &t.args) {
             let next = canon.len() as u32;
             canon.entry(arg.store).or_insert(next);
         }
-        Ok(Skeleton {
+        let skeleton = Skeleton {
             prefix_len: fused.tasks.len(),
             kernel,
             name: fused.name.clone(),
             args: fused.args.iter().map(|(s, p, pr)| (canon[s], *p, *pr)).collect(),
-            temp_volumes: is_temp.iter().zip(&lens).map(|(&t, &len)| t.then_some(len)).collect(),
-            generator_local_lens: lens[num_args..].to_vec(),
-        })
+            temp_volumes,
+            generator_local_lens,
+            plan,
+        };
+        Ok((skeleton, launch))
     }
 
-    /// Lower, replay side: a memo hit relaunches its skeleton after the same
-    /// prefix translation validation as a miss plus `verify_skeleton` — the
-    /// replayed structure must match the probe window, so a fingerprint
-    /// collision is caught here by construction. No fused task is built, no
-    /// access volume computed and no name assembled.
+    /// Lower, replay side: a memo hit relaunches its skeleton under the
+    /// skeleton's launch plan, after the same prefix translation validation
+    /// as a miss plus `verify_skeleton` — the replayed structure must match
+    /// the probe window, so a fingerprint collision is caught here by
+    /// construction — and a re-derivation of the plan from the launch about
+    /// to be issued, which must equal the memoized one. No fused task is
+    /// built, no access volume computed, no name assembled and, with
+    /// verification off, nothing of the plan re-derived.
     fn replay(&mut self, skeleton: &Skeleton, stores: &[StoreId]) {
         let prefix = self.window.drain_prefix(skeleton.prefix_len);
-        let checked = self
+        let issued = self
             .verify(
                 format_args!("planned fused prefix violates a dependence invariant"),
                 |_| fusion::verify_fused_prefix(&prefix),
@@ -885,9 +928,23 @@ impl ContextInner {
                     ),
                     |_| fusion::verify_skeleton(&prefix, &skeleton.args),
                 )
+            })
+            .and_then(|()| {
+                let launch = self.skeleton_launch(&prefix, skeleton, stores);
+                self.verify(
+                    format_args!(
+                        "memoized launch plan of `{}` does not match its replay",
+                        skeleton.name
+                    ),
+                    |this| verify_plan(&this.runtime, &launch, &skeleton.plan),
+                )?;
+                Ok(launch)
             });
-        match checked {
-            Ok(()) => self.launch_skeleton(&prefix, skeleton, stores),
+        match issued {
+            Ok(launch) => {
+                let demoted = skeleton.temps(stores.iter().copied());
+                self.launch(&prefix, &launch, &skeleton.plan, demoted);
+            }
             Err(detail) => {
                 let fused = FusedTask::build(prefix);
                 let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
@@ -924,12 +981,21 @@ impl ContextInner {
         // temporary outside a fused window.
         let args = task.args.iter().map(|a| (a.store, a.partition, a.privilege, None));
         let locals = &lens[task.args.len()..];
-        self.launch(std::slice::from_ref(&task), kernel, task.name.clone(), args, locals);
+        let tasks = std::slice::from_ref(&task);
+        let launch = self.task_launch(tasks, kernel, task.name.clone(), args, locals);
+        // No skeleton outlives an unfused launch: it is planned afresh.
+        let plan = self.runtime.plan(&launch).expect("a context launch names live regions");
+        self.launch(tasks, &launch, &plan, std::iter::empty());
     }
 
-    /// Launches `tasks` through a skeleton whose arguments resolve to
+    /// The launch of `tasks` through a skeleton whose arguments resolve to
     /// `stores`, one per skeleton argument.
-    fn launch_skeleton(&mut self, tasks: &[IndexTask], skeleton: &Skeleton, stores: &[StoreId]) {
+    fn skeleton_launch(
+        &mut self,
+        tasks: &[IndexTask],
+        skeleton: &Skeleton,
+        stores: &[StoreId],
+    ) -> TaskLaunch {
         let args = skeleton
             .args
             .iter()
@@ -938,23 +1004,23 @@ impl ContextInner {
             .map(|((&(_, part, privilege), &store), &temp)| (store, part, privilege, temp));
         let kernel = Arc::clone(&skeleton.kernel);
         let locals = &skeleton.generator_local_lens;
-        self.launch(tasks, kernel, skeleton.name.clone(), args, locals);
+        self.task_launch(tasks, kernel, skeleton.name.clone(), args, locals)
     }
 
-    /// Launch: the one tail of every path (unfused task, compiled prefix,
-    /// memo replay). Splits the resolved arguments into region requirements
-    /// and task-local temporaries (`Some(volume)` marks a temporary and gives
-    /// its buffer length), appends the generator-introduced locals, gathers
-    /// the constituent `tasks`' scalars, executes, and books the launch as
-    /// `tasks.len()` tasks.
-    fn launch(
+    /// Launch, first half, shared by every path (unfused task, compiled
+    /// prefix, memo replay): the runtime launch of `tasks`. Splits the
+    /// resolved arguments into region requirements and task-local
+    /// temporaries (`Some(volume)` marks a temporary and gives its buffer
+    /// length), appends the generator-introduced locals and gathers the
+    /// constituent tasks' scalars.
+    fn task_launch(
         &mut self,
         tasks: &[IndexTask],
         kernel: Arc<dyn CompiledKernel>,
         name: String,
         args: impl Iterator<Item = (StoreId, PartitionId, Privilege, Option<usize>)>,
         generator_local_lens: &[usize],
-    ) {
+    ) -> TaskLaunch {
         // Buffer layout (what `lower` remaps a module into): region
         // requirements, then temporaries, then generator-introduced locals.
         let mut requirements = Vec::new();
@@ -965,17 +1031,11 @@ impl ContextInner {
                     let region = self.ensure_region(store);
                     requirements.push(RegionRequirement::new(region, partition, privilege));
                 }
-                Some(volume) => {
-                    local_buffer_lens.push(volume.max(1));
-                    self.stats.temporaries_eliminated += 1;
-                    if self.stores[&store].region.is_none() {
-                        self.stats.distributed_allocations_avoided += 1;
-                    }
-                }
+                Some(volume) => local_buffer_lens.push(volume.max(1)),
             }
         }
         local_buffer_lens.extend(generator_local_lens.iter().map(|&len| len.max(1)));
-        let launch = TaskLaunch {
+        TaskLaunch {
             name,
             launch_domain: tasks[0].launch_domain.clone(),
             requirements,
@@ -983,15 +1043,47 @@ impl ContextInner {
             scalars: tasks.iter().flat_map(|t| t.scalars.iter().copied()).collect(),
             local_buffer_lens,
             overhead: OverheadClass::TaskRuntime,
-        };
+        }
+    }
+
+    /// Launch, second half: the one tail of every path. Executes `launch`
+    /// under `plan` and books it as `tasks.len()` tasks, with `temps` the
+    /// stores it demoted to task-local temporaries. Only a launch that runs
+    /// is booked: a replay whose checks fail stops before this.
+    fn launch(
+        &mut self,
+        tasks: &[IndexTask],
+        launch: &TaskLaunch,
+        plan: &LaunchPlan,
+        temps: impl Iterator<Item = StoreId>,
+    ) {
+        for store in temps {
+            self.stats.temporaries_eliminated += 1;
+            if self.stores[&store].region.is_none() {
+                self.stats.distributed_allocations_avoided += 1;
+            }
+        }
         let t0 = self.runtime.elapsed();
-        self.runtime.execute(&launch).expect("launch failed");
+        self.runtime.execute_planned(launch, plan).expect("launch failed");
         let delta = self.runtime.elapsed() - t0;
         self.stats.tasks_launched += 1;
         if tasks.len() > 1 {
             self.stats.fused_tasks += 1;
         }
         self.attribute_launch(tasks, delta);
+    }
+}
+
+/// The verification gate's plan check: the plan a replay reuses must be the
+/// one its own launch derives (`Runtime::plan`).
+fn verify_plan(
+    runtime: &Runtime,
+    launch: &TaskLaunch,
+    memoized: &LaunchPlan,
+) -> Result<usize, String> {
+    match runtime.plan(launch).map_err(|e| e.to_string())? {
+        fresh if fresh == *memoized => Ok(1),
+        fresh => Err(format!("memoized {memoized:?}, re-derived {fresh:?}")),
     }
 }
 

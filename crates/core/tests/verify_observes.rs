@@ -1,7 +1,10 @@
 //! Verification only observes (`docs/VERIFY.md`): one fixed stream run with
 //! the verifier on and off must produce the same bits, the same simulated
-//! clock and the same statistics — except `verification_checks`, which is
-//! what the verifier adds.
+//! clock, the same runtime profile and the same statistics — except
+//! `verification_checks`, which is what the verifier adds. That includes
+//! the replay's plan check: with the verifier on, every replay re-derives
+//! its launch plan and compares it with the memoized one; with it off, the
+//! memoized plan is used unchecked, and nothing the run leaves may differ.
 //!
 //! The stream covers every path the window pipeline has: a fused chain with
 //! an eliminated temporary, a reduction split, memo replays, a layout-drift
@@ -13,6 +16,7 @@ use diffuse::{
     AnalyzeMode, BackendKind, Context, DiffuseConfig, ExecutionStats, ExecutorKind, StoreHandle,
     TaskKind, TaskSignature,
 };
+use runtime::Profile;
 use ir::{Domain, Partition, ReductionOp};
 use kernel::{BufferId, BufferRole, KernelModule, LoopBuilder, ReduceOp};
 use machine::MachineConfig;
@@ -85,9 +89,9 @@ fn register(ctx: &Context) -> Ops {
     }
 }
 
-/// What one leg leaves behind: its outputs' bits, its clock's bits and its
-/// statistics.
-type Leg = (Vec<Vec<u64>>, u64, ExecutionStats);
+/// What one leg leaves behind: its outputs' bits, its clock's bits, its
+/// runtime profile and its statistics.
+type Leg = (Vec<Vec<u64>>, u64, Profile, ExecutionStats);
 
 fn context(config: DiffuseConfig, verify: bool) -> Context {
     Context::new(DiffuseConfig {
@@ -112,7 +116,7 @@ fn finish(ctx: &Context, outputs: &[StoreHandle]) -> Leg {
                 .collect()
         })
         .collect();
-    (bits, ctx.elapsed().to_bits(), ctx.stats())
+    (bits, ctx.elapsed().to_bits(), ctx.profile(), ctx.stats())
 }
 
 /// `t = a + b; u = 0.5 t; s = Σ u²; v = s · a`, with `t` dropped before the
@@ -244,13 +248,14 @@ fn verification_only_observes() {
     let legs: [fn(bool) -> Leg; 3] = [fused_leg, horizontal_leg, unfused_leg];
     let mut stats = Vec::new();
     for leg in legs {
-        let (data, clock, verified) = leg(true);
-        let (plain_data, plain_clock, plain) = leg(false);
+        let (data, clock, profile, verified) = leg(true);
+        let (plain_data, plain_clock, plain_profile, plain) = leg(false);
         assert_eq!(data, plain_data, "verification changed data");
         assert_eq!(
             clock, plain_clock,
             "verification changed the simulated clock"
         );
+        assert_eq!(profile, plain_profile, "verification changed the profile");
         assert_eq!(plain.verification_checks, 0);
         let observed = ExecutionStats {
             verification_checks: 0,
@@ -279,7 +284,10 @@ fn verification_only_observes() {
     // Recorded by running this file, unchanged, against the tree before the
     // window pipeline was split into plan → lower → launch (commit c392854,
     // where every check site carried its own `if enable_verification`
-    // block): the one gate must neither drop nor add a check.
+    // block): the one gate must neither drop nor add a check. Since replays
+    // reuse their skeleton's launch plan, each replay adds one plan check:
+    // five in the fused leg (six hits, one of them a layout drift that
+    // recompiles) and two in the horizontal leg.
     let checks: Vec<u64> = stats.iter().map(|s| s.verification_checks).collect();
-    assert_eq!(checks, vec![230, 400, 68]);
+    assert_eq!(checks, vec![230 + 5, 400 + 2, 68]);
 }

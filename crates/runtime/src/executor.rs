@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 
 use ir::{Privilege, Rect};
 use kernel::{
-    Buffer, BufferId, BufferView, BufferViewMut, CompiledKernel, KernelModule, KernelStage,
+    Buffer, BufferId, BufferView, BufferViewMut, CompiledKernel, KernelModule,
 };
 
 use crate::deps::{AccessSummary, DepTracker};
@@ -177,6 +177,9 @@ pub struct WorkRequest<'a> {
     pub local_buffer_lens: &'a [usize],
     /// Region buffers in kernel-buffer order.
     pub accesses: Vec<BufferAccess>,
+    /// How the accesses and the locals bind into the kernel's buffer table,
+    /// planned for this launch's description ([`DataPlan::new`]).
+    pub plan: &'a DataPlan,
     /// Injected device-fault attempts to replay before the committing run:
     /// each executes a prefix of the stage protocol, then rolls every written
     /// rect back (a killed attempt commits nothing). 0 outside fault
@@ -194,6 +197,7 @@ impl WorkRequest<'_> {
             scalars: self.scalars.to_vec(),
             local_buffer_lens: self.local_buffer_lens.to_vec(),
             accesses: self.accesses,
+            plan: self.plan.clone(),
             failed_attempts: self.failed_attempts,
         }
     }
@@ -215,6 +219,8 @@ pub struct FunctionalWork {
     pub accesses: Vec<BufferAccess>,
     /// Element counts of the task-local buffers following the region buffers.
     pub local_buffer_lens: Vec<usize>,
+    /// The data plan of the launch's description ([`DataPlan::new`]).
+    pub plan: DataPlan,
     /// Injected device-fault attempts replayed (and rolled back) before the
     /// committing run.
     pub failed_attempts: u32,
@@ -230,6 +236,7 @@ impl FunctionalWork {
             scalars: &self.scalars,
             local_buffer_lens: &self.local_buffer_lens,
             accesses: self.accesses.clone(),
+            plan: &self.plan,
             failed_attempts: self.failed_attempts,
         }
     }
@@ -247,11 +254,14 @@ impl FunctionalWork {
 /// region contents (no torn writes). The rollback is invisible to concurrent
 /// launches because the executors block every dependent until the launch
 /// completes successfully. With no fault armed nothing is snapshotted.
+/// Every attempt, killed or committing, runs under the same `plan`: it
+/// ranges over the whole module, so a stage prefix needs nothing else.
 pub(crate) fn run_functional(
     kernel: &dyn CompiledKernel,
     scalars: &[f64],
     local_buffer_lens: &[usize],
     accesses: &[BufferAccess],
+    plan: &DataPlan,
     failed_attempts: u32,
 ) -> Result<(), RuntimeError> {
     let num_stages = kernel.module().num_stages();
@@ -273,18 +283,18 @@ pub(crate) fn run_functional(
         };
         // A kernel error inside a killed attempt is moot (the attempt is
         // discarded either way); the committing run below will resurface it.
-        let _ = run_stages(kernel, scalars, local_buffer_lens, accesses, stages);
+        let _ = run_stages(kernel, scalars, local_buffer_lens, accesses, plan, stages);
         for (access, snapshot) in accesses.iter().zip(&snapshots) {
             if let Some(snapshot) = snapshot {
                 access.handle.write_rect(&access.rect, snapshot);
             }
         }
     }
-    run_stages(kernel, scalars, local_buffer_lens, accesses, num_stages)
+    run_stages(kernel, scalars, local_buffer_lens, accesses, plan, num_stages)
 }
 
 /// How a launch binds one requirement into its kernel's buffer table
-/// ([`bindings`]).
+/// ([`DataPlan::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Binding {
     /// Read in place through a [`BufferView`] of region memory, under the
@@ -298,99 +308,167 @@ enum Binding {
     Staged,
 }
 
-/// How a launch binds each requirement, decided once per launch from the
-/// accesses and the kernel module alone (no option selects it). A
-/// requirement whose buffer some stage references is a
-///
-/// * [`Binding::View`] if its privilege is `Read`, no stage writes its buffer
-///   and no requirement of the launch on the same region writes or reduces;
-/// * [`Binding::ViewMut`] if its privilege writes or reduces and it is the
-///   launch's only requirement on its region;
-///
-/// and everything else is [`Binding::Staged`]: a writer that shares its
-/// region with another view of the launch (an in-place stencil's write view
-/// beside its shifted reads), a `Read` requirement a stage writes into (the
-/// write is discarded, so it needs storage of its own to land in) and a
-/// requirement no stage references, which is then never copied at all.
-///
-/// Viewing is sound because nothing else can touch a viewed region while the
-/// launch runs: within the launch, a written region has no other view and a
-/// read-viewed one no writer; across launches, the executors' region-granular
-/// [`DepTracker`] orders every writer of a region against every launch that
-/// touches it. So a view reads exactly what each copy-in would have staged,
-/// and writes exactly what each copy-out would have committed.
-fn bindings(accesses: &[BufferAccess], module: &KernelModule) -> Vec<Binding> {
-    let stages = module.stages.iter();
-    let referenced: Vec<BufferId> = stages.clone().flat_map(KernelStage::referenced_buffers).collect();
-    let written: Vec<BufferId> = stages.flat_map(KernelStage::written_buffers).collect();
-    let writes = |access: &BufferAccess| access.privilege.writes() || access.privilege.reduces();
-    accesses
-        .iter()
-        .enumerate()
-        .map(|(i, access)| {
-            let buffer = BufferId(i as u32);
-            let others = || {
-                accesses
-                    .iter()
+/// One copy of a [`Binding::Staged`] requirement between its region and its
+/// dense table entry, around one stage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StagedCopy {
+    /// The stage the copy surrounds.
+    stage: u32,
+    /// The requirement (kernel buffer) copied.
+    requirement: u32,
+    /// Copied back to the region after the stage (else in, before it).
+    back: bool,
+}
+
+/// The data-plane half of a launch plan: how each requirement binds into the
+/// kernel's buffer table, which staged copies surround each stage, and which
+/// task-local buffers get storage. A pure function of which requirements
+/// share a region, their privileges, the kernel module and the number of
+/// locals — never of the data — built once per launch description by
+/// [`DataPlan::new`] and shared by every run of it: the committing run and
+/// each killed attempt's stage prefix alike.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DataPlan {
+    /// Per requirement, in kernel-buffer order.
+    bindings: Vec<Binding>,
+    /// Every staged copy in the order the stage loop makes it: by stage,
+    /// copies in (in the stage's reference order) before copies back (in
+    /// requirement order). Empty when nothing is staged.
+    copies: Vec<StagedCopy>,
+    /// Per task-local buffer: whether some stage references it.
+    locals: Vec<bool>,
+}
+
+impl DataPlan {
+    /// Plans the data plane of a launch whose requirements (region,
+    /// privilege), in kernel-buffer order, are `requirements`, followed by
+    /// `num_locals` task-local buffers. Each requirement whose buffer some
+    /// stage references is bound as
+    ///
+    /// * a read view of region memory (`View`) if its privilege is `Read`, no
+    ///   stage writes its buffer and no requirement of the launch on the same
+    ///   region writes or reduces;
+    /// * a mutable view (`ViewMut`) if its privilege writes or reduces and it
+    ///   is the launch's only requirement on its region;
+    ///
+    /// and everything else is `Staged` (copied): a writer that shares its
+    /// region with another view of the launch (an in-place stencil's write
+    /// view beside its shifted reads), a `Read` requirement a stage writes
+    /// into (the write is discarded, so it needs storage of its own to land
+    /// in) and a requirement no stage references, which is then never copied
+    /// at all. No option selects a binding.
+    ///
+    /// Viewing is sound because nothing else can touch a viewed region while
+    /// the launch runs: within the launch, a written region has no other view
+    /// and a read-viewed one no writer; across launches, the executors'
+    /// region-granular [`DepTracker`] orders every writer of a region against
+    /// every launch that touches it. So a view reads exactly what each
+    /// copy-in would have staged, and writes exactly what each copy-out would
+    /// have committed.
+    ///
+    /// A staged requirement is refreshed from its region before every stage
+    /// that references it, whatever its privilege, and copied back after
+    /// every stage that writes it if its privilege permits.
+    pub fn new<I>(module: &KernelModule, requirements: I, num_locals: usize) -> Self
+    where
+        I: IntoIterator<Item = (RegionId, Privilege)>,
+        I::IntoIter: Clone,
+    {
+        let requirements = requirements.into_iter();
+        let per_stage: Vec<(Vec<BufferId>, Vec<BufferId>)> = module
+            .stages
+            .iter()
+            .map(|stage| (stage.referenced_buffers(), stage.written_buffers()))
+            .collect();
+        let referenced = |b: BufferId| per_stage.iter().any(|(r, _)| r.contains(&b));
+        let written = |b: BufferId| per_stage.iter().any(|(_, w)| w.contains(&b));
+        let writes = |privilege: Privilege| privilege.writes() || privilege.reduces();
+        let bindings: Vec<Binding> = requirements
+            .clone()
+            .enumerate()
+            .map(|(i, (region, privilege))| {
+                let buffer = BufferId(i as u32);
+                let others = || {
+                    requirements
+                        .clone()
+                        .enumerate()
+                        .filter(move |&(j, (other, _))| j != i && other == region)
+                        .map(|(_, (_, other))| other)
+                };
+                match (referenced(buffer), writes(privilege)) {
+                    (true, true) if others().next().is_none() => Binding::ViewMut,
+                    (true, false) if !written(buffer) && !others().any(writes) => Binding::View,
+                    _ => Binding::Staged,
+                }
+            })
+            .collect();
+        // An id past the table is the kernel's to report (`MissingBuffer`).
+        let staged = |b: &BufferId| bindings.get(b.0 as usize) == Some(&Binding::Staged);
+        let mut copies = Vec::new();
+        for (stage, (touched, stored)) in per_stage.iter().enumerate() {
+            let stage = stage as u32;
+            let copy = |requirement: u32, back| StagedCopy { stage, requirement, back };
+            copies.extend(touched.iter().filter(|b| staged(b)).map(|b| copy(b.0, false)));
+            copies.extend(
+                requirements
+                    .clone()
                     .enumerate()
-                    .filter(move |&(j, other)| j != i && other.region == access.region)
-                    .map(|(_, other)| other)
-            };
-            match (referenced.contains(&buffer), writes(access)) {
-                (true, true) if others().next().is_none() => Binding::ViewMut,
-                (true, false) if !written.contains(&buffer) && !others().any(writes) => Binding::View,
-                _ => Binding::Staged,
-            }
-        })
-        .collect()
+                    .filter(|&(i, (_, privilege))| {
+                        let b = BufferId(i as u32);
+                        writes(privilege) && staged(&b) && stored.contains(&b)
+                    })
+                    .map(|(i, _)| copy(i as u32, true)),
+            );
+        }
+        let num_reqs = bindings.len();
+        let locals = (num_reqs..num_reqs + num_locals)
+            .map(|b| referenced(BufferId(b as u32)))
+            .collect();
+        DataPlan { bindings, copies, locals }
+    }
 }
 
 /// The stage loop: runs the first `stages` stages of the kernel one at a
 /// time over a buffer table built once for the launch, moving only the data
-/// each stage touches.
+/// `plan` ([`DataPlan::new`]) says each stage needs moved.
 ///
 /// * A task-local buffer gets (zero-initialised) storage only if some stage
 ///   references it and then lives in place across stages; a local the kernel
 ///   pipeline eliminated keeps its buffer id but stays an empty `Vec`, so its
 ///   allocation never happens.
-/// * A requirement bound as a view ([`bindings`]) is never copied: its table
-///   entry is a view of the region, whose lock the launch holds — one read
-///   guard per distinct read-viewed region, one write guard per written one —
-///   until it returns. Every access rect is validated before the first guard
-///   is taken.
+/// * A requirement bound as a view is never copied: its table entry is a
+///   view of the region, whose lock the launch holds — one read guard per
+///   distinct read-viewed region, one write guard per written one — until it
+///   returns. Every access rect is validated before the first guard is
+///   taken.
 /// * A [`Binding::Staged`] requirement is copied: before a stage that
-///   references it, it is refreshed from its region — unconditionally,
-///   whatever its privilege — and after the stage it is copied back if the
-///   stage wrote it and its privilege permits. Aliasing views of one region
-///   therefore stay coherent through the parent region between stages, and
-///   within a stage every view is read before anything is written.
+///   references it, it is refreshed from its region, and after the stage it
+///   is copied back if the stage wrote it and its privilege permits.
+///   Aliasing views of one region therefore stay coherent through the parent
+///   region between stages, and within a stage every view is read before
+///   anything is written.
 fn run_stages(
     kernel: &dyn CompiledKernel,
     scalars: &[f64],
     local_buffer_lens: &[usize],
     accesses: &[BufferAccess],
+    plan: &DataPlan,
     stages: usize,
 ) -> Result<(), RuntimeError> {
-    let module = kernel.module();
-    let stages = &module.stages[..stages];
-    let touched: Vec<Vec<BufferId>> = stages.iter().map(|s| s.referenced_buffers()).collect();
-    let num_reqs = accesses.len();
-    let mut referenced = vec![false; num_reqs + local_buffer_lens.len()];
-    for b in touched.iter().flatten() {
-        // An id past the table is the kernel's to report (`MissingBuffer`).
-        if let Some(r) = referenced.get_mut(b.0 as usize) {
-            *r = true;
-        }
-    }
-    // Out-of-range rects panic here, before any guard exists: a panic while
-    // a write guard is held would poison the region.
+    // Out-of-range rects, and a plan made for another launch, panic here,
+    // before any guard exists: a panic while a write guard is held would
+    // poison the region.
+    assert!(
+        plan.bindings.len() == accesses.len() && plan.locals.len() == local_buffer_lens.len(),
+        "the data plan was made for another launch"
+    );
     for access in accesses {
         access.rect.runs_in(access.handle.shape());
     }
-    let bindings = bindings(accesses, module);
+    let bindings = &plan.bindings;
     let mut read_guards: Vec<(RegionId, RwLockReadGuard<'_, Region>)> = Vec::new();
     let mut write_guards: Vec<RwLockWriteGuard<'_, Region>> = Vec::new();
-    for (access, binding) in accesses.iter().zip(&bindings) {
+    for (access, binding) in accesses.iter().zip(bindings) {
         match binding {
             Binding::View if !read_guards.iter().any(|(held, _)| *held == access.region) => {
                 read_guards.push((access.region, access.handle.read_guard()));
@@ -407,7 +485,7 @@ fn run_stages(
     let mut written_regions = write_guards.iter_mut();
     let mut buffers: Vec<Buffer<'_>> = accesses
         .iter()
-        .zip(&bindings)
+        .zip(bindings)
         .map(|(access, binding)| match binding {
             Binding::View => {
                 let region = held(access.region).expect("every read-viewed region has a guard");
@@ -425,14 +503,16 @@ fn run_stages(
     buffers.extend(
         local_buffer_lens
             .iter()
-            .zip(&referenced[num_reqs..])
+            .zip(&plan.locals)
             .map(|(&len, &used)| Buffer::Dense(if used { vec![0.0; len] } else { Vec::new() })),
     );
-    for (index, stage) in stages.iter().enumerate() {
+    let mut copies = plan.copies.iter().peekable();
+    for index in 0..stages {
+        let mut next = |back: bool| copies.next_if(|c| c.stage as usize == index && c.back == back);
         // Copy-in of what is staged.
-        for b in &touched[index] {
-            let Some(access) = accesses.get(b.0 as usize) else { continue };
-            let Buffer::Dense(staged) = &mut buffers[b.0 as usize] else { continue };
+        while let Some(copy) = next(false) {
+            let access = &accesses[copy.requirement as usize];
+            let Buffer::Dense(staged) = &mut buffers[copy.requirement as usize] else { continue };
             // Through the guard when the launch already holds the region's
             // lock (another requirement views it): re-locking can deadlock.
             match held(access.region) {
@@ -446,14 +526,10 @@ fn run_stages(
         // written views of one region overlap, the later requirement's
         // elements win). A staged writer's region is viewed by nothing, so no
         // guard is in the way.
-        let written = stage.written_buffers();
-        for (i, access) in accesses.iter().enumerate() {
-            if (access.privilege.writes() || access.privilege.reduces())
-                && written.contains(&BufferId(i as u32))
-            {
-                if let Buffer::Dense(staged) = &buffers[i] {
-                    access.handle.write_rect(&access.rect, staged);
-                }
+        while let Some(copy) = next(true) {
+            let access = &accesses[copy.requirement as usize];
+            if let Buffer::Dense(staged) = &buffers[copy.requirement as usize] {
+                access.handle.write_rect(&access.rect, staged);
             }
         }
     }
@@ -602,6 +678,7 @@ impl Executor for SerialExecutor {
                 work.scalars,
                 work.local_buffer_lens,
                 &work.accesses,
+                work.plan,
                 work.failed_attempts,
             )
         }))
@@ -980,6 +1057,7 @@ fn worker_loop(id: usize, shared: &Shared) {
                             &work.scalars,
                             &work.local_buffer_lens,
                             &work.accesses,
+                            &work.plan,
                             work.failed_attempts,
                         )
                     }))
@@ -1051,7 +1129,8 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use kernel::{
-        compile_interp, BackendKind, BinaryOp, BufferId, BufferRole, KernelModule, LoopBuilder,
+        compile_interp, BackendKind, BinaryOp, BufferId, BufferRole, KernelModule, KernelStage,
+        LoopBuilder,
     };
 
     fn handle(id: u64, n: u64, value: f64) -> RegionHandle {
@@ -1071,15 +1150,34 @@ mod tests {
         lb.store(BufferId(1), v);
         module.push_loop(lb.finish());
         let rect = Rect::new(vec![0], vec![n as i64]);
+        let accesses = vec![
+            access(src, rect.clone(), Privilege::Read),
+            access(dst, rect, Privilege::Write),
+        ];
+        work("scale", compile_interp(module), accesses, vec![])
+    }
+
+    /// The data plan of hand-built accesses, through the one constructor the
+    /// runtime plans every launch with.
+    fn plan(module: &KernelModule, accesses: &[BufferAccess], num_locals: usize) -> DataPlan {
+        DataPlan::new(module, accesses.iter().map(|a| (a.region, a.privilege)), num_locals)
+    }
+
+    /// Hand-built work with no scalars and no killed attempts, planned.
+    fn work(
+        name: &str,
+        kernel: Arc<dyn CompiledKernel>,
+        accesses: Vec<BufferAccess>,
+        local_buffer_lens: Vec<usize>,
+    ) -> FunctionalWork {
+        let plan = plan(kernel.module(), &accesses, local_buffer_lens.len());
         FunctionalWork {
-            name: "scale".into(),
-            kernel: compile_interp(module),
+            name: name.into(),
+            kernel,
             scalars: vec![],
-            accesses: vec![
-                access(src, rect.clone(), Privilege::Read),
-                access(dst, rect, Privilege::Write),
-            ],
-            local_buffer_lens: vec![],
+            accesses,
+            local_buffer_lens,
+            plan,
             failed_attempts: 0,
         }
     }
@@ -1318,27 +1416,22 @@ mod tests {
         lb.store(BufferId(1), v);
         module.push_loop(lb.finish());
         let rect = Rect::new(vec![0], vec![32]);
-        let work = FunctionalWork {
-            name: "acc".into(),
-            kernel: compile_interp(module),
-            scalars: vec![],
-            accesses: vec![
-                BufferAccess {
-                    region: RegionId(100),
-                    handle: a.clone(),
-                    rect: rect.clone(),
-                    privilege: Privilege::Read,
-                },
-                BufferAccess {
-                    region: RegionId(101),
-                    handle: b.clone(),
-                    rect,
-                    privilege: Privilege::ReadWrite,
-                },
-            ],
-            local_buffer_lens: vec![],
-            failed_attempts: 3,
-        };
+        let accesses = vec![
+            BufferAccess {
+                region: RegionId(100),
+                handle: a.clone(),
+                rect: rect.clone(),
+                privilege: Privilege::Read,
+            },
+            BufferAccess {
+                region: RegionId(101),
+                handle: b.clone(),
+                rect,
+                privilege: Privilege::ReadWrite,
+            },
+        ];
+        let mut work = work("acc", compile_interp(module), accesses, vec![]);
+        work.failed_attempts = 3;
         let mut ex = SerialExecutor::new();
         ex.submit(work.as_request());
         ex.flush().unwrap();
@@ -1394,17 +1487,12 @@ mod tests {
             for mut ex in executors() {
                 let r = handle(0, 12, 0.0);
                 r.write_data((0..12).map(f64::from).collect());
-                let work = FunctionalWork {
-                    name: "alias".into(),
-                    kernel: backend.backend().compile(&module).unwrap(),
-                    scalars: vec![],
-                    accesses: vec![
-                        access(&r, Rect::new(vec![0], vec![8]), Privilege::ReadWrite),
-                        access(&r, Rect::new(vec![4], vec![12]), Privilege::ReadWrite),
-                    ],
-                    local_buffer_lens: vec![],
-                    failed_attempts: 0,
-                };
+                let accesses = vec![
+                    access(&r, Rect::new(vec![0], vec![8]), Privilege::ReadWrite),
+                    access(&r, Rect::new(vec![4], vec![12]), Privilege::ReadWrite),
+                ];
+                let kernel = backend.backend().compile(&module).unwrap();
+                let work = work("alias", kernel, accesses, vec![]);
                 ex.submit(work.as_request());
                 ex.flush().unwrap();
                 let expect: Vec<f64> = (0..12)
@@ -1456,14 +1544,8 @@ mod tests {
                     .map(|&(dr, dc)| access(&grid, view(dr, dc), Privilege::Read))
                     .collect();
                 accesses.push(access(&grid, view(0, 0), Privilege::Write));
-                let work = FunctionalWork {
-                    name: "star".into(),
-                    kernel: backend.backend().compile(&module).unwrap(),
-                    scalars: vec![],
-                    accesses,
-                    local_buffer_lens: vec![],
-                    failed_attempts: 0,
-                };
+                let kernel = backend.backend().compile(&module).unwrap();
+                let work = work("star", kernel, accesses, vec![]);
                 ex.submit(work.as_request());
                 ex.flush().unwrap();
                 assert_eq!(grid.data().unwrap(), expect, "{backend:?} {:?}", ex.kind());
@@ -1488,18 +1570,12 @@ mod tests {
         lb.store(BufferId(1), x);
         module.push_loop(lb.finish());
         let rect = Rect::new(vec![0], vec![n as i64]);
-        FunctionalWork {
-            name: "through_a_local".into(),
-            kernel: compile_interp(module),
-            scalars: vec![],
-            accesses: vec![
-                access(src, rect.clone(), Privilege::Read),
-                access(dst, rect, Privilege::Write),
-            ],
-            // The dead local could not be allocated even if asked for.
-            local_buffer_lens: vec![usize::MAX / 16, n],
-            failed_attempts: 0,
-        }
+        let accesses = vec![
+            access(src, rect.clone(), Privilege::Read),
+            access(dst, rect, Privilege::Write),
+        ];
+        // The dead local could not be allocated even if asked for.
+        work("through_a_local", compile_interp(module), accesses, vec![usize::MAX / 16, n])
     }
 
     #[test]
@@ -1595,10 +1671,11 @@ mod tests {
         };
         let (new, old) = (launch(), launch());
         let want: Vec<Binding> = table.iter().map(|row| row.4).collect();
-        assert_eq!(bindings(&new, &module), want);
+        let planned = plan(&module, &new, 0);
+        assert_eq!(planned.bindings, want);
         // All three bindings in one launch commit what copying does.
         let kernel = compile_interp(module);
-        run_functional(kernel.as_ref(), &[], &[], &new, 0).unwrap();
+        run_functional(kernel.as_ref(), &[], &[], &new, &planned, 0).unwrap();
         run_stages_reference(kernel.as_ref(), &[], &[], &old, 1).unwrap();
         assert_eq!(region_bits(&new), region_bits(&old));
     }
@@ -1623,10 +1700,11 @@ mod tests {
             let r = handle(0, 16, 0.0);
             r.write_data(before.clone());
             let accesses = [access(&r, Rect::new(vec![0], vec![16]), Privilege::ReadWrite)];
-            assert_eq!(bindings(&accesses, &module), [Binding::ViewMut]);
+            let planned = plan(&module, &accesses, 0);
+            assert_eq!(planned.bindings, [Binding::ViewMut]);
             let kernel = backend.backend().compile(&module).unwrap();
             assert_eq!(
-                run_functional(kernel.as_ref(), &[], &[], &accesses, 0),
+                run_functional(kernel.as_ref(), &[], &[], &accesses, &planned, 0),
                 Err(RuntimeError::Exec(kernel::ExecError::MissingParam(0))),
                 "{backend:?}"
             );
@@ -1767,18 +1845,9 @@ mod tests {
                 r.write_data((0..n).map(|i| 1.0 + i as f64 / 7.0).collect());
                 for round in 0..200 {
                     ex.submit(scale_work(&r, &x, n, 1.0 + f64::from(round) / 256.0).as_request());
-                    let rewrite = FunctionalWork {
-                        name: "decay".into(),
-                        kernel: Arc::clone(&decay),
-                        scalars: vec![],
-                        accesses: vec![access(
-                            &r,
-                            Rect::new(vec![0], vec![n as i64]),
-                            Privilege::ReadWrite,
-                        )],
-                        local_buffer_lens: vec![],
-                        failed_attempts: 0,
-                    };
+                    let whole = Rect::new(vec![0], vec![n as i64]);
+                    let accesses = vec![access(&r, whole, Privilege::ReadWrite)];
+                    let rewrite = work("decay", Arc::clone(&decay), accesses, vec![]);
                     ex.submit(rewrite.as_request());
                     ex.submit(scale_work(&r, &y, n, 3.0).as_request());
                 }
@@ -2049,7 +2118,8 @@ mod tests {
                     fresh_accesses(&privileges, &offsets),
                 );
                 LAUNCHES.fetch_add(1, Ordering::Relaxed);
-                let bound = bindings(&new, &module);
+                let planned = plan(&module, &new, LOCAL_LENS.len());
+                let bound = &planned.bindings;
                 if bound.contains(&Binding::View) {
                     BORROWING_LAUNCHES.fetch_add(1, Ordering::Relaxed);
                 }
@@ -2061,7 +2131,8 @@ mod tests {
                     IN_PLACE_LAUNCHES.fetch_add(1, Ordering::Relaxed);
                 }
                 let killed = failed_attempts * 2;
-                let got = run_functional(kernel.as_ref(), scalars, &LOCAL_LENS, &new, killed);
+                let got =
+                    run_functional(kernel.as_ref(), scalars, &LOCAL_LENS, &new, &planned, killed);
                 let want = run_stages_reference(
                     kernel.as_ref(),
                     scalars,

@@ -76,11 +76,11 @@ pub mod runtime;
 
 pub use deps::{AccessSummary, DepTracker, HbChecker};
 pub use executor::{
-    BufferAccess, Executor, ExecutorKind, FunctionalWork, LaunchFailure, SerialExecutor,
-    WorkRequest, WorkStealingExecutor,
+    BufferAccess, DataPlan, Executor, ExecutorKind, FunctionalWork, LaunchFailure,
+    SerialExecutor, WorkRequest, WorkStealingExecutor,
 };
 pub use faults::{FaultEvent, FaultPlan, FaultSite, FaultStats, RecoveryPolicy};
 pub use launch::{OverheadClass, RegionRequirement, TaskLaunch, TaskLaunchBuilder};
 pub use profile::Profile;
 pub use region::{Region, RegionHandle, RegionId};
-pub use runtime::{Runtime, RuntimeConfig, RuntimeError};
+pub use runtime::{LaunchPlan, Runtime, RuntimeConfig, RuntimeError};

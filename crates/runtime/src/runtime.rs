@@ -22,7 +22,7 @@ use machine::{CostModel, MachineConfig, MemoryTracker, SimClock};
 
 use crate::deps::AccessSummary;
 use crate::executor::{
-    BufferAccess, Executor, ExecutorKind, LaunchFailure, SerialExecutor, WorkRequest,
+    BufferAccess, DataPlan, Executor, ExecutorKind, LaunchFailure, SerialExecutor, WorkRequest,
     WorkStealingExecutor,
 };
 use crate::faults::{mix, FaultEvent, FaultPlan, FaultSite, FaultStats, RecoveryPolicy};
@@ -216,6 +216,63 @@ impl From<ExecError> for RuntimeError {
     fn from(e: ExecError) -> Self {
         RuntimeError::Exec(e)
     }
+}
+
+/// What a launch's accounting and data plane derive from its description
+/// alone — built by [`Runtime::plan`] and consumed by
+/// [`Runtime::execute_planned`]:
+///
+/// * each requirement's access rect (the bounding box of the sub-stores it
+///   touches over the launch domain);
+/// * the worst tile class's [`kcost::KernelCost`] and its simulated kernel
+///   time, before any degraded-machine stretch;
+/// * the data plane's [`DataPlan`]: each requirement's binding, the staged
+///   copies around each stage and the locals that get storage.
+///
+/// The plan is a pure function of the requirements' partitions, their
+/// regions' shapes, their privileges, which requirements share a region, the
+/// launch domain, the kernel's module and `local_buffer_lens` — so a launch
+/// that differs from another only in which regions it names, with the same
+/// sharing between them, has the same plan. Everything that depends on the
+/// runtime's state stays per launch: coherence, validity, fault injection,
+/// region handles and dependence tracking. A simulation-only runtime plans
+/// no data plane (it runs no functional work), only the price.
+///
+/// # Example
+///
+/// ```
+/// use machine::MachineConfig;
+/// use runtime::{Runtime, RuntimeConfig, TaskLaunch};
+/// use ir::{Domain, Partition};
+/// use kernel::{compile_interp, KernelModule};
+///
+/// let mut rt = Runtime::new(RuntimeConfig::functional(MachineConfig::with_gpus(2)));
+/// let (a, b) = (rt.allocate_region(vec![8], "a"), rt.allocate_region(vec![8], "b"));
+/// let launch = |r| {
+///     TaskLaunch::builder("touch")
+///         .domain(Domain::linear(2))
+///         .read(r, Partition::block(vec![4]))
+///         .kernel(compile_interp(KernelModule::new(1)))
+///         .build()
+/// };
+/// // Same description over another region: the same plan, reusable.
+/// let plan = rt.plan(&launch(a)).unwrap();
+/// assert_eq!(plan, rt.plan(&launch(b)).unwrap());
+/// rt.execute_planned(&launch(b), &plan).unwrap();
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaunchPlan {
+    /// How many requirements, then how many task-local buffers, the planned
+    /// launch has: what [`Runtime::execute_planned`] holds a launch to.
+    buffers: (usize, usize),
+    /// Per requirement: the rect the launch accesses.
+    rects: Vec<Rect>,
+    /// The worst tile class's kernel cost.
+    cost: kcost::KernelCost,
+    /// The simulated seconds of that cost on one healthy GPU.
+    kernel_time: f64,
+    /// How the data plane binds the launch's buffers.
+    data: DataPlan,
 }
 
 /// Coherence state of a region: how its current contents are distributed.
@@ -521,12 +578,47 @@ impl Runtime {
         self.profile.reset();
     }
 
-    /// Executes an index-task launch: charges overheads, coherence traffic and
-    /// kernel time on the simulated clock eagerly and, in functional mode,
-    /// hands the kernel work to the executor. Under a parallel executor the
-    /// functional work may still be in flight when this returns; call
-    /// [`Runtime::flush_launches`] (or read data, which flushes implicitly)
-    /// to synchronize.
+    /// Plans a launch ([`LaunchPlan`]): its access rects, its price and its
+    /// data plane, derived from its description alone. Pricing visits one
+    /// point per tile class ([`ir::partition::tile_class_starts`]): every
+    /// point of a class sees the same buffer lengths, so the same cost.
+    /// Classes are visited in row-major order of their first points and the
+    /// worst is kept on a strict `>`, so the chosen cost is the one a walk
+    /// over every point would choose — whatever the number of points.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::UnknownRegion`] if a requirement names a
+    /// region that does not exist.
+    pub fn plan(&self, launch: &TaskLaunch) -> Result<LaunchPlan, RuntimeError> {
+        // Resolve each requirement's interned partition and its region's
+        // shape once (each partition deref takes the interner's read lock).
+        let req_parts = launch
+            .requirements
+            .iter()
+            .map(|req| match self.regions.get(&req.region) {
+                Some(handle) => Ok((req.partition.get(), handle.shape())),
+                None => Err(RuntimeError::UnknownRegion(req.region)),
+            })
+            .collect::<Result<Vec<(&ir::Partition, &[u64])>, _>>()?;
+        let (cost, kernel_time) = self.price(launch, &req_parts);
+        let num_locals = launch.local_buffer_lens.len();
+        let buffers = (launch.requirements.len(), num_locals);
+        if !self.config.materialize_data {
+            let (rects, data) = (Vec::new(), DataPlan::default());
+            return Ok(LaunchPlan { buffers, rects, cost, kernel_time, data });
+        }
+        let rects = req_parts
+            .iter()
+            .map(|(part, shape)| part.bounds_over(shape, &launch.launch_domain))
+            .collect();
+        let requirements = launch.requirements.iter().map(|req| (req.region, req.privilege));
+        let data = DataPlan::new(launch.kernel.module(), requirements, num_locals);
+        Ok(LaunchPlan { buffers, rects, cost, kernel_time, data })
+    }
+
+    /// Executes an index-task launch: plans it ([`Runtime::plan`]), then
+    /// executes it under that plan ([`Runtime::execute_planned`]).
     ///
     /// # Errors
     ///
@@ -534,6 +626,44 @@ impl Runtime {
     /// re-raises a deferred error from an earlier launch. Interpreter errors
     /// of this launch itself surface at the next flush.
     pub fn execute(&mut self, launch: &TaskLaunch) -> Result<(), RuntimeError> {
+        match self.plan(launch) {
+            Ok(plan) => self.execute_planned(launch, &plan),
+            // Earliest failure wins: a deferred error predates this launch.
+            Err(e) => Err(self.deferred_error.take().unwrap_or(e)),
+        }
+    }
+
+    /// Executes an index-task launch under a plan made for its description
+    /// (by [`Runtime::plan`], for this launch or for one that differs from
+    /// it only in which regions it names): charges overheads, coherence
+    /// traffic and the planned kernel time on the simulated clock eagerly
+    /// and, in functional mode, hands the kernel work to the executor. Under
+    /// a parallel executor the functional work may still be in flight when
+    /// this returns; call [`Runtime::flush_launches`] (or read data, which
+    /// flushes implicitly) to synchronize.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a requirement references an unknown region, or
+    /// re-raises a deferred error from an earlier launch. Interpreter errors
+    /// of this launch itself surface at the next flush.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is charged, if the plan was made for a launch
+    /// with a different number of requirements or of task-local buffers.
+    pub fn execute_planned(
+        &mut self,
+        launch: &TaskLaunch,
+        plan: &LaunchPlan,
+    ) -> Result<(), RuntimeError> {
+        let buffers = (launch.requirements.len(), launch.local_buffer_lens.len());
+        assert_eq!(
+            plan.buffers, buffers,
+            "launch `{}` executed under a plan made for another launch \
+             ((requirements, locals) planned vs launched)",
+            launch.name
+        );
         if let Some(e) = self.deferred_error.take() {
             return Err(e);
         }
@@ -554,7 +684,7 @@ impl Runtime {
         // 3. Update validity from this launch's writes and reductions.
         self.update_validity(launch);
         // 4. Kernel cost on the critical-path GPU.
-        let kernel_time = self.charge_kernels(launch);
+        let kernel_time = self.charge_kernels(plan);
         // 5. Advance the bulk-synchronous clock.
         self.clock.uniform_phase(overhead + comm_time + kernel_time);
         self.profile.index_tasks += 1;
@@ -576,7 +706,7 @@ impl Runtime {
             self.executor
                 .poison(&launch.name, &summaries, RuntimeError::Faulted(event));
         } else if self.config.materialize_data {
-            let work = self.work_request(launch, failed_attempts);
+            let work = self.work_request(launch, plan, failed_attempts);
             self.executor.submit(work);
         }
         Ok(())
@@ -789,17 +919,22 @@ impl Runtime {
     }
 
     /// Packages the functional half of a launch for the executor. The request
-    /// borrows the launch (the serial path clones nothing of the
-    /// description); only resolved handles and rects are owned.
-    fn work_request<'a>(&self, launch: &'a TaskLaunch, failed_attempts: u32) -> WorkRequest<'a> {
+    /// borrows the launch and its plan (the serial path clones nothing of
+    /// either); only resolved handles and the planned rects are owned.
+    fn work_request<'a>(
+        &self,
+        launch: &'a TaskLaunch,
+        plan: &'a LaunchPlan,
+        failed_attempts: u32,
+    ) -> WorkRequest<'a> {
         let accesses: Vec<BufferAccess> = launch
             .requirements
             .iter()
-            .enumerate()
-            .map(|(i, req)| BufferAccess {
+            .zip(&plan.rects)
+            .map(|(req, rect)| BufferAccess {
                 region: req.region,
                 handle: self.regions[&req.region].clone(),
-                rect: self.access_rect(launch, i),
+                rect: rect.clone(),
                 privilege: req.privilege,
             })
             .collect();
@@ -809,6 +944,7 @@ impl Runtime {
             scalars: &launch.scalars,
             local_buffer_lens: &launch.local_buffer_lens,
             accesses,
+            plan: &plan.data,
             failed_attempts,
         }
     }
@@ -891,15 +1027,14 @@ impl Runtime {
         }
     }
 
-    /// Charges kernel execution time for the launch. Returns the simulated
-    /// seconds on the critical-path GPU.
-    ///
-    /// Prices one point per tile class ([`ir::partition::tile_class_starts`]):
-    /// every point of a class sees the same buffer lengths, so the same
-    /// cost. Classes are visited in row-major order of their first points
-    /// and the worst is kept on a strict `>`, so the chosen cost is the one
-    /// a walk over every point would choose — whatever the number of points.
-    fn charge_kernels(&mut self, launch: &TaskLaunch) -> f64 {
+    /// The worst tile class's kernel cost over the launch and its simulated
+    /// seconds, for [`Runtime::plan`]; `req_parts` is each requirement's
+    /// partition and region shape.
+    fn price(
+        &self,
+        launch: &TaskLaunch,
+        req_parts: &[(&ir::Partition, &[u64])],
+    ) -> (kcost::KernelCost, f64) {
         let domain_size = launch.launch_domain.size().max(1);
         let mut worst_time = 0.0f64;
         let mut worst_cost = kcost::KernelCost::default();
@@ -908,13 +1043,6 @@ impl Runtime {
         // wall-clock only — the simulated worst-point time is identical.
         let mut lens: Vec<usize> = Vec::new();
         let mut prev: Option<(Vec<usize>, kcost::KernelCost, f64)> = None;
-        // Resolve each requirement's interned partition once, outside the
-        // per-class loop (each deref takes the interner's read lock).
-        let req_parts: Vec<(&ir::Partition, &[u64])> = launch
-            .requirements
-            .iter()
-            .map(|req| (req.partition.get(), self.regions[&req.region].shape()))
-            .collect();
         let starts =
             ir::partition::tile_class_starts(req_parts.iter().copied(), &launch.launch_domain);
         let classes = Domain::new(starts.iter().map(|runs| runs.len() as u64).collect());
@@ -951,25 +1079,23 @@ impl Runtime {
                 worst_cost = c;
             }
         }
-        self.profile.kernel_launches += worst_cost.launches;
-        self.profile.kernel_bytes += worst_cost.bytes;
-        self.profile.kernel_flops += worst_cost.flops;
+        (worst_cost, worst_time)
+    }
+
+    /// Books a launch's planned kernel cost into the profile. Returns the
+    /// simulated seconds on the critical-path GPU.
+    fn charge_kernels(&mut self, plan: &LaunchPlan) -> f64 {
+        self.profile.kernel_launches += plan.cost.launches;
+        self.profile.kernel_bytes += plan.cost.bytes;
+        self.profile.kernel_flops += plan.cost.flops;
         // Degraded machine: unhealthy GPUs' shares migrate to the healthy
         // ones, stretching the bulk-synchronous phase proportionally. With no
         // strikes the factor is exactly 1.0, so fault-free simulated time is
         // bit-identical to a build without the fault layer.
         let healthy = self.healthy_gpus().max(1);
-        let worst_time = worst_time * (self.gpu_strikes.len() as f64 / healthy as f64);
+        let worst_time = plan.kernel_time * (self.gpu_strikes.len() as f64 / healthy as f64);
         self.profile.kernel_time += worst_time;
         worst_time
-    }
-
-    /// The union (bounding box) of the sub-stores a requirement accesses over
-    /// the launch domain.
-    fn access_rect(&self, launch: &TaskLaunch, req_idx: usize) -> Rect {
-        let req = &launch.requirements[req_idx];
-        req.partition
-            .bounds_over(self.regions[&req.region].shape(), &launch.launch_domain)
     }
 }
 
@@ -1162,8 +1288,8 @@ mod tests {
         assert!(rt.profile().kernel_bytes > 0);
     }
 
-    /// The differential oracle for `charge_kernels`: price every launch
-    /// point, in row-major order (the degraded machine's stretch left out).
+    /// The differential oracle for `Runtime::plan`'s pricing: price every
+    /// launch point, in row-major order.
     fn per_point_kernel_charge(rt: &Runtime, launch: &TaskLaunch) -> (f64, kcost::KernelCost) {
         let domain_size = launch.launch_domain.size().max(1);
         let mut worst_time = 0.0f64;
@@ -1287,9 +1413,13 @@ mod tests {
                 overhead: OverheadClass::TaskRuntime,
             };
             let (want_time, want) = per_point_kernel_charge(&rt, &launch);
-            let time = rt.charge_kernels(&launch);
-            assert_eq!(time.to_bits(), want_time.to_bits(), "time over {domain}");
+            let plan = rt.plan(&launch).unwrap();
+            assert_eq!(plan.kernel_time.to_bits(), want_time.to_bits(), "time over {domain}");
+            assert_eq!(plan.cost, want, "cost over {domain}");
+            // Executing books the planned price.
+            rt.execute_planned(&launch, &plan).unwrap();
             let profile = rt.profile();
+            assert_eq!(profile.kernel_time.to_bits(), want_time.to_bits(), "time over {domain}");
             assert_eq!(
                 (profile.kernel_bytes, profile.kernel_flops, profile.kernel_launches),
                 (want.bytes, want.flops, want.launches),
@@ -1337,6 +1467,117 @@ mod tests {
             .with_executor(ExecutorKind::WorkStealing { workers: Some(4) });
         let rt = Runtime::new(config);
         assert_eq!(rt.executor_kind(), ExecutorKind::Serial);
+    }
+
+    /// Over buffers (grid, left half of grid, src, sum, local): `left = 5`,
+    /// then `grid += src`, then `sum += Σ grid²` and `local = grid` — an
+    /// aliasing pair of writers (staged), a borrowed read, a reduction
+    /// written in place and a local.
+    fn plan_launch(grid: RegionId, left: RegionId, src: RegionId, sum: RegionId) -> TaskLaunch {
+        let mut module = KernelModule::new(4);
+        module.set_role(BufferId(0), BufferRole::InOut);
+        module.set_role(BufferId(1), BufferRole::InOut);
+        module.set_role(BufferId(3), BufferRole::Reduction);
+        let local = module.add_local();
+        let mut lb = LoopBuilder::new("left", BufferId(1));
+        let five = lb.constant(5.0);
+        lb.store(BufferId(1), five);
+        module.push_loop(lb.finish());
+        let mut lb = LoopBuilder::new("add", BufferId(0));
+        let (g, s) = (lb.load(BufferId(0)), lb.load(BufferId(2)));
+        let v = lb.add(g, s);
+        lb.store(BufferId(0), v);
+        module.push_loop(lb.finish());
+        let mut lb = LoopBuilder::new("norm", BufferId(0));
+        let g = lb.load(BufferId(0));
+        let sq = lb.mul(g, g);
+        lb.reduce(BufferId(3), kernel::ReduceOp::Sum, sq);
+        lb.store(local, g);
+        module.push_loop(lb.finish());
+        let sum_op = Privilege::Reduce(ir::ReductionOp::Sum);
+        TaskLaunch::builder("planned")
+            .domain(Domain::linear(2))
+            .read_write(grid, Partition::block(vec![4]))
+            .read_write(left, Partition::block(vec![2]))
+            .read(src, Partition::block(vec![4]))
+            .requirement(RegionRequirement::new(sum, Partition::Replicate, sum_op))
+            .local_buffer(8)
+            .kernel(compile_interp(module))
+            .build()
+    }
+
+    #[test]
+    fn a_plan_is_a_function_of_the_description_not_of_the_regions() {
+        // Two sets of regions of the same shapes; the launches differ only
+        // in which set they name.
+        let regions = |rt: &mut Runtime, tag: &str| -> [RegionId; 3] {
+            let [grid, src, sum] = [(8, "grid"), (8, "src"), (1, "sum")]
+                .map(|(n, name)| rt.allocate_region(vec![n], format!("{name}_{tag}")));
+            rt.write_region_data(grid, (0..8).map(|i| f64::from(i) * 0.5).collect()).unwrap();
+            rt.write_region_data(src, (0..8).map(|i| 1.0 - f64::from(i)).collect()).unwrap();
+            [grid, src, sum]
+        };
+        let run = |swap: bool| {
+            let mut rt = functional_runtime(2);
+            let ([g1, s1, r1], [g2, s2, r2]) = (regions(&mut rt, "one"), regions(&mut rt, "two"));
+            let (one, two) = (plan_launch(g1, g1, s1, r1), plan_launch(g2, g2, s2, r2));
+            let (p1, p2) = (rt.plan(&one).unwrap(), rt.plan(&two).unwrap());
+            assert_eq!(p1, p2);
+            // Region sharing is part of the description: without the alias
+            // the left view is written in place, not staged.
+            assert_ne!(rt.plan(&plan_launch(g1, g2, s1, r1)).unwrap(), p1);
+            let (q1, q2) = if swap { (&p2, &p1) } else { (&p1, &p2) };
+            rt.execute_planned(&one, q1).unwrap();
+            rt.execute_planned(&two, q2).unwrap();
+            rt.execute_planned(&one, q1).unwrap();
+            let data: Vec<Vec<u64>> = [g1, s1, r1, g2, s2, r2]
+                .iter()
+                .map(|&r| rt.region_data(r).unwrap().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (rt.elapsed().to_bits(), *rt.profile(), data)
+        };
+        let (own, swapped) = (run(false), run(true));
+        assert_eq!(own, swapped);
+        // The staged left view's write reached the grid before the add.
+        let grid = &own.2[3];
+        assert_eq!(f64::from_bits(grid[0]), 5.0 + 1.0);
+        assert_eq!(f64::from_bits(grid[7]), 3.5 - 6.0);
+    }
+
+    /// Reads of `regions`, then `locals` task-local buffers, over a module
+    /// with no stages.
+    fn reads_and_locals(regions: &[RegionId], locals: u32) -> TaskLaunch {
+        let mut module = KernelModule::new(regions.len() as u32);
+        let mut builder = TaskLaunch::builder("reads").domain(Domain::linear(2));
+        for &region in regions {
+            builder = builder.read(region, Partition::block(vec![4]));
+        }
+        for _ in 0..locals {
+            module.add_local();
+            builder = builder.local_buffer(8);
+        }
+        builder.kernel(compile_interp(module)).build()
+    }
+
+    #[test]
+    #[should_panic(expected = "executed under a plan made for another launch")]
+    fn a_plan_for_fewer_requirements_is_refused() {
+        // Zipped against the plan, the third requirement would drop out
+        // unnoticed and its kernel buffer would bind the local.
+        let mut rt = functional_runtime(2);
+        let regions: Vec<RegionId> =
+            (0..3).map(|i| rt.allocate_region(vec![8], format!("r{i}"))).collect();
+        let plan = rt.plan(&reads_and_locals(&regions[..2], 1)).unwrap();
+        let _ = rt.execute_planned(&reads_and_locals(&regions, 1), &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "executed under a plan made for another launch")]
+    fn a_plan_for_other_locals_is_refused_without_a_data_plane() {
+        let mut rt = Runtime::new(RuntimeConfig::simulation_only(MachineConfig::with_gpus(2)));
+        let region = rt.allocate_region(vec![8], "r");
+        let plan = rt.plan(&reads_and_locals(&[region], 1)).unwrap();
+        let _ = rt.execute_planned(&reads_and_locals(&[region], 2), &plan);
     }
 
     #[test]
