@@ -16,10 +16,11 @@ pub enum AnalyzeMode {
     /// fingerprint) and *tighten* declared privileges the kernel provably
     /// never exercises: a declared write/read-write/reduce argument whose
     /// kernel never stores or reduces to the buffer is narrowed to read.
-    /// Tightening is bitwise-invisible to results (the runtime copies in
-    /// every buffer a stage references whatever its privilege, and writes
-    /// back only buffers a stage stored or reduced to)
-    /// while windows that previously split on phantom privileges now fuse.
+    /// Tightening is bitwise-invisible to results (the runtime reads every
+    /// buffer a stage references, through a borrowed view or a staged copy,
+    /// and writes region memory only where a stage stored or reduced; see
+    /// `runtime::DataPlan`) while windows that previously split on phantom
+    /// privileges now fuse.
     Inferred,
 }
 

@@ -1149,19 +1149,19 @@ pub struct Context {
 impl Context {
     /// Creates a context over the given configuration.
     pub fn new(config: DiffuseConfig) -> Self {
-        let mut runtime_config = if config.materialize_data {
-            RuntimeConfig::functional(config.machine.clone())
-                .with_executor(config.executor)
-                .with_backend(config.backend)
-        } else {
-            RuntimeConfig::simulation_only(config.machine.clone()).with_backend(config.backend)
+        // Every runtime knob comes from the Diffuse config, which has already
+        // read the environment. Fault injection and recovery are pushed down
+        // with the rest: the runtime injects device/region faults per launch,
+        // while the compile site is handled in this layer's backend
+        // degradation chain.
+        let runtime_config = RuntimeConfig {
+            machine: config.machine.clone(),
+            materialize_data: config.materialize_data,
+            executor: config.executor,
+            backend: config.backend,
+            fault_plan: config.fault_plan,
+            recovery: config.recovery,
         };
-        // Fault injection and recovery are owned by the Diffuse config (so
-        // `DIFFUSE_FAULTS` is read once, here) and pushed down: the runtime
-        // injects device/region faults per launch, while the compile site is
-        // handled in this layer's backend degradation chain.
-        runtime_config.fault_plan = config.fault_plan;
-        runtime_config = runtime_config.with_recovery(config.recovery);
         let inner = ContextInner {
             adaptive: AdaptiveWindow::new(
                 config.initial_window_size.max(1),

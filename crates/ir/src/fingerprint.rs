@@ -1,6 +1,7 @@
 //! The one FNV-1a fold behind every deterministic content fingerprint in the
 //! workspace (launch fingerprints, footprint-summary fingerprints, analysis
-//! and module content keys).
+//! and module content keys), and the one SplitMix64 finalizer that mixes a
+//! word over all 64 bits (window fingerprints, fault schedules).
 //!
 //! FNV-1a is used where a key must be a pure function of content — stable
 //! across processes, executors and window permutations — and cheap enough for
@@ -35,4 +36,13 @@ pub fn fold_u64(h: u64, v: u64) -> u64 {
 #[inline]
 pub fn fold_bytes(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| fold_u64(h, u64::from(b)))
+}
+
+/// SplitMix64's finalizer: a well-mixed bijection on `u64`.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }

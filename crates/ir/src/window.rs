@@ -15,18 +15,12 @@
 
 use std::collections::HashMap;
 
+use crate::fingerprint::splitmix64;
 use crate::store::StoreId;
 use crate::task::IndexTask;
 
 /// Seed of the rolling fingerprint (an arbitrary odd constant).
 const FINGERPRINT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Incremental De-Bruijn canonicalization + rolling hash over a task stream.
 ///

@@ -1,40 +1,41 @@
-//! Executors: how the runtime runs functional kernel work.
+//! The executor: how the runtime runs functional kernel work.
 //!
 //! Cost accounting (simulated clock, coherence, profile counters) is always
 //! performed eagerly and sequentially by [`crate::Runtime`] — it is cheap and
-//! inherently program-ordered. What an [`Executor`] schedules is the
+//! inherently program-ordered. What the [`Executor`] schedules is the
 //! *functional* work of each launch: executing the launch's compiled kernel
 //! (an `Arc<dyn CompiledKernel>` produced by whichever `kernel::KernelBackend`
 //! is configured) over real region data, which dominates the wall-clock time
-//! of functional runs. Executors are backend-agnostic: they run whatever
+//! of functional runs. The executor is backend-agnostic: it runs whatever
 //! artifact the launch carries.
 //!
-//! Two executors are provided:
+//! There is one executor, with one scheduler; [`ExecutorKind`] only sets its
+//! worker count. Submitted launches enter a dependence graph built by
+//! [`crate::DepTracker`], so conflicting launches keep program order and
+//! independent ones may overlap:
 //!
-//! * [`SerialExecutor`] runs each launch's work immediately on the submitting
-//!   thread, exactly as the pre-executor runtime did. It is the determinism
-//!   baseline the equivalence tests compare against.
-//! * [`WorkStealingExecutor`] spawns one worker per simulated GPU (capped at
-//!   the host's available parallelism). Submitted launches enter a
-//!   dependency graph built by [`crate::DepTracker`]; launches whose hazards
-//!   are satisfied are pushed onto per-worker deques. A worker pops its own
-//!   deque LIFO and steals FIFO from its siblings when empty, so independent
-//!   launches overlap while conflicting launches retain program order.
+//! * With no workers — [`ExecutorKind::Serial`], the default, and every
+//!   simulation-only runtime — everything before a launch has completed when
+//!   it is submitted, so it runs at once on the submitting thread. This is
+//!   the determinism baseline the equivalence tests compare against.
+//! * With workers — [`ExecutorKind::WorkStealing`], one per simulated GPU
+//!   capped at the host's available parallelism — ready launches go onto
+//!   per-worker deques. A worker pops its own deque LIFO and steals FIFO from
+//!   its siblings when it runs dry.
 //!
-//! Both executors defer errors to [`Executor::flush`]. For error-free batches
-//! the two are observably identical: same region contents, and simulated time
-//! never depends on the executor (accounting stays on the submitting thread);
-//! only the host wall-clock differs. When a launch fails, the failure is
-//! **contained to its dependence cone**: both executors track region hazards
-//! (the same [`crate::DepTracker`] edges that order execution) and skip only
-//! launches downstream of a failed one, recording a structured
-//! [`LaunchFailure`] per skipped launch. Independent launches complete
-//! normally, so their region contents are trustworthy even after a failed
-//! flush; only regions written inside a failed cone are left at their
-//! pre-cone contents (see `docs/RUNTIME.md` and `docs/RESILIENCE.md`).
+//! Errors are deferred to [`Executor::flush`] at every worker count, and for
+//! error-free batches every worker count is observably identical: same region
+//! contents, and simulated time never depends on the executor (accounting
+//! stays on the submitting thread); only the host wall-clock differs. When a
+//! launch fails, the failure is **contained to its dependence cone**: the
+//! launches downstream of it are skipped, each recording a structured
+//! [`LaunchFailure`]. Independent launches complete normally, so their region
+//! contents are trustworthy even after a failed flush; only regions written
+//! inside a failed cone are left at their pre-cone contents (see
+//! `docs/RUNTIME.md` and `docs/RESILIENCE.md`).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
 use ir::{Privilege, Rect};
@@ -46,7 +47,8 @@ use crate::deps::{AccessSummary, DepTracker};
 use crate::region::{Region, RegionHandle, RegionId};
 use crate::runtime::RuntimeError;
 
-/// Which executor a [`crate::Runtime`] uses for functional work.
+/// How a [`crate::Runtime`]'s [`Executor`] runs functional work: inline on
+/// the submitting thread, or on a pool of workers.
 ///
 /// The kind can also be chosen through the `DIFFUSE_EXECUTOR` environment
 /// variable (see [`ExecutorKind::from_env`]), which is how the CI matrix and
@@ -63,8 +65,8 @@ use crate::runtime::RuntimeError;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
-    /// Run functional work inline on the submitting thread (deterministic
-    /// baseline; the default).
+    /// No workers: run functional work inline on the submitting thread
+    /// (deterministic baseline; the default).
     #[default]
     Serial,
     /// Run functional work on a work-stealing pool.
@@ -104,10 +106,10 @@ impl ExecutorKind {
     }
 
     /// The number of workers this kind uses on a machine with `gpus` simulated
-    /// GPUs (1 for the serial executor).
+    /// GPUs (0 for [`ExecutorKind::Serial`]).
     pub fn worker_count(&self, gpus: usize) -> usize {
         match self {
-            ExecutorKind::Serial => 1,
+            ExecutorKind::Serial => 0,
             ExecutorKind::WorkStealing { workers: Some(n) } => (*n).max(1),
             ExecutorKind::WorkStealing { workers: None } => {
                 let host = std::thread::available_parallelism()
@@ -155,15 +157,16 @@ pub struct LaunchFailure {
 
 /// A borrowed description of one launch's functional work, as handed to
 /// [`Executor::submit`]. The kernel, scalars and local-buffer sizes borrow
-/// the launch, so the serial executor clones nothing of the *description*;
+/// the launch, so a launch run inline clones nothing of the *description*;
 /// only the resolved region accesses are owned, since handles are cheap `Arc`
 /// clones. The region *data* is viewed in place for the launch's duration —
 /// read, or written when the launch has no other requirement on the region —
 /// and only the rest is staged in and out around every stage — see
 /// `docs/RUNTIME.md`, "The stage protocol".
 ///
-/// A parallel executor converts the request to an owned [`FunctionalWork`]
-/// with [`WorkRequest::into_owned_work`] before shipping it to a worker.
+/// An executor with workers converts the request to an owned
+/// [`FunctionalWork`] with [`WorkRequest::into_owned_work`] before shipping it
+/// to one.
 #[derive(Debug)]
 pub struct WorkRequest<'a> {
     /// Launch name (for diagnostics).
@@ -243,8 +246,8 @@ impl FunctionalWork {
 }
 
 /// Runs one launch's functional work to completion on the calling thread.
-/// All parts are borrowed, so both the serial inline path and the worker
-/// path execute without copying the work description.
+/// All parts are borrowed, so both the inline path and the worker path
+/// execute without copying the work description.
 ///
 /// When `failed_attempts > 0` (fault injection, see `docs/RESILIENCE.md`),
 /// each killed attempt first executes a prefix of the stage protocol — in
@@ -252,7 +255,7 @@ impl FunctionalWork {
 /// written rects: a launch killed by a simulated device fault commits
 /// nothing, so the retry that follows starts from exactly the pre-launch
 /// region contents (no torn writes). The rollback is invisible to concurrent
-/// launches because the executors block every dependent until the launch
+/// launches because the executor blocks every dependent until the launch
 /// completes successfully. With no fault armed nothing is snapshotted.
 /// Every attempt, killed or committing, runs under the same `plan`: it
 /// ranges over the whole module, so a stage prefix needs nothing else.
@@ -360,7 +363,7 @@ impl DataPlan {
     ///
     /// Viewing is sound because nothing else can touch a viewed region while
     /// the launch runs: within the launch, a written region has no other view
-    /// and a read-viewed one no writer; across launches, the executors'
+    /// and a read-viewed one no writer; across launches, the executor's
     /// region-granular [`DepTracker`] orders every writer of a region against
     /// every launch that touches it. So a view reads exactly what each
     /// copy-in would have staged, and writes exactly what each copy-out would
@@ -536,183 +539,6 @@ fn run_stages(
     Ok(())
 }
 
-/// Schedules the functional work of task launches.
-///
-/// Implementations must preserve program order between conflicting launches
-/// (same region, at least one writer) and may freely overlap independent
-/// ones. Errors are deferred: [`Executor::submit`] never fails, and the first
-/// failure of a batch (by submission order — the root of the earliest failed
-/// cone) is returned by the next [`Executor::flush`]. A failure poisons only
-/// its **dependence cone**: launches with a hazard path from the failed one
-/// are skipped and recorded as [`RuntimeError::Poisoned`]; launches unordered
-/// with it complete normally under both executors, so region contents outside
-/// failed cones are trustworthy after a failed flush. Per-launch records are
-/// available from [`Executor::drain_failures`].
-///
-/// # Example
-///
-/// ```
-/// use runtime::{Runtime, RuntimeConfig, ExecutorKind};
-/// use machine::MachineConfig;
-///
-/// // Executors are chosen through RuntimeConfig rather than constructed
-/// // directly; the runtime reports which one it is using.
-/// let config = RuntimeConfig::functional(MachineConfig::with_gpus(4))
-///     .with_executor(ExecutorKind::WorkStealing { workers: Some(2) });
-/// let rt = Runtime::new(config);
-/// assert_eq!(rt.executor_kind(), ExecutorKind::WorkStealing { workers: Some(2) });
-/// ```
-pub trait Executor: std::fmt::Debug + Send {
-    /// The kind this executor implements.
-    fn kind(&self) -> ExecutorKind;
-
-    /// Enqueues one launch's functional work. Hazard ordering against earlier
-    /// submissions is the executor's responsibility. The request borrows the
-    /// launch; an executor that defers execution clones what it keeps
-    /// ([`WorkRequest::into_owned_work`]).
-    fn submit(&mut self, work: WorkRequest<'_>);
-
-    /// Records a launch as failed **without running it**: its accesses enter
-    /// hazard tracking so every downstream launch is skipped as
-    /// [`RuntimeError::Poisoned`], and `error` becomes its failure record.
-    /// Used by the runtime when fault injection abandons a launch before its
-    /// functional work is submitted.
-    fn poison(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError);
-
-    /// Blocks until every submitted launch has completed, returning the first
-    /// failure of the batch (by submission order) and resetting hazard state
-    /// for the next batch. Structured per-launch records survive the flush
-    /// until [`Executor::drain_failures`] collects them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RuntimeError`] raised by any launch since the last
-    /// flush.
-    fn flush(&mut self) -> Result<(), RuntimeError>;
-
-    /// Drains every per-launch failure record accumulated since the last
-    /// drain, in submission order (failed-cone roots precede their skipped
-    /// dependents).
-    fn drain_failures(&mut self) -> Vec<LaunchFailure>;
-}
-
-/// The deterministic baseline executor: runs each launch inline at submit
-/// time on the calling thread.
-///
-/// # Example
-///
-/// ```
-/// use runtime::{ExecutorKind, SerialExecutor, Executor};
-///
-/// let ex = SerialExecutor::new();
-/// assert_eq!(ex.kind(), ExecutorKind::Serial);
-/// ```
-#[derive(Debug, Default)]
-pub struct SerialExecutor {
-    /// Hazard tracking for cone containment: which earlier launches of the
-    /// current batch each new launch depends on.
-    tracker: DepTracker,
-    next_id: u64,
-    /// Failed launches of the current batch, by id (for poison propagation).
-    failed: HashMap<u64, String>,
-    /// Failure records of the current batch, in submission order.
-    failures: Vec<LaunchFailure>,
-    /// Records already reported by a flush, awaiting `drain_failures`.
-    drained: Vec<LaunchFailure>,
-}
-
-impl SerialExecutor {
-    /// Creates a serial executor.
-    pub fn new() -> Self {
-        SerialExecutor::default()
-    }
-
-    fn record_failure(&mut self, id: u64, name: &str, error: RuntimeError) {
-        self.failed.insert(id, name.to_string());
-        self.failures.push(LaunchFailure {
-            launch: name.to_string(),
-            error,
-        });
-    }
-}
-
-impl Drop for SerialExecutor {
-    fn drop(&mut self) {
-        // Failures in `drained` were already reported through a flush error;
-        // only un-flushed ones would otherwise vanish silently.
-        for f in &self.failures {
-            eprintln!(
-                "warning: discarding deferred launch error at executor shutdown: {}",
-                f.error
-            );
-        }
-    }
-}
-
-impl Executor for SerialExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Serial
-    }
-
-    fn submit(&mut self, work: WorkRequest<'_>) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let summaries: Vec<AccessSummary> =
-            work.accesses.iter().map(BufferAccess::summary).collect();
-        let deps = self.tracker.record(id, &summaries);
-        // Cone containment: skip only launches downstream of a failure.
-        if let Some(upstream) = deps.iter().find_map(|d| self.failed.get(d)) {
-            let error = RuntimeError::Poisoned {
-                launch: work.name.to_string(),
-                upstream: upstream.clone(),
-            };
-            self.record_failure(id, work.name, error);
-            return;
-        }
-        // Runs inline from the borrowed request: no clones on this path.
-        // Panics are caught for parity with the worker pool: both executors
-        // report a dying launch as RuntimeError::Panicked at flush.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_functional(
-                work.kernel.as_ref(),
-                work.scalars,
-                work.local_buffer_lens,
-                &work.accesses,
-                work.plan,
-                work.failed_attempts,
-            )
-        }))
-        .unwrap_or_else(|payload| Err(RuntimeError::Panicked(panic_message(&*payload))));
-        if let Err(e) = result {
-            self.record_failure(id, work.name, e);
-        }
-    }
-
-    fn poison(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let _ = self.tracker.record(id, accesses);
-        self.record_failure(id, name, error);
-    }
-
-    fn flush(&mut self) -> Result<(), RuntimeError> {
-        self.tracker.reset();
-        self.failed.clear();
-        let first = self.failures.first().map(|f| f.error.clone());
-        self.drained.append(&mut self.failures);
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn drain_failures(&mut self) -> Vec<LaunchFailure> {
-        let mut out = std::mem::take(&mut self.drained);
-        out.append(&mut self.failures);
-        out
-    }
-}
-
 /// A node of the in-flight dependency graph.
 #[derive(Debug)]
 struct TaskNode {
@@ -729,20 +555,20 @@ struct TaskNode {
     dependents: Vec<u64>,
 }
 
-/// Scheduler state shared between the submitting thread and the workers.
+/// Scheduler state, shared between the submitting thread and the workers.
 #[derive(Debug)]
 struct SchedState {
-    /// In-flight launches by id (removed on completion).
+    /// Launches in flight on workers, by id (removed on completion).
     tasks: HashMap<u64, TaskNode>,
     /// Per-worker ready deques (own end: back/LIFO; steal end: front/FIFO).
     queues: Vec<VecDeque<u64>>,
-    /// Launches submitted but not yet completed.
+    /// Launches handed to workers but not yet completed.
     pending: usize,
     /// Completed-but-failed launches of the current batch, by id, so later
     /// submissions depending on them poison at submit time.
     failed: HashMap<u64, String>,
     /// Failure records of the current batch, tagged with launch id (workers
-    /// finish out of order; flush sorts by id to find the first).
+    /// finish out of order; they are sorted by id when taken).
     failures: Vec<(u64, LaunchFailure)>,
     /// Set once at drop; workers exit when they run dry.
     shutdown: bool,
@@ -751,6 +577,77 @@ struct SchedState {
     /// predecessors are ordered by recorded dependence edges and already
     /// complete. `None` in release builds or when not requested — zero cost.
     hb: Option<crate::deps::HbChecker>,
+}
+
+impl SchedState {
+    /// Registers launch `id` with the happens-before checker and returns the
+    /// error it is skipped with: poisoned by the first of its dependences that
+    /// completed and failed. A dependence still in flight poisons it at
+    /// completion instead ([`SchedState::complete`]).
+    fn register(
+        &mut self,
+        id: u64,
+        name: &str,
+        accesses: &[AccessSummary],
+        deps: &[u64],
+    ) -> Option<RuntimeError> {
+        if let Some(hb) = self.hb.as_mut() {
+            hb.register(id, accesses, deps);
+        }
+        let upstream = deps.iter().find_map(|dep| self.failed.get(dep))?;
+        Some(RuntimeError::Poisoned {
+            launch: name.to_string(),
+            upstream: upstream.clone(),
+        })
+    }
+
+    /// Completes launch `id` with `result`: records its failure, marks it
+    /// complete for the happens-before checker and releases its `dependents`
+    /// — poisoned if it failed — pushing those it leaves ready onto deque
+    /// `queue`. Returns how many it left ready.
+    fn complete(
+        &mut self,
+        id: u64,
+        name: &str,
+        result: Result<(), RuntimeError>,
+        dependents: Vec<u64>,
+        queue: usize,
+    ) -> usize {
+        if let Some(hb) = self.hb.as_mut() {
+            hb.complete(id);
+        }
+        let failed = result.is_err();
+        if let Err(error) = result {
+            self.failed.insert(id, name.to_string());
+            let launch = name.to_string();
+            self.failures.push((id, LaunchFailure { launch, error }));
+        }
+        let mut freed = 0;
+        for dep in dependents {
+            let dependent = self.tasks.get_mut(&dep).expect("a dependent is in flight");
+            if failed && dependent.fail_with.is_none() {
+                dependent.fail_with = Some(RuntimeError::Poisoned {
+                    launch: dependent.name.clone(),
+                    upstream: name.to_string(),
+                });
+            }
+            dependent.unmet -= 1;
+            if dependent.unmet == 0 {
+                self.queues[queue].push_back(dep);
+                freed += 1;
+            }
+        }
+        freed
+    }
+
+    /// Takes the batch's failure records in submission order, so the first is
+    /// the root of the earliest failed cone: a root always precedes its
+    /// poisoned dependents.
+    fn take_failures(&mut self) -> Vec<LaunchFailure> {
+        let mut batch = std::mem::take(&mut self.failures);
+        batch.sort_by_key(|(id, _)| *id);
+        batch.into_iter().map(|(_, failure)| failure).collect()
+    }
 }
 
 #[derive(Debug)]
@@ -767,63 +664,59 @@ struct Shared {
     max_pending: usize,
 }
 
-/// The parallel executor: a pool of workers (one per simulated GPU, capped at
-/// host parallelism) over per-worker deques with stealing.
+/// Why the scheduler lock can be poisoned: launch panics are caught, so only
+/// a panicking scheduler assertion (`HbChecker`, `expect`) poisons it.
+const POISONED: &str = "a scheduler assertion panicked under the executor lock";
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, SchedState> {
+        self.state.lock().expect(POISONED)
+    }
+}
+
+/// Schedules the functional work of task launches: on a pool of workers, or
+/// with none on the submitting thread. Both go through one protocol —
+/// dependence tracking, cone containment, one completion step — and only
+/// where a ready launch runs depends on the worker count (see the module
+/// documentation).
 ///
-/// Submission happens on the runtime's thread: the launch's region accesses
-/// run through a [`DepTracker`]; if any hazard is outstanding the launch
-/// parks in the graph, otherwise it is pushed onto a deque. A worker that
-/// completes a launch decrements its dependents and pushes the newly-ready
-/// ones onto its *own* deque (work-first scheduling), stealing from siblings
-/// when it runs dry.
-///
-/// Region contents after a flush are identical to the serial executor's by
-/// construction — conflicting launches are ordered, independent launches
-/// touch disjoint data — which the `executor_equivalence` proptest suite
-/// verifies.
-///
-/// # Example
+/// Errors are deferred: [`Executor::submit`] never fails, the next
+/// [`Executor::flush`] returns the first failure of the batch by submission
+/// order, and a failure poisons only its dependence cone, each skipped launch
+/// recorded as [`RuntimeError::Poisoned`] for [`Executor::drain_failures`].
 ///
 /// ```
-/// use runtime::{Executor, ExecutorKind, WorkStealingExecutor};
-///
-/// let mut pool = WorkStealingExecutor::new(2);
-/// assert_eq!(pool.workers(), 2);
-/// pool.flush().unwrap(); // nothing submitted: trivially complete
+/// use runtime::{ExecutorKind, Runtime, RuntimeConfig};
+/// // A runtime builds its executor from its config and reports the kind.
+/// let kind = ExecutorKind::WorkStealing { workers: Some(2) };
+/// let config = RuntimeConfig::functional(machine::MachineConfig::with_gpus(4));
+/// assert_eq!(Runtime::new(config.with_executor(kind)).executor_kind(), kind);
 /// ```
-pub struct WorkStealingExecutor {
+#[derive(Debug)]
+pub struct Executor {
+    kind: ExecutorKind,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     tracker: DepTracker,
-    next_task: u64,
-    requested: Option<usize>,
+    next_id: u64,
     /// Records already reported by a flush, awaiting `drain_failures`.
     drained: Vec<LaunchFailure>,
 }
 
-impl std::fmt::Debug for WorkStealingExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkStealingExecutor")
-            .field("workers", &self.workers.len())
-            .field("next_task", &self.next_task)
-            .finish()
-    }
-}
-
-impl WorkStealingExecutor {
-    /// Spawns a pool with `workers` workers (at least 1).
-    pub fn new(workers: usize) -> Self {
-        Self::with_requested(workers.max(1), Some(workers.max(1)))
-    }
-
-    /// Spawns a pool for a machine with `gpus` simulated GPUs: one worker per
-    /// GPU, capped at the host's available parallelism.
-    pub fn for_gpus(gpus: usize) -> Self {
-        let kind = ExecutorKind::WorkStealing { workers: None };
-        Self::with_requested(kind.worker_count(gpus), None)
-    }
-
-    fn with_requested(workers: usize, requested: Option<usize>) -> Self {
+impl Executor {
+    /// An executor of `kind` for a machine with `gpus` simulated GPUs. It
+    /// spawns [`ExecutorKind::worker_count`] workers: none for
+    /// [`ExecutorKind::Serial`], whose launches all run on the submitting
+    /// thread.
+    ///
+    /// ```
+    /// use runtime::{Executor, ExecutorKind};
+    /// let mut ex = Executor::new(ExecutorKind::Serial, 4); // no workers
+    /// assert_eq!((ex.kind(), ex.workers()), (ExecutorKind::Serial, 0));
+    /// ex.flush().unwrap(); // nothing submitted: trivially complete
+    /// ```
+    pub fn new(kind: ExecutorKind, gpus: usize) -> Self {
+        let workers = kind.worker_count(gpus);
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
                 tasks: HashMap::new(),
@@ -839,7 +732,7 @@ impl WorkStealingExecutor {
             done_cv: Condvar::new(),
             max_pending: (workers * 4).max(16),
         });
-        let handles = (0..workers)
+        let workers = (0..workers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -848,74 +741,102 @@ impl WorkStealingExecutor {
                     .expect("failed to spawn executor worker")
             })
             .collect();
-        WorkStealingExecutor {
+        // A pool asked for with no workers gets, and reports, one.
+        let kind = match kind {
+            ExecutorKind::WorkStealing { workers: Some(0) } => {
+                ExecutorKind::WorkStealing { workers: Some(1) }
+            }
+            kind => kind,
+        };
+        Executor {
+            kind,
             shared,
-            workers: handles,
+            workers,
             tracker: DepTracker::new(),
-            next_task: 0,
-            requested,
+            next_id: 0,
             drained: Vec::new(),
         }
     }
 
-    /// Number of worker threads in the pool.
+    /// The kind this executor was made for.
+    pub fn kind(&self) -> ExecutorKind {
+        self.kind
+    }
+
+    /// Number of worker threads: 0 when launches run on the submitting thread.
+    ///
+    /// ```
+    /// use runtime::{Executor, ExecutorKind};
+    /// let mut ex = Executor::new(ExecutorKind::WorkStealing { workers: Some(2) }, 4);
+    /// assert_eq!(ex.workers(), 2);
+    /// ex.flush().unwrap();
+    /// ```
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
-}
 
-impl Executor for WorkStealingExecutor {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::WorkStealing {
-            workers: self.requested,
-        }
+    /// Numbers the next launch and records its accesses, returning its id
+    /// and the earlier launches of the batch it is ordered after.
+    fn record(&mut self, accesses: &[AccessSummary]) -> (u64, Vec<u64>) {
+        let id = self.next_id;
+        self.next_id += 1;
+        (id, self.tracker.record(id, accesses))
     }
 
-    fn submit(&mut self, work: WorkRequest<'_>) {
-        let id = self.next_task;
-        self.next_task += 1;
-        let summaries: Vec<AccessSummary> = work.accesses.iter().map(BufferAccess::summary).collect();
-        let deps = self.tracker.record(id, &summaries);
+    /// Enqueues one launch's functional work, ordered after every earlier
+    /// submission it conflicts with. With no workers it runs before this
+    /// returns.
+    pub fn submit(&mut self, work: WorkRequest<'_>) {
+        let summaries: Vec<AccessSummary> =
+            work.accesses.iter().map(BufferAccess::summary).collect();
+        let (id, deps) = self.record(&summaries);
+        if self.workers.is_empty() {
+            // Everything before this launch has completed: it runs now, from
+            // the borrowed request.
+            let mut state = self.shared.lock();
+            let result = match state.register(id, work.name, &summaries, &deps) {
+                Some(poisoned) => Err(poisoned),
+                None => {
+                    if let Some(hb) = state.hb.as_ref() {
+                        hb.check_start(id);
+                    }
+                    run_caught(|| {
+                        run_functional(
+                            work.kernel.as_ref(),
+                            work.scalars,
+                            work.local_buffer_lens,
+                            &work.accesses,
+                            work.plan,
+                            work.failed_attempts,
+                        )
+                    })
+                }
+            };
+            state.complete(id, work.name, result, Vec::new(), 0);
+            return;
+        }
         // Crossing to a worker thread requires ownership.
         let work = work.into_owned_work();
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = self.shared.lock();
         // Backpressure: never run more than max_pending launches ahead of the
         // workers, bounding the memory the in-flight window keeps alive.
         while state.pending >= self.shared.max_pending {
-            state = self.shared.done_cv.wait(state).unwrap();
+            state = self.shared.done_cv.wait(state).expect(POISONED);
         }
-        if let Some(hb) = state.hb.as_mut() {
-            hb.register(id, &summaries, &deps);
-        }
-        // Hazards against launches that completed successfully are satisfied;
-        // hazards against completed-but-failed launches poison this one now.
+        let fail_with = state.register(id, &work.name, &summaries, &deps);
+        // Hazards against launches still in flight are unmet until they
+        // complete; the rest are satisfied (or have poisoned this one).
         let mut unmet = 0;
-        let mut fail_with = None;
-        for dep in deps {
-            if let Some(node) = state.tasks.get_mut(&dep) {
+        for dep in &deps {
+            if let Some(node) = state.tasks.get_mut(dep) {
                 node.dependents.push(id);
                 unmet += 1;
-            } else if let Some(upstream) = state.failed.get(&dep) {
-                if fail_with.is_none() {
-                    fail_with = Some(RuntimeError::Poisoned {
-                        launch: work.name.clone(),
-                        upstream: upstream.clone(),
-                    });
-                }
             }
         }
         state.pending += 1;
         let name = work.name.clone();
-        state.tasks.insert(
-            id,
-            TaskNode {
-                name,
-                work: Some(work),
-                fail_with,
-                unmet,
-                dependents: Vec::new(),
-            },
-        );
+        let node = TaskNode { name, work: Some(work), fail_with, unmet, dependents: Vec::new() };
+        state.tasks.insert(id, node);
         if unmet == 0 {
             let q = (id % state.queues.len() as u64) as usize;
             state.queues[q].push_back(id);
@@ -924,73 +845,65 @@ impl Executor for WorkStealingExecutor {
         }
     }
 
-    fn poison(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError) {
-        let id = self.next_task;
-        self.next_task += 1;
-        let deps = self.tracker.record(id, accesses);
-        // The launch never runs: it is born completed-and-failed, so every
-        // later submission depending on it poisons at submit time.
-        let mut state = self.shared.state.lock().unwrap();
-        if let Some(hb) = state.hb.as_mut() {
-            hb.register(id, accesses, &deps);
-            hb.complete(id);
-        }
-        state.failed.insert(id, name.to_string());
-        state.failures.push((
-            id,
-            LaunchFailure {
-                launch: name.to_string(),
-                error,
-            },
-        ));
+    /// Records a launch as failed **without running it**: its accesses enter
+    /// hazard tracking so every downstream launch is skipped as
+    /// [`RuntimeError::Poisoned`], and `error` becomes its failure record.
+    /// Used by the runtime when fault injection abandons a launch before its
+    /// functional work is submitted.
+    pub fn poison(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError) {
+        let (id, deps) = self.record(accesses);
+        // Born completed-and-failed: every later submission depending on it
+        // poisons at submit time.
+        let mut state = self.shared.lock();
+        let _ = state.register(id, name, accesses, &deps);
+        state.complete(id, name, Err(error), Vec::new(), 0);
     }
 
-    fn flush(&mut self) -> Result<(), RuntimeError> {
-        let mut state = self.shared.state.lock().unwrap();
+    /// Blocks until every submitted launch has completed, returning the first
+    /// failure of the batch (by submission order) and resetting hazard state
+    /// for the next batch. Structured per-launch records survive the flush
+    /// until [`Executor::drain_failures`] collects them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`RuntimeError`] raised by any launch since the last
+    /// flush.
+    pub fn flush(&mut self) -> Result<(), RuntimeError> {
+        let mut state = self.shared.lock();
         while state.pending > 0 {
-            state = self.shared.done_cv.wait(state).unwrap();
+            state = self.shared.done_cv.wait(state).expect(POISONED);
         }
         self.tracker.reset();
         if let Some(hb) = state.hb.as_mut() {
             hb.reset();
         }
         state.failed.clear();
-        let mut batch = std::mem::take(&mut state.failures);
+        let batch = state.take_failures();
         drop(state);
-        // First failure by submission id: the root of the earliest failed
-        // cone, since a root always precedes its poisoned dependents.
-        batch.sort_by_key(|(id, _)| *id);
-        let first = batch.first().map(|(_, f)| f.error.clone());
-        self.drained.extend(batch.into_iter().map(|(_, f)| f));
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let first = batch.first().map(|f| f.error.clone());
+        self.drained.extend(batch);
+        first.map_or(Ok(()), Err)
     }
 
-    fn drain_failures(&mut self) -> Vec<LaunchFailure> {
-        let mut rest = {
-            let mut state = self.shared.state.lock().unwrap();
-            std::mem::take(&mut state.failures)
-        };
-        rest.sort_by_key(|(id, _)| *id);
+    /// Drains every per-launch failure record accumulated since the last
+    /// drain, in submission order (failed-cone roots precede their skipped
+    /// dependents).
+    pub fn drain_failures(&mut self) -> Vec<LaunchFailure> {
+        let rest = self.shared.lock().take_failures();
         let mut out = std::mem::take(&mut self.drained);
-        out.extend(rest.into_iter().map(|(_, f)| f));
+        out.extend(rest);
         out
     }
 }
 
-impl Drop for WorkStealingExecutor {
+impl Drop for Executor {
     fn drop(&mut self) {
         // Complete outstanding work so region contents are final, then stop.
         // An error here has no caller left to reach — don't lose it silently.
         if let Err(e) = self.flush() {
             eprintln!("warning: discarding deferred launch error at executor shutdown: {e}");
         }
-        {
-            let mut state = self.shared.state.lock().unwrap();
-            state.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -998,15 +911,18 @@ impl Drop for WorkStealingExecutor {
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs one launch's work, catching a panic as [`RuntimeError::Panicked`]: a
+/// dying launch fails its cone like any other failure, and cannot take a
+/// worker (and every later flush) down with it.
+fn run_caught(run: impl FnOnce() -> Result<(), RuntimeError>) -> Result<(), RuntimeError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+            (Some(s), _) => (*s).to_string(),
+            (_, Some(s)) => s.clone(),
+            _ => "non-string panic payload".to_string(),
+        };
+        Err(RuntimeError::Panicked(message))
+    })
 }
 
 /// Pops a ready launch for worker `id`: its own deque from the back (LIFO,
@@ -1016,109 +932,59 @@ fn pop_ready(state: &mut SchedState, id: usize) -> Option<u64> {
         return Some(task);
     }
     let n = state.queues.len();
-    for k in 1..n {
-        if let Some(task) = state.queues[(id + k) % n].pop_front() {
-            return Some(task);
-        }
-    }
-    None
+    (1..n).find_map(|k| state.queues[(id + k) % n].pop_front())
 }
 
 fn worker_loop(id: usize, shared: &Shared) {
-    let mut state = shared.state.lock().unwrap();
+    let mut state = shared.lock();
     loop {
-        if let Some(task) = pop_ready(&mut state, id) {
-            let (work, fail_with) = {
-                let node = state.tasks.get_mut(&task).expect("ready task present");
-                (
-                    node.work.take().expect("ready task must have unexecuted work"),
-                    node.fail_with.take(),
-                )
-            };
-            let result = match fail_with {
-                // Skipped: an upstream launch in its cone failed. Launches
-                // outside the cone run normally (containment).
-                Some(e) => Err(e),
-                None => {
-                    // Independent scheduler audit (debug + DIFFUSE_VERIFY):
-                    // this task is about to touch real data, so every
-                    // conflicting predecessor must be ordered and complete.
-                    if let Some(hb) = state.hb.as_ref() {
-                        hb.check_start(task);
-                    }
-                    drop(state);
-                    // The heavy part runs without any scheduler lock held.
-                    // Panics are caught so a dying launch cannot leak
-                    // `pending` and deadlock every later flush; they surface
-                    // as RuntimeError::Panicked.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_functional(
-                            work.kernel.as_ref(),
-                            &work.scalars,
-                            &work.local_buffer_lens,
-                            &work.accesses,
-                            &work.plan,
-                            work.failed_attempts,
-                        )
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(RuntimeError::Panicked(panic_message(&*payload)))
-                    });
-                    state = shared.state.lock().unwrap();
-                    r
-                }
-            };
-            let node = state.tasks.remove(&task).expect("completed task present");
-            if let Some(hb) = state.hb.as_mut() {
-                hb.complete(task);
+        let Some(task) = pop_ready(&mut state, id) else {
+            if state.shutdown {
+                return;
             }
-            let failed_name = if let Err(e) = result {
-                state.failed.insert(task, node.name.clone());
-                state.failures.push((
-                    task,
-                    LaunchFailure {
-                        launch: node.name.clone(),
-                        error: e,
-                    },
-                ));
-                Some(node.name.clone())
-            } else {
-                None
-            };
-            let mut freed = 0;
-            for dep in node.dependents {
-                let dependent = state
-                    .tasks
-                    .get_mut(&dep)
-                    .expect("dependent of running task present");
-                if let Some(upstream) = &failed_name {
-                    if dependent.fail_with.is_none() {
-                        dependent.fail_with = Some(RuntimeError::Poisoned {
-                            launch: dependent.name.clone(),
-                            upstream: upstream.clone(),
-                        });
-                    }
+            state = shared.work_cv.wait(state).expect(POISONED);
+            continue;
+        };
+        let node = state.tasks.get_mut(&task).expect("ready task present");
+        let work = node.work.take().expect("ready task must have unexecuted work");
+        let result = match node.fail_with.take() {
+            // Skipped: an upstream launch in its cone failed. Launches
+            // outside the cone run normally (containment).
+            Some(e) => Err(e),
+            None => {
+                // Independent scheduler audit (debug + DIFFUSE_VERIFY): this
+                // task is about to touch real data, so every conflicting
+                // predecessor must be ordered and complete.
+                if let Some(hb) = state.hb.as_ref() {
+                    hb.check_start(task);
                 }
-                dependent.unmet -= 1;
-                if dependent.unmet == 0 {
-                    state.queues[id].push_back(dep);
-                    freed += 1;
-                }
+                // The heavy part runs without any scheduler lock held.
+                drop(state);
+                let r = run_caught(|| {
+                    run_functional(
+                        work.kernel.as_ref(),
+                        &work.scalars,
+                        &work.local_buffer_lens,
+                        &work.accesses,
+                        &work.plan,
+                        work.failed_attempts,
+                    )
+                });
+                state = shared.lock();
+                r
             }
-            // This worker immediately takes one freed launch itself; wake
-            // siblings for the rest so they can steal.
-            if freed > 1 {
-                shared.work_cv.notify_all();
-            }
-            state.pending -= 1;
-            // Wakes both flushers (waiting for 0) and backpressured
-            // submitters (waiting to drop below the bound).
-            shared.done_cv.notify_all();
-        } else if state.shutdown {
-            return;
-        } else {
-            state = shared.work_cv.wait(state).unwrap();
+        };
+        let TaskNode { name, dependents, .. } =
+            state.tasks.remove(&task).expect("completed task present");
+        // This worker takes one freed launch itself; wake siblings for the
+        // rest so they can steal.
+        if state.complete(task, &name, result, dependents, id) > 1 {
+            shared.work_cv.notify_all();
         }
+        state.pending -= 1;
+        // Wakes both flushers (waiting for 0) and backpressured submitters
+        // (waiting to drop below the bound).
+        shared.done_cv.notify_all();
     }
 }
 
@@ -1185,7 +1051,8 @@ mod tests {
     #[test]
     fn serial_executor_runs_inline() {
         let (a, b) = (handle(0, 16, 2.0), handle(1, 16, 0.0));
-        let mut ex = SerialExecutor::new();
+        let mut ex = Executor::new(ExecutorKind::Serial, 4);
+        assert_eq!(ex.workers(), 0);
         let w = scale_work(&a, &b, 16, 3.0);
         ex.submit(w.as_request());
         // Inline execution: visible even before flush.
@@ -1196,7 +1063,7 @@ mod tests {
     #[test]
     fn work_stealing_executor_completes_a_chain() {
         let (a, b, c) = (handle(0, 64, 1.0), handle(1, 64, 0.0), handle(2, 64, 0.0));
-        let mut ex = WorkStealingExecutor::new(4);
+        let mut ex = pool(4);
         assert_eq!(ex.workers(), 4);
         let mut w1 = scale_work(&a, &b, 64, 2.0);
         w1.accesses[0].region = RegionId(0);
@@ -1215,7 +1082,7 @@ mod tests {
         let n = 256u64;
         let sources: Vec<RegionHandle> = (0..8).map(|i| handle(i, n, i as f64)).collect();
         let sinks: Vec<RegionHandle> = (8..16).map(|i| handle(i, n, 0.0)).collect();
-        let mut ex = WorkStealingExecutor::new(4);
+        let mut ex = pool(4);
         for (i, (src, dst)) in sources.iter().zip(&sinks).enumerate() {
             let mut w = scale_work(src, dst, n, 2.0);
             w.accesses[0].region = RegionId(i as u64);
@@ -1231,10 +1098,7 @@ mod tests {
     #[test]
     fn errors_defer_to_flush_and_poison_the_batch() {
         let (a, b) = (handle(0, 16, 1.0), handle(1, 16, 0.0));
-        for mut ex in [
-            Box::new(SerialExecutor::new()) as Box<dyn Executor>,
-            Box::new(WorkStealingExecutor::new(2)) as Box<dyn Executor>,
-        ] {
+        for mut ex in executors() {
             // A module reading scalar parameter 0 without providing scalars:
             // fails with MissingParam at execution time.
             let mut bad = scale_work(&a, &b, 16, 1.0);
@@ -1249,7 +1113,7 @@ mod tests {
             bad.kernel = compile_interp(module);
             ex.submit(bad.as_request());
             // Writes the same region as `bad` (WAW), so it is ordered after it
-            // under both executors and must be skipped once the batch poisons.
+            // at every worker count and must be skipped once the batch poisons.
             let good = scale_work(&a, &b, 16, 7.0);
             ex.submit(good.as_request());
             assert!(ex.flush().is_err(), "{:?} must defer the error", ex.kind());
@@ -1267,10 +1131,7 @@ mod tests {
     #[test]
     fn panicking_launch_surfaces_as_error_instead_of_deadlocking() {
         let (a, b) = (handle(0, 16, 1.0), handle(1, 16, 0.0));
-        for mut ex in [
-            Box::new(SerialExecutor::new()) as Box<dyn Executor>,
-            Box::new(WorkStealingExecutor::new(2)) as Box<dyn Executor>,
-        ] {
+        for mut ex in executors() {
             // An access rect that lies outside the region: the launch panics
             // validating it, before it takes any guard.
             let mut bad = scale_work(&a, &b, 16, 1.0);
@@ -1303,10 +1164,7 @@ mod tests {
             handle(2, 16, 0.0),
             handle(3, 16, 0.0),
         );
-        for mut ex in [
-            Box::new(SerialExecutor::new()) as Box<dyn Executor>,
-            Box::new(WorkStealingExecutor::new(2)) as Box<dyn Executor>,
-        ] {
+        for mut ex in executors() {
             let mut bad = scale_work(&a, &b, 16, 1.0);
             bad.name = "bad".into();
             bad.accesses[0].region = RegionId(0);
@@ -1354,10 +1212,7 @@ mod tests {
     #[test]
     fn poison_skips_downstream_and_records_failures() {
         let (a, b, c) = (handle(0, 16, 3.0), handle(1, 16, 0.0), handle(2, 16, 0.0));
-        for mut ex in [
-            Box::new(SerialExecutor::new()) as Box<dyn Executor>,
-            Box::new(WorkStealingExecutor::new(2)) as Box<dyn Executor>,
-        ] {
+        for mut ex in executors() {
             // Runtime-abandoned launch: would have written region 1.
             let summaries = [
                 AccessSummary {
@@ -1432,7 +1287,7 @@ mod tests {
         ];
         let mut work = work("acc", compile_interp(module), accesses, vec![]);
         work.failed_attempts = 3;
-        let mut ex = SerialExecutor::new();
+        let mut ex = Executor::new(ExecutorKind::Serial, 1);
         ex.submit(work.as_request());
         ex.flush().unwrap();
         assert!(ex.drain_failures().is_empty());
@@ -1442,12 +1297,14 @@ mod tests {
         assert_eq!(a.data().unwrap(), vec![1.5; 32]);
     }
 
-    /// Both executors, for tests that must hold under each.
-    fn executors() -> [Box<dyn Executor>; 2] {
-        [
-            Box::new(SerialExecutor::new()),
-            Box::new(WorkStealingExecutor::new(2)),
-        ]
+    /// A pool of `workers` workers.
+    fn pool(workers: usize) -> Executor {
+        Executor::new(ExecutorKind::WorkStealing { workers: Some(workers) }, 1)
+    }
+
+    /// No workers and two, for tests that must hold at each worker count.
+    fn executors() -> [Executor; 2] {
+        [Executor::new(ExecutorKind::Serial, 2), pool(2)]
     }
 
     /// An access stamped with its region's own id, so two accesses share an
@@ -1808,7 +1665,7 @@ mod tests {
         // a reader, the second could never join the first inside the stage.
         let (src, n) = (handle(0, 32, 1.5), 32);
         let sinks = [handle(1, n, 0.0), handle(2, n, 0.0)];
-        let mut ex = WorkStealingExecutor::new(2);
+        let mut ex = pool(2);
         let kernel: Arc<dyn CompiledKernel> = Arc::new(Rendezvous {
             inner: scale_work(&src, &sinks[0], n, 2.0).kernel,
             parties: 2,
@@ -2163,19 +2020,32 @@ mod tests {
 
     #[test]
     fn flush_on_empty_executor_is_ok() {
-        let mut ex = WorkStealingExecutor::for_gpus(4);
-        ex.flush().unwrap();
-        ex.flush().unwrap();
+        for kind in [ExecutorKind::Serial, ExecutorKind::WorkStealing { workers: None }] {
+            let mut ex = Executor::new(kind, 4);
+            ex.flush().unwrap();
+            ex.flush().unwrap();
+            assert!(ex.drain_failures().is_empty());
+        }
     }
 
     #[test]
     fn worker_count_resolution() {
-        assert_eq!(ExecutorKind::Serial.worker_count(8), 1);
+        assert_eq!(ExecutorKind::Serial.worker_count(8), 0);
         assert_eq!(
             ExecutorKind::WorkStealing { workers: Some(3) }.worker_count(8),
             3
         );
         let auto = ExecutorKind::WorkStealing { workers: None }.worker_count(8);
         assert!((1..=8).contains(&auto));
+        // The executor spawns that many; a pool asked for with none gets one.
+        let zero = ExecutorKind::WorkStealing { workers: Some(0) };
+        let one = ExecutorKind::WorkStealing { workers: Some(1) };
+        for (kind, workers, reported) in [
+            (ExecutorKind::Serial, 0, ExecutorKind::Serial),
+            (zero, 1, one),
+        ] {
+            let ex = Executor::new(kind, 8);
+            assert_eq!((ex.workers(), ex.kind()), (workers, reported));
+        }
     }
 }

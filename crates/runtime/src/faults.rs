@@ -27,6 +27,8 @@
 
 use std::sync::Once;
 
+use ir::fingerprint::splitmix64;
+
 /// Where a simulated fault strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
@@ -57,14 +59,6 @@ impl std::fmt::Display for FaultSite {
             FaultSite::RegionRead => write!(f, "transient region-read failure"),
         }
     }
-}
-
-/// SplitMix64 finalizer: a well-mixed bijection on `u64`.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Mixes two words into one well-distributed key (used to fold occurrence

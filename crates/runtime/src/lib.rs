@@ -15,15 +15,16 @@
 //! which is exactly the scale-aware representation the paper's scale-free IR
 //! avoids for its fusion analysis (Section 4.4).
 //!
-//! Functional kernel work is scheduled by an [`Executor`]: the default
-//! [`SerialExecutor`] runs launches inline, while the
-//! [`WorkStealingExecutor`] (one worker per simulated GPU) overlaps
-//! independent launches and orders conflicting ones through their region
-//! read/write sets, mirroring how the paper's runtime overlaps task launches
-//! across GPUs. Launches carry *compiled* kernels (`Arc<dyn CompiledKernel>`
-//! artifacts produced by a [`kernel::KernelBackend`] — see
-//! [`Runtime::compile`] and `docs/BACKENDS.md`), so the executor layer is
-//! backend-agnostic. See `docs/RUNTIME.md` for the architecture.
+//! Functional kernel work is scheduled by the one [`Executor`], which orders
+//! conflicting launches through their region read/write sets and overlaps
+//! independent ones across its workers, mirroring how the paper's runtime
+//! overlaps task launches across GPUs. [`ExecutorKind`] sets only the worker
+//! count: the default, [`ExecutorKind::Serial`], has none and runs every
+//! launch inline on the submitting thread. Launches carry *compiled* kernels
+//! (`Arc<dyn CompiledKernel>` artifacts produced by a
+//! [`kernel::KernelBackend`] — see [`Runtime::compile`] and
+//! `docs/BACKENDS.md`), so the executor is backend-agnostic. See
+//! `docs/RUNTIME.md` for the architecture.
 //!
 //! # Example
 //!
@@ -76,8 +77,7 @@ pub mod runtime;
 
 pub use deps::{AccessSummary, DepTracker, HbChecker};
 pub use executor::{
-    BufferAccess, DataPlan, Executor, ExecutorKind, FunctionalWork, LaunchFailure,
-    SerialExecutor, WorkRequest, WorkStealingExecutor,
+    BufferAccess, DataPlan, Executor, ExecutorKind, FunctionalWork, LaunchFailure, WorkRequest,
 };
 pub use faults::{FaultEvent, FaultPlan, FaultSite, FaultStats, RecoveryPolicy};
 pub use launch::{OverheadClass, RegionRequirement, TaskLaunch, TaskLaunchBuilder};

@@ -22,8 +22,7 @@ use machine::{CostModel, MachineConfig, MemoryTracker, SimClock};
 
 use crate::deps::AccessSummary;
 use crate::executor::{
-    BufferAccess, DataPlan, Executor, ExecutorKind, LaunchFailure, SerialExecutor, WorkRequest,
-    WorkStealingExecutor,
+    BufferAccess, DataPlan, Executor, ExecutorKind, LaunchFailure, WorkRequest,
 };
 use crate::faults::{mix, FaultEvent, FaultPlan, FaultSite, FaultStats, RecoveryPolicy};
 use crate::launch::{OverheadClass, TaskLaunch};
@@ -146,12 +145,12 @@ pub enum RuntimeError {
     /// Raised eagerly at submission time.
     UnknownRegion(RegionId),
     /// The kernel interpreter failed while executing a launch's functional
-    /// work. Deferred under *every* executor (the serial one included):
+    /// work. Deferred at every worker count, zero included:
     /// [`Runtime::execute`] returns `Ok` and the error surfaces at the next
-    /// flush ([`Runtime::flush_launches`], [`Runtime::execute_batch`] or any
-    /// data-touching operation), with the launches downstream of the failed
-    /// one skipped ([`RuntimeError::Poisoned`]). The failing launch's name is
-    /// in its [`LaunchFailure`] record ([`Runtime::take_failures`]).
+    /// flush ([`Runtime::flush_launches`] or any data-touching operation),
+    /// with the launches downstream of the failed one skipped
+    /// ([`RuntimeError::Poisoned`]). The failing launch's name is in its
+    /// [`LaunchFailure`] record ([`Runtime::take_failures`]).
     Exec(ExecError),
     /// A launch's functional work panicked on an executor worker (e.g. an
     /// out-of-bounds access the interpreter does not guard). Deferred like
@@ -315,7 +314,7 @@ pub struct Runtime {
     validity: HashMap<RegionId, Validity>,
     profile: Profile,
     next_region: u64,
-    executor: Box<dyn Executor>,
+    executor: Executor,
     backend: Arc<dyn KernelBackend>,
     /// An error returned by an internal flush (e.g. inside [`Runtime::region_data`])
     /// that could not be surfaced through that call's signature; re-raised by
@@ -343,7 +342,7 @@ pub struct Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         // A stashed launch error with no fallible call left to re-raise it
-        // must not vanish silently (the executors warn about their own).
+        // must not vanish silently (the executor warns about its own).
         if let Some(e) = self.deferred_error.take() {
             eprintln!("warning: discarding deferred launch error at runtime shutdown: {e}");
         }
@@ -355,15 +354,10 @@ impl Runtime {
     pub fn new(config: RuntimeConfig) -> Self {
         let gpus = config.machine.total_gpus();
         let cost = CostModel::new(config.machine.clone());
-        // Simulation-only runs produce no functional work, so a thread pool
-        // would only burn resources: always execute serially there.
-        let executor: Box<dyn Executor> = match (config.executor, config.materialize_data) {
-            (ExecutorKind::WorkStealing { workers }, true) => Box::new(match workers {
-                Some(n) => WorkStealingExecutor::new(n),
-                None => WorkStealingExecutor::for_gpus(gpus),
-            }),
-            _ => Box::new(SerialExecutor::new()),
-        };
+        // Simulation-only runs produce no functional work, so workers would
+        // only burn resources: none there.
+        let kind = if config.materialize_data { config.executor } else { ExecutorKind::Serial };
+        let executor = Executor::new(kind, gpus);
         let backend = config.backend.backend();
         let fault_plan = config.fault_plan.filter(|p| p.rate() > 0.0);
         let recovery = config.recovery;
@@ -712,65 +706,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// Executes a batch of launches and waits for all of them: independent
-    /// launches overlap under a parallel executor, conflicting ones retain
-    /// program order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error raised by any launch in the batch (earlier
-    /// deferred errors are re-raised first).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use machine::MachineConfig;
-    /// use runtime::{Runtime, RuntimeConfig, ExecutorKind, TaskLaunch, RegionRequirement, OverheadClass};
-    /// use ir::{Domain, Partition, Privilege};
-    /// use kernel::{compile_interp, KernelModule, LoopBuilder, BufferId, BufferRole};
-    ///
-    /// let config = RuntimeConfig::functional(MachineConfig::with_gpus(2))
-    ///     .with_executor(ExecutorKind::WorkStealing { workers: Some(2) });
-    /// let mut rt = Runtime::new(config);
-    /// let a = rt.allocate_region(vec![8], "a");
-    /// let b = rt.allocate_region(vec![8], "b");
-    /// let c = rt.allocate_region(vec![8], "c");
-    /// rt.fill(a, 2.0).unwrap();
-    ///
-    /// let scale = |src, dst| {
-    ///     let mut module = KernelModule::new(2);
-    ///     module.set_role(BufferId(1), BufferRole::Output);
-    ///     let mut lb = LoopBuilder::new("scale", BufferId(0));
-    ///     let x = lb.load(BufferId(0));
-    ///     let k = lb.constant(3.0);
-    ///     let v = lb.mul(x, k);
-    ///     lb.store(BufferId(1), v);
-    ///     module.push_loop(lb.finish());
-    ///     TaskLaunch {
-    ///         name: "scale".into(),
-    ///         launch_domain: Domain::linear(2),
-    ///         requirements: vec![
-    ///             RegionRequirement::new(src, Partition::block(vec![4]), Privilege::Read),
-    ///             RegionRequirement::new(dst, Partition::block(vec![4]), Privilege::Write),
-    ///         ],
-    ///         kernel: compile_interp(module),
-    ///         scalars: vec![],
-    ///         local_buffer_lens: vec![],
-    ///         overhead: OverheadClass::TaskRuntime,
-    ///     }
-    /// };
-    /// // b and c are independent: the parallel executor overlaps them.
-    /// rt.execute_batch(&[scale(a, b), scale(a, c)]).unwrap();
-    /// assert_eq!(rt.region_data(b).unwrap(), vec![6.0; 8]);
-    /// assert_eq!(rt.region_data(c).unwrap(), vec![6.0; 8]);
-    /// ```
-    pub fn execute_batch(&mut self, launches: &[TaskLaunch]) -> Result<(), RuntimeError> {
-        for launch in launches {
-            self.execute(launch)?;
-        }
-        self.flush_launches()
-    }
-
     /// Waits for every submitted launch's functional work to complete.
     ///
     /// # Errors
@@ -809,7 +744,7 @@ impl Runtime {
         self.fault_plan
     }
 
-    /// Records a launch-attributed failure produced outside the executors
+    /// Records a launch-attributed failure produced outside the executor
     /// (the Diffuse layer's verifier, with fail-fast off) and poisons its
     /// dependence cone: the accesses join hazard tracking so every downstream
     /// launch is skipped.
@@ -919,7 +854,7 @@ impl Runtime {
     }
 
     /// Packages the functional half of a launch for the executor. The request
-    /// borrows the launch and its plan (the serial path clones nothing of
+    /// borrows the launch and its plan (the inline path clones nothing of
     /// either); only resolved handles and the planned rects are owned.
     fn work_request<'a>(
         &self,
@@ -1634,8 +1569,9 @@ mod tests {
             let b = rt.allocate_region(vec![32], "b");
             let c = rt.allocate_region(vec![32], "c");
             rt.fill(a, 2.0).unwrap();
-            rt.execute_batch(&[scale_launch(a, b, 4, 32), scale_launch(b, c, 4, 32)])
-                .unwrap();
+            rt.execute(&scale_launch(a, b, 4, 32)).unwrap();
+            rt.execute(&scale_launch(b, c, 4, 32)).unwrap();
+            rt.flush_launches().unwrap();
             (rt.region_data(c).unwrap(), rt.elapsed())
         };
         let (serial_data, serial_time) = run(ExecutorKind::Serial);

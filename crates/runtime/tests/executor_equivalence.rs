@@ -2,8 +2,8 @@
 //! combination must produce exactly the region contents the serial
 //! interpreter baseline produces, for any program.
 //!
-//! The property test drives all four combinations (serial/parallel ×
-//! interp/simd) with the same randomly generated launch DAG — launches
+//! The property test drives all six combinations (no workers, one worker or
+//! four × interp/simd) with the same randomly generated launch DAG — launches
 //! pick random source/destination regions, so the generated programs contain
 //! every hazard class (RAW chains, WAR, WAW, concurrent readers, aliasing
 //! read+write of one region) at random widths. Determinism holds because
@@ -119,7 +119,10 @@ fn run_program(
         .iter()
         .map(|op| launch_for(op, &regions, gpus, n, &rt))
         .collect();
-    rt.execute_batch(&launches).unwrap();
+    for launch in &launches {
+        rt.execute(launch).unwrap();
+    }
+    rt.flush_launches().unwrap();
     let data = regions
         .iter()
         .map(|&r| rt.region_data(r).unwrap())
@@ -153,8 +156,10 @@ proptest! {
         let (baseline, baseline_time) =
             run_program(&ops, gpus, n, ExecutorKind::Serial, BackendKind::Interp);
         for backend in [BackendKind::Interp, BackendKind::Simd] {
+            // No workers, one (no sibling to steal from) and four.
             for executor in [
                 ExecutorKind::Serial,
+                ExecutorKind::WorkStealing { workers: Some(1) },
                 ExecutorKind::WorkStealing { workers: Some(4) },
             ] {
                 let (data, time) = run_program(&ops, gpus, n, executor, backend);
@@ -215,7 +220,9 @@ fn write_after_read_on_a_shared_region_retains_program_order() {
             local_buffer_lens: vec![],
             overhead: OverheadClass::TaskRuntime,
         };
-        rt.execute_batch(&[reader, writer]).unwrap();
+        rt.execute(&reader).unwrap();
+        rt.execute(&writer).unwrap();
+        rt.flush_launches().unwrap();
         // The reader saw shared == 1.0 everywhere: copy = 1*0.5 + 1 = 1.5.
         assert_eq!(
             rt.region_data(copy).unwrap(),
