@@ -362,16 +362,17 @@ impl ContextInner {
         }
     }
 
-    /// Generates one task's kernel module at the access volume of each of its
-    /// arguments over the launch domain. Returns the module with every
+    /// The access volume of each of `task`'s arguments over its launch domain.
+    fn arg_volumes(&self, task: &IndexTask) -> Vec<usize> {
+        let volume = |a: &StoreArg| self.access_volume(a.store, &a.partition, &task.launch_domain);
+        task.args.iter().map(volume).collect()
+    }
+
+    /// Generates one task's kernel module at `lens`, its arguments' access
+    /// volumes ([`ContextInner::arg_volumes`]). Returns the module with every
     /// buffer's length: the arguments', then the task's largest argument
     /// volume for each generator-introduced local.
-    fn generate(&self, task: &IndexTask) -> (KernelModule, Vec<usize>) {
-        let mut lens: Vec<usize> = task
-            .args
-            .iter()
-            .map(|a| self.access_volume(a.store, &a.partition, &task.launch_domain))
-            .collect();
+    fn generate(&self, task: &IndexTask, mut lens: Vec<usize>) -> (KernelModule, Vec<usize>) {
         let kind = TaskKind::decode(task.kind);
         let module = self
             .registry
@@ -390,7 +391,7 @@ impl ContextInner {
     fn analyze(&mut self, task: &IndexTask) -> &KindAnalysis {
         let key = analysis_key(task);
         if !self.analysis.contains_key(&key) {
-            let (module, _) = self.generate(task);
+            let (module, _) = self.generate(task, self.arg_volumes(task));
             let summary = self
                 .summaries
                 .entry(module_content_key(&module))
@@ -826,9 +827,12 @@ impl ContextInner {
             .collect();
         let mut scalar_offset = 0;
         for (task, arg_map) in fused.tasks.iter().zip(&fused.arg_map) {
-            // Each constituent is checked before it is composed, against the
-            // lengths it was generated for.
-            let (mut body, task_lens) = self.generate(task);
+            // Each constituent is generated at its arguments' fused volumes
+            // (same store, partition and launch domain) and checked against
+            // them before it is composed.
+            let arg_lens: Vec<usize> = arg_map.iter().map(|&i| lens[i]).collect();
+            debug_assert_eq!(arg_lens, self.arg_volumes(task), "`{}`", task.name);
+            let (mut body, task_lens) = self.generate(task, arg_lens);
             self.verify(format_args!("kernel of `{}`", task.name), |this| {
                 this.check_task_module(task, &body, &task_lens)
             })?;
@@ -959,7 +963,7 @@ impl ContextInner {
     /// pre-compiled per-task kernels (only fused windows pay the JIT, as in
     /// the paper).
     fn launch_unfused(&mut self, task: IndexTask) {
-        let (module, lens) = self.generate(&task);
+        let (module, lens) = self.generate(&task, self.arg_volumes(&task));
         let backend = self.config.backend;
         let checked = self
             .verify(format_args!("kernel of `{}`", task.name), |this| {

@@ -1,5 +1,7 @@
 //! Construction of fused tasks from fusible prefixes (Section 4.2.2).
 
+use std::collections::HashMap;
+
 use ir::{Domain, IndexTask, PartitionId, Privilege, StoreId};
 
 /// A fused task: the merged store arguments of a fusible prefix together with
@@ -37,24 +39,19 @@ impl FusedTask {
             "fused tasks must share a launch domain"
         );
         let mut args: Vec<(StoreId, PartitionId, Privilege)> = Vec::new();
+        // Each distinct (store, partition) pair's position in `args`, which
+        // keeps first-occurrence order.
+        let mut index: HashMap<(StoreId, PartitionId), usize> = HashMap::new();
         let mut arg_map: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
         for task in &tasks {
             let mut map = Vec::with_capacity(task.args.len());
             for arg in &task.args {
-                let existing = args
-                    .iter()
-                    .position(|(s, p, _)| *s == arg.store && *p == arg.partition);
-                let idx = match existing {
-                    Some(idx) => {
-                        let promoted = args[idx].2.promote(arg.privilege);
-                        args[idx].2 = promoted;
-                        idx
-                    }
-                    None => {
-                        args.push((arg.store, arg.partition, arg.privilege));
-                        args.len() - 1
-                    }
-                };
+                let idx = *index.entry((arg.store, arg.partition)).or_insert_with(|| {
+                    args.push((arg.store, arg.partition, arg.privilege));
+                    args.len() - 1
+                });
+                // A privilege promoted by itself stays as it is.
+                args[idx].2 = args[idx].2.promote(arg.privilege);
                 map.push(idx);
             }
             arg_map.push(map);
