@@ -54,10 +54,9 @@ pub struct DiffuseConfig {
     /// Buffer tasks and replace fusible prefixes with fused tasks.
     pub enable_task_fusion: bool,
     /// Run the kernel pipeline (loop fusion, store forwarding, local
-    /// elimination) on fused task bodies.
+    /// elimination) on fused task bodies, and demote temporary stores
+    /// (Definition 4) to task-local buffers.
     pub enable_kernel_fusion: bool,
-    /// Demote temporary stores (Definition 4) to task-local buffers.
-    pub enable_temp_elimination: bool,
     /// Memoize analysis and compilation over isomorphic windows.
     pub enable_memoization: bool,
     /// Pack independent equal-domain fusible segments of the window side by
@@ -155,7 +154,6 @@ impl DiffuseConfig {
             materialize_data: true,
             enable_task_fusion: true,
             enable_kernel_fusion: true,
-            enable_temp_elimination: true,
             enable_memoization: true,
             enable_horizontal_fusion: Self::horizontal_fusion_from_env(),
             memo_capacity: Self::DEFAULT_MEMO_CAPACITY,
@@ -176,7 +174,6 @@ impl DiffuseConfig {
         DiffuseConfig {
             enable_task_fusion: false,
             enable_kernel_fusion: false,
-            enable_temp_elimination: false,
             enable_memoization: false,
             ..DiffuseConfig::fused(machine)
         }
@@ -187,7 +184,6 @@ impl DiffuseConfig {
     pub fn task_fusion_only(machine: MachineConfig) -> Self {
         DiffuseConfig {
             enable_kernel_fusion: false,
-            enable_temp_elimination: false,
             ..DiffuseConfig::fused(machine)
         }
     }

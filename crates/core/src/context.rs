@@ -5,16 +5,18 @@
 //!
 //! 1. **Plan.** `pack_horizontally` reorders the window for horizontal
 //!    fusion; then `next_step` decides, one step at a time, what happens to
-//!    the head of the window — one task launched unfused, a memoized
+//!    the head of the window — one task launched alone, a memoized
 //!    skeleton replayed, or a fusible prefix compiled.
 //! 2. **Lower.** `lower` composes, optimizes and compiles a prefix into the
-//!    skeleton a replay relaunches. Every check of every stage passes through
-//!    one verification gate (`verify`), and every failed check reaches one
-//!    containment path (`contain`).
+//!    skeleton a replay relaunches; `library_kernel` builds, once per
+//!    one-task canonical form, the skeleton a task launched alone replays.
+//!    Every check of every stage passes through one verification gate
+//!    (`verify`), and every failed check reaches one containment path
+//!    (`contain`).
 //! 3. **Launch.** `task_launch` builds the runtime launch (region
 //!    requirements, task-local temporaries, scalars) and `launch` is the one
-//!    tail: execution under a runtime launch plan — the skeleton's on a
-//!    replay, a fresh one otherwise — and accounting.
+//!    tail: execution under the skeleton's runtime launch plan, and
+//!    accounting; every launch after a skeleton's first is a `replay_launch`.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -119,8 +121,8 @@ impl Skeleton {
 
 /// What the plan stage decided to do with the head of the window.
 enum Step {
-    /// Launch the head task alone, through its own generated kernel.
-    Unfused,
+    /// Launch the head task alone, through its library kernel.
+    Alone,
     /// Relaunch a memoized skeleton, its arguments resolved to these stores.
     Replay(Arc<Skeleton>, Vec<StoreId>),
     /// Fuse and compile a prefix of this many tasks whose temporaries are
@@ -138,6 +140,10 @@ pub struct ContextInner {
     window: TaskWindow,
     adaptive: AdaptiveWindow,
     memo: MemoCache<Arc<Skeleton>>,
+    /// The library of pre-compiled per-task kernels the unfused baseline
+    /// models: a one-task skeleton per one-task canonical form, whatever
+    /// `enable_memoization` says.
+    library: MemoCache<Arc<Skeleton>>,
     backend: Arc<dyn KernelBackend>,
     compile_model: CompileTimeModel,
     stats: ExecutionStats,
@@ -622,9 +628,9 @@ impl ContextInner {
         while !self.window.is_empty() {
             let window_len = self.window.len();
             let launched = match self.next_step(&mut segments) {
-                Step::Unfused => {
+                Step::Alone => {
                     let task = self.window.drain_prefix(1).pop().unwrap();
-                    self.launch_unfused(task);
+                    self.launch_alone(task);
                     1
                 }
                 Step::Replay(skeleton, stores) => {
@@ -690,7 +696,7 @@ impl ContextInner {
     /// so draining a prefix never re-checks the untouched suffix.
     fn next_step(&mut self, segments: &mut Option<VecDeque<usize>>) -> Step {
         if !self.config.enable_task_fusion {
-            return Step::Unfused;
+            return Step::Alone;
         }
         let memoize = self.config.enable_memoization;
         let hit = if memoize {
@@ -722,14 +728,15 @@ impl ContextInner {
             _ => *segments = None,
         }
         if len == 1 && !self.config.enable_kernel_fusion {
-            // A singleton with no kernel-level optimization is just an
-            // unfused launch.
-            return Step::Unfused;
+            // A singleton with no kernel-level optimization is just a task
+            // launched alone.
+            return Step::Alone;
         }
         // Liveness (which fused args become task-local temporaries) is the
         // only launch input the canonical window does not determine, so it is
-        // recomputed per launch, before anything is drained.
-        let temps = if self.config.enable_temp_elimination {
+        // recomputed per launch, before anything is drained. Temporaries are
+        // eliminated by the kernel pipeline, so only under kernel fusion.
+        let temps = if self.config.enable_kernel_fusion {
             let (prefix, pending) = self.window.tasks().split_at(len);
             let stores = &self.stores;
             temporary_stores(prefix, pending, |s| stores.get(&s).is_some_and(|m| m.app_refs > 0))
@@ -880,46 +887,74 @@ impl ContextInner {
             |_| kernel::verify::verify_lowering(&module, backend),
         )?;
         let kernel = self.compile_artifact(&fused.name, &module);
-        let temp_volumes: Vec<Option<usize>> =
-            is_temp.iter().zip(&lens).map(|(&t, &len)| t.then_some(len)).collect();
-        let generator_local_lens = lens[num_args..].to_vec();
-        let args = fused.args.iter().zip(&temp_volumes);
-        let launch = self.task_launch(
-            &fused.tasks,
-            Arc::clone(&kernel),
-            fused.name.clone(),
-            args.map(|(&(store, part, privilege), &temp)| (store, part, privilege, temp)),
-            &generator_local_lens,
-        );
+        let temps = is_temp.iter().zip(&lens).map(|(&t, &len)| t.then_some(len)).collect();
+        let (name, locals) = (fused.name.clone(), lens[num_args..].to_vec());
+        Ok(self.skeleton(&fused.tasks, kernel, name, &fused.args, temps, locals))
+    }
+
+    /// Lower, library side: a task's own module, checked and compiled, as a
+    /// one-task skeleton over its verbatim (un-merged) arguments. It charges
+    /// no compile time and counts no compilation: only fused windows pay the
+    /// JIT, as in the paper.
+    fn library_kernel(&mut self, task: &IndexTask) -> Result<(Skeleton, TaskLaunch), String> {
+        let (module, lens) = self.generate(task, self.arg_volumes(task));
+        self.verify(format_args!("kernel of `{}`", task.name), |this| {
+            this.check_task_module(task, &module, &lens)
+        })?;
+        let backend = self.config.backend;
+        self.verify(
+            format_args!("{backend:?} lowering of `{}` violates an invariant", task.name),
+            |_| kernel::verify::verify_lowering(&module, backend),
+        )?;
+        let kernel = self.compile_artifact(&task.name, &module);
+        let args: Vec<_> = task.args.iter().map(|a| (a.store, a.partition, a.privilege)).collect();
+        let (temps, locals) = (vec![None; args.len()], lens[args.len()..].to_vec());
+        let tasks = std::slice::from_ref(task);
+        Ok(self.skeleton(tasks, kernel, task.name.clone(), &args, temps, locals))
+    }
+
+    /// The one skeleton builder (fused miss and library build): the launch
+    /// of `tasks` through `kernel` over `args`, its plan, and the skeleton
+    /// keeping both with `args` numbered canonically. The launch is the
+    /// skeleton's first; later ones are [`ContextInner::replay_launch`]es.
+    fn skeleton(
+        &mut self,
+        tasks: &[IndexTask],
+        kernel: Arc<dyn CompiledKernel>,
+        name: String,
+        args: &[(StoreId, PartitionId, Privilege)],
+        temp_volumes: Vec<Option<usize>>,
+        locals: Vec<usize>,
+    ) -> (Skeleton, TaskLaunch) {
+        let resolved = args.iter().zip(&temp_volumes).map(|(&(s, p, pr), &t)| (s, p, pr, t));
+        let launch = self.task_launch(tasks, Arc::clone(&kernel), name.clone(), resolved, &locals);
         let plan = self.runtime.plan(&launch).expect("a context launch names live regions");
         let mut canon: HashMap<StoreId, u32> = HashMap::new();
-        for arg in fused.tasks.iter().flat_map(|t| &t.args) {
+        for arg in tasks.iter().flat_map(|t| &t.args) {
             let next = canon.len() as u32;
             canon.entry(arg.store).or_insert(next);
         }
         let skeleton = Skeleton {
-            prefix_len: fused.tasks.len(),
+            prefix_len: tasks.len(),
             kernel,
-            name: fused.name.clone(),
-            args: fused.args.iter().map(|(s, p, pr)| (canon[s], *p, *pr)).collect(),
+            name,
+            args: args.iter().map(|(s, p, pr)| (canon[s], *p, *pr)).collect(),
             temp_volumes,
-            generator_local_lens,
+            generator_local_lens: locals,
             plan,
         };
-        Ok((skeleton, launch))
+        (skeleton, launch)
     }
 
-    /// Lower, replay side: a memo hit relaunches its skeleton under the
-    /// skeleton's launch plan, after the same prefix translation validation
-    /// as a miss plus `verify_skeleton` — the replayed structure must match
-    /// the probe window, so a fingerprint collision is caught here by
-    /// construction — and a re-derivation of the plan from the launch about
-    /// to be issued, which must equal the memoized one. No fused task is
-    /// built, no access volume computed, no name assembled and, with
-    /// verification off, nothing of the plan re-derived.
+    /// Lower, replay side: a memo hit relaunches its skeleton, after the same
+    /// prefix translation validation as a miss plus `verify_skeleton` — the
+    /// replayed structure must match the probe window, so a fingerprint
+    /// collision is caught here by construction. No fused task is built, no
+    /// access volume computed and no name assembled.
     fn replay(&mut self, skeleton: &Skeleton, stores: &[StoreId]) {
         let prefix = self.window.drain_prefix(skeleton.prefix_len);
-        let issued = self
+        let (name, stores) = (skeleton.name.clone(), stores.iter().copied());
+        let replayed = self
             .verify(
                 format_args!("planned fused prefix violates a dependence invariant"),
                 |_| fusion::verify_fused_prefix(&prefix),
@@ -933,86 +968,69 @@ impl ContextInner {
                     |_| fusion::verify_skeleton(&prefix, &skeleton.args),
                 )
             })
-            .and_then(|()| {
-                let launch = self.skeleton_launch(&prefix, skeleton, stores);
-                self.verify(
-                    format_args!(
-                        "memoized launch plan of `{}` does not match its replay",
-                        skeleton.name
-                    ),
-                    |this| verify_plan(&this.runtime, &launch, &skeleton.plan),
-                )?;
-                Ok(launch)
-            });
-        match issued {
-            Ok(launch) => {
-                let demoted = skeleton.temps(stores.iter().copied());
-                self.launch(&prefix, &launch, &skeleton.plan, demoted);
-            }
-            Err(detail) => {
-                let fused = FusedTask::build(prefix);
-                let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
-                self.contain(&fused.name, accesses, detail);
-            }
+            .and_then(|()| self.replay_launch(&prefix, skeleton, stores, name));
+        if let Err(detail) = replayed {
+            let fused = FusedTask::build(prefix);
+            let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
+            self.contain(&fused.name, accesses, detail);
         }
     }
 
-    /// Launches one task without fusion, through its own generated kernel.
-    /// The module is compiled through the configured backend but charges no
-    /// simulated compile time: the unfused baseline models a library of
-    /// pre-compiled per-task kernels (only fused windows pay the JIT, as in
-    /// the paper).
-    fn launch_unfused(&mut self, task: IndexTask) {
-        let (module, lens) = self.generate(&task, self.arg_volumes(&task));
-        let backend = self.config.backend;
-        let checked = self
-            .verify(format_args!("kernel of `{}`", task.name), |this| {
-                this.check_task_module(&task, &module, &lens)
-            })
-            .and_then(|()| {
-                self.verify(
-                    format_args!("{backend:?} lowering of `{}` violates an invariant", task.name),
-                    |_| kernel::verify::verify_lowering(&module, backend),
-                )
-            });
-        if let Err(detail) = checked {
+    /// Launches one task alone through its library kernel, keeping its own
+    /// name. The one-task canonical form fixes the module and the plan
+    /// (privileges, which arguments share a store), so the exact key match
+    /// is the structural check: `verify_skeleton` re-derives *merged*
+    /// arguments and would reject `dot(x, x)`.
+    fn launch_alone(&mut self, task: IndexTask) {
+        let tasks = std::slice::from_ref(&task);
+        let launched = match self.library.probe_tasks(tasks).cloned() {
+            Some(skeleton) => {
+                let stores = task.args.iter().map(|a| a.store);
+                self.replay_launch(tasks, &skeleton, stores, task.name.clone())
+            }
+            None => self.library_kernel(&task).map(|(skeleton, launch)| {
+                self.launch(tasks, &launch, &skeleton.plan, std::iter::empty());
+                self.library.insert(CanonicalWindow::new(tasks), Arc::new(skeleton));
+            }),
+        };
+        if let Err(detail) = launched {
             let accesses = task.args.iter().map(|a| (a.store, a.privilege));
             self.contain(&task.name, accesses, detail);
-            return;
         }
-        let kernel = self.compile_artifact(&task.name, &module);
-        // The argument list goes out verbatim (un-merged): nothing is a
-        // temporary outside a fused window.
-        let args = task.args.iter().map(|a| (a.store, a.partition, a.privilege, None));
-        let locals = &lens[task.args.len()..];
-        let tasks = std::slice::from_ref(&task);
-        let launch = self.task_launch(tasks, kernel, task.name.clone(), args, locals);
-        // No skeleton outlives an unfused launch: it is planned afresh.
-        let plan = self.runtime.plan(&launch).expect("a context launch names live regions");
-        self.launch(tasks, &launch, &plan, std::iter::empty());
     }
 
-    /// The launch of `tasks` through a skeleton whose arguments resolve to
-    /// `stores`, one per skeleton argument.
-    fn skeleton_launch(
+    /// Every launch of a skeleton but its first: `tasks` named `name`, the
+    /// arguments resolved to `stores`, under the skeleton's plan, which the
+    /// gate re-derives from this launch (with verification off, nothing).
+    fn replay_launch(
         &mut self,
         tasks: &[IndexTask],
         skeleton: &Skeleton,
-        stores: &[StoreId],
-    ) -> TaskLaunch {
+        stores: impl Iterator<Item = StoreId> + Clone,
+        name: String,
+    ) -> Result<(), String> {
         let args = skeleton
             .args
             .iter()
-            .zip(stores)
+            .zip(stores.clone())
             .zip(&skeleton.temp_volumes)
-            .map(|((&(_, part, privilege), &store), &temp)| (store, part, privilege, temp));
+            .map(|((&(_, part, privilege), store), &temp)| (store, part, privilege, temp));
         let kernel = Arc::clone(&skeleton.kernel);
-        let locals = &skeleton.generator_local_lens;
-        self.task_launch(tasks, kernel, skeleton.name.clone(), args, locals)
+        let launch = self.task_launch(tasks, kernel, name, args, &skeleton.generator_local_lens);
+        let plan = &skeleton.plan;
+        self.verify(
+            format_args!("memoized launch plan of `{}` does not match its replay", launch.name),
+            |this| match this.runtime.plan(&launch).map_err(|e| e.to_string())? {
+                fresh if fresh == *plan => Ok(1),
+                fresh => Err(format!("memoized {plan:?}, re-derived {fresh:?}")),
+            },
+        )?;
+        self.launch(tasks, &launch, &skeleton.plan, skeleton.temps(stores));
+        Ok(())
     }
 
-    /// Launch, first half, shared by every path (unfused task, compiled
-    /// prefix, memo replay): the runtime launch of `tasks`. Splits the
+    /// Launch, first half, shared by every path (library kernel, compiled
+    /// prefix, replay): the runtime launch of `tasks`. Splits the
     /// resolved arguments into region requirements and task-local
     /// temporaries (`Some(volume)` marks a temporary and gives its buffer
     /// length), appends the generator-introduced locals and gathers the
@@ -1075,19 +1093,6 @@ impl ContextInner {
             self.stats.fused_tasks += 1;
         }
         self.attribute_launch(tasks, delta);
-    }
-}
-
-/// The verification gate's plan check: the plan a replay reuses must be the
-/// one its own launch derives (`Runtime::plan`).
-fn verify_plan(
-    runtime: &Runtime,
-    launch: &TaskLaunch,
-    memoized: &LaunchPlan,
-) -> Result<usize, String> {
-    match runtime.plan(launch).map_err(|e| e.to_string())? {
-        fresh if fresh == *memoized => Ok(1),
-        fresh => Err(format!("memoized {memoized:?}, re-derived {fresh:?}")),
     }
 }
 
@@ -1175,6 +1180,7 @@ impl Context {
             registry: GeneratorRegistry::new(),
             window: TaskWindow::new(),
             memo: MemoCache::with_capacity_limit(config.memo_capacity.max(1)),
+            library: MemoCache::new(),
             backend: config.backend.backend(),
             compile_model: CompileTimeModel::default(),
             stats: ExecutionStats::default(),
@@ -1492,11 +1498,20 @@ mod tests {
 
     /// Registers an elementwise binary-add generator and returns its kind.
     fn register_add(ctx: &Context) -> TaskKind {
+        register_counted_add(ctx, Arc::default())
+    }
+
+    /// [`register_add`] with a generator that counts its calls in `calls`.
+    fn register_counted_add(
+        ctx: &Context,
+        calls: Arc<std::sync::atomic::AtomicUsize>,
+    ) -> TaskKind {
         let lib = ctx.register_library("adds");
         lib.register(
             "add",
             TaskSignature::new().read().read().write(),
-            |_args| {
+            move |_args| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let mut m = KernelModule::new(3);
                 m.set_role(BufferId(2), BufferRole::Output);
                 let mut b = LoopBuilder::new("add", BufferId(2));
@@ -2110,6 +2125,115 @@ mod tests {
         // Recovery left nothing abandoned.
         assert_eq!(simd_stats.abandoned_launches, 0);
         assert!(ctx_with_gpus(1).take_failures().is_empty());
+    }
+
+    #[test]
+    fn a_library_kernel_degrades_once_not_at_every_launch() {
+        use kernel::BackendKind;
+        use runtime::FaultPlan;
+        // The sibling above, unfused: one task launched three times. Its
+        // library kernel is compiled once, on the first launch, so the
+        // compile site fires once; the replays reuse the degraded kernel.
+        let run = |backend: BackendKind| {
+            let ctx = Context::new(
+                DiffuseConfig::unfused(MachineConfig::with_gpus(4))
+                    .with_backend(backend)
+                    .with_fault_plan(FaultPlan::new(5, 1.0)),
+            );
+            let add = register_add(&ctx);
+            let n = 32u64;
+            let p = block(n, 4);
+            let a = ctx.create_store(vec![n], "a");
+            let out = ctx.create_store(vec![n], "out");
+            ctx.fill(&a, 2.0);
+            for _ in 0..3 {
+                let args = vec![
+                    StoreArg::new(a.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(a.id(), p.clone(), Privilege::Read),
+                    StoreArg::new(out.id(), p.clone(), Privilege::Write),
+                ];
+                ctx.submit(add, "add", args, vec![]);
+            }
+            let data = ctx.read_store(&out).unwrap();
+            (data, ctx.stats())
+        };
+        let (interp_data, interp_stats) = run(BackendKind::Interp);
+        let (simd_data, simd_stats) = run(BackendKind::Simd);
+        assert_eq!(interp_data, vec![4.0; 32]);
+        assert_eq!(simd_data, interp_data);
+        assert!(interp_stats.faults_injected > 0, "runtime sites fired");
+        assert_eq!(simd_stats.faults_injected - interp_stats.faults_injected, 1);
+        assert_eq!(simd_stats.degraded_launches - interp_stats.degraded_launches, 1);
+        assert_eq!(simd_stats.retries, interp_stats.retries);
+        assert_eq!((simd_stats.tasks_launched, simd_stats.compilations), (3, 0));
+    }
+
+    #[test]
+    fn a_task_launched_alone_generates_once_per_canonical_form() {
+        // Three rounds of the same two tasks: `c = a + b` and `d = c + c`,
+        // whose one-task forms differ in argument sharing. Each form's
+        // library kernel is generated on its first launch and replayed after.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let ctx = Context::new(
+            DiffuseConfig::unfused(MachineConfig::with_gpus(4)).with_analyze(AnalyzeMode::Declared),
+        );
+        let add = register_counted_add(&ctx, Arc::clone(&calls));
+        let n = 64u64;
+        let p = block(n, 4);
+        let store = |name: &str| ctx.create_store(vec![n], name);
+        let (a, b, c, d) = (store("a"), store("b"), store("c"), store("d"));
+        ctx.fill(&a, 1.0);
+        ctx.fill(&b, 2.0);
+        let ew = |x: &StoreHandle, y: &StoreHandle, o: &StoreHandle| {
+            vec![
+                StoreArg::new(x.id(), p.clone(), Privilege::Read),
+                StoreArg::new(y.id(), p.clone(), Privilege::Read),
+                StoreArg::new(o.id(), p.clone(), Privilege::Write),
+            ]
+        };
+        for _ in 0..3 {
+            ctx.submit(add, "add", ew(&a, &b, &c), vec![]);
+            ctx.submit(add, "add", ew(&c, &c, &d), vec![]);
+            assert_eq!(ctx.read_store(&d).unwrap(), vec![6.0; 64]);
+        }
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+        let stats = ctx.stats();
+        assert_eq!(stats.tasks_launched, 6);
+        assert_eq!((stats.compilations, stats.compile_time), (0, 0.0));
+    }
+
+    #[test]
+    fn library_kernels_are_keyed_by_argument_sharing() {
+        // `add(x, x -> y)`, `add(x, z -> y)` and the in-place `add(x, y -> y)`
+        // generate the same module (same kind, shapes, partitions and
+        // domain), but differ in which arguments share a store. The in-place
+        // launch plans differently (its writer shares a region with a read,
+        // so it is staged, not viewed): keyed by the module's inputs alone,
+        // one would replay another's plan, and the verifier's plan check
+        // would fail fast here.
+        let ctx = Context::new(
+            DiffuseConfig::unfused(MachineConfig::with_gpus(4))
+                .with_verification(true)
+                .with_verify_fail_fast(true),
+        );
+        let add = register_add(&ctx);
+        let n = 64u64;
+        let p = block(n, 4);
+        let store = |name: &str| ctx.create_store(vec![n], name);
+        let (x, y, z) = (store("x"), store("y"), store("z"));
+        ctx.fill(&x, 1.0);
+        ctx.fill(&z, 5.0);
+        let rounds = [(&x, 2.0), (&z, 6.0), (&y, 7.0), (&z, 6.0), (&x, 2.0), (&y, 3.0)];
+        for (second, expected) in rounds {
+            let args = vec![
+                StoreArg::new(x.id(), p.clone(), Privilege::Read),
+                StoreArg::new(second.id(), p.clone(), Privilege::Read),
+                StoreArg::new(y.id(), p.clone(), Privilege::Write),
+            ];
+            ctx.submit(add, "add", args, vec![]);
+            assert_eq!(ctx.read_store(&y).unwrap(), vec![expected; 64]);
+        }
+        assert!(ctx.stats().verification_checks > 0);
     }
 
     #[test]

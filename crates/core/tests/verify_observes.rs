@@ -185,7 +185,8 @@ fn fused_leg(verify: bool) -> Leg {
     finish(&ctx, &outputs)
 }
 
-/// The unfused leg: the same chain, one launch per task.
+/// The unfused leg: the same chain twice, one launch per task. The first
+/// round builds each task's library kernel; the second replays them.
 fn unfused_leg(verify: bool) -> Leg {
     let ctx = context(
         DiffuseConfig::unfused(MachineConfig::with_gpus(GPUS as usize)),
@@ -198,7 +199,8 @@ fn unfused_leg(verify: bool) -> Leg {
     );
     ctx.write_store(&a, (0..N).map(|i| 0.5 * i as f64).collect());
     ctx.fill(&b, 2.0);
-    let outputs = chain_round(&ctx, &ops, &a, &b, false);
+    let mut outputs = chain_round(&ctx, &ops, &a, &b, false);
+    outputs.extend(chain_round(&ctx, &ops, &a, &b, false));
     finish(&ctx, &outputs)
 }
 
@@ -280,14 +282,18 @@ fn verification_only_observes() {
         (horizontal.horizontally_fused_tasks, horizontal.memo_hits),
         (16, 2)
     );
-    assert_eq!((unfused.tasks_launched, unfused.fused_tasks), (4, 0));
+    assert_eq!((unfused.tasks_launched, unfused.fused_tasks), (8, 0));
     // Recorded by running this file, unchanged, against the tree before the
     // window pipeline was split into plan → lower → launch (commit c392854,
     // where every check site carried its own `if enable_verification`
     // block): the one gate must neither drop nor add a check. Since replays
     // reuse their skeleton's launch plan, each replay adds one plan check:
     // five in the fused leg (six hits, one of them a layout drift that
-    // recompiles) and two in the horizontal leg.
+    // recompiles) and two in the horizontal leg. A task launched alone
+    // checks its module once, when its library kernel is built: 68 on the
+    // first unfused round, as when every unfused launch was checked; each of
+    // the second round's four launches replays a library kernel and adds one
+    // plan check.
     let checks: Vec<u64> = stats.iter().map(|s| s.verification_checks).collect();
-    assert_eq!(checks, vec![230 + 5, 400 + 2, 68]);
+    assert_eq!(checks, vec![230 + 5, 400 + 2, 68 + 4]);
 }

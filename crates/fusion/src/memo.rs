@@ -233,11 +233,21 @@ impl<V> MemoCache<V> {
     /// `CanonicalWindow` construction on either outcome** (the caller builds
     /// the key only when inserting after a miss).
     pub fn probe(&mut self, window: &TaskWindow) -> Option<&V> {
+        self.probe_fingerprinted(window.fingerprint(), window.tasks())
+    }
+
+    /// [`MemoCache::probe`] for tasks held in no window (a task launched
+    /// alone), their fingerprint folded here: also allocation-free.
+    pub fn probe_tasks(&mut self, tasks: &[IndexTask]) -> Option<&V> {
+        self.probe_fingerprinted(window_fingerprint(tasks), tasks)
+    }
+
+    fn probe_fingerprinted(&mut self, fingerprint: u64, tasks: &[IndexTask]) -> Option<&V> {
         self.tick += 1;
-        let candidates = self.index.get(&window.fingerprint())?;
+        let candidates = self.index.get(&fingerprint)?;
         let si = *candidates.iter().find(|&&si| {
             let slot = self.slots[si as usize].as_ref().expect("indexed slot is live");
-            slot.key.matches(window.tasks(), &mut self.scratch)
+            slot.key.matches(tasks, &mut self.scratch)
         })?;
         let slot = self.slots[si as usize].as_mut().expect("live");
         slot.last_used = self.tick;

@@ -14,6 +14,12 @@
 //! Verification is off in both legs, as in the benchmark, so the memo leg
 //! reuses its plans unchecked; a third leg re-derives and checks every
 //! replayed plan through the verifier (failing fast).
+//!
+//! Unfused, every task launched alone replays its library kernel's plan,
+//! made when the kernel was built on the first launch of its one-task
+//! canonical form. There is no leg without that cache, so the unchecked
+//! unfused leg is held to one that re-derives and checks every replayed
+//! plan: everything but the verifier's own count must agree.
 
 use dense::DenseContext;
 use diffuse::{Context, DiffuseConfig, ExecutionStats, FaultPlan, StoreHandle};
@@ -42,14 +48,23 @@ enum Leg {
     NoMemo,
     /// Memo hits re-derive their plan and the verifier compares the two.
     MemoVerified,
+    /// Unfused: library-kernel replays reuse their plan unchecked.
+    Unfused,
+    /// Unfused: library-kernel replays re-derive their plan and the
+    /// verifier compares the two.
+    UnfusedVerified,
 }
 
 fn context(leg: Leg, faults: Option<FaultPlan>) -> Context {
-    let config = DiffuseConfig::fused(MachineConfig::with_gpus(GPUS));
+    let machine = MachineConfig::with_gpus(GPUS);
+    let config = DiffuseConfig::fused(machine.clone());
+    let verified = |c: DiffuseConfig| c.with_verification(true).with_verify_fail_fast(true);
     let config = match leg {
         Leg::Memo => config.with_verification(false),
         Leg::NoMemo => config.without_memoization().with_verification(false),
-        Leg::MemoVerified => config.with_verification(true).with_verify_fail_fast(true),
+        Leg::MemoVerified => verified(config),
+        Leg::Unfused => DiffuseConfig::unfused(machine).with_verification(false),
+        Leg::UnfusedVerified => verified(DiffuseConfig::unfused(machine)),
     };
     Context::new(DiffuseConfig {
         fault_plan: faults,
@@ -124,7 +139,8 @@ fn stencil_stream(leg: Leg) -> Outcome {
 }
 
 /// Memo on and memo off agree on everything a run leaves behind but the
-/// memo's own counters; the verified memo leg agrees too.
+/// memo's own counters; the verified memo leg agrees too. The unfused leg
+/// agrees with its verified twin on everything but the verifier's count.
 fn assert_indistinguishable(stream: &str, run: impl Fn(Leg) -> Outcome) {
     let (memo, fresh, verified) = (run(Leg::Memo), run(Leg::NoMemo), run(Leg::MemoVerified));
     assert!(memo.stats.memo_hits > 0, "{stream}: the memo leg must replay");
@@ -137,6 +153,17 @@ fn assert_indistinguishable(stream: &str, run: impl Fn(Leg) -> Outcome) {
         assert_eq!(launches(&memo.stats), launches(&other.stats), "{stream}: {leg} launches");
     }
     assert!(verified.stats.verification_checks > 0, "{stream}: the verifier ran");
+    let (alone, checked) = (run(Leg::Unfused), run(Leg::UnfusedVerified));
+    assert_eq!(alone.stats.fused_tasks, 0, "{stream}: the unfused leg must not fuse");
+    assert_eq!(alone.data, checked.data, "{stream}: unfused verified data");
+    assert_eq!(alone.clock, checked.clock, "{stream}: unfused verified simulated clock");
+    assert_eq!(alone.profile, checked.profile, "{stream}: unfused verified profile");
+    let observed = ExecutionStats {
+        verification_checks: 0,
+        ..checked.stats
+    };
+    assert_eq!(alone.stats, observed, "{stream}: unfused verified stats");
+    assert!(checked.stats.verification_checks > 0, "{stream}: the unfused verifier ran");
 }
 
 #[test]
