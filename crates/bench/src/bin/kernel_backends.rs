@@ -1,5 +1,5 @@
-//! Times the interpreter against the SIMD kernel backend on the fused CG
-//! and Jacobi windows and records the trajectory in
+//! Times the interpreter against the SIMD kernel backend on the fused CG,
+//! Jacobi and Black-Scholes pricing windows and records the trajectory in
 //! `BENCH_kernel_backends.json` (schema in `docs/BENCHMARKS.md`).
 //!
 //! The windows are built exactly the way `diffuse::Context` builds them: the
@@ -26,8 +26,8 @@
 
 use bench::{Bound, JsonValue};
 use kernel::{
-    BackendKind, BufferId, BufferRole, CompiledKernel, KernelModule, LoopBuilder,
-    Pipeline,
+    BackendKind, BinaryOp, BufferId, BufferRole, CompiledKernel, KernelModule, LoopBuilder,
+    Pipeline, UnaryOp, ValueId,
 };
 
 /// Elements per buffer in the measured windows.
@@ -138,6 +138,115 @@ fn jacobi_window() -> (KernelModule, Vec<Vec<f64>>, Vec<f64>) {
     (fused, buffers, vec![1.0 / 64.0])
 }
 
+/// A window under construction: each library call appends its task body
+/// (the dense library's one-loop generators) in program order, writing a
+/// fresh temporary, and each scalar operand becomes the next scalar
+/// parameter, as `diffuse::Context` concatenates them when it fuses.
+struct Tape {
+    module: KernelModule,
+    scalars: Vec<f64>,
+}
+
+impl Tape {
+    fn task(
+        &mut self,
+        name: &str,
+        inputs: &[BufferId],
+        scalar: Option<f64>,
+        body: impl FnOnce(&mut LoopBuilder, &[ValueId], Option<ValueId>) -> ValueId,
+    ) -> BufferId {
+        let out = self.module.add_local();
+        let mut b = LoopBuilder::new(name, out);
+        let xs: Vec<ValueId> = inputs.iter().map(|&buf| b.load(buf)).collect();
+        let param = scalar.map(|v| {
+            self.scalars.push(v);
+            b.param(self.scalars.len() - 1)
+        });
+        let v = body(&mut b, &xs, param);
+        b.store(out, v);
+        self.module.push_loop(b.finish());
+        out
+    }
+
+    fn binary(&mut self, op: BinaryOp, x: BufferId, y: BufferId) -> BufferId {
+        self.task("binary", &[x, y], None, |b, v, _| b.binary(op, v[0], v[1]))
+    }
+
+    fn unary(&mut self, op: UnaryOp, x: BufferId) -> BufferId {
+        self.task("unary", &[x], None, |b, v, _| b.unary(op, v[0]))
+    }
+
+    fn scalar(&mut self, op: BinaryOp, x: BufferId, c: f64) -> BufferId {
+        self.task("scalar", &[x], Some(c), |b, v, p| {
+            b.binary(op, v[0], p.expect("a scalar task has a parameter"))
+        })
+    }
+}
+
+/// The fused Black-Scholes pricing window, the whole fused launch of
+/// `diffuse-bench`'s `bs_stream`: one pass of `apps::black_scholes::price`,
+/// 33 elementwise library calls whose temporaries are all task-local except
+/// the two prices (buffers: 0=S, 1=K, 2=T, then one per call). Per element
+/// it evaluates one `ln`, one `sqrt`, one `exp` and four `erf`s.
+fn pricing_window() -> WindowCase {
+    const RATE: f64 = 0.02;
+    const VOLATILITY: f64 = 0.3;
+    let mut tape = Tape {
+        module: KernelModule::new(3),
+        scalars: Vec::new(),
+    };
+    let (s, k, t) = (BufferId(0), BufferId(1), BufferId(2));
+    let cdf = |tape: &mut Tape, x| {
+        let scaled = tape.scalar(BinaryOp::Mul, x, std::f64::consts::FRAC_1_SQRT_2);
+        let e = tape.unary(UnaryOp::Erf, scaled);
+        let shifted = tape.scalar(BinaryOp::Add, e, 1.0);
+        tape.scalar(BinaryOp::Mul, shifted, 0.5)
+    };
+    let ratio = tape.binary(BinaryOp::Div, s, k);
+    let log_moneyness = tape.unary(UnaryOp::Ln, ratio);
+    let drift = tape.scalar(BinaryOp::Mul, t, RATE + 0.5 * VOLATILITY * VOLATILITY);
+    let numerator = tape.binary(BinaryOp::Add, log_moneyness, drift);
+    let root_t = tape.unary(UnaryOp::Sqrt, t);
+    let denom = tape.scalar(BinaryOp::Mul, root_t, VOLATILITY);
+    let d1 = tape.binary(BinaryOp::Div, numerator, denom);
+    let d2 = tape.binary(BinaryOp::Sub, d1, denom);
+    let rate_t = tape.scalar(BinaryOp::Mul, t, -RATE);
+    let discount = tape.unary(UnaryOp::Exp, rate_t);
+    let kd = tape.binary(BinaryOp::Mul, k, discount);
+    let n_d1 = cdf(&mut tape, d1);
+    let s_nd1 = tape.binary(BinaryOp::Mul, s, n_d1);
+    let n_d2 = cdf(&mut tape, d2);
+    let kd_nd2 = tape.binary(BinaryOp::Mul, kd, n_d2);
+    let call = tape.binary(BinaryOp::Sub, s_nd1, kd_nd2);
+    let neg_d2 = tape.unary(UnaryOp::Neg, d2);
+    let n_neg_d2 = cdf(&mut tape, neg_d2);
+    let kd_n = tape.binary(BinaryOp::Mul, kd, n_neg_d2);
+    let neg_d1 = tape.unary(UnaryOp::Neg, d1);
+    let n_neg_d1 = cdf(&mut tape, neg_d1);
+    let s_n = tape.binary(BinaryOp::Mul, s, n_neg_d1);
+    let put = tape.binary(BinaryOp::Sub, kd_n, s_n);
+    let Tape {
+        mut module,
+        scalars,
+    } = tape;
+    module.set_role(call, BufferRole::Output);
+    module.set_role(put, BufferRole::Output);
+
+    let lens = vec![N; module.num_buffers() as usize];
+    let fused = Pipeline::default().run(module, &lens).module;
+    // Spot and strike in [50, 150), expiry in [0.05, 2.05), as the app draws
+    // them.
+    let spread = |i: usize, salt: usize| ((i * 7919 + salt * 104_729) % 1000) as f64 / 1000.0;
+    let buffers: Vec<Vec<f64>> = (0..fused.num_buffers() as usize)
+        .map(|b| match b {
+            0 | 1 => (0..N).map(|i| 50.0 + 100.0 * spread(i, b)).collect(),
+            2 => (0..N).map(|i| 0.05 + 2.0 * spread(i, b)).collect(),
+            _ => vec![0.0; N],
+        })
+        .collect();
+    (fused, buffers, scalars)
+}
+
 /// Steady-state execution nanoseconds per element over one timed batch.
 fn batch_ns_per_element(
     kernel: &dyn CompiledKernel,
@@ -196,6 +305,7 @@ fn main() {
     let results = [
         measure_window("cg", cg_window),
         measure_window("jacobi", jacobi_window),
+        measure_window("pricing", pricing_window),
     ];
     let mut notes = Vec::new();
     for r in &results {

@@ -11,6 +11,7 @@ use crate::backend::{with_dense_table, Buffer};
 use crate::ir::{
     BinaryOp, BufferId, KernelModule, KernelStage, LoopKernel, LoopOp, OpaqueOp, UnaryOp, ValueId,
 };
+use crate::math;
 
 /// Errors produced by kernel execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -316,18 +317,20 @@ fn apply_opaque<'b>(
     }
 }
 
-/// Resolves a unary operator to its host function. Every backend evaluates
-/// ops through these resolvers, so backends agree bitwise by construction:
-/// the interpreter calls the resolved function per element, the lowering
-/// binds it once at compile time.
+/// Resolves a unary operator to its host function. The interpreter calls the
+/// resolved function per element; the SIMD backend runs the IEEE-exact ones
+/// inline and maps `exp`, `ln` and `erf` over a register row through the
+/// same [`crate::math`] functions, so backends agree bitwise by
+/// construction. Those three are `kernel::math`'s branch-free versions, not
+/// the platform libm.
 pub(crate) fn unary_fn(op: UnaryOp) -> fn(f64) -> f64 {
     match op {
         UnaryOp::Neg => |a| -a,
         UnaryOp::Sqrt => f64::sqrt,
-        UnaryOp::Exp => f64::exp,
-        UnaryOp::Ln => f64::ln,
+        UnaryOp::Exp => math::exp,
+        UnaryOp::Ln => math::ln,
         UnaryOp::Abs => f64::abs,
-        UnaryOp::Erf => erf,
+        UnaryOp::Erf => math::erf,
         UnaryOp::Recip => |a| 1.0 / a,
     }
 }
@@ -351,22 +354,6 @@ fn apply_unary(op: UnaryOp, a: f64) -> f64 {
 
 fn apply_binary(op: BinaryOp, a: f64, b: f64) -> f64 {
     binary_fn(op)(a, b)
-}
-
-/// Abramowitz–Stegun approximation of the error function (maximum absolute
-/// error about 1.5e-7), sufficient for the Black-Scholes workload.
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let a1 = 0.254829592;
-    let a2 = -0.284496736;
-    let a3 = 1.421413741;
-    let a4 = -1.453152027;
-    let a5 = 1.061405429;
-    let p = 0.3275911;
-    let t = 1.0 / (1.0 + p * x);
-    let y = 1.0 - (((((a5 * t + a4) * t) + a3) * t + a2) * t + a1) * t * (-x * x).exp();
-    sign * y
 }
 
 #[cfg(test)]
@@ -533,14 +520,6 @@ mod tests {
         let mut bufs = vec![vec![0.0; 4], vec![0.0; 2]];
         let err = Interpreter::new().execute(&module, &mut bufs, &[]);
         assert!(matches!(err, Err(ExecError::LengthMismatch { .. })));
-    }
-
-    #[test]
-    fn erf_is_accurate() {
-        assert!((erf(0.0)).abs() < 1e-7);
-        assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
-        assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! The default [`InterpBackend`] wraps the interpreter; the [`SimdBackend`]
 //! lowers loop nests once into pre-resolved micro-op streams and executes
 //! them as lane-parallel arrays-of-lanes kernels with masked tails (a real
-//! JIT shape with one-time cost and faster steady state). Each backend's
+//! JIT shape with one-time cost and faster steady state). Both evaluate
+//! `exp`, `ln` and `erf` through the branch-free [`math`] module, so they
+//! agree bit for bit. Each backend's
 //! simulated compile surcharge is fitted from measured wall-clock
 //! ([`CompileTimeModel::calibrated`]). See `docs/BACKENDS.md`.
 //!
@@ -67,6 +69,7 @@ pub mod generator;
 pub mod interp;
 pub mod ir;
 mod lower;
+pub mod math;
 pub mod passes;
 pub mod simd;
 pub mod verify;

@@ -62,8 +62,14 @@ pub(crate) enum Instr {
     Sub { dst: u32, a: u32, b: u32 },
     Mul { dst: u32, a: u32, b: u32 },
     Div { dst: u32, a: u32, b: u32 },
-    /// Remaining unary operators through a pre-resolved function pointer.
-    Unary { dst: u32, a: u32, f: fn(f64) -> f64 },
+    /// Remaining unary operators, carried by name: the per-element path
+    /// evaluates them through [`interp::unary_fn`], the lane path maps
+    /// them over a register row.
+    Unary {
+        dst: u32,
+        a: u32,
+        op: UnaryOp,
+    },
     /// Remaining binary operators through a pre-resolved function pointer.
     Binary {
         dst: u32,
@@ -103,7 +109,9 @@ pub(crate) fn run_instr(
         Instr::Div { dst, a, b } => {
             values[dst as usize] = values[a as usize] / values[b as usize]
         }
-        Instr::Unary { dst, a, f } => values[dst as usize] = f(values[a as usize]),
+        Instr::Unary { dst, a, op } => {
+            values[dst as usize] = interp::unary_fn(op)(values[a as usize])
+        }
         Instr::Binary { dst, a, b, f } => {
             values[dst as usize] = f(values[a as usize], values[b as usize])
         }
@@ -309,11 +317,7 @@ pub(crate) fn lower_loop(l: &LoopKernel) -> Result<CompiledLoop, ExecError> {
                 let a = read(a)?;
                 let instr = match op {
                     UnaryOp::Neg => Instr::Neg { dst: dst.0, a },
-                    other => Instr::Unary {
-                        dst: dst.0,
-                        a,
-                        f: interp::unary_fn(other),
-                    },
+                    op => Instr::Unary { dst: dst.0, a, op },
                 };
                 (instr, false)
             }

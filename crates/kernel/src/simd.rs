@@ -2,7 +2,7 @@
 //! chunked kernels over arrays-of-lanes.
 //!
 //! The lowering front end (`lower::lower_loop`) resolves every op at compile
-//! time — buffer and value ids to raw indices, operators to host functions,
+//! time — buffer and value ids to raw indices, arithmetic to inline micro-ops,
 //! invariants hoisted into a prelude, SSA checked once — and this backend
 //! executes the resulting micro-op streams chunk by chunk, in the style of the
 //! single-pass fused SIMD kernels of "Optimizing CUDA Code By Kernel Fusion"
@@ -22,6 +22,10 @@
 //! * Loop-invariant ops (constants, scalar parameters, broadcast loads of
 //!   buffers the loop never writes) are splatted across a register row once
 //!   per stage.
+//! * `exp`, `ln` and `erf` rows run the [`crate::math`] functions the
+//!   interpreter calls per element, through a small per-row routine compiled
+//!   twice — for the baseline target and for AVX2 — and picked at run time
+//!   (`transcendental_row`). That call is the backend's one `unsafe`.
 //! * Domains that are not a multiple of the chunk width run an explicit
 //!   **masked tail**: loads fill only the valid lanes, arithmetic runs full
 //!   width (dead lanes hold stale values, which is harmless — no element's
@@ -57,8 +61,9 @@ use std::sync::Arc;
 use crate::backend::{BackendKind, Buffer, CompiledKernel, KernelBackend};
 use crate::cost::CompileTimeModel;
 use crate::interp::{self, ExecError};
-use crate::ir::{KernelModule, KernelStage, OpaqueOp, ReduceOp};
+use crate::ir::{KernelModule, KernelStage, OpaqueOp, ReduceOp, UnaryOp};
 use crate::lower::{lower_loop, CompiledLoop, Instr};
+use crate::math;
 
 /// Lanes per SIMD vector: the `f64x4` shape of a 256-bit double vector.
 pub const LANES: usize = 4;
@@ -269,6 +274,61 @@ macro_rules! lane_op {
     }};
 }
 
+/// `d = op(a)` over one row for a transcendental `op`, through the same
+/// [`math`] functions the interpreter calls per element. The row loop is
+/// compiled twice — inline here for the baseline target, and in
+/// [`avx2_row`] four lanes wide — and each row picks one at run time.
+/// Dispatching a small function per row, rather than compiling a whole
+/// chunk loop for AVX2, keeps the arithmetic micro-ops at the baseline
+/// target (they lose speed at the wider one) and lets LLVM vectorize the
+/// math.
+fn transcendental_row(op: UnaryOp, a: &Row, d: &mut Row) {
+    if !avx2_row(op, a, d) {
+        math_row(op, a, d);
+    }
+}
+
+/// `d[i] = f(a[i])` over a row: a constant trip count, and no call left
+/// once `f` is inlined.
+#[inline(always)]
+fn row_map(a: &Row, d: &mut Row, f: impl Fn(f64) -> f64) {
+    for (d, &x) in d.as_flattened_mut().iter_mut().zip(a.as_flattened()) {
+        *d = f(x);
+    }
+}
+
+/// The row loop both copies share.
+#[inline(always)]
+fn math_row(op: UnaryOp, a: &Row, d: &mut Row) {
+    match op {
+        UnaryOp::Exp => row_map(a, d, math::exp),
+        UnaryOp::Ln => row_map(a, d, math::ln),
+        UnaryOp::Erf => row_map(a, d, math::erf),
+        _ => unreachable!("only exp, ln and erf rows are dispatched"),
+    }
+}
+
+/// [`math_row`] compiled for AVX2 (no FMA: IEEE operations give the same
+/// bits at any vector width), run if the CPU has AVX2. Returns whether it
+/// ran.
+fn avx2_row(op: UnaryOp, a: &Row, d: &mut Row) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn row(op: UnaryOp, a: &Row, d: &mut Row) {
+            math_row(op, a, d);
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `row` needs AVX2 and nothing else, and the CPU was just
+            // detected to support it.
+            unsafe { row(op, a, d) };
+            return true;
+        }
+    }
+    let _ = (op, a, d);
+    false
+}
+
 /// Executes the lane-parallel schedule over a non-empty domain of `n`
 /// elements. The caller has already validated buffers and scalars.
 fn run_lanes(plan: &LanePlan, buffers: &mut [Buffer<'_>], scalars: &[f64], n: usize) {
@@ -316,7 +376,16 @@ fn run_chunk(
             Instr::Sub { dst, a, b } => lane_op!(regs, dst, a, b, |x, y| x - y),
             Instr::Mul { dst, a, b } => lane_op!(regs, dst, a, b, |x, y| x * y),
             Instr::Div { dst, a, b } => lane_op!(regs, dst, a, b, |x, y| x / y),
-            Instr::Unary { dst, a, f } => lane_op!(regs, dst, a, |x| f(x)),
+            Instr::Unary { dst, a, op } => match op {
+                UnaryOp::Neg => lane_op!(regs, dst, a, |x| -x),
+                UnaryOp::Sqrt => lane_op!(regs, dst, a, |x| x.sqrt()),
+                UnaryOp::Abs => lane_op!(regs, dst, a, |x| x.abs()),
+                UnaryOp::Recip => lane_op!(regs, dst, a, |x| 1.0 / x),
+                UnaryOp::Exp | UnaryOp::Ln | UnaryOp::Erf => {
+                    let (lo, hi) = regs.split_at_mut(dst as usize);
+                    transcendental_row(op, &lo[a as usize], &mut hi[0]);
+                }
+            },
             Instr::Binary { dst, a, b, f } => lane_op!(regs, dst, a, b, |x, y| f(x, y)),
             Instr::Store { buf, src } => {
                 // The masked write-back mirrors the load: only the `len`
@@ -522,6 +591,88 @@ mod tests {
         ];
         let (a, b) = both(&m, &bufs, &[]);
         assert_eq!(bits(&a), bits(&b));
+    }
+
+    /// Edge values of `exp`, `ln` and `erf`, then pseudo-random arguments
+    /// spread over many binades of both signs.
+    fn transcendental_inputs() -> Row {
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            709.78,
+            709.79,
+            -745.13,
+            -746.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut row = splat(0.0);
+        for (i, x) in row.as_flattened_mut().iter_mut().enumerate() {
+            *x = edges.get(i).copied().unwrap_or_else(|| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let magnitude = (state >> 11) as f64 / (1u64 << 53) as f64;
+                let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+                sign * magnitude * 10f64.powi((state % 7) as i32 - 2)
+            });
+        }
+        row
+    }
+
+    #[test]
+    fn avx2_and_portable_rows_agree_bit_for_bit() {
+        let a = transcendental_inputs();
+        for op in [UnaryOp::Exp, UnaryOp::Ln, UnaryOp::Erf] {
+            let (mut wide, mut portable) = (splat(0.0), splat(0.0));
+            if !avx2_row(op, &a, &mut wide) {
+                println!("skipped: this CPU has no AVX2, so only the portable row runs");
+                return;
+            }
+            math_row(op, &a, &mut portable);
+            assert_eq!(
+                bits(&[wide.as_flattened().to_vec()]),
+                bits(&[portable.as_flattened().to_vec()]),
+                "{op:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn transcendental_rows_match_interpreter_at_every_tail_length() {
+        let inputs = transcendental_inputs();
+        let inputs = inputs.as_flattened();
+        for op in [UnaryOp::Exp, UnaryOp::Ln, UnaryOp::Erf] {
+            let mut m = KernelModule::new(2);
+            m.set_role(BufferId(1), BufferRole::Output);
+            let mut lb = LoopBuilder::new("transcendental", BufferId(0));
+            let x = lb.load(BufferId(0));
+            let y = lb.unary(op, x);
+            lb.store(BufferId(1), y);
+            m.push_loop(lb.finish());
+            // One full chunk plus every tail length after it.
+            let step = if cfg!(miri) { 13 } else { 1 };
+            for tail in (0..SIMD_CHUNK).step_by(step) {
+                let n = SIMD_CHUNK + tail;
+                let bufs = vec![
+                    (0..n)
+                        .map(|i| inputs[(i * 7 + tail) % SIMD_CHUNK])
+                        .collect(),
+                    vec![0.0; n],
+                ];
+                let (a, b) = both(&m, &bufs, &[]);
+                assert_eq!(bits(&a), bits(&b), "{op:?}, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use proptest::prelude::*;
 
 use ir::{AccessPattern, BufferFootprint};
 use kernel::analyze::infer_footprint;
-use kernel::interp::erf;
+use kernel::math::{erf, exp, ln};
 use kernel::{
     BinaryOp, BufferId, BufferRole, IndexWidth, Interpreter, KernelModule, KernelStage,
     LoopKernel, LoopOp, OpaqueOp, ReduceOp, UnaryOp, ValueId,
@@ -149,8 +149,8 @@ fn apply_unary(op: UnaryOp, a: f64) -> f64 {
     match op {
         UnaryOp::Neg => -a,
         UnaryOp::Sqrt => a.sqrt(),
-        UnaryOp::Exp => a.exp(),
-        UnaryOp::Ln => a.ln(),
+        UnaryOp::Exp => exp(a),
+        UnaryOp::Ln => ln(a),
         UnaryOp::Abs => a.abs(),
         UnaryOp::Erf => erf(a),
         UnaryOp::Recip => 1.0 / a,
