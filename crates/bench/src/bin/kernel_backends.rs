@@ -1,5 +1,6 @@
 //! Times the interpreter against the SIMD kernel backend on the fused CG,
-//! Jacobi and Black-Scholes pricing windows and records the trajectory in
+//! Jacobi and Black-Scholes pricing windows, and the sparse library's SpMV
+//! stage against a plain native CSR loop, and records the trajectory in
 //! `BENCH_kernel_backends.json` (schema in `docs/BENCHMARKS.md`).
 //!
 //! The windows are built exactly the way `diffuse::Context` builds them: the
@@ -14,10 +15,19 @@
 //! * **compile_ns** — one-time host cost of `KernelBackend::compile` per
 //!   backend (the quantity memoization amortizes; recorded, not gated).
 //!
+//! The `spmv` window is `cg_small`'s opaque stage: the 32×32 Poisson matrix
+//! exactly as `sparse::CsrMatrix::poisson_2d` stores it (indices as `f64`),
+//! run through `CompiledKernel::execute` under the SIMD backend, paired
+//! against a plain Rust CSR loop over the same data with its indices
+//! converted to `usize` ahead of time. Its **native_ratio** is floor ÷ stage
+//! per call: 1.0 would mean validating and converting the `f64` indices
+//! costs nothing.
+//!
 //! Absolute nanoseconds are machine-dependent, so the regression gate runs on
-//! the **speedup ratio**: `kernel_backends --check` fails if it regressed
-//! more than [`TOLERANCE_PCT`] against the checked-in baseline, or if the
-//! SIMD backend is no longer faster than the interpreter at all.
+//! the **ratios**: `kernel_backends --check` fails if one regressed more than
+//! [`TOLERANCE_PCT`] against the checked-in baseline, if the SIMD backend is
+//! no longer faster than the interpreter at all, or if the SpMV stage falls
+//! below [`SPMV_MIN_RATIO`] of the native loop's speed.
 //!
 //! ```sh
 //! cargo run --release --bin kernel_backends            # rewrite the baseline
@@ -25,10 +35,13 @@
 //! ```
 
 use bench::{Bound, JsonValue};
+use diffuse::{Context, DiffuseConfig};
 use kernel::{
-    BackendKind, BinaryOp, BufferId, BufferRole, CompiledKernel, KernelModule, LoopBuilder,
-    Pipeline, UnaryOp, ValueId,
+    BackendKind, BinaryOp, BufferId, BufferRole, CompiledKernel, IndexWidth, KernelModule,
+    LoopBuilder, OpaqueOp, Pipeline, UnaryOp, ValueId,
 };
+use machine::MachineConfig;
+use sparse::{CsrMatrix, SparseContext};
 
 /// Elements per buffer in the measured windows.
 const N: usize = 1 << 15;
@@ -44,6 +57,14 @@ const COMPILES: u64 = 2000;
 /// resolving ops once and streaming them over lanes must beat re-matching
 /// the IR per element.
 const TOLERANCE_PCT: f64 = 20.0;
+/// Grid side of the `spmv` window's Poisson matrix: `cg_small`'s.
+const SPMV_GRID: u64 = 32;
+/// SpMV calls per timed batch (≈10 µs each).
+const SPMV_CALLS: u64 = 20;
+/// Absolute floor of the `spmv` window's native ratio. A stage that
+/// converted each index with a saturating `as usize` read ≈0.26; one that
+/// validates once and converts exactly reads ≈0.5–0.6.
+const SPMV_MIN_RATIO: f64 = 0.35;
 
 /// The fused CG vector window: x += alpha*p; r -= alpha*q; rs += r*r;
 /// p = r + beta*p — the four vector updates between SpMVs that Diffuse fuses
@@ -295,6 +316,67 @@ fn measure_window(window: &'static str, build: fn() -> WindowCase) -> WindowResu
     WindowResult { window, key, speedup, compile_ns }
 }
 
+/// The `spmv` window's data, read back from a matrix the sparse library
+/// built: `[pos, crd, vals, x, y]`.
+fn spmv_buffers() -> Vec<Vec<f64>> {
+    let ctx = Context::new(DiffuseConfig::fused(MachineConfig::single_node(1)));
+    let a = CsrMatrix::poisson_2d(&SparseContext::new(&ctx), SPMV_GRID);
+    let read = |store| ctx.read_store(store).expect("the matrix holds data");
+    let rows = a.rows() as usize;
+    let x = (0..rows).map(|i| 1.0 + (i % 89) as f64 * 1e-2).collect();
+    vec![read(&a.pos), read(&a.crd), read(&a.vals), x, vec![0.0; rows]]
+}
+
+/// `y = A x` over indices converted to `usize` ahead of time: what the
+/// stage would cost if its indices were native integers.
+fn native_spmv(pos: &[usize], crd: &[usize], vals: &[f64], x: &[f64], y: &mut [f64]) {
+    for (r, y) in y.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for k in pos[r]..pos[r + 1] {
+            acc += vals[k] * x[crd[k]];
+        }
+        *y = acc;
+    }
+}
+
+/// Times the SIMD backend's SpMV stage against [`native_spmv`] in
+/// alternating pairs; the ratio is floor ÷ stage ns per call.
+fn measure_spmv() -> bench::Paired {
+    let mut module = KernelModule::new(5);
+    module.set_role(BufferId(4), BufferRole::Output);
+    module.push_opaque(OpaqueOp::SpMvCsr {
+        pos: BufferId(0),
+        crd: BufferId(1),
+        vals: BufferId(2),
+        x: BufferId(3),
+        y: BufferId(4),
+        index_width: IndexWidth::U32,
+    });
+    let stage = BackendKind::Simd.backend().compile(&module).expect("compile failed");
+    let mut buffers = spmv_buffers();
+    let to_usize = |b: &[f64]| b.iter().map(|&i| i as usize).collect::<Vec<_>>();
+    let (pos, crd) = (to_usize(&buffers[0]), to_usize(&buffers[1]));
+    let (vals, x) = (buffers[2].clone(), buffers[3].clone());
+    let mut y = vec![0.0; buffers[4].len()];
+    native_spmv(&pos, &crd, &vals, &x, &mut y);
+    stage.execute(&mut buffers, &[]).expect("spmv failed");
+    assert_eq!(y, buffers[4], "the stage and the native loop disagree");
+    let per_call = |ns: f64| ns / SPMV_CALLS as f64;
+    bench::paired(
+        PAIRS,
+        || {
+            per_call(bench::batch_ns(SPMV_CALLS, || {
+                native_spmv(&pos, &crd, &vals, &x, std::hint::black_box(&mut y));
+            }))
+        },
+        || {
+            per_call(bench::batch_ns(SPMV_CALLS, || {
+                stage.execute(&mut buffers, &[]).expect("spmv failed");
+            }))
+        },
+    )
+}
+
 fn main() {
     println!("=== Kernel backends: interpreter vs SIMD (wall-clock) ===");
     println!("({N} elements/buffer, {PAIRS} alternating pairs per window)\n");
@@ -332,11 +414,36 @@ fn main() {
             ));
         }
     }
+    let spmv = measure_spmv();
+    println!(
+        "\n{:<10}{:>14.0} ns/call stage, {:.0} ns/call native, native ratio {:.2} ({:.2} / {:.2})",
+        "spmv",
+        spmv.denominator,
+        spmv.numerator,
+        spmv.ratio.median,
+        spmv.ratio.q1,
+        spmv.ratio.q3
+    );
+    notes.push(bench::json_line(
+        "kernel_backends/spmv/simd",
+        &[
+            ("backend", JsonValue::Str(BackendKind::Simd.id().to_string())),
+            ("ns_per_call", JsonValue::Num(spmv.denominator)),
+            ("native_ns_per_call", JsonValue::Num(spmv.numerator)),
+            ("grid", JsonValue::Int(SPMV_GRID)),
+        ],
+    ));
     println!();
     let bound = Bound::Floor { min: 1.0, pct: TOLERANCE_PCT };
-    let gated: Vec<bench::Gated<'_>> = results
+    let mut gated: Vec<bench::Gated<'_>> = results
         .iter()
         .map(|r| (r.key.as_str(), "speedup", r.speedup.ratio.median, bound))
         .collect();
+    gated.push((
+        "kernel_backends/spmv/native_ratio",
+        "ratio",
+        spmv.ratio.median,
+        Bound::Floor { min: SPMV_MIN_RATIO, pct: TOLERANCE_PCT },
+    ));
     bench::record_or_check("kernel_backends", notes, &gated);
 }

@@ -3,14 +3,14 @@
 //!
 //! [`crate::Interpreter`] calls them per element through
 //! `interp::unary_fn`; the SIMD backend maps them over a register
-//! row, compiled once for the baseline target and once for AVX2
+//! row, compiled for the baseline target, for AVX2 and for AVX-512F
 //! (`simd::transcendental_row`). Every function here is straight-line IEEE
 //! arithmetic plus integer bit manipulation: special inputs are handled by
 //! selects, not early returns, and nothing is looked up in a table, so a
 //! lane loop over them vectorizes and needs no gathers. IEEE operations
 //! round the same way at any vector width and nothing here uses
 //! `mul_add` (Rust never contracts into an FMA on its own), so a row
-//! evaluated four lanes wide gives the interpreter's bits.
+//! evaluated four or eight lanes wide gives the interpreter's bits.
 //!
 //! Accuracy against the platform libm (the `sweep` tests): `exp` within
 //! 4.5e-16 relative error on [−745, 709.7], `ln` within 4.5e-16 on every

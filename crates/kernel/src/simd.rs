@@ -24,8 +24,10 @@
 //!   per stage.
 //! * `exp`, `ln` and `erf` rows run the [`crate::math`] functions the
 //!   interpreter calls per element, through a small per-row routine compiled
-//!   twice — for the baseline target and for AVX2 — and picked at run time
-//!   (`transcendental_row`). That call is the backend's one `unsafe`.
+//!   three times — for the baseline target, for AVX2 and for AVX-512F — and
+//!   the widest copy the CPU runs is picked once per process
+//!   (`transcendental_row`). Calling that copy (`RowCopy::run`) is the
+//!   crate's one `unsafe` block.
 //! * Domains that are not a multiple of the chunk width run an explicit
 //!   **masked tail**: loads fill only the valid lanes, arithmetic runs full
 //!   width (dead lanes hold stale values, which is harmless — no element's
@@ -56,7 +58,7 @@
 //! Memoization then amortizes the surcharge exactly as §5.2 of the paper
 //! describes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::backend::{BackendKind, Buffer, CompiledKernel, KernelBackend};
 use crate::cost::CompileTimeModel;
@@ -276,15 +278,36 @@ macro_rules! lane_op {
 
 /// `d = op(a)` over one row for a transcendental `op`, through the same
 /// [`math`] functions the interpreter calls per element. The row loop is
-/// compiled twice — inline here for the baseline target, and in
-/// [`avx2_row`] four lanes wide — and each row picks one at run time.
-/// Dispatching a small function per row, rather than compiling a whole
-/// chunk loop for AVX2, keeps the arithmetic micro-ops at the baseline
-/// target (they lose speed at the wider one) and lets LLVM vectorize the
-/// math.
+/// compiled once per target — for the baseline, for AVX2 and for AVX-512F
+/// ([`wide_rows`]) — and the widest copy this CPU runs is picked once per
+/// process: AVX-512F, else AVX2, else portable. Dispatching a small
+/// function per row, rather than compiling a whole chunk loop for a wider
+/// target, keeps the arithmetic micro-ops at the baseline target (they lose
+/// speed at the wider ones) and lets LLVM vectorize the math.
 fn transcendental_row(op: UnaryOp, a: &Row, d: &mut Row) {
-    if !avx2_row(op, a, d) {
-        math_row(op, a, d);
+    static WIDEST: OnceLock<RowCopy> = OnceLock::new();
+    let widest = *WIDEST.get_or_init(|| {
+        wide_rows()
+            .into_iter()
+            .find_map(|(_, copy)| copy)
+            .unwrap_or(RowCopy(portable_row))
+    });
+    widest.run(op, a, d);
+}
+
+/// A copy of the row loop this CPU can run: made only from
+/// [`portable_row`], or by [`wide_rows`] after detecting the copy's target
+/// feature. The pointer is `unsafe` because a copy compiled for a target
+/// feature may only run on a CPU that has it.
+#[derive(Clone, Copy)]
+struct RowCopy(unsafe fn(UnaryOp, &Row, &mut Row));
+
+impl RowCopy {
+    fn run(self, op: UnaryOp, a: &Row, d: &mut Row) {
+        // SAFETY: a `RowCopy` holds either the portable copy, which needs no
+        // feature, or a copy whose target feature `wide_rows` detected on
+        // this CPU.
+        unsafe { (self.0)(op, a, d) }
     }
 }
 
@@ -297,7 +320,7 @@ fn row_map(a: &Row, d: &mut Row, f: impl Fn(f64) -> f64) {
     }
 }
 
-/// The row loop both copies share.
+/// The row loop every copy shares.
 #[inline(always)]
 fn math_row(op: UnaryOp, a: &Row, d: &mut Row) {
     match op {
@@ -308,25 +331,37 @@ fn math_row(op: UnaryOp, a: &Row, d: &mut Row) {
     }
 }
 
-/// [`math_row`] compiled for AVX2 (no FMA: IEEE operations give the same
-/// bits at any vector width), run if the CPU has AVX2. Returns whether it
-/// ran.
-fn avx2_row(op: UnaryOp, a: &Row, d: &mut Row) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2")]
-        fn row(op: UnaryOp, a: &Row, d: &mut Row) {
-            math_row(op, a, d);
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: `row` needs AVX2 and nothing else, and the CPU was just
-            // detected to support it.
-            unsafe { row(op, a, d) };
-            return true;
-        }
+/// [`math_row`] for the baseline target: runs on any CPU.
+fn portable_row(op: UnaryOp, a: &Row, d: &mut Row) {
+    math_row(op, a, d);
+}
+
+/// The wider copies of [`math_row`], widest first: each copy's target
+/// feature and, if this CPU has that feature, the copy. Each enables one
+/// feature. LLVM takes `avx512f` to imply FMA, but no FMA is written
+/// anywhere and Rust never contracts into one on its own, and IEEE
+/// operations give the same bits at any vector width, so every copy gives
+/// the portable copy's bits.
+#[cfg(target_arch = "x86_64")]
+fn wide_rows() -> [(&'static str, Option<RowCopy>); 2] {
+    #[target_feature(enable = "avx512f")]
+    fn avx512f_row(op: UnaryOp, a: &Row, d: &mut Row) {
+        math_row(op, a, d);
     }
-    let _ = (op, a, d);
-    false
+    #[target_feature(enable = "avx2")]
+    fn avx2_row(op: UnaryOp, a: &Row, d: &mut Row) {
+        math_row(op, a, d);
+    }
+    [
+        ("avx512f", is_x86_feature_detected!("avx512f").then_some(RowCopy(avx512f_row))),
+        ("avx2", is_x86_feature_detected!("avx2").then_some(RowCopy(avx2_row))),
+    ]
+}
+
+/// No wider copies off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn wide_rows() -> [(&'static str, Option<RowCopy>); 0] {
+    []
 }
 
 /// Executes the lane-parallel schedule over a non-empty domain of `n`
@@ -630,21 +665,27 @@ mod tests {
     }
 
     #[test]
-    fn avx2_and_portable_rows_agree_bit_for_bit() {
+    fn every_row_copy_this_cpu_runs_agrees_with_the_portable_row_bit_for_bit() {
         let a = transcendental_inputs();
-        for op in [UnaryOp::Exp, UnaryOp::Ln, UnaryOp::Erf] {
-            let (mut wide, mut portable) = (splat(0.0), splat(0.0));
-            if !avx2_row(op, &a, &mut wide) {
-                println!("skipped: this CPU has no AVX2, so only the portable row runs");
-                return;
+        let (mut ran, mut skipped) = (vec!["portable"], Vec::new());
+        for (feature, copy) in wide_rows() {
+            let Some(copy) = copy else {
+                skipped.push(feature);
+                continue;
+            };
+            for op in [UnaryOp::Exp, UnaryOp::Ln, UnaryOp::Erf] {
+                let (mut wide, mut portable) = (splat(0.0), splat(0.0));
+                copy.run(op, &a, &mut wide);
+                portable_row(op, &a, &mut portable);
+                assert_eq!(
+                    bits(&[wide.as_flattened().to_vec()]),
+                    bits(&[portable.as_flattened().to_vec()]),
+                    "{feature} {op:?}"
+                );
             }
-            math_row(op, &a, &mut portable);
-            assert_eq!(
-                bits(&[wide.as_flattened().to_vec()]),
-                bits(&[portable.as_flattened().to_vec()]),
-                "{op:?}"
-            );
+            ran.push(feature);
         }
+        println!("row copies checked: {ran:?}; skipped (this CPU lacks them): {skipped:?}");
     }
 
     #[test]
