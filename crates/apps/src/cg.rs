@@ -213,6 +213,31 @@ mod tests {
     }
 
     #[test]
+    fn a_fused_memoized_solve_probes_the_memo_once_per_flush() {
+        use crate::common::dense_context_configured;
+        use diffuse::{BackendKind, ExecutorKind};
+        let np = dense_context_configured(
+            Mode::Fused,
+            2,
+            true,
+            ExecutorKind::Serial,
+            BackendKind::Interp,
+        );
+        let (a, b) = setup(&np, grid_size(2, 32), true);
+        let mut state = cg_init(&np, &a, &b);
+        for _ in 0..20 {
+            cg_iteration(&a, &mut state);
+        }
+        np.flush();
+        let stats = np.context().stats();
+        // Windows split into several launches, and every flush is one
+        // probe: a hit replaying the window's whole plan, or a miss.
+        assert!(stats.tasks_launched > stats.windows_flushed, "{stats:?}");
+        assert!(stats.memo_hits > stats.memo_misses, "{stats:?}");
+        assert_eq!(stats.memo_hits + stats.memo_misses, stats.windows_flushed);
+    }
+
+    #[test]
     fn fusion_reduces_launches_per_iteration() {
         let fused = run(Mode::Fused, 4, 64, 10, true);
         let unfused = run(Mode::Unfused, 4, 64, 10, true);

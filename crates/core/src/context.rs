@@ -4,23 +4,29 @@
 //! with plain data between them:
 //!
 //! 1. **Plan.** `pack_horizontally` reorders the window for horizontal
-//!    fusion; then `next_step` decides, one step at a time, what happens to
-//!    the head of the window — one task launched alone, a memoized
-//!    skeleton replayed, or a fusible prefix compiled.
-//! 2. **Lower.** `lower` composes, optimizes and compiles a prefix into the
+//!    fusion; then one memo probe looks the whole window up. Its value is the
+//!    window's plan: per fusible segment, a task launched alone or a fused
+//!    skeleton. A hit replays the plan; a miss segments the window once
+//!    (`classify_and_segment`) and memoizes the plan it builds, offering its
+//!    tail under each suffix that starts at a segment boundary (`memoize`).
+//! 2. **Lower.** `lower` composes, optimizes and compiles a segment into the
 //!    skeleton a replay relaunches; `library_kernel` builds, once per
 //!    one-task canonical form, the skeleton a task launched alone replays.
 //!    Every check of every stage passes through one verification gate
-//!    (`verify`), and every failed check reaches one containment path
-//!    (`contain`).
+//!    (`verify`), and every failed check or compile reaches one containment
+//!    path (`contain`).
 //! 3. **Launch.** `task_launch` builds the runtime launch (region
 //!    requirements, task-local temporaries, scalars) and `launch` is the one
 //!    tail: execution under the skeleton's runtime launch plan, and
 //!    accounting; every launch after a skeleton's first is a `replay_launch`.
+//!
+//! The flush takes the window's tasks with their first-occurrence store
+//! numbering once; skeleton arguments are numbered and resolved through it.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -30,8 +36,8 @@ use fusion::{
 };
 use ir::fingerprint::{fold_bytes, fold_u64, OFFSET};
 use ir::{
-    Domain, IndexTask, Partition, PartitionId, Privilege, ShapeId, StoreArg, StoreId, TaskId,
-    TaskWindow,
+    Domain, FingerprintState, IndexTask, Partition, PartitionId, Privilege, ShapeId, StoreArg,
+    StoreId, TaskId, TaskWindow,
 };
 use kernel::{
     BufferId, BufferRole, CompileTimeModel, CompiledKernel, GenArgs, GeneratorRegistry,
@@ -62,14 +68,14 @@ struct StoreMeta {
     app_refs: u64,
 }
 
-/// One memoized window: the backend-compiled fused kernel of its fusible
-/// prefix plus the complete **launch skeleton** it was compiled under —
-/// everything a memo hit needs to relaunch the prefix without rebuilding the
-/// fused task, down to the runtime's [`LaunchPlan`] (access rects, kernel
-/// price and data-plane bindings), which a replay therefore re-derives none
-/// of. Each context owns one cache created for its configured backend, so
-/// skeletons are keyed by (canonical window, backend) by construction; the
-/// cache holds them behind an `Arc`, so a hit clones a pointer.
+/// One fused segment of a memoized window: its backend-compiled kernel plus
+/// the complete **launch skeleton** it was compiled under — everything a memo
+/// hit needs to relaunch the segment without rebuilding the fused task, down
+/// to the runtime's [`LaunchPlan`] (access rects, kernel price and
+/// data-plane bindings), which a replay therefore re-derives none of. Each
+/// context owns one cache created for its configured backend, so skeletons
+/// are keyed by (canonical window, backend) by construction; the cache holds
+/// them behind an `Arc`, so a hit clones a pointer.
 ///
 /// The layout — which fused args were demoted to task-local temporaries
 /// (this fixes both the requirement/local split and the buffer permutation)
@@ -78,10 +84,10 @@ struct StoreMeta {
 /// launch and the skeleton is replayed only when it matches: a kernel
 /// compiled with an eliminated temporary can never be resurrected for a
 /// window where that store is live and must be written.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Skeleton {
-    /// Length of the fusible prefix of the memoized window.
-    prefix_len: usize,
+    /// Number of tasks the skeleton launches as one.
+    len: usize,
     kernel: Arc<dyn CompiledKernel>,
     /// Fused name (`fused[a+b+...]`) of the window that was memoized. Task
     /// names are not part of the canonical key, so an isomorphic window
@@ -89,10 +95,11 @@ struct Skeleton {
     /// diagnostics show the memoized window's name, which identifies the
     /// structure (and the kernel actually run) rather than the instance.
     name: String,
-    /// Merged fused args as (canonical store index, partition, privilege).
-    /// The indices number the prefix's stores by first occurrence — a prefix
-    /// of the whole window's numbering, so they resolve through
-    /// [`TaskWindow::canonical_store`] unchanged.
+    /// Merged fused args as (canonical store index, partition, privilege),
+    /// numbered by the flushed window's first-occurrence numbering, through
+    /// which a replay resolves them. (A library kernel's arguments are its
+    /// task's own, numbered by that task alone; its replays take the stores
+    /// from the task.)
     args: Vec<(u32, PartitionId, Privilege)>,
     /// Per arg: `Some(access volume over the launch domain)` if the arg was
     /// demoted to a task-local temporary of that length, `None` if it is a
@@ -119,15 +126,36 @@ impl Skeleton {
     }
 }
 
-/// What the plan stage decided to do with the head of the window.
-enum Step {
-    /// Launch the head task alone, through its library kernel.
+/// One fusible segment of a window's plan, the memo's value being the list
+/// of them in window order.
+#[derive(Debug, Clone)]
+enum Segment {
+    /// One task launched alone, through its library kernel.
     Alone,
-    /// Relaunch a memoized skeleton, its arguments resolved to these stores.
-    Replay(Arc<Skeleton>, Vec<StoreId>),
-    /// Fuse and compile a prefix of this many tasks whose temporaries are
-    /// these stores, memoizing it under the key when memoization is on.
-    Compile(usize, HashSet<StoreId>, Option<CanonicalWindow>),
+    /// A fused launch of the skeleton's `len` tasks.
+    Fused(Arc<Skeleton>),
+}
+
+impl Segment {
+    /// The number of window tasks the segment launches.
+    fn len(&self) -> usize {
+        match self {
+            Segment::Alone => 1,
+            Segment::Fused(skeleton) => skeleton.len,
+        }
+    }
+
+    /// The segment with its skeleton's arguments renumbered through `index`.
+    fn renumbered(&self, index: impl Fn(u32) -> u32) -> Segment {
+        match self {
+            Segment::Alone => Segment::Alone,
+            Segment::Fused(skeleton) => {
+                let args = skeleton.args.iter().map(|&(ci, p, pr)| (index(ci), p, pr));
+                let args = args.collect();
+                Segment::Fused(Arc::new(Skeleton { args, ..Skeleton::clone(skeleton) }))
+            }
+        }
+    }
 }
 
 /// Internal, mutable state of a [`Context`]. Exposed to the crate so that
@@ -139,7 +167,8 @@ pub struct ContextInner {
     registry: GeneratorRegistry,
     window: TaskWindow,
     adaptive: AdaptiveWindow,
-    memo: MemoCache<Arc<Skeleton>>,
+    /// Window plans keyed by the window as flushed, and their tails by its suffixes.
+    memo: MemoCache<Arc<[Segment]>>,
     /// The library of pre-compiled per-task kernels the unfused baseline
     /// models: a one-task skeleton per one-task canonical form, whatever
     /// `enable_memoization` says.
@@ -448,12 +477,12 @@ impl ContextInner {
         self.stats.privileges_tightened += tightened;
     }
 
-    /// One-pass fusible segmentation of the window (miss path only) with the
-    /// why-not explainer over every split boundary: each rejection is
-    /// classified ([`DepClass`]) and counted in the per-class rejection
+    /// One-pass fusible segmentation of a flushed window (miss path only)
+    /// with the why-not explainer over every split boundary: each rejection
+    /// is classified ([`DepClass`]) and counted in the per-class rejection
     /// stats.
-    fn classify_and_segment(&mut self) -> VecDeque<usize> {
-        let report = self.explain_window();
+    fn classify_and_segment(&mut self, tasks: &[IndexTask]) -> Vec<usize> {
+        let report = self.explain_window(tasks);
         for boundary in &report.boundaries {
             match (&boundary.violation, &boundary.class) {
                 (FusionViolation::LaunchDomainMismatch { .. }, _) => {
@@ -466,24 +495,20 @@ impl ContextInner {
                 _ => self.stats.rejections_unknown += 1,
             }
         }
-        report.segments.into()
+        report.segments
     }
 
-    /// A structured why-not report over the currently buffered window: the
-    /// fusible segmentation plus, per split boundary, the violated
-    /// constraint, the dependence classification, and what change would
-    /// admit fusion. Does not flush or otherwise perturb the window.
-    pub(crate) fn explain_window(&mut self) -> fusion::WindowReport {
-        // Every kind in the window is analyzed (memoized) first, so the
-        // classifier knows which access summaries are exact. The window is
-        // set aside meanwhile: its tasks are read while the memo fills.
-        let window = std::mem::take(&mut self.window);
-        for task in window.tasks() {
+    /// A structured why-not report over `tasks` (the fusible segmentation
+    /// plus, per split boundary, the violated constraint, the dependence
+    /// classification, and what change would admit fusion). Every kind among
+    /// them is analyzed (memoized) first, so the classifier knows which
+    /// access summaries are exact.
+    pub(crate) fn explain_window(&mut self, tasks: &[IndexTask]) -> fusion::WindowReport {
+        for task in tasks {
             self.analyze(task);
         }
-        self.window = window;
         let this: &ContextInner = self;
-        explain_window_with(this.window.tasks(), &|t, arg| this.arg_is_exact(t, arg))
+        explain_window_with(tasks, &|t, arg| this.arg_is_exact(t, arg))
     }
 
     /// Compiles a module into a launchable artifact. Simulation-only
@@ -502,10 +527,18 @@ impl ContextInner {
     /// window permutation — and the memoized skeleton (keyed by
     /// `(CanonicalWindow, backend)` through the per-context cache) simply
     /// carries the degraded tier's kernel.
-    fn compile_artifact(&mut self, name: &str, module: &KernelModule) -> Arc<dyn CompiledKernel> {
+    ///
+    /// A module the backend rejects is an error for
+    /// [`ContextInner::contain`], like a failed check.
+    fn compile_artifact(
+        &mut self,
+        name: &str,
+        module: &KernelModule,
+    ) -> Result<Arc<dyn CompiledKernel>, String> {
         if !self.config.materialize_data {
-            return kernel::compile_interp(module.clone());
+            return Ok(kernel::compile_interp(module.clone()));
         }
+        let failed = |e: kernel::ExecError| format!("kernel compilation of `{name}` failed: {e}");
         let plan = self.config.fault_plan.filter(|p| p.rate() > 0.0);
         if let (Some(plan), Some(fallback)) = (plan, self.config.backend.fallback()) {
             if plan.should_fault(FaultSite::Compile, module_content_key(module), 0) {
@@ -520,11 +553,10 @@ impl ContextInner {
                     self.config.backend.id(),
                     fallback.id()
                 );
-                let fallback = fallback.backend();
-                return fallback.compile(module).expect("kernel compilation failed");
+                return fallback.backend().compile(module).map_err(failed);
             }
         }
-        self.backend.compile(module).expect("kernel compilation failed")
+        self.backend.compile(module).map_err(failed)
     }
 
     /// The one verification gate (`docs/VERIFY.md`): every check of the
@@ -588,11 +620,11 @@ impl ContextInner {
         Ok(checks)
     }
 
-    /// The one containment path: a check failed, so the launch it guarded
-    /// never runs. With `verify_fail_fast` (the debug default, so test suites
-    /// stop at the first broken invariant) that panics. Otherwise the failure
-    /// becomes a structured [`RuntimeError::Verify`] recorded against
-    /// `launch`: the launch's accesses poison their dependence cone,
+    /// The one containment path: a check or a compile failed, so the launch
+    /// it guarded never runs. With `verify_fail_fast` (the debug default, so
+    /// test suites stop at the first broken invariant) that panics. Otherwise
+    /// the failure becomes a structured [`RuntimeError::Verify`] recorded
+    /// against `launch`: the launch's accesses poison their dependence cone,
     /// independent work proceeds, and the record is retrievable via
     /// [`Context::take_failures`].
     fn contain(
@@ -618,34 +650,23 @@ impl ContextInner {
     }
 
     /// Flushes the whole buffered window (the `flush_window` operation of
-    /// Figure 6): plan, lower and launch, one step at a time, until the
-    /// window is empty.
+    /// Figure 6): plan, lower and launch every segment. The window is
+    /// probed once and set aside with its store numbering while its
+    /// segments launch, then cleared once.
     fn flush_window(&mut self) {
         if let Err(detail) = self.pack_horizontally() {
             self.contain("horizontal-plan", std::iter::empty(), detail);
         }
-        let mut segments = None;
-        while !self.window.is_empty() {
-            let window_len = self.window.len();
-            let launched = match self.next_step(&mut segments) {
-                Step::Alone => {
-                    let task = self.window.drain_prefix(1).pop().unwrap();
-                    self.launch_alone(task);
-                    1
-                }
-                Step::Replay(skeleton, stores) => {
-                    self.replay(&skeleton, &stores);
-                    skeleton.prefix_len
-                }
-                Step::Compile(len, temps, key) => {
-                    self.compile(len, &temps, key);
-                    len
-                }
-            };
-            if self.config.enable_task_fusion {
-                self.adaptive.record(window_len, launched);
+        let mut window = std::mem::take(&mut self.window);
+        if self.config.enable_task_fusion {
+            self.run_plan(&window);
+        } else {
+            for task in window.tasks() {
+                self.launch_alone(task);
             }
         }
+        window.clear();
+        self.window = window;
         self.stats.windows_flushed += 1;
         self.sweep_dead_stores();
     }
@@ -688,105 +709,133 @@ impl ContextInner {
         Ok(())
     }
 
-    /// Plan, per step: what happens to the head of the window. Memo on and
-    /// off share it. The probe keys on the window's incrementally maintained
-    /// fingerprint, so a hit builds no `CanonicalWindow`; on the first miss
-    /// of a flush the window's fusible segmentation (with the why-not
-    /// rejection counters) is computed once and then consumed front to back,
-    /// so draining a prefix never re-checks the untouched suffix.
-    fn next_step(&mut self, segments: &mut Option<VecDeque<usize>>) -> Step {
-        if !self.config.enable_task_fusion {
-            return Step::Alone;
-        }
+    /// Plan, then lower and launch each segment of the flushed window. The
+    /// flush's one memo probe is keyed on the window as flushed (so after the
+    /// horizontal reorder). A hit runs the memoized plan and is re-memoized
+    /// under its key only when a drifted segment recompiled; a miss segments
+    /// the window once and is memoized if every segment launched.
+    fn run_plan(&mut self, window: &TaskWindow) {
+        let (tasks, numbering) = (window.tasks(), window.numbering());
         let memoize = self.config.enable_memoization;
-        let hit = if memoize {
-            let hit = self.memo.probe(&self.window).cloned();
-            match hit {
-                Some(_) => self.stats.memo_hits += 1,
-                None => self.stats.memo_misses += 1,
-            }
-            hit
-        } else {
-            None
+        let hit = memoize.then(|| self.memo.probe(window).cloned()).flatten();
+        let mut start = 0;
+        let mut run = |this: &mut Self, len: usize, cached: Option<&Segment>| {
+            let ran = this.segment(tasks, start..start + len, numbering, cached);
+            this.adaptive.record(tasks.len() - start, len);
+            start += len;
+            ran
         };
-        let len = match &hit {
-            Some(skeleton) => skeleton.prefix_len,
-            None => {
-                let segments = segments.get_or_insert_with(|| self.classify_and_segment());
-                segments.front().copied().unwrap_or(1)
+        let Some(plan) = hit else {
+            self.stats.memo_misses += u64::from(memoize);
+            let lens = self.classify_and_segment(tasks);
+            let ran: Vec<Option<Segment>> = lens.iter().map(|&len| run(self, len, None)).collect();
+            // A window with a contained segment is not memoized.
+            let plan: Option<Vec<Segment>> = ran.into_iter().collect();
+            if let (true, Some(plan)) = (memoize, plan) {
+                self.memoize(tasks, numbering, plan);
             }
+            return;
         };
-        let len = len.min(self.window.len()).max(1);
-        // Keep the segmentation aligned with the drain. A memoized prefix
-        // length always equals the front segment (the memoized decision is a
-        // function of the canonical window), but a disagreement drops the
-        // segmentation rather than assuming it.
-        match segments {
-            Some(s) if s.front() == Some(&len) => {
-                s.pop_front();
+        self.stats.memo_hits += 1;
+        let mut replanned: Option<Vec<Segment>> = None;
+        for (i, cached) in plan.iter().enumerate() {
+            let ran = run(self, cached.len(), Some(cached));
+            if let (Some(Segment::Fused(new)), Segment::Fused(old)) = (ran, cached) {
+                if !Arc::ptr_eq(&new, old) {
+                    replanned.get_or_insert_with(|| plan.to_vec())[i] = Segment::Fused(new);
+                }
             }
-            _ => *segments = None,
         }
-        if len == 1 && !self.config.enable_kernel_fusion {
+        if let Some(plan) = replanned {
+            self.memo.insert(CanonicalWindow::new(tasks), plan.into());
+        }
+    }
+
+    /// Memoizes a missed window's plan under the window and offers its tail
+    /// under each suffix that starts at a segment boundary. Segmentation is
+    /// greedy front to back and liveness looks only forward, so such a
+    /// suffix, met later as a window of its own, plans as that tail: a
+    /// stream whose steps straddle windows still replays. A suffix's
+    /// skeletons are renumbered into its own first-occurrence numbering, and
+    /// it takes only spare memo capacity ([`MemoCache::offer`]), so suffixes
+    /// never evict the windows that flush.
+    fn memoize(&mut self, tasks: &[IndexTask], numbering: &FingerprintState, plan: Vec<Segment>) {
+        let plan: Arc<[Segment]> = plan.into();
+        self.memo.insert(CanonicalWindow::new(tasks), Arc::clone(&plan));
+        let mut start = 0;
+        for i in 1..plan.len() {
+            start += plan[i - 1].len();
+            let suffix = &tasks[start..];
+            let mut own = FingerprintState::new();
+            suffix.iter().for_each(|task| _ = own.push(task));
+            let index = |ci: u32| {
+                let store = numbering.store_at(ci as usize);
+                store.and_then(|s| own.index_of(s)).expect("a suffix segment's stores are in it")
+            };
+            let tail = plan[i..].iter().map(|s| s.renumbered(index)).collect();
+            self.memo.offer(CanonicalWindow::new(suffix), tail);
+        }
+    }
+
+    /// Lowers and launches one segment, `tasks[range]`: alone, as a replay of
+    /// its `cached` skeleton, or compiled. Returns the segment as the plan
+    /// keeps it, or `None` if it was contained.
+    fn segment(
+        &mut self,
+        tasks: &[IndexTask],
+        range: Range<usize>,
+        numbering: &FingerprintState,
+        cached: Option<&Segment>,
+    ) -> Option<Segment> {
+        let (segment, pending) = (&tasks[range.clone()], &tasks[range.end..]);
+        if segment.len() == 1 && !self.config.enable_kernel_fusion {
             // A singleton with no kernel-level optimization is just a task
             // launched alone.
-            return Step::Alone;
+            return self.launch_alone(&segment[0]).then_some(Segment::Alone);
         }
         // Liveness (which fused args become task-local temporaries) is the
         // only launch input the canonical window does not determine, so it is
-        // recomputed per launch, before anything is drained. Temporaries are
-        // eliminated by the kernel pipeline, so only under kernel fusion.
+        // recomputed per launch. Temporaries are eliminated by the kernel
+        // pipeline, so only under kernel fusion.
         let temps = if self.config.enable_kernel_fusion {
-            let (prefix, pending) = self.window.tasks().split_at(len);
             let stores = &self.stores;
-            temporary_stores(prefix, pending, |s| stores.get(&s).is_some_and(|m| m.app_refs > 0))
+            temporary_stores(segment, pending, |s| stores.get(&s).is_some_and(|m| m.app_refs > 0))
         } else {
             HashSet::new()
         };
-        if let Some(skeleton) = hit {
-            // Replay only if the current liveness agrees with the layout the
-            // skeleton was compiled under. Its canonical indices resolve
-            // through the window's numbering, before a drain renumbers it.
-            let stores: Vec<StoreId> = skeleton
-                .args
-                .iter()
-                .map(|&(ci, _, _)| {
-                    let store = self.window.canonical_store(ci as usize);
-                    store.expect("a memo hit matched this window")
+        // Replay only if the current liveness agrees with the layout the
+        // skeleton was compiled under; a drift recompiles the segment.
+        let replayable = match cached {
+            Some(Segment::Fused(skeleton)) => {
+                let stores = skeleton.args.iter().map(|&(ci, ..)| numbering.store_at(ci as usize));
+                let was_temp = skeleton.temp_volumes.iter().map(Option::is_some);
+                let stores: Option<Vec<StoreId>> = stores.collect();
+                let layout = |s: &Vec<StoreId>| s.iter().map(|s| temps.contains(s)).eq(was_temp);
+                stores.filter(layout).map(|stores| (skeleton, stores))
+            }
+            _ => None,
+        };
+        let launched = match replayable {
+            Some((skeleton, stores)) => {
+                let replayed = self.replay(segment, skeleton, &stores, numbering);
+                replayed.map(|()| Arc::clone(skeleton))
+            }
+            None => {
+                let fused = FusedTask::build(segment.to_vec());
+                self.lower(&fused, &temps, numbering).map(|(skeleton, launch)| {
+                    let demoted = skeleton.temps(fused.args.iter().map(|&(store, _, _)| store));
+                    self.launch(&fused.tasks, &launch, &skeleton.plan, demoted);
+                    Arc::new(skeleton)
                 })
-                .collect();
-            let layout_matches = stores
-                .iter()
-                .zip(&skeleton.temp_volumes)
-                .all(|(store, was_temp)| temps.contains(store) == was_temp.is_some());
-            if layout_matches {
-                return Step::Replay(skeleton, stores);
             }
-            // A liveness drift recompiles conservatively and re-memoizes
-            // under the probed window's key (drift is rare; the steady state
-            // never builds this key).
-        }
-        let key = memoize.then(|| CanonicalWindow::new(self.window.tasks()));
-        Step::Compile(len, temps, key)
-    }
-
-    /// Lowers and launches a fusible prefix that missed the memo (or whose
-    /// cached layout drifted), memoizing its skeleton under `key`.
-    fn compile(&mut self, len: usize, temps: &HashSet<StoreId>, key: Option<CanonicalWindow>) {
-        let fused = FusedTask::build(self.window.drain_prefix(len));
-        match self.lower(&fused, temps) {
-            Ok((skeleton, launch)) => {
-                let skeleton = Arc::new(skeleton);
-                if let Some(key) = key {
-                    self.memo.insert(key, Arc::clone(&skeleton));
-                }
-                let stores = fused.args.iter().map(|&(store, _, _)| store);
-                let demoted = skeleton.temps(stores);
-                self.launch(&fused.tasks, &launch, &skeleton.plan, demoted);
-            }
+        };
+        match launched {
+            Ok(skeleton) => Some(Segment::Fused(skeleton)),
             Err(detail) => {
+                let fused = FusedTask::build(segment.to_vec());
                 let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
                 self.contain(&fused.name, accesses, detail);
+                None
             }
         }
     }
@@ -807,6 +856,7 @@ impl ContextInner {
         &mut self,
         fused: &FusedTask,
         temps: &HashSet<StoreId>,
+        numbering: &FingerprintState,
     ) -> Result<(Skeleton, TaskLaunch), String> {
         self.verify(
             format_args!("planned fused prefix violates a dependence invariant"),
@@ -886,10 +936,11 @@ impl ContextInner {
             format_args!("{backend:?} lowering of `{}` violates an invariant", fused.name),
             |_| kernel::verify::verify_lowering(&module, backend),
         )?;
-        let kernel = self.compile_artifact(&fused.name, &module);
-        let temps = is_temp.iter().zip(&lens).map(|(&t, &len)| t.then_some(len)).collect();
+        let kernel = self.compile_artifact(&fused.name, &module)?;
+        let args = fused.args.iter().zip(is_temp.iter().zip(&lens));
+        let args = args.map(|(&(s, p, pr), (&t, &len))| (s, p, pr, t.then_some(len))).collect();
         let (name, locals) = (fused.name.clone(), lens[num_args..].to_vec());
-        Ok(self.skeleton(&fused.tasks, kernel, name, &fused.args, temps, locals))
+        Ok(self.skeleton(&fused.tasks, kernel, name, args, numbering, locals))
     }
 
     /// Lower, library side: a task's own module, checked and compiled, as a
@@ -906,40 +957,39 @@ impl ContextInner {
             format_args!("{backend:?} lowering of `{}` violates an invariant", task.name),
             |_| kernel::verify::verify_lowering(&module, backend),
         )?;
-        let kernel = self.compile_artifact(&task.name, &module);
-        let args: Vec<_> = task.args.iter().map(|a| (a.store, a.partition, a.privilege)).collect();
-        let (temps, locals) = (vec![None; args.len()], lens[args.len()..].to_vec());
+        let kernel = self.compile_artifact(&task.name, &module)?;
+        let args = task.args.iter().map(|a| (a.store, a.partition, a.privilege, None)).collect();
+        let locals = lens[task.args.len()..].to_vec();
+        let mut own = FingerprintState::new();
+        own.push(task);
         let tasks = std::slice::from_ref(task);
-        Ok(self.skeleton(tasks, kernel, task.name.clone(), &args, temps, locals))
+        Ok(self.skeleton(tasks, kernel, task.name.clone(), args, &own, locals))
     }
 
     /// The one skeleton builder (fused miss and library build): the launch
-    /// of `tasks` through `kernel` over `args`, its plan, and the skeleton
-    /// keeping both with `args` numbered canonically. The launch is the
-    /// skeleton's first; later ones are [`ContextInner::replay_launch`]es.
+    /// of `tasks` through `kernel` over `args` (each `Some(volume)` if
+    /// demoted to a task-local temporary), its plan, and the skeleton keeping
+    /// both with `args` numbered by `numbering`. The launch is the skeleton's
+    /// first; later ones are [`ContextInner::replay_launch`]es.
     fn skeleton(
         &mut self,
         tasks: &[IndexTask],
         kernel: Arc<dyn CompiledKernel>,
         name: String,
-        args: &[(StoreId, PartitionId, Privilege)],
-        temp_volumes: Vec<Option<usize>>,
+        args: Vec<(StoreId, PartitionId, Privilege, Option<usize>)>,
+        numbering: &FingerprintState,
         locals: Vec<usize>,
     ) -> (Skeleton, TaskLaunch) {
-        let resolved = args.iter().zip(&temp_volumes).map(|(&(s, p, pr), &t)| (s, p, pr, t));
+        let resolved = args.iter().copied();
         let launch = self.task_launch(tasks, Arc::clone(&kernel), name.clone(), resolved, &locals);
         let plan = self.runtime.plan(&launch).expect("a context launch names live regions");
-        let mut canon: HashMap<StoreId, u32> = HashMap::new();
-        for arg in tasks.iter().flat_map(|t| &t.args) {
-            let next = canon.len() as u32;
-            canon.entry(arg.store).or_insert(next);
-        }
+        let canonical = |s| numbering.index_of(s).expect("a launch's stores are in its window");
         let skeleton = Skeleton {
-            prefix_len: tasks.len(),
+            len: tasks.len(),
             kernel,
             name,
-            args: args.iter().map(|(s, p, pr)| (canon[s], *p, *pr)).collect(),
-            temp_volumes,
+            args: args.iter().map(|&(s, p, pr, _)| (canonical(s), p, pr)).collect(),
+            temp_volumes: args.iter().map(|&(.., temp)| temp).collect(),
             generator_local_lens: locals,
             plan,
         };
@@ -947,56 +997,52 @@ impl ContextInner {
     }
 
     /// Lower, replay side: a memo hit relaunches its skeleton, after the same
-    /// prefix translation validation as a miss plus `verify_skeleton` — the
-    /// replayed structure must match the probe window, so a fingerprint
-    /// collision is caught here by construction. No fused task is built, no
-    /// access volume computed and no name assembled.
-    fn replay(&mut self, skeleton: &Skeleton, stores: &[StoreId]) {
-        let prefix = self.window.drain_prefix(skeleton.prefix_len);
-        let (name, stores) = (skeleton.name.clone(), stores.iter().copied());
-        let replayed = self
-            .verify(
-                format_args!("planned fused prefix violates a dependence invariant"),
-                |_| fusion::verify_fused_prefix(&prefix),
-            )
-            .and_then(|()| {
-                self.verify(
-                    format_args!(
-                        "memo-replayed skeleton `{}` does not match the probe window",
-                        skeleton.name
-                    ),
-                    |_| fusion::verify_skeleton(&prefix, &skeleton.args),
-                )
-            })
-            .and_then(|()| self.replay_launch(&prefix, skeleton, stores, name));
-        if let Err(detail) = replayed {
-            let fused = FusedTask::build(prefix);
-            let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
-            self.contain(&fused.name, accesses, detail);
-        }
+    /// translation validation as a miss plus `verify_skeleton` — the
+    /// replayed structure must match the segment under the window's
+    /// numbering, so a fingerprint collision is caught here by construction.
+    /// No fused task is built, no access volume computed and no name
+    /// assembled.
+    fn replay(
+        &mut self,
+        segment: &[IndexTask],
+        skeleton: &Skeleton,
+        stores: &[StoreId],
+        numbering: &FingerprintState,
+    ) -> Result<(), String> {
+        self.verify(
+            format_args!("planned fused prefix violates a dependence invariant"),
+            |_| fusion::verify_fused_prefix(segment),
+        )?;
+        let name = &skeleton.name;
+        self.verify(
+            format_args!("memo-replayed skeleton `{name}` does not match the probe window"),
+            |_| fusion::verify_skeleton(segment, |s| numbering.index_of(s), &skeleton.args),
+        )?;
+        self.replay_launch(segment, skeleton, stores.iter().copied(), skeleton.name.clone())
     }
 
     /// Launches one task alone through its library kernel, keeping its own
     /// name. The one-task canonical form fixes the module and the plan
     /// (privileges, which arguments share a store), so the exact key match
     /// is the structural check: `verify_skeleton` re-derives *merged*
-    /// arguments and would reject `dot(x, x)`.
-    fn launch_alone(&mut self, task: IndexTask) {
-        let tasks = std::slice::from_ref(&task);
+    /// arguments and would reject `dot(x, x)`. Returns whether it launched
+    /// (otherwise it was contained).
+    fn launch_alone(&mut self, task: &IndexTask) -> bool {
+        let tasks = std::slice::from_ref(task);
         let launched = match self.library.probe_tasks(tasks).cloned() {
             Some(skeleton) => {
                 let stores = task.args.iter().map(|a| a.store);
                 self.replay_launch(tasks, &skeleton, stores, task.name.clone())
             }
-            None => self.library_kernel(&task).map(|(skeleton, launch)| {
+            None => self.library_kernel(task).map(|(skeleton, launch)| {
                 self.launch(tasks, &launch, &skeleton.plan, std::iter::empty());
                 self.library.insert(CanonicalWindow::new(tasks), Arc::new(skeleton));
             }),
         };
-        if let Err(detail) = launched {
-            let accesses = task.args.iter().map(|a| (a.store, a.privilege));
-            self.contain(&task.name, accesses, detail);
-        }
+        let Err(detail) = launched else { return true };
+        let accesses = task.args.iter().map(|a| (a.store, a.privilege));
+        self.contain(&task.name, accesses, detail);
+        false
     }
 
     /// Every launch of a skeleton but its first: `tasks` named `name`, the
@@ -1423,7 +1469,11 @@ impl Context {
     /// that would admit fusion. Purely observational — the window is neither
     /// flushed nor reordered. See `docs/ANALYZE.md` and `examples/explain.rs`.
     pub fn explain(&self) -> fusion::WindowReport {
-        self.inner.borrow_mut().explain_window()
+        let mut inner = self.inner.borrow_mut();
+        let window = std::mem::take(&mut inner.window);
+        let report = inner.explain_window(window.tasks());
+        inner.window = window;
+        report
     }
 
     /// Flushes the task window: analyzes and launches every buffered task
@@ -2064,9 +2114,9 @@ mod tests {
         }
         let stats = ctx.stats();
         // One compilation per launch group (adds, finalizes); round two
-        // replays both skeletons.
+        // replays both skeletons from its window's one plan.
         assert_eq!(stats.compilations, 2, "packed windows memoize");
-        assert!(stats.memo_hits >= 2);
+        assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1));
         assert_eq!(stats.horizontally_fused_tasks, 12);
     }
 
@@ -2319,6 +2369,251 @@ mod tests {
         }
         // Drained once; a second take is empty.
         assert!(ctx.take_failures().is_empty());
+    }
+
+    /// A context that contains what it cannot run: SIMD (whose compile
+    /// rejects a malformed module), verification and fail-fast off.
+    fn containing_ctx(config: DiffuseConfig) -> Context {
+        Context::new(DiffuseConfig {
+            fault_plan: None,
+            ..config
+                .with_backend(kernel::BackendKind::Simd)
+                .with_verification(false)
+                .with_verify_fail_fast(false)
+                .with_analyze(AnalyzeMode::Declared)
+        })
+    }
+
+    /// Registers `broken`, declared read + write, whose generator stores a
+    /// value it never defines: `SimdBackend::compile` rejects the module.
+    fn register_broken(ctx: &Context) -> TaskKind {
+        let lib = ctx.register_library("broken");
+        lib.register("broken", TaskSignature::new().read().write(), |_args| {
+            let mut m = KernelModule::new(2);
+            m.set_role(BufferId(1), BufferRole::Output);
+            m.push_loop(kernel::LoopKernel {
+                name: "broken".into(),
+                domain: BufferId(1),
+                ops: vec![LoopOp::Store {
+                    buffer: BufferId(1),
+                    src: kernel::ValueId(3),
+                }],
+                parallel: false,
+            });
+            m
+        })
+    }
+
+    #[test]
+    fn rejected_compiles_are_contained_not_panics() {
+        use runtime::RuntimeError;
+        let machine = || MachineConfig::with_gpus(2);
+        // Unfused, the module reaches the backend through the library
+        // kernel; fused, through the miss path.
+        for config in [
+            DiffuseConfig::unfused(machine()),
+            DiffuseConfig::fused(machine()),
+        ] {
+            let ctx = containing_ctx(config);
+            let broken = register_broken(&ctx);
+            let add = register_add(&ctx);
+            let (n, p) = (16u64, block(16, 2));
+            let store = |name| ctx.create_store(vec![n], name);
+            let (a, t, cone, indep) = (store("a"), store("t"), store("cone"), store("indep"));
+            ctx.fill(&a, 3.0);
+            let arg = |s: &StoreHandle, privilege| StoreArg::new(s.id(), p.clone(), privilege);
+            let add_into = |x: &StoreHandle, out: &StoreHandle| {
+                let args = vec![
+                    arg(x, Privilege::Read),
+                    arg(&a, Privilege::Read),
+                    arg(out, Privilege::Write),
+                ];
+                ctx.submit(add, "add", args, vec![]);
+                ctx.flush();
+            };
+            let args = vec![arg(&a, Privilege::Read), arg(&t, Privilege::Write)];
+            ctx.submit(broken, "broken", args, vec![]);
+            ctx.flush();
+            add_into(&t, &cone);
+            add_into(&a, &indep);
+            assert_eq!(ctx.read_store(&indep).unwrap(), vec![6.0; 16]);
+            let failures = ctx.take_failures();
+            assert_eq!(
+                failures.len(),
+                2,
+                "the broken launch and its cone: {failures:?}"
+            );
+            assert!(failures[0].launch.contains("broken"), "{failures:?}");
+            match &failures[0].error {
+                RuntimeError::Verify { detail, .. } => {
+                    assert!(
+                        detail.contains("compilation"),
+                        "unexpected detail: {detail}"
+                    );
+                }
+                other => panic!("expected a contained compile error, got {other}"),
+            }
+            match &failures[1].error {
+                RuntimeError::Poisoned { upstream, .. } => {
+                    assert_eq!(upstream, &failures[0].launch)
+                }
+                other => panic!("expected a Poisoned error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_with_a_contained_segment_is_not_memoized() {
+        let ctx = containing_ctx(DiffuseConfig::fused(MachineConfig::with_gpus(2)));
+        let broken = register_broken(&ctx);
+        let add = register_add(&ctx);
+        let (n, p) = (16u64, block(16, 2));
+        let a = ctx.create_store(vec![n], "a");
+        ctx.fill(&a, 1.5);
+        for _ in 0..2 {
+            let (x, y) = (
+                ctx.create_store(vec![n], "x"),
+                ctx.create_store(vec![n], "y"),
+            );
+            // Two segments: the add over the GPUs, the broken task on one point.
+            ctx.task(add)
+                .read(&a, p.clone())
+                .read(&a, p.clone())
+                .write(&x, p.clone())
+                .launch();
+            ctx.task(broken)
+                .domain(Domain::linear(1))
+                .read(&x, Partition::Replicate)
+                .write(&y, Partition::Replicate)
+                .launch();
+            ctx.flush();
+            assert_eq!(ctx.read_store(&x).unwrap(), vec![3.0; 16]);
+        }
+        let stats = ctx.stats();
+        assert_eq!(
+            (stats.memo_misses, stats.memo_hits),
+            (2, 0),
+            "contained windows stay cold"
+        );
+        assert_eq!(ctx.take_failures().len(), 2);
+    }
+
+    #[test]
+    fn a_middle_segment_drift_recompiles_that_segment_alone() {
+        // Three segments: an add over the GPUs, a two-task chain on one
+        // point through `m`, another add. Rounds three and four keep `m`
+        // live, so only the middle segment's layout drifts.
+        let run = |config: DiffuseConfig| {
+            let ctx = Context::new(config);
+            let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+            let (n, p) = (16u64, block(16, 2));
+            let a = ctx.create_store(vec![n], "a");
+            ctx.fill(&a, 0.75);
+            let (mut outputs, mut compilations) = (Vec::new(), Vec::new());
+            for keep in [false, false, true, true] {
+                let store = |name| ctx.create_store(vec![n], name);
+                let (t, m, r, w) = (store("t"), store("m"), store("r"), store("w"));
+                ctx.task(add)
+                    .read(&a, p.clone())
+                    .read(&a, p.clone())
+                    .write(&t, p.clone())
+                    .launch();
+                for (x, y) in [(&t, &m), (&m, &r)] {
+                    ctx.task(scale)
+                        .domain(Domain::linear(1))
+                        .read(x, Partition::Replicate)
+                        .write(y, Partition::Replicate)
+                        .scalar(1.5)
+                        .launch();
+                }
+                ctx.task(add)
+                    .read(&r, p.clone())
+                    .read(&a, p.clone())
+                    .write(&w, p.clone())
+                    .launch();
+                if keep {
+                    outputs.push(m);
+                } else {
+                    drop(m);
+                }
+                ctx.flush();
+                compilations.push(ctx.stats().compilations);
+                outputs.extend([r, w]);
+            }
+            let bits = |s: &StoreHandle| -> Vec<u64> {
+                ctx.read_store(s)
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            (
+                outputs.iter().map(bits).collect::<Vec<_>>(),
+                compilations,
+                ctx.stats(),
+            )
+        };
+        let config = DiffuseConfig::fused(MachineConfig::with_gpus(2)).with_window(16, 16);
+        let (memoized, compilations, stats) = run(config.clone());
+        let (fresh, ..) = run(config.without_memoization());
+        assert_eq!(
+            memoized, fresh,
+            "replays and the recompiled segment launch what a fresh plan does"
+        );
+        assert_eq!(
+            compilations,
+            vec![3, 3, 4, 4],
+            "one recompile, then the re-memoized plan"
+        );
+        assert_eq!((stats.memo_misses, stats.memo_hits), (1, 3));
+    }
+
+    #[test]
+    fn a_window_recurring_as_a_suffix_replays_that_tail() {
+        // Round one flushes two segments: an add over the GPUs, then a
+        // two-task chain on one point. Round two flushes the chain alone,
+        // over fresh stores numbered from 0 where round one's started at 1.
+        let run = |config: DiffuseConfig| {
+            let ctx = Context::new(config);
+            let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+            let (n, p) = (16u64, block(16, 2));
+            let a = ctx.create_store(vec![n], "a");
+            ctx.fill(&a, 0.75);
+            let (mut outputs, mut compilations) = (Vec::new(), Vec::new());
+            for round in 0..2 {
+                let store = |name| ctx.create_store(vec![n], name);
+                let (t, m, r) = (store("t"), store("m"), store("r"));
+                if round == 0 {
+                    ctx.task(add)
+                        .read(&a, p.clone())
+                        .read(&a, p.clone())
+                        .write(&t, p.clone())
+                        .launch();
+                } else {
+                    ctx.fill(&t, 1.25);
+                }
+                for (x, y) in [(&t, &m), (&m, &r)] {
+                    ctx.task(scale)
+                        .domain(Domain::linear(1))
+                        .read(x, Partition::Replicate)
+                        .write(y, Partition::Replicate)
+                        .scalar(1.5)
+                        .launch();
+                }
+                drop(m);
+                ctx.flush();
+                compilations.push(ctx.stats().compilations);
+                let values = ctx.read_store(&r).unwrap();
+                outputs.push(values.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            }
+            (outputs, compilations, ctx.stats())
+        };
+        let config = DiffuseConfig::fused(MachineConfig::with_gpus(2)).with_window(16, 16);
+        let (memoized, compilations, stats) = run(config.clone());
+        let (fresh, ..) = run(config.without_memoization());
+        assert_eq!(memoized, fresh, "the replayed tail launches what a fresh plan does");
+        assert_eq!(compilations, vec![2, 2], "the tail replays, renumbered");
+        assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1));
     }
 
     /// Registers `stage`: `out[i] = in[i] + 2 * in[0]`, where the doubled

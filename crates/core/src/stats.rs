@@ -94,13 +94,16 @@ snapshot! {
         counter cross_library_fused_tasks: u64,
         /// Windows analyzed.
         counter windows_flushed: u64,
-        /// Distinct kernels JIT-compiled (memoization misses that compiled code).
+        /// Fused segments JIT-compiled (on a memo miss, with memoization off,
+        /// or when a memoized segment's layout drifted).
         counter compilations: u64,
         /// Simulated seconds spent JIT-compiling fused kernels.
         seconds compile_time: f64,
-        /// Memoization cache hits.
+        /// Flushes whose window plan the memo held (fused, memoization on:
+        /// each such flush probes once, a hit or a miss).
         counter memo_hits: u64,
-        /// Memoization cache misses.
+        /// Flushes whose window plan the memo did not hold, so it was built
+        /// and memoized.
         counter memo_misses: u64,
         /// Memoization entries evicted to stay within the configured capacity
         /// (`DiffuseConfig::memo_capacity`).

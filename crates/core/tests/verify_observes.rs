@@ -270,9 +270,11 @@ fn verification_only_observes() {
     let [fused, horizontal, unfused] = &stats[..] else {
         unreachable!()
     };
+    // One probe per flush: round one misses and compiles both segments,
+    // rounds two to four hit, and round three recompiles its drifted one.
     assert_eq!(
         (fused.memo_misses, fused.memo_hits, fused.compilations),
-        (2, 6, 3)
+        (1, 3, 3)
     );
     assert_eq!(
         (fused.temporaries_eliminated, fused.rejections_reduction),
@@ -280,7 +282,7 @@ fn verification_only_observes() {
     );
     assert_eq!(
         (horizontal.horizontally_fused_tasks, horizontal.memo_hits),
-        (16, 2)
+        (16, 1)
     );
     assert_eq!((unfused.tasks_launched, unfused.fused_tasks), (8, 0));
     // Recorded by running this file, unchanged, against the tree before the
@@ -288,8 +290,8 @@ fn verification_only_observes() {
     // where every check site carried its own `if enable_verification`
     // block): the one gate must neither drop nor add a check. Since replays
     // reuse their skeleton's launch plan, each replay adds one plan check:
-    // five in the fused leg (six hits, one of them a layout drift that
-    // recompiles) and two in the horizontal leg. A task launched alone
+    // five in the fused leg (three hits of a two-segment plan, one segment
+    // of which drifts and recompiles) and two in the horizontal leg. A task launched alone
     // checks its module once, when its library kernel is built: 68 on the
     // first unfused round, as when every unfused launch was checked; each of
     // the second round's four launches replays a library kernel and adds one

@@ -34,7 +34,10 @@
 
 use std::collections::HashMap;
 
-use ir::{window_fingerprint, Domain, IndexTask, PartitionId, Privilege, ShapeId, StoreId, TaskWindow};
+use ir::{
+    window_fingerprint, Domain, FingerprintState, IndexTask, PartitionId, Privilege, ShapeId,
+    StoreId, TaskWindow,
+};
 
 /// Canonical form of one task: everything that affects the analysis, with
 /// store identities replaced by first-occurrence indices.
@@ -68,39 +71,34 @@ impl CanonicalWindow {
     ///
     /// Panics if a referenced store's shape was never stamped.
     pub fn new(tasks: &[IndexTask]) -> Self {
-        let mut numbering: HashMap<StoreId, u32> = HashMap::new();
+        // One pass of the window's own numbering and fold: the indices and
+        // the fingerprint are the ones `TaskWindow` would compute.
+        let mut numbering = FingerprintState::new();
         let mut shapes: Vec<ShapeId> = Vec::new();
-        let mut canonical_tasks = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let mut args = Vec::with_capacity(task.args.len());
-            for arg in &task.args {
-                let idx = match numbering.get(&arg.store) {
-                    Some(&i) => i,
-                    None => {
-                        assert!(
-                            !arg.shape.is_unknown(),
-                            "missing shape for {}",
-                            arg.store
-                        );
-                        let i = shapes.len() as u32;
-                        numbering.insert(arg.store, i);
+        let canonical_tasks = tasks
+            .iter()
+            .map(|task| {
+                numbering.push(task);
+                let args = task.args.iter().map(|arg| {
+                    let idx = numbering.index_of(arg.store).expect("folded above");
+                    if idx as usize == shapes.len() {
+                        assert!(!arg.shape.is_unknown(), "missing shape for {}", arg.store);
                         shapes.push(arg.shape);
-                        i
                     }
-                };
-                args.push((idx, arg.partition, arg.privilege));
-            }
-            canonical_tasks.push(CanonicalTask {
-                kind: task.kind,
-                launch_domain: task.launch_domain.clone(),
-                args,
-                num_scalars: task.scalars.len(),
-            });
-        }
+                    (idx, arg.partition, arg.privilege)
+                });
+                CanonicalTask {
+                    kind: task.kind,
+                    launch_domain: task.launch_domain.clone(),
+                    args: args.collect(),
+                    num_scalars: task.scalars.len(),
+                }
+            })
+            .collect();
         CanonicalWindow {
             tasks: canonical_tasks,
             shapes,
-            fingerprint: window_fingerprint(tasks),
+            fingerprint: numbering.fingerprint(),
         }
     }
 
@@ -112,11 +110,6 @@ impl CanonicalWindow {
     /// Whether the window is empty.
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// Number of distinct stores referenced.
-    pub fn num_stores(&self) -> usize {
-        self.shapes.len()
     }
 
     /// The structural fingerprint under which the cache indexes this key.
@@ -258,11 +251,8 @@ impl<V> MemoCache<V> {
     /// key; the reference path of the equivalence tests.
     pub fn get(&mut self, key: &CanonicalWindow) -> Option<&V> {
         self.tick += 1;
-        let candidates = self.index.get(&key.fingerprint)?;
-        let si = *candidates
-            .iter()
-            .find(|&&si| self.slots[si as usize].as_ref().expect("live").key == *key)?;
-        let slot = self.slots[si as usize].as_mut().expect("live");
+        let si = self.slot_of(key)?;
+        let slot = self.slots[si].as_mut().expect("live");
         slot.last_used = self.tick;
         Some(&slot.value)
     }
@@ -274,36 +264,42 @@ impl<V> MemoCache<V> {
     /// entry becomes most-recently used, so it is never the next victim.
     pub fn insert(&mut self, key: CanonicalWindow, value: V) {
         self.tick += 1;
-        if let Some(candidates) = self.index.get(&key.fingerprint) {
-            for &si in candidates {
-                let slot = self.slots[si as usize].as_mut().expect("live");
-                if slot.key == key {
-                    slot.value = value;
-                    slot.last_used = self.tick;
-                    return;
-                }
-            }
+        if let Some(si) = self.slot_of(&key) {
+            let slot = self.slots[si].as_mut().expect("live");
+            (slot.value, slot.last_used) = (value, self.tick);
+            return;
         }
         if self.live >= self.capacity {
             self.evict_lru();
         }
-        let slot = Slot {
-            value,
-            last_used: self.tick,
-            key,
-        };
-        let fingerprint = slot.key.fingerprint;
-        let si = match self.free.pop() {
-            Some(si) => {
-                self.slots[si as usize] = Some(slot);
-                si
-            }
-            None => {
-                self.slots.push(Some(slot));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.entry(fingerprint).or_default().push(si);
+        self.place(key, value, self.tick);
+    }
+
+    /// Inserts an entry that yields to every other: only into spare
+    /// capacity, and as the least recently used, so it never evicts an entry
+    /// and is the first evicted until a probe hits it. A resident key is
+    /// left as it is.
+    pub fn offer(&mut self, key: CanonicalWindow, value: V) {
+        if self.live < self.capacity && self.slot_of(&key).is_none() {
+            self.place(key, value, 0);
+        }
+    }
+
+    /// The slot holding `key`, if it is resident.
+    fn slot_of(&self, key: &CanonicalWindow) -> Option<usize> {
+        let candidates = self.index.get(&key.fingerprint)?;
+        let holds = |si: &&u32| self.slots[**si as usize].as_ref().expect("live").key == *key;
+        candidates.iter().find(holds).map(|&si| si as usize)
+    }
+
+    /// Places a new entry in a free slot, used last at `last_used`.
+    fn place(&mut self, key: CanonicalWindow, value: V, last_used: u64) {
+        let si = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.index.entry(key.fingerprint).or_default().push(si);
+        self.slots[si as usize] = Some(Slot { key, value, last_used });
         self.live += 1;
     }
 
@@ -399,7 +395,7 @@ mod tests {
         assert_eq!(l.fingerprint(), m.fingerprint());
         assert_ne!(l, r);
         assert_eq!(l.len(), 4);
-        assert_eq!(l.num_stores(), 3);
+        assert_eq!(l.shapes.len(), 3);
     }
 
     #[test]
@@ -495,6 +491,26 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.probe(&window_of(&wa)), Some(&1), "MRU entry survives");
         assert_eq!(cache.probe(&window_of(&wb)), None, "LRU entry was evicted");
+        assert_eq!(cache.probe(&window_of(&wc)), Some(&3));
+    }
+
+    #[test]
+    fn offered_entries_take_only_spare_capacity_and_go_first() {
+        let wa = [rw_task(0, 1, 2)];
+        let wb = [rw_task(0, 1, 2), rw_task(1, 2, 3)];
+        let wc = [rw_task(0, 1, 2), rw_task(1, 2, 3), rw_task(2, 3, 1)];
+        let mut cache: MemoCache<u32> = MemoCache::with_capacity_limit(2);
+        cache.insert(CanonicalWindow::new(&wa), 1);
+        cache.offer(CanonicalWindow::new(&wa), 9);
+        assert_eq!(cache.probe(&window_of(&wa)), Some(&1), "a resident key is kept");
+        cache.offer(CanonicalWindow::new(&wb), 2);
+        cache.offer(CanonicalWindow::new(&wc), 3);
+        assert_eq!((cache.len(), cache.evictions()), (2, 0), "an offer never evicts");
+        assert_eq!(cache.probe(&window_of(&wc)), None);
+        // B was offered after A was last used, yet it is the victim.
+        cache.insert(CanonicalWindow::new(&wc), 3);
+        assert_eq!(cache.probe(&window_of(&wb)), None, "the offered entry goes first");
+        assert_eq!(cache.probe(&window_of(&wa)), Some(&1));
         assert_eq!(cache.probe(&window_of(&wc)), Some(&3));
     }
 

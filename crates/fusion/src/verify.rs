@@ -22,11 +22,11 @@
 //!   ([`SegmentFootprint::admits`] re-run member against member), and that
 //!   the plan's groups cover every segment exactly once.
 //! * [`verify_skeleton`] — independently re-derives the canonical merged
-//!   argument list of a prefix (first-occurrence store numbering and
-//!   (store, partition) deduplication with privilege promotion, mirroring
-//!   [`crate::FusedTask::build`]) and compares it element by element to a
-//!   memo-replayed launch skeleton, catching fingerprint collisions by
-//!   construction.
+//!   argument list of a fused segment ((store, partition) deduplication with
+//!   privilege promotion, mirroring [`crate::FusedTask::build`], numbered by
+//!   the flushed window's first-occurrence numbering) and compares it
+//!   element by element to a memo-replayed launch skeleton, catching
+//!   fingerprint collisions by construction.
 //!
 //! All checkers return the number of individual checks performed
 //! (accumulated into `ExecutionStats::verification_checks`) or a structured
@@ -457,34 +457,41 @@ pub fn verify_horizontal_plan(
     Ok(checks)
 }
 
-/// Independently re-derives the canonical merged argument list of a prefix —
-/// first-occurrence store numbering over the prefix's arguments, one merged
-/// entry per distinct (store, partition) pair, privileges promoted across
-/// constituents (mirroring [`crate::FusedTask::build`] and the skeleton
-/// construction in the Diffuse core) — and compares it element by element to
-/// a memo-replayed skeleton's argument list. A fingerprint collision that
-/// slipped past the exact-match probe is caught here by construction: the
-/// colliding window derives a different canonical argument list.
+/// Independently re-derives the canonical merged argument list of a fused
+/// segment — one merged entry per distinct (store, partition) pair in
+/// first-occurrence order, privileges promoted across constituents
+/// (mirroring [`crate::FusedTask::build`]), each store numbered by
+/// `canonical`, the numbering of the window the segment was flushed from —
+/// and compares it element by element to a memo-replayed skeleton's argument
+/// list. A fingerprint collision that slipped past the exact-match probe is
+/// caught here by construction: the colliding window derives a different
+/// canonical argument list.
 ///
 /// Returns the number of individual checks performed.
 ///
 /// # Errors
 ///
 /// The first structural divergence between the re-derivation and the cached
-/// skeleton.
+/// skeleton; a store `canonical` does not number diverges at its argument.
 pub fn verify_skeleton(
-    prefix: &[IndexTask],
+    segment: &[IndexTask],
+    canonical: impl Fn(StoreId) -> Option<u32>,
     skeleton_args: &[(u32, PartitionId, Privilege)],
 ) -> Result<usize, VerifyError> {
-    let mut canon: HashMap<StoreId, u32> = HashMap::new();
-    let mut merged: Vec<(u32, PartitionId, Privilege)> = Vec::new();
-    for task in prefix {
+    let mut merged: Vec<(Option<u32>, StoreId, PartitionId, Privilege)> = Vec::new();
+    for task in segment {
         for arg in &task.args {
-            let next = canon.len() as u32;
-            let ci = *canon.entry(arg.store).or_insert(next);
-            match merged.iter_mut().find(|(c, p, _)| *c == ci && *p == arg.partition) {
-                Some(slot) => slot.2 = slot.2.promote(arg.privilege),
-                None => merged.push((ci, arg.partition, arg.privilege)),
+            match merged
+                .iter_mut()
+                .find(|m| m.1 == arg.store && m.2 == arg.partition)
+            {
+                Some(slot) => slot.3 = slot.3.promote(arg.privilege),
+                None => merged.push((
+                    canonical(arg.store),
+                    arg.store,
+                    arg.partition,
+                    arg.privilege,
+                )),
             }
         }
     }
@@ -494,8 +501,9 @@ pub fn verify_skeleton(
             found: skeleton_args.len(),
         });
     }
-    for (index, (ours, theirs)) in merged.iter().zip(skeleton_args).enumerate() {
-        if ours != theirs {
+    for (index, (&(ci, _, part, privilege), theirs)) in merged.iter().zip(skeleton_args).enumerate()
+    {
+        if ci.map(|ci| (ci, part, privilege)) != Some(*theirs) {
             return Err(VerifyError::SkeletonArgMismatch { index });
         }
     }
@@ -676,6 +684,12 @@ mod tests {
         );
     }
 
+    /// The numbering of a chain whose store ids are its first-occurrence
+    /// order.
+    fn by_id(store: StoreId) -> Option<u32> {
+        Some(store.0 as u32)
+    }
+
     #[test]
     fn skeleton_matches_its_own_prefix() {
         let tasks = vec![chain_task(0, 4, 0, 1), chain_task(1, 4, 1, 2)];
@@ -686,23 +700,48 @@ mod tests {
             .iter()
             .map(|(s, p, pr)| (s.0 as u32, *p, *pr))
             .collect();
-        assert!(verify_skeleton(&tasks, &skeleton).unwrap() > 0);
+        assert!(verify_skeleton(&tasks, by_id, &skeleton).unwrap() > 0);
 
         // Corrupt the privilege of one merged arg: the re-derivation catches it.
         let mut corrupt = skeleton.clone();
         corrupt[1].2 = Privilege::Read;
         assert_eq!(
-            verify_skeleton(&tasks, &corrupt),
+            verify_skeleton(&tasks, by_id, &corrupt),
             Err(VerifyError::SkeletonArgMismatch { index: 1 })
         );
 
         // Drop an arg: the count check catches it.
         assert_eq!(
-            verify_skeleton(&tasks, &skeleton[..2]),
+            verify_skeleton(&tasks, by_id, &skeleton[..2]),
             Err(VerifyError::SkeletonArgCount {
                 expected: 3,
                 found: 2,
             })
+        );
+    }
+
+    #[test]
+    fn a_segment_is_numbered_by_its_window() {
+        // The second segment (t1 + t2, a different domain) sits behind t0, so
+        // its first store is the window's second.
+        let tasks = vec![chain_task(0, 4, 5, 6), chain_task(1, 8, 6, 7), chain_task(2, 8, 7, 8)];
+        let mut numbering = ir::FingerprintState::new();
+        for t in &tasks {
+            numbering.push(t);
+        }
+        let segment = &tasks[1..];
+        let window = |s: StoreId| numbering.index_of(s);
+        let skeleton: Vec<(u32, PartitionId, Privilege)> = FusedTask::build(segment.to_vec())
+            .args
+            .iter()
+            .map(|&(s, p, pr)| (window(s).unwrap(), p, pr))
+            .collect();
+        assert_eq!(skeleton[0].0, 1);
+        assert!(verify_skeleton(segment, window, &skeleton).unwrap() > 0);
+        // Numbered from the segment's own head instead, it diverges.
+        assert_eq!(
+            verify_skeleton(segment, |s| Some(s.0 as u32 - 6), &skeleton),
+            Err(VerifyError::SkeletonArgMismatch { index: 0 })
         );
     }
 

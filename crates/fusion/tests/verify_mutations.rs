@@ -229,15 +229,17 @@ proptest! {
     #[test]
     fn corrupted_skeleton_is_rejected(n in 2usize..7, pick in 0usize..32) {
         let tasks = chain(n);
+        let by_id = |s: StoreId| Some(s.0 as u32);
         let fused = FusedTask::build(tasks.clone());
         // In a chain, store ids coincide with first-occurrence canonical
-        // numbering, so the skeleton is the fused arg list verbatim.
+        // numbering, so the skeleton is the fused arg list verbatim and the
+        // window's numbering is the identity on ids.
         let skeleton: Vec<(u32, PartitionId, Privilege)> = fused
             .args
             .iter()
             .map(|(s, p, pr)| (s.0 as u32, *p, *pr))
             .collect();
-        prop_assert!(verify_skeleton(&tasks, &skeleton).unwrap() > 0);
+        prop_assert!(verify_skeleton(&tasks, by_id, &skeleton).unwrap() > 0);
 
         let idx = pick % skeleton.len();
         let mut corrupt = skeleton.clone();
@@ -246,11 +248,11 @@ proptest! {
             _ => Privilege::Read,
         };
         prop_assert_eq!(
-            verify_skeleton(&tasks, &corrupt),
+            verify_skeleton(&tasks, by_id, &corrupt),
             Err(VerifyError::SkeletonArgMismatch { index: idx })
         );
         prop_assert_eq!(
-            verify_skeleton(&tasks, &skeleton[..skeleton.len() - 1]),
+            verify_skeleton(&tasks, by_id, &skeleton[..skeleton.len() - 1]),
             Err(VerifyError::SkeletonArgCount {
                 expected: skeleton.len(),
                 found: skeleton.len() - 1,

@@ -7,11 +7,10 @@
 //! 64-bit **structural fingerprint** of the De-Bruijn-canonicalized task
 //! stream *incrementally*: each [`TaskWindow::push`] folds the new task into
 //! a rolling hash, so probing the memo cache at flush time never walks the
-//! buffered tasks to build a lookup key. The fingerprint of every prefix
-//! length is retained (O(1) [`TaskWindow::prefix_fingerprint`], one `u64`
-//! per task), so prefix-granular probes stay cheap too; draining a prefix
-//! does refold the remaining suffix, since the canonical numbering restarts
-//! at the new window head.
+//! buffered tasks to build a lookup key. A flush probes once, for the whole
+//! window, resolves memoized arguments through the window's one store
+//! numbering ([`TaskWindow::numbering`]) and then [`TaskWindow::clear`]s it.
+//! Only [`TaskWindow::reorder`] refolds.
 
 use std::collections::HashMap;
 
@@ -72,14 +71,14 @@ impl FingerprintState {
         self.fingerprint
     }
 
-    /// Number of distinct stores seen so far.
-    pub fn num_stores(&self) -> usize {
-        self.order.len()
-    }
-
     /// The store assigned canonical index `idx`, if any.
     pub fn store_at(&self, idx: usize) -> Option<StoreId> {
         self.order.get(idx).copied()
+    }
+
+    /// The canonical index of `store`, if it occurred in the stream.
+    pub fn index_of(&self, store: StoreId) -> Option<u32> {
+        self.numbering.get(&store).copied()
     }
 
     /// Clears the state back to the empty stream, retaining allocations.
@@ -135,38 +134,24 @@ pub fn window_fingerprint(tasks: &[IndexTask]) -> u64 {
 /// A FIFO window of index tasks that have been submitted by the application
 /// but not yet analyzed and forwarded to the underlying runtime (Section 4).
 ///
-/// The window maintains the rolling structural fingerprint of every prefix
-/// (see [`FingerprintState`]); [`TaskWindow::fingerprint`] is O(1) at any
-/// point, which is what makes the memoization fast path allocation-free.
-#[derive(Debug, Clone)]
+/// The window maintains the rolling structural fingerprint of its tasks (see
+/// [`FingerprintState`]); [`TaskWindow::fingerprint`] is O(1) at any point,
+/// which is what makes the memoization fast path allocation-free.
+#[derive(Debug, Clone, Default)]
 pub struct TaskWindow {
     tasks: Vec<IndexTask>,
-    /// `fingerprints[i]` is the fingerprint of the first `i` tasks
-    /// (`fingerprints[0]` is the empty-stream seed).
-    fingerprints: Vec<u64>,
     state: FingerprintState,
-}
-
-impl Default for TaskWindow {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TaskWindow {
     /// Creates an empty window.
     pub fn new() -> Self {
-        TaskWindow {
-            tasks: Vec::new(),
-            fingerprints: vec![FingerprintState::new().fingerprint()],
-            state: FingerprintState::new(),
-        }
+        Self::default()
     }
 
     /// Appends a task to the window, extending the rolling fingerprint.
     pub fn push(&mut self, task: IndexTask) {
-        let fp = self.state.push(&task);
-        self.fingerprints.push(fp);
+        self.state.push(&task);
         self.tasks.push(task);
     }
 
@@ -188,43 +173,27 @@ impl TaskWindow {
     /// The structural fingerprint of the whole buffered window. O(1): the
     /// value is maintained incrementally as tasks are pushed.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprints.last().expect("fingerprints[0] is the seed")
+        self.state.fingerprint()
     }
 
-    /// The structural fingerprint of the first `len` buffered tasks. O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` exceeds the window length.
-    pub fn prefix_fingerprint(&self, len: usize) -> u64 {
-        self.fingerprints[len]
+    /// The first-occurrence numbering the buffered tasks were folded under
+    /// ([`FingerprintState::store_at`] and [`FingerprintState::index_of`]
+    /// resolve canonical indices both ways).
+    pub fn numbering(&self) -> &FingerprintState {
+        &self.state
     }
 
-    /// The store assigned canonical (first-occurrence) index `idx` by the
-    /// window's De-Bruijn numbering.
-    pub fn canonical_store(&self, idx: usize) -> Option<StoreId> {
-        self.state.store_at(idx)
-    }
-
-    /// Removes and returns the first `n` tasks. The fingerprints of the
-    /// remaining suffix are recomputed (the canonical numbering restarts at
-    /// the new window head), reusing the existing allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the window length.
-    pub fn drain_prefix(&mut self, n: usize) -> Vec<IndexTask> {
-        assert!(n <= self.tasks.len(), "cannot drain more tasks than buffered");
-        let prefix: Vec<IndexTask> = self.tasks.drain(..n).collect();
-        self.refold();
-        prefix
+    /// Empties the window in one step, retaining its allocations.
+    pub fn clear(&mut self) {
+        self.tasks.clear();
+        self.state.reset();
     }
 
     /// Replaces the buffered tasks with a permutation of themselves (the
     /// horizontal fusion pass reorders the window before the vertical
-    /// analysis) and recomputes the rolling fingerprints for the new order.
-    /// The canonical store numbering restarts from the permuted stream, so
-    /// memo probes after a reorder key on the permuted canonical form.
+    /// analysis) and refolds the rolling fingerprint for the new order — the
+    /// window's only refold. The canonical store numbering restarts from the
+    /// permuted stream, so the memo probe keys on the permuted canonical form.
     ///
     /// # Panics
     ///
@@ -245,31 +214,11 @@ impl TaskWindow {
             debug_assert_eq!(before, after, "reorder must be a permutation of the window");
         }
         self.tasks = tasks;
-        self.refold();
-    }
-
-    /// Removes and returns all buffered tasks.
-    pub fn drain_all(&mut self) -> Vec<IndexTask> {
-        let all = std::mem::take(&mut self.tasks);
-        self.refold();
-        all
-    }
-
-    /// Recomputes the rolling fingerprints for the current task contents.
-    fn refold(&mut self) {
-        let TaskWindow {
-            tasks,
-            fingerprints,
-            state,
-        } = self;
-        state.reset();
-        fingerprints.clear();
-        fingerprints.push(state.fingerprint());
-        for t in tasks.iter() {
-            fingerprints.push(state.push(t));
+        self.state.reset();
+        for t in &self.tasks {
+            self.state.push(t);
         }
     }
-
 }
 
 impl FromIterator<IndexTask> for TaskWindow {
@@ -312,27 +261,33 @@ mod tests {
     }
 
     #[test]
-    fn push_and_drain_prefix() {
+    fn push_and_clear() {
         let mut w = TaskWindow::new();
         assert!(w.is_empty());
         for i in 0..5 {
             w.push(task(i));
         }
         assert_eq!(w.len(), 5);
-        let prefix = w.drain_prefix(2);
-        assert_eq!(prefix.len(), 2);
-        assert_eq!(prefix[0].id, TaskId(0));
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.tasks()[0].id, TaskId(2));
+        assert_eq!(w.tasks()[4].id, TaskId(4));
+        w.clear();
+        assert!(w.is_empty());
     }
 
     #[test]
-    fn drain_all_empties_window() {
-        let mut w: TaskWindow = (0..3).map(task).collect();
-        let all = w.drain_all();
-        assert_eq!(all.len(), 3);
+    fn clear_empties_the_window() {
+        let stream = [rw(0, 1, 2), rw(1, 2, 3)];
+        let mut w: TaskWindow = stream.clone().into_iter().collect();
+        let numbering = w.numbering();
+        assert_eq!(numbering.fingerprint(), window_fingerprint(&stream));
+        assert_eq!(numbering.store_at(2), Some(StoreId(3)));
+        assert_eq!(numbering.store_at(3), None);
+        assert_eq!(numbering.index_of(StoreId(2)), Some(1));
+        assert_eq!(numbering.index_of(StoreId(9)), None);
+        w.clear();
         assert!(w.is_empty());
         assert_eq!(w.fingerprint(), window_fingerprint(&[]));
+        assert_eq!(w.numbering().store_at(0), None);
+        assert_eq!(w.numbering().index_of(StoreId(2)), None);
     }
 
     #[test]
@@ -343,14 +298,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn drain_too_many_panics() {
-        let mut w = TaskWindow::new();
-        w.push(task(0));
-        let _ = w.drain_prefix(2);
-    }
-
-    #[test]
     fn rolling_fingerprint_matches_batch() {
         let mut w = TaskWindow::new();
         let stream = [rw(0, 1, 2), rw(1, 2, 3), rw(2, 3, 1)];
@@ -358,26 +305,20 @@ mod tests {
             w.push(t);
         }
         assert_eq!(w.fingerprint(), window_fingerprint(&stream));
-        assert_eq!(w.prefix_fingerprint(2), window_fingerprint(&stream[..2]));
-        assert_eq!(w.prefix_fingerprint(0), window_fingerprint(&[]));
     }
 
     #[test]
-    fn drain_recomputes_suffix_fingerprint() {
+    fn clear_restarts_the_numbering() {
         let mut w = TaskWindow::new();
         let stream = [rw(0, 1, 2), rw(1, 2, 3), rw(2, 3, 1)];
-        for t in stream.clone() {
+        w.push(stream[0].clone());
+        w.clear();
+        // The next window numbers its stores from its own head.
+        for t in stream[1..].iter().cloned() {
             w.push(t);
         }
-        let _ = w.drain_prefix(1);
-        // The suffix, canonicalized as a fresh window, must match a batch
-        // fingerprint of the same tasks.
         assert_eq!(w.fingerprint(), window_fingerprint(&stream[1..]));
-        // And further pushes keep extending consistently.
-        w.push(rw(3, 5, 6));
-        let mut expected: Vec<IndexTask> = stream[1..].to_vec();
-        expected.push(rw(3, 5, 6));
-        assert_eq!(w.fingerprint(), window_fingerprint(&expected));
+        assert_eq!(w.numbering().store_at(0), Some(StoreId(2)));
     }
 
     #[test]
@@ -401,7 +342,7 @@ mod tests {
         assert_eq!(w.fingerprint(), window_fingerprint(&permuted));
         assert_eq!(w.tasks()[0].id, TaskId(2));
         // Canonical numbering restarts from the permuted head.
-        assert_eq!(w.canonical_store(0), Some(StoreId(5)));
+        assert_eq!(w.numbering().store_at(0), Some(StoreId(5)));
         // Subsequent pushes extend the permuted stream consistently.
         w.push(rw(3, 7, 8));
         let mut expected = permuted;
@@ -421,8 +362,8 @@ mod tests {
     fn canonical_store_tracks_first_occurrence() {
         let mut w = TaskWindow::new();
         w.push(rw(0, 4, 9));
-        assert_eq!(w.canonical_store(0), Some(StoreId(4)));
-        assert_eq!(w.canonical_store(1), Some(StoreId(9)));
-        assert_eq!(w.canonical_store(2), None);
+        assert_eq!(w.numbering().store_at(0), Some(StoreId(4)));
+        assert_eq!(w.numbering().store_at(1), Some(StoreId(9)));
+        assert_eq!(w.numbering().store_at(2), None);
     }
 }
