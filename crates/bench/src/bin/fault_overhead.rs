@@ -20,7 +20,7 @@
 //! ```
 
 use bench::{Bound, JsonValue, WarmTrace};
-use diffuse::{AnalyzeMode, FaultPlan};
+use diffuse::FaultPlan;
 
 /// Alternating pairs (see `analysis_overhead`: same trace, same estimator).
 const PAIRS: usize = 600;
@@ -37,7 +37,7 @@ const ARMED_CEILING_PCT: f64 = 7.5;
 /// repairs all of it. Returns per-iteration (faults, retries, degraded).
 fn saturated_counters() -> (f64, f64, f64) {
     const ITERS: u64 = 8;
-    let trace = WarmTrace::cold(AnalyzeMode::Declared, Some(FaultPlan::new(2024, 1.0)));
+    let trace = WarmTrace::cold(Some(FaultPlan::new(2024, 1.0)));
     for _ in 0..ITERS {
         trace.iterate();
     }
@@ -66,11 +66,7 @@ fn main() {
     // Positive, so `Runtime::new` keeps the plan; 2⁻¹⁰²² per decision, so it
     // never fires (every timed batch asserts it did not).
     let quiet = FaultPlan::new(1, f64::MIN_POSITIVE);
-    let cost = bench::paired(
-        PAIRS,
-        WarmTrace::leg(AnalyzeMode::Declared, Some(quiet)),
-        WarmTrace::leg(AnalyzeMode::Declared, None),
-    );
+    let cost = bench::paired(PAIRS, WarmTrace::leg(Some(quiet)), WarmTrace::leg(None));
     let pct = |ratio: f64| (ratio - 1.0) * 100.0;
     let (faults, retries, degraded) = saturated_counters();
 

@@ -34,7 +34,7 @@
 //! ```
 
 use apps::{BenchmarkResult, Mode};
-use diffuse::{AnalyzeMode, Context, DiffuseConfig, FaultPlan, StoreHandle, TaskSignature};
+use diffuse::{Context, DiffuseConfig, FaultPlan, StoreHandle, TaskSignature};
 use ir::{Partition, PartitionId};
 use kernel::{BufferId, BufferRole, KernelModule, LoopBuilder, TaskKind};
 use machine::MachineConfig;
@@ -414,16 +414,13 @@ const LEG_REBUILD_EVERY: usize = 50;
 /// Jacobi-style correction window and a 24-task elementwise chain, each
 /// flushed the way a solver flushes per iteration. CG reuses its vectors, so
 /// successive iterations are isomorphic and, once the memo is populated,
-/// every window is a hit: the steady-state submit path whose cost the
-/// opt-in layers (analyzer, fault plan) must not move.
+/// every window is a hit: the steady-state submit path whose cost memo
+/// misses amortize against and an armed fault plan must not move.
 pub struct WarmTrace {
     ctx: Context,
     add: TaskKind,
     scale: TaskKind,
     dot: TaskKind,
-    /// An add with a declared read-write scratch argument its kernel never
-    /// touches: what the inferred leg must tighten.
-    phantom: TaskKind,
     block: PartitionId,
     replicate: PartitionId,
     x: StoreHandle,
@@ -440,19 +437,27 @@ impl WarmTrace {
     pub const TASKS: u64 = 7 + TRACE_CHAIN as u64;
 
     /// The trace over a fresh context — memo empty, so the first iteration
-    /// is all misses. Both layer settings are explicit so the process
-    /// environment (`DIFFUSE_ANALYZE`, `DIFFUSE_FAULTS`) never picks a leg.
-    pub fn cold(mode: AnalyzeMode, plan: Option<FaultPlan>) -> Self {
+    /// is all misses. The fault plan is explicit so the process environment
+    /// (`DIFFUSE_FAULTS`) never picks a leg.
+    pub fn cold(plan: Option<FaultPlan>) -> Self {
         // Buffer the whole chain window before analyzing (the adaptive policy
         // would get there on its own; pinning it keeps batches uniform).
         let mut config = DiffuseConfig::fused(MachineConfig::with_gpus(TRACE_GPUS))
             .simulation_only()
-            .with_window(32, 70)
-            .with_analyze(mode);
+            .with_window(32, 70);
         config.fault_plan = plan;
         let ctx = Context::new(config);
         let lib = ctx.register_library("warmtrace");
-        let add = lib.register("add", TaskSignature::new().read().read().write(), |_| add_module(3));
+        let add = lib.register("add", TaskSignature::new().read().read().write(), |_| {
+            let mut m = KernelModule::new(3);
+            m.set_role(BufferId(2), BufferRole::Output);
+            let mut b = LoopBuilder::new("add", BufferId(2));
+            let (x, y) = (b.load(BufferId(0)), b.load(BufferId(1)));
+            let s = b.add(x, y);
+            b.store(BufferId(2), s);
+            m.push_loop(b.finish());
+            m
+        });
         let scale = lib.register("scale", TaskSignature::new().read().write().scalars(1), |_| {
             let mut m = KernelModule::new(2);
             m.set_role(BufferId(1), BufferRole::Output);
@@ -474,17 +479,11 @@ impl WarmTrace {
             m.push_loop(b.finish());
             m
         });
-        let phantom = lib.register(
-            "phantom_add",
-            TaskSignature::new().read().read().write().read_write(),
-            |_| add_module(4),
-        );
         let store = |name: &str| ctx.create_store(vec![TRACE_ELEMENTS], name);
         WarmTrace {
             add,
             scale,
             dot,
-            phantom,
             block: PartitionId::intern(&Partition::block(vec![
                 TRACE_ELEMENTS.div_ceil(TRACE_GPUS as u64),
             ])),
@@ -507,12 +506,12 @@ impl WarmTrace {
     /// single context per leg, ten processes' medians of the armed-plan
     /// ratio spread 1.5 points on the reference box; rebuilt, 0.6 (two sets
     /// of ten) and 1.2 (a third).
-    pub fn leg(mode: AnalyzeMode, plan: Option<FaultPlan>) -> impl FnMut() -> f64 {
-        let mut trace = WarmTrace::warm(mode, plan);
+    pub fn leg(plan: Option<FaultPlan>) -> impl FnMut() -> f64 {
+        let mut trace = WarmTrace::warm(plan);
         let mut batches = 0;
         move || {
             if batches == LEG_REBUILD_EVERY {
-                trace = WarmTrace::warm(mode, plan);
+                trace = WarmTrace::warm(plan);
                 batches = 0;
             }
             batches += 1;
@@ -521,29 +520,11 @@ impl WarmTrace {
     }
 
     /// The trace with its memo populated (and the adaptive window settled):
-    /// every later iteration is all hits. Under [`AnalyzeMode::Inferred`] it
-    /// also proves the analyzer is live in this leg: one launch of the
-    /// phantom add, outside every timed batch, must be tightened.
-    fn warm(mode: AnalyzeMode, plan: Option<FaultPlan>) -> Self {
-        let trace = WarmTrace::cold(mode, plan);
+    /// every later iteration is all hits.
+    fn warm(plan: Option<FaultPlan>) -> Self {
+        let trace = WarmTrace::cold(plan);
         for _ in 0..3 {
             trace.iterate();
-        }
-        if mode == AnalyzeMode::Inferred {
-            trace
-                .ctx
-                .task(trace.phantom)
-                .name("phantom_probe")
-                .read(&trace.x, trace.block)
-                .read(&trace.p, trace.block)
-                .write(&trace.t, trace.block)
-                .read_write(&trace.q, trace.block)
-                .launch();
-            trace.ctx.flush();
-            assert!(
-                trace.ctx.stats().privileges_tightened > 0,
-                "the inferred leg must actually tighten the phantom scratch"
-            );
         }
         trace
     }
@@ -610,19 +591,6 @@ impl WarmTrace {
         assert_eq!(delta.faults_injected, 0, "a timed batch must not recover from faults");
         ns / (iters * Self::TASKS) as f64
     }
-}
-
-/// `out = a + b` over buffers 0, 1 → 2 of a module with `buffers` arguments
-/// (a fourth is the phantom scratch the kernel never touches).
-fn add_module(buffers: u32) -> KernelModule {
-    let mut m = KernelModule::new(buffers);
-    m.set_role(BufferId(2), BufferRole::Output);
-    let mut b = LoopBuilder::new("add", BufferId(2));
-    let (x, y) = (b.load(BufferId(0)), b.load(BufferId(1)));
-    let s = b.add(x, y);
-    b.store(BufferId(2), s);
-    m.push_loop(b.finish());
-    m
 }
 
 // ---------------------------------------------------------------------------
@@ -851,24 +819,18 @@ mod tests {
     #[test]
     fn warm_trace_batches_are_all_hits_in_every_leg() {
         // `timed_ns_per_task` asserts hits-only, no compilation and no fired
-        // fault; `warm` asserts the inferred leg tightened the phantom.
-        for (mode, plan) in [
-            (AnalyzeMode::Declared, None),
-            (AnalyzeMode::Inferred, None),
-            (AnalyzeMode::Declared, Some(FaultPlan::new(1, f64::MIN_POSITIVE))),
-        ] {
-            let trace = WarmTrace::warm(mode, plan);
+        // fault.
+        for plan in [None, Some(FaultPlan::new(1, f64::MIN_POSITIVE))] {
+            let trace = WarmTrace::warm(plan);
             assert!(trace.timed_ns_per_task(2) > 0.0);
-            let stats = trace.context().stats();
-            assert_eq!(stats.privileges_tightened > 0, mode == AnalyzeMode::Inferred);
-            assert_eq!(stats.faults_injected, 0);
+            assert_eq!(trace.context().stats().faults_injected, 0);
         }
     }
 
     #[test]
     #[should_panic(expected = "warm path must be all hits")]
     fn warm_trace_refuses_to_time_a_cold_batch() {
-        WarmTrace::cold(AnalyzeMode::Declared, None).timed_ns_per_task(1);
+        WarmTrace::cold(None).timed_ns_per_task(1);
     }
 
     #[test]

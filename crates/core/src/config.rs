@@ -4,37 +4,17 @@ use kernel::BackendKind;
 use machine::MachineConfig;
 use runtime::{ExecutorKind, FaultPlan, RecoveryPolicy};
 
-/// Which privileges the fusion analysis trusts (the `DIFFUSE_ANALYZE` knob;
-/// see `docs/ANALYZE.md`).
+/// Which privileges the fusion analysis trusts: the ones each task
+/// declares, verbatim. A launch's declared partitions and privileges are the
+/// ground truth of every fusion constraint (Section 4); there is no other
+/// mode. The enum and [`DiffuseConfig::with_analyze`] stay because
+/// `diffuse-bench` names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AnalyzeMode {
-    /// Use the privileges each task declared, verbatim (historical behavior).
+    /// Use the privileges each task declared, verbatim.
     #[default]
     Declared,
-    /// Run the abstract-interpretation footprint analysis over each task
-    /// kind's generated kernel (`kernel::analyze`, memoized by module
-    /// fingerprint) and *tighten* declared privileges the kernel provably
-    /// never exercises: a declared write/read-write/reduce argument whose
-    /// kernel never stores or reduces to the buffer is narrowed to read.
-    /// Tightening is bitwise-invisible to results (the runtime reads every
-    /// buffer a stage references, through a borrowed view or a staged copy,
-    /// and writes region memory only where a stage stored or reduced; see
-    /// `runtime::DataPlan`) while windows that previously split on phantom
-    /// privileges now fuse.
-    Inferred,
 }
-
-/// The accepted spellings of `DIFFUSE_ANALYZE`.
-const ANALYZE_SPELLINGS: [(&str, AnalyzeMode); 8] = [
-    ("inferred", AnalyzeMode::Inferred),
-    ("on", AnalyzeMode::Inferred),
-    ("1", AnalyzeMode::Inferred),
-    ("true", AnalyzeMode::Inferred),
-    ("declared", AnalyzeMode::Declared),
-    ("off", AnalyzeMode::Declared),
-    ("0", AnalyzeMode::Declared),
-    ("false", AnalyzeMode::Declared),
-];
 
 /// Configuration of a [`crate::Context`].
 ///
@@ -108,12 +88,6 @@ pub struct DiffuseConfig {
     /// Recovery policy applied to injected faults (retry budget, backoff
     /// pricing, GPU health threshold).
     pub recovery: RecoveryPolicy,
-    /// Whether the fusion analysis trusts declared privileges or tightens
-    /// them with the abstract-interpretation footprint analyzer (defaults to
-    /// [`DiffuseConfig::analyze_from_env`], i.e. the `DIFFUSE_ANALYZE`
-    /// environment variable; declared when unset, so existing streams are
-    /// processed exactly as before). See `docs/ANALYZE.md`.
-    pub analyze: AnalyzeMode,
 }
 
 impl DiffuseConfig {
@@ -139,14 +113,6 @@ impl DiffuseConfig {
         ir::env::flag("DIFFUSE_VERIFY", cfg!(debug_assertions))
     }
 
-    /// Which [`AnalyzeMode`] `DIFFUSE_ANALYZE` requests
-    /// ([`ir::env::choice`]): `inferred` (or `on`, `1`, `true`) enables
-    /// privilege tightening; `declared` (or `off`, `0`, `false`), unset or
-    /// unrecognized preserve declared privileges.
-    pub fn analyze_from_env() -> AnalyzeMode {
-        ir::env::choice("DIFFUSE_ANALYZE", &ANALYZE_SPELLINGS, AnalyzeMode::Declared)
-    }
-
     /// Full Diffuse with functional execution.
     pub fn fused(machine: MachineConfig) -> Self {
         DiffuseConfig {
@@ -165,7 +131,6 @@ impl DiffuseConfig {
             verify_fail_fast: cfg!(debug_assertions),
             fault_plan: FaultPlan::from_env(),
             recovery: RecoveryPolicy::default(),
-            analyze: Self::analyze_from_env(),
         }
     }
 
@@ -274,12 +239,9 @@ impl DiffuseConfig {
         self
     }
 
-    /// Chooses the privilege-analysis mode explicitly, overriding the
-    /// `DIFFUSE_ANALYZE` default. [`AnalyzeMode::Inferred`] tightens declared
-    /// privileges a task's kernel provably never exercises; results are
-    /// bitwise-unchanged while phantom-privilege windows fuse.
-    pub fn with_analyze(mut self, analyze: AnalyzeMode) -> Self {
-        self.analyze = analyze;
+    /// Accepts the one [`AnalyzeMode`] and changes nothing: declared
+    /// privileges are always trusted.
+    pub fn with_analyze(self, _analyze: AnalyzeMode) -> Self {
         self
     }
 }
@@ -361,11 +323,9 @@ mod tests {
 
     #[test]
     fn analyze_override() {
-        let c = DiffuseConfig::fused(MachineConfig::single_node(2))
-            .with_analyze(AnalyzeMode::Inferred);
-        assert_eq!(c.analyze, AnalyzeMode::Inferred);
-        let c = c.with_analyze(AnalyzeMode::Declared);
-        assert_eq!(c.analyze, AnalyzeMode::Declared);
+        let c = DiffuseConfig::fused(MachineConfig::single_node(2));
+        let declared = c.clone().with_analyze(AnalyzeMode::Declared);
+        assert_eq!(format!("{declared:?}"), format!("{c:?}"));
         assert_eq!(AnalyzeMode::default(), AnalyzeMode::Declared);
     }
 

@@ -31,10 +31,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use fusion::{
-    explain_window_with, fusible_segments, plan_horizontal, temporary_stores, AdaptiveWindow,
-    CanonicalWindow, DepClass, FusedTask, FusionViolation, MemoCache,
+    fusible_segments, fusible_segments_explained, plan_horizontal, temporary_stores,
+    AdaptiveWindow, CanonicalWindow, FusedTask, FusionViolation, MemoCache,
 };
-use ir::fingerprint::{fold_bytes, fold_u64, OFFSET};
+use ir::fingerprint::{fold_u64, OFFSET};
 use ir::{
     Domain, FingerprintState, IndexTask, Partition, PartitionId, Privilege, ShapeId, StoreArg,
     StoreId, TaskId, TaskWindow,
@@ -49,7 +49,7 @@ use runtime::{
     RegionRequirement, Runtime, RuntimeConfig, RuntimeError, TaskLaunch,
 };
 
-use crate::config::{AnalyzeMode, DiffuseConfig};
+use crate::config::DiffuseConfig;
 use crate::handle::StoreHandle;
 use crate::launch::LaunchBuilder;
 use crate::library::{Library, LibraryBuilder};
@@ -181,18 +181,6 @@ pub struct ContextInner {
     dead: Vec<StoreId>,
     next_store: u64,
     next_task: u64,
-    /// Task kinds already run through the privilege-precision lint (the lint
-    /// reports once per kind, not once per launch).
-    linted_kinds: HashSet<u32>,
-    /// Memoized footprint analysis per (task kind, launch-shape fingerprint):
-    /// which arguments the analyzer can tighten to read and which have exact
-    /// affine access summaries (see `kernel::analyze` and `docs/ANALYZE.md`).
-    /// Filled once per distinct key; the per-submit cost after that is one
-    /// hash probe.
-    analysis: HashMap<(u32, u64), KindAnalysis, FpBuild>,
-    /// Inferred module summaries memoized by module content fingerprint, so
-    /// two task kinds generating the same kernel share one analysis.
-    summaries: HashMap<u64, Arc<kernel::ModuleSummary>>,
 }
 
 /// Deterministic content key of a kernel module for the [`FaultSite::Compile`]
@@ -239,57 +227,6 @@ fn module_content_key(module: &KernelModule) -> u64 {
     }
     h
 }
-
-/// Memoized result of the footprint analysis for one (task kind,
-/// launch-shape) combination: per declared argument, whether the analyzer
-/// narrows its privilege to read and whether its access summary is exact.
-#[derive(Debug, Clone)]
-struct KindAnalysis {
-    tighten: Vec<bool>,
-    exact: Vec<bool>,
-}
-
-/// Fingerprint of everything a task kind's generated module depends on: the
-/// kind itself, each argument's interned shape and partition, and the launch
-/// domain — the inputs of `GenArgs`. Pure integer word-wise FNV-1a — no
-/// allocation and one multiply per word, because this runs on every
-/// submission under [`AnalyzeMode::Inferred`] and the `analysis_overhead`
-/// bench gates the whole probe as a share of the warm path.
-fn analysis_key(task: &IndexTask) -> (u32, u64) {
-    let mut h = OFFSET;
-    let mut mix = |v: u64| h = fold_u64(h, v);
-    for arg in &task.args {
-        mix(arg.shape.index() as u64);
-        mix(arg.partition.index() as u64);
-    }
-    for &d in task.launch_domain.shape() {
-        mix(d);
-    }
-    (task.kind, h)
-}
-
-/// Hasher for maps keyed by already-mixed fingerprints (the analysis memo):
-/// folds the written words FNV-style instead of paying SipHash on the
-/// per-submit probe. Not DoS-resistant — fine for keys we compute ourselves.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl std::hash::Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = fold_bytes(self.0, bytes);
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = fold_u64(self.0, v);
-    }
-}
-
-type FpBuild = std::hash::BuildHasherDefault<FpHasher>;
 
 impl ContextInner {
     /// Registers a library namespace, creating its statistics entry.
@@ -406,109 +343,42 @@ impl ContextInner {
     /// Generates one task's kernel module at `lens`, its arguments' access
     /// volumes ([`ContextInner::arg_volumes`]). Returns the module with every
     /// buffer's length: the arguments', then the task's largest argument
-    /// volume for each generator-introduced local.
-    fn generate(&self, task: &IndexTask, mut lens: Vec<usize>) -> (KernelModule, Vec<usize>) {
+    /// volume for each generator-introduced local. A kind with no registered
+    /// generator is an error for [`ContextInner::contain`].
+    fn generate(
+        &self,
+        task: &IndexTask,
+        mut lens: Vec<usize>,
+    ) -> Result<(KernelModule, Vec<usize>), String> {
         let kind = TaskKind::decode(task.kind);
         let module = self
             .registry
             .generate(kind, &GenArgs { buffer_lens: &lens })
-            .unwrap_or_else(|| panic!("no generator registered for task kind {kind}"));
+            .ok_or_else(|| format!("no generator registered for task kind {kind}"))?;
         let local_len = lens.iter().copied().max().unwrap_or(1);
         lens.resize(module.num_buffers() as usize, local_len);
-        (module, lens)
+        Ok((module, lens))
     }
 
-    /// The analyzer memo's one entry point: the footprint analysis of
-    /// `task`'s kernel at its launch shape, run on first use and memoized
-    /// under [`analysis_key`]. The module summary itself is also shared by
-    /// module content fingerprint, so two kinds generating identical kernels
-    /// analyze once.
-    fn analyze(&mut self, task: &IndexTask) -> &KindAnalysis {
-        let key = analysis_key(task);
-        if !self.analysis.contains_key(&key) {
-            let (module, _) = self.generate(task, self.arg_volumes(task));
-            let summary = self
-                .summaries
-                .entry(module_content_key(&module))
-                .or_insert_with(|| Arc::new(kernel::infer_footprint(&module)));
-            let num_args = task.args.len();
-            let exact = (0..num_args).map(|i| summary.buffer(i).is_exact()).collect();
-            let mut tighten = vec![false; num_args];
-            if let Some(sig) = self.registry.signature(TaskKind::decode(task.kind)) {
-                let eff = kernel::analyze::effective_signature_from_summary(summary, sig);
-                for (arg, _, _) in eff.tightened() {
-                    if arg < num_args {
-                        tighten[arg] = true;
-                    }
-                }
-            }
-            self.analysis.insert(key, KindAnalysis { tighten, exact });
-        }
-        &self.analysis[&key]
-    }
-
-    /// Whether the kernel-level access summary for `task`'s argument `arg` is
-    /// exact (no ⊤ component) — the precondition for classifying a dependence
-    /// edge with a constant distance. Reads the memoized analysis only; an
-    /// unanalyzed kind is conservatively inexact.
-    fn arg_is_exact(&self, task: &IndexTask, arg: usize) -> bool {
-        self.analysis
-            .get(&analysis_key(task))
-            .is_some_and(|a| a.exact.get(arg).copied().unwrap_or(false))
-    }
-
-    /// Narrows `task`'s declared privileges to what its kernel provably
-    /// exercises ([`AnalyzeMode::Inferred`] only): a declared
-    /// write/read-write/reduce argument whose kernel never stores or reduces
-    /// to the buffer becomes a read. The runtime hands a stage every buffer
-    /// it references whatever the privilege (a staged copy, or — for what the
-    /// launch only reads — a view) and writes back only what a stage stored
-    /// or reduced to, so the narrowing changes no data — results are bitwise
-    /// unchanged while phantom-privilege windows fuse.
-    fn tighten_task(&mut self, task: &mut IndexTask) {
-        let analysis = self.analyze(task);
-        let mut tightened = 0;
-        for (arg, &tighten) in task.args.iter_mut().zip(&analysis.tighten) {
-            if tighten && (arg.privilege.writes() || arg.privilege.reduces()) {
-                arg.privilege = Privilege::Read;
-                tightened += 1;
-            }
-        }
-        self.stats.privileges_tightened += tightened;
-    }
-
-    /// One-pass fusible segmentation of a flushed window (miss path only)
-    /// with the why-not explainer over every split boundary: each rejection
-    /// is classified ([`DepClass`]) and counted in the per-class rejection
-    /// stats.
+    /// One-pass fusible segmentation of a flushed window (miss path only).
+    /// Each split is counted by the constraint that failed; a true or anti
+    /// dependence counts as `rejections_unknown`.
     fn classify_and_segment(&mut self, tasks: &[IndexTask]) -> Vec<usize> {
-        let report = self.explain_window(tasks);
-        for boundary in &report.boundaries {
-            match (&boundary.violation, &boundary.class) {
-                (FusionViolation::LaunchDomainMismatch { .. }, _) => {
-                    self.stats.rejections_domain_mismatch += 1;
+        let segments = fusible_segments_explained(tasks);
+        for (_, violation) in &segments {
+            let counter = match violation {
+                None => continue,
+                Some(FusionViolation::LaunchDomainMismatch { .. }) => {
+                    &mut self.stats.rejections_domain_mismatch
                 }
-                (FusionViolation::Reduction { .. }, _) => {
-                    self.stats.rejections_reduction += 1;
-                }
-                (_, Some(DepClass::Carried { .. })) => self.stats.rejections_carried += 1,
-                _ => self.stats.rejections_unknown += 1,
-            }
+                Some(FusionViolation::Reduction { .. }) => &mut self.stats.rejections_reduction,
+                Some(
+                    FusionViolation::TrueDependence { .. } | FusionViolation::AntiDependence { .. },
+                ) => &mut self.stats.rejections_unknown,
+            };
+            *counter += 1;
         }
-        report.segments
-    }
-
-    /// A structured why-not report over `tasks` (the fusible segmentation
-    /// plus, per split boundary, the violated constraint, the dependence
-    /// classification, and what change would admit fusion). Every kind among
-    /// them is analyzed (memoized) first, so the classifier knows which
-    /// access summaries are exact.
-    pub(crate) fn explain_window(&mut self, tasks: &[IndexTask]) -> fusion::WindowReport {
-        for task in tasks {
-            self.analyze(task);
-        }
-        let this: &ContextInner = self;
-        explain_window_with(tasks, &|t, arg| this.arg_is_exact(t, arg))
+        segments.into_iter().map(|(len, _)| len).collect()
     }
 
     /// Compiles a module into a launchable artifact. Simulation-only
@@ -578,44 +448,20 @@ impl ContextInner {
     }
 
     /// The checks on one generated task module (run through the gate): IR
-    /// invariants at the concrete buffer lengths, consistency with the kind's
-    /// declared [`TaskSignature`] and — the PR contract of
-    /// [`AnalyzeMode::Inferred`] — an independent re-verification of the
-    /// analyzer-tightened signature (a read argument the kernel stores or
-    /// reduces to would be an analyzer soundness bug). Then the once-per-kind
-    /// privilege-precision lint, which only warns: over-broad privileges are
-    /// legal, they just inhibit fusion.
+    /// invariants at the concrete buffer lengths and consistency with the
+    /// kind's declared [`TaskSignature`].
     fn check_task_module(
-        &mut self,
+        &self,
         task: &IndexTask,
         module: &KernelModule,
         lens: &[usize],
     ) -> Result<usize, String> {
-        use kernel::verify::{lint_privilege_precision, verify_against_signature, verify_module};
+        use kernel::verify::{verify_against_signature, verify_module};
         let mut checks = verify_module(module, Some(lens))
             .map_err(|e| format!("IR invariant violated: {e}"))?;
-        let mut lints = Vec::new();
         if let Some(sig) = self.registry.signature(TaskKind::decode(task.kind)) {
             checks += verify_against_signature(module, sig)
                 .map_err(|e| format!("inconsistent with its declared signature: {e}"))?;
-            if self.config.analyze == AnalyzeMode::Inferred {
-                let eff = kernel::analyze::effective_signature(module, sig);
-                if eff.is_tightened() {
-                    let tightened = eff.to_signature();
-                    checks += verify_against_signature(module, &tightened).map_err(|e| {
-                        format!("analyzer-tightened signature failed re-verification: {e}")
-                    })?;
-                }
-            }
-            if !self.linted_kinds.contains(&task.kind) {
-                lints = lint_privilege_precision(module, sig);
-            }
-        }
-        if self.linted_kinds.insert(task.kind) {
-            for lint in lints {
-                self.stats.privilege_lint_warnings += 1;
-                eprintln!("diffuse-verify: lint: `{}`: {lint}", task.name);
-            }
         }
         Ok(checks)
     }
@@ -889,7 +735,7 @@ impl ContextInner {
             // them before it is composed.
             let arg_lens: Vec<usize> = arg_map.iter().map(|&i| lens[i]).collect();
             debug_assert_eq!(arg_lens, self.arg_volumes(task), "`{}`", task.name);
-            let (mut body, task_lens) = self.generate(task, arg_lens);
+            let (mut body, task_lens) = self.generate(task, arg_lens)?;
             self.verify(format_args!("kernel of `{}`", task.name), |this| {
                 this.check_task_module(task, &body, &task_lens)
             })?;
@@ -948,7 +794,7 @@ impl ContextInner {
     /// no compile time and counts no compilation: only fused windows pay the
     /// JIT, as in the paper.
     fn library_kernel(&mut self, task: &IndexTask) -> Result<(Skeleton, TaskLaunch), String> {
-        let (module, lens) = self.generate(task, self.arg_volumes(task));
+        let (module, lens) = self.generate(task, self.arg_volumes(task))?;
         self.verify(format_args!("kernel of `{}`", task.name), |this| {
             this.check_task_module(task, &module, &lens)
         })?;
@@ -1234,9 +1080,6 @@ impl Context {
             dead: Vec::new(),
             next_store: 0,
             next_task: 0,
-            linted_kinds: HashSet::new(),
-            analysis: HashMap::default(),
-            summaries: HashMap::new(),
             config,
         };
         Context {
@@ -1444,13 +1287,6 @@ impl Context {
                 .unwrap_or_else(|| panic!("submit references unknown store {}", arg.store));
             arg.shape = meta.shape;
         }
-        // Privilege tightening (after shape stamping — the analysis key and
-        // the generator both need concrete shapes, and after the debug-only
-        // declared-signature validation in `submit`, which checks what the
-        // caller passed, not what the analyzer narrowed it to).
-        if inner.config.analyze == AnalyzeMode::Inferred {
-            inner.tighten_task(&mut task);
-        }
         inner.stats.tasks_submitted += 1;
         let lib = (task.kind >> 16) as usize;
         if let Some(ls) = inner.stats.per_library.get_mut(lib) {
@@ -1464,16 +1300,12 @@ impl Context {
     }
 
     /// Explains the currently buffered (unflushed) task window: the fusible
-    /// segmentation plus, per split boundary, the violated constraint, the
-    /// dependence classification ([`fusion::DepClass`]) and a suggestion
-    /// that would admit fusion. Purely observational — the window is neither
-    /// flushed nor reordered. See `docs/ANALYZE.md` and `examples/explain.rs`.
+    /// segmentation plus, per split boundary, the violated constraint and a
+    /// suggestion that would admit fusion ([`fusion::explain_window`]).
+    /// Purely observational — the window is neither flushed nor reordered.
+    /// See `examples/explain.rs`.
     pub fn explain(&self) -> fusion::WindowReport {
-        let mut inner = self.inner.borrow_mut();
-        let window = std::mem::take(&mut inner.window);
-        let report = inner.explain_window(window.tasks());
-        inner.window = window;
-        report
+        fusion::explain_window(self.inner.borrow().window.tasks())
     }
 
     /// Flushes the task window: analyzes and launches every buffered task
@@ -1748,7 +1580,6 @@ mod tests {
                     .with_executor(runtime::ExecutorKind::Serial)
                     .with_verification(false)
                     .with_horizontal_fusion(false)
-                    .with_analyze(AnalyzeMode::Declared)
             };
             let ctx = Context::new(config);
             let (add, scale) = (register_add(&ctx), register_scale(&ctx));
@@ -2225,7 +2056,7 @@ mod tests {
         // library kernel is generated on its first launch and replayed after.
         let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let ctx = Context::new(
-            DiffuseConfig::unfused(MachineConfig::with_gpus(4)).with_analyze(AnalyzeMode::Declared),
+            DiffuseConfig::unfused(MachineConfig::with_gpus(4)),
         );
         let add = register_counted_add(&ctx, Arc::clone(&calls));
         let n = 64u64;
@@ -2291,16 +2122,11 @@ mod tests {
         use runtime::RuntimeError;
         // A generator whose kernel is inconsistent with its declared
         // signature: `bad` declares read + write but its module writes the
-        // *input* buffer and never touches the output. Pinned to declared
-        // privileges: under AnalyzeMode::Inferred the analyzer would tighten
-        // the never-exercised write of `t` to a read, the downstream task
-        // would genuinely no longer depend on the violating launch, and the
-        // poison cone this test pins would (correctly) shrink to just `bad`.
+        // *input* buffer and never touches the output.
         let ctx = Context::new(
             DiffuseConfig::unfused(MachineConfig::with_gpus(2))
                 .with_verification(true)
-                .with_verify_fail_fast(false)
-                .with_analyze(AnalyzeMode::Declared),
+                .with_verify_fail_fast(false),
         );
         let lib = ctx.register_library("chaoslib");
         let bad = lib.register("bad", TaskSignature::new().read().write(), |_args| {
@@ -2371,6 +2197,45 @@ mod tests {
         assert!(ctx.take_failures().is_empty());
     }
 
+    #[test]
+    fn an_unregistered_kind_is_contained_not_a_panic() {
+        use runtime::RuntimeError;
+        // A raw submit of a kind no library registered: its flush finds no
+        // generator, on the miss path (fused) and the library path
+        // (unfused) alike.
+        let ghost = TaskKind::decode(99 << 16);
+        for config in [DiffuseConfig::fused, DiffuseConfig::unfused] {
+            let config = config(MachineConfig::with_gpus(2)).with_verify_fail_fast(false);
+            let ctx = Context::new(config);
+            let add = register_add(&ctx);
+            let n = 16u64;
+            let p = block(n, 2);
+            let store = |name: &str| ctx.create_store(vec![n], name);
+            let (a, t, cone, indep) = (store("a"), store("t"), store("cone"), store("indep"));
+            ctx.fill(&a, 3.0);
+            let read = |s: &StoreHandle| StoreArg::new(s.id(), p.clone(), Privilege::Read);
+            let write = |s: &StoreHandle| StoreArg::new(s.id(), p.clone(), Privilege::Write);
+            ctx.submit(ghost, "ghost", vec![read(&a), write(&t)], vec![]);
+            ctx.submit(add, "add", vec![read(&t), read(&a), write(&cone)], vec![]);
+            ctx.flush();
+            ctx.submit(add, "add", vec![read(&a), read(&a), write(&indep)], vec![]);
+            assert_eq!(ctx.read_store(&indep).unwrap(), vec![6.0; 16]);
+            let failures = ctx.take_failures();
+            match &failures[0].error {
+                RuntimeError::Verify { detail, .. } => {
+                    assert!(detail.contains("no generator registered"), "{detail}");
+                }
+                other => panic!("expected a Verify error, got {other}"),
+            }
+            for failure in &failures[1..] {
+                assert!(matches!(failure.error, RuntimeError::Poisoned { .. }), "{failures:?}");
+            }
+            // Unfused, the downstream `add` is its own poisoned launch;
+            // fused, it shares the ghost's contained segment.
+            assert_eq!(failures.len(), if ctx.config().enable_task_fusion { 1 } else { 2 });
+        }
+    }
+
     /// A context that contains what it cannot run: SIMD (whose compile
     /// rejects a malformed module), verification and fail-fast off.
     fn containing_ctx(config: DiffuseConfig) -> Context {
@@ -2380,7 +2245,6 @@ mod tests {
                 .with_backend(kernel::BackendKind::Simd)
                 .with_verification(false)
                 .with_verify_fail_fast(false)
-                .with_analyze(AnalyzeMode::Declared)
         })
     }
 
@@ -2798,53 +2662,49 @@ mod tests {
     }
 
     #[test]
-    fn scalar_values_reach_neither_generators_nor_the_analysis_memo() {
+    fn scalar_values_never_reach_generators() {
         // 64 `scale` tasks over one shape, each with its own scalar, in one
-        // window that fuses whole. Generators never see scalar values, so
-        // the analyzer memo holds one entry and generates once for it; the
-        // other 64 generator calls compose the fused kernel.
+        // window that fuses whole. Generators never see scalar values, and
+        // a missed window generates each constituent once, to compose the
+        // fused kernel: 64 generator calls in all.
         use std::sync::atomic::{AtomicUsize, Ordering};
-        for analyze in [AnalyzeMode::Declared, AnalyzeMode::Inferred] {
-            let ctx = Context::new(
-                DiffuseConfig::fused(MachineConfig::with_gpus(4))
-                    .with_window(64, 64)
-                    .with_horizontal_fusion(false)
-                    .with_analyze(analyze),
-            );
-            let calls = Arc::new(AtomicUsize::new(0));
-            let counter = Arc::clone(&calls);
-            let scale = ctx.register_library("scales").register(
-                "scale",
-                TaskSignature::new().read().write().scalars(1),
-                move |_args| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    let mut m = KernelModule::new(2);
-                    m.set_role(BufferId(1), BufferRole::Output);
-                    let mut b = LoopBuilder::new("scale", BufferId(1));
-                    let (x, s) = (b.load(BufferId(0)), b.param(0));
-                    let v = b.mul(x, s);
-                    b.store(BufferId(1), v);
-                    m.push_loop(b.finish());
-                    m
-                },
-            );
-            let p = block(16, 4);
-            let x = ctx.create_store(vec![16], "x");
-            ctx.fill(&x, 2.0);
-            let outs: Vec<StoreHandle> = (0..64)
-                .map(|k| {
-                    let out = ctx.create_store(vec![16], "out");
-                    let task = ctx.task(scale).read(&x, p.clone()).write(&out, p.clone());
-                    task.scalar(k as f64).launch();
-                    out
-                })
-                .collect();
-            ctx.flush();
-            assert_eq!(ctx.read_store(&outs[63]).unwrap(), vec![126.0; 16]);
-            assert_eq!(ctx.stats().tasks_launched, 1, "{analyze:?}");
-            assert_eq!(ctx.inner.borrow().analysis.len(), 1, "{analyze:?}");
-            assert_eq!(calls.load(Ordering::Relaxed), 1 + 64, "{analyze:?}");
-        }
+        let ctx = Context::new(
+            DiffuseConfig::fused(MachineConfig::with_gpus(4))
+                .with_window(64, 64)
+                .with_horizontal_fusion(false),
+        );
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let scale = ctx.register_library("scales").register(
+            "scale",
+            TaskSignature::new().read().write().scalars(1),
+            move |_args| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                let mut m = KernelModule::new(2);
+                m.set_role(BufferId(1), BufferRole::Output);
+                let mut b = LoopBuilder::new("scale", BufferId(1));
+                let (x, s) = (b.load(BufferId(0)), b.param(0));
+                let v = b.mul(x, s);
+                b.store(BufferId(1), v);
+                m.push_loop(b.finish());
+                m
+            },
+        );
+        let p = block(16, 4);
+        let x = ctx.create_store(vec![16], "x");
+        ctx.fill(&x, 2.0);
+        let outs: Vec<StoreHandle> = (0..64)
+            .map(|k| {
+                let out = ctx.create_store(vec![16], "out");
+                let task = ctx.task(scale).read(&x, p.clone()).write(&out, p.clone());
+                task.scalar(k as f64).launch();
+                out
+            })
+            .collect();
+        ctx.flush();
+        assert_eq!(ctx.read_store(&outs[63]).unwrap(), vec![126.0; 16]);
+        assert_eq!(ctx.stats().tasks_launched, 1);
+        assert_eq!(calls.load(Ordering::Relaxed), 64);
     }
 
     #[test]

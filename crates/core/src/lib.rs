@@ -94,10 +94,10 @@ pub use stats::{ExecutionStats, LibraryStats};
 pub use kernel::BackendKind;
 pub use kernel::{ArgSpec, LibraryId, TaskKind, TaskSignature};
 pub use runtime::ExecutorKind;
-// The why-not explainer surface (`docs/ANALYZE.md`): `Context::explain`
-// returns the fusible segmentation of the buffered window with a classified
-// reason and a suggestion per split boundary.
-pub use fusion::{BoundaryReport, DepClass, WindowReport};
+// The why-not explainer surface (`examples/explain.rs`): `Context::explain`
+// returns the fusible segmentation of the buffered window with the violated
+// constraint and a suggestion per split boundary.
+pub use fusion::{BoundaryReport, WindowReport};
 // The fault-injection surface (`docs/RESILIENCE.md`): applications configure
 // a plan and recovery policy on `DiffuseConfig` and read the outcome back
 // through `ExecutionStats` and `Context::take_failures`.

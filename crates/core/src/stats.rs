@@ -117,19 +117,11 @@ snapshot! {
         /// (`kernel::verify` + `fusion::verify`; zero unless
         /// `DiffuseConfig::enable_verification` is on).
         counter verification_checks: u64,
-        /// Privilege-precision lint warnings: task kinds that declared a write or
-        /// reduce privilege their generated kernel never exercises (reported once
-        /// per kind; over-broad privileges silently inhibit fusion).
-        counter privilege_lint_warnings: u64,
-        /// Launch arguments whose declared privilege the footprint analyzer
-        /// narrowed to read (`AnalyzeMode::Inferred`; zero in declared mode).
-        counter privileges_tightened: u64,
-        /// Window splits whose offending dependence edge classified as carried
-        /// with a constant launch-point distance (`fusion::DepClass::Carried`) —
-        /// candidates for a halo exchange.
+        /// Always zero. A window split is counted by the constraint that
+        /// failed, and none of the four is a carried-dependence class; the
+        /// field stays because `diffuse-bench` sums all four counters.
         counter rejections_carried: u64,
-        /// Window splits whose dependence edge could not be classified
-        /// (aliasing partitions, sub-tile shifts, or inexact kernel summaries).
+        /// Window splits caused by a true or an anti dependence.
         counter rejections_unknown: u64,
         /// Window splits caused by a launch-domain mismatch.
         counter rejections_domain_mismatch: u64,

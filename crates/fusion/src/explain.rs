@@ -1,20 +1,21 @@
 //! The fusion why-not explainer.
 //!
-//! `diffuse-analyze` turns every window split into a structured report: which
-//! task was rejected, which constraint fired, how the offending dependence
-//! edge classifies ([`DepClass`]), and what change to the program would admit
-//! fusion. The report is computed from the same one-pass segmentation the
-//! execution path uses ([`crate::prefix::fusible_segments_explained`]), so it
-//! always agrees with what the runtime actually fused.
+//! [`explain_window`] turns every window split into a structured report:
+//! which task was rejected, which constraint fired and what change to the
+//! program would admit fusion. The report is computed from the same one-pass
+//! segmentation the execution path uses
+//! ([`crate::prefix::fusible_segments_explained`]), so it always agrees with
+//! what the runtime actually fused. It is built only when asked for
+//! (`Context::explain`); the flush counts rejections straight off the
+//! segmentation.
 
-use ir::{IndexTask, StoreId, TaskId};
+use ir::{IndexTask, TaskId};
 
-use crate::classify::{classify_edge, DepClass};
 use crate::constraints::FusionViolation;
 use crate::prefix::fusible_segments_explained;
 
-/// Why one window split happened: the violation, the classified dependence
-/// edge behind it, and a suggestion that would admit fusion.
+/// Why one window split happened: the violation and a suggestion that would
+/// admit fusion.
 #[derive(Debug, Clone)]
 pub struct BoundaryReport {
     /// Window index of the rejected task (the first task of the next
@@ -26,9 +27,6 @@ pub struct BoundaryReport {
     pub task_name: String,
     /// The constraint that fired.
     pub violation: FusionViolation,
-    /// Classification of the offending dependence edge. `None` for
-    /// launch-domain mismatches, which are not dependence edges.
-    pub class: Option<DepClass>,
     /// What change to the program would admit fusion across this boundary.
     pub suggestion: String,
 }
@@ -66,50 +64,31 @@ impl std::fmt::Display for WindowReport {
                 b.task, b.task_name, b.boundary
             )?;
             writeln!(f, "    violation: {}", b.violation)?;
-            if let Some(class) = &b.class {
-                writeln!(f, "    dependence class: {class}")?;
-            }
             writeln!(f, "    to admit fusion: {}", b.suggestion)?;
         }
         Ok(())
     }
 }
 
-/// Explains a window assuming every kernel may touch its whole sub-store
-/// (exact whole-tile access summaries). Use [`explain_window_with`] to feed
-/// analyzer-computed exactness per (task, argument).
+/// Explains a window: its fusible segmentation and, per split boundary, the
+/// violated constraint and what would admit fusion.
 pub fn explain_window(tasks: &[IndexTask]) -> WindowReport {
-    explain_window_with(tasks, &|_, _| true)
-}
-
-/// Explains a window. `arg_is_exact(task, arg)` reports whether the
-/// kernel-level access summary for that argument is exact (see
-/// `ir::BufferFootprint::is_exact`); inexact edges classify as
-/// [`DepClass::Unknown`].
-pub fn explain_window_with(
-    tasks: &[IndexTask],
-    arg_is_exact: &dyn Fn(&IndexTask, usize) -> bool,
-) -> WindowReport {
     let mut segments = Vec::new();
     let mut boundaries = Vec::new();
     let mut start = 0usize;
     for (len, violation) in fusible_segments_explained(tasks) {
         segments.push(len);
-        let boundary = start + len;
+        start += len;
         if let Some(violation) = violation {
-            let task = &tasks[boundary];
-            let class = classify_boundary(&tasks[start..boundary], task, &violation, arg_is_exact);
-            let suggestion = suggest(&violation, class.as_ref());
+            let task = &tasks[start];
             boundaries.push(BoundaryReport {
-                boundary,
+                boundary: start,
                 task: task.id,
                 task_name: task.name.clone(),
+                suggestion: suggest(&violation),
                 violation,
-                class,
-                suggestion,
             });
         }
-        start = boundary;
     }
     WindowReport {
         segments,
@@ -117,66 +96,17 @@ pub fn explain_window_with(
     }
 }
 
-/// Finds and classifies the dependence edge behind a rejection: the most
-/// recent conflicting access in the closed segment paired with the rejected
-/// task's access of the same store.
-fn classify_boundary(
-    segment: &[IndexTask],
-    rejected: &IndexTask,
-    violation: &FusionViolation,
-    arg_is_exact: &dyn Fn(&IndexTask, usize) -> bool,
-) -> Option<DepClass> {
-    type PrivPred = fn(ir::Privilege) -> bool;
-    let (store, src_conflicts, dst_conflicts): (StoreId, PrivPred, PrivPred) = match violation {
-        // Not dependence edges: nothing to classify.
-        FusionViolation::LaunchDomainMismatch { .. } | FusionViolation::Reduction { .. } => {
-            return None;
-        }
-        // True dependence: an earlier write, a later read or write.
-        FusionViolation::TrueDependence { store } => {
-            (*store, |p| p.writes(), |p| p.reads() || p.writes())
-        }
-        // Anti dependence: an earlier read, a later write.
-        FusionViolation::AntiDependence { store } => (*store, |p| p.reads(), |p| p.writes()),
-    };
-    let dst_arg = rejected
-        .args
-        .iter()
-        .position(|a| a.store == store && dst_conflicts(a.privilege))?;
-    let dst_partition = rejected.args[dst_arg].partition;
-    for src in segment.iter().rev() {
-        let src_arg = src.args.iter().position(|a| {
-            a.store == store
-                && src_conflicts(a.privilege)
-                && (a.partition != dst_partition
-                    || a.partition.may_alias_across_points()
-                    || dst_partition.may_alias_across_points())
-        });
-        if let Some(src_arg) = src_arg {
-            return Some(classify_edge(src, src_arg, rejected, dst_arg, arg_is_exact));
-        }
-    }
-    Some(DepClass::Unknown)
-}
-
-fn suggest(violation: &FusionViolation, class: Option<&DepClass>) -> String {
+fn suggest(violation: &FusionViolation) -> String {
     match violation {
         FusionViolation::LaunchDomainMismatch { expected, found } => format!(
             "launch both stages over the same domain (prefix uses {expected}, task uses {found}); \
              repartitioning the smaller stage to match would admit fusion"
         ),
-        FusionViolation::TrueDependence { store } => match class {
-            Some(DepClass::Carried { distance }) => format!(
-                "the consumer's tiles of {store} are shifted by {distance:?} whole launch point(s) \
-                 from the producer's; a halo exchange that pre-communicates the shifted tiles, or \
-                 consuming through the producer's partition, would admit fusion"
-            ),
-            _ => format!(
-                "the consumer may read values of {store} written by arbitrary other launch points; \
-                 accessing {store} through the same disjoint tiling on both sides would make the \
-                 dependence point-wise and admit fusion"
-            ),
-        },
+        FusionViolation::TrueDependence { store } => format!(
+            "the consumer may read values of {store} written by other launch points; accessing \
+             {store} through the same disjoint tiling on both sides would make the dependence \
+             point-wise and admit fusion"
+        ),
         FusionViolation::AntiDependence { store } => format!(
             "the write-back to {store} overlaps sub-stores earlier tasks read from other launch \
              points; writing into a fresh temporary instead (double buffering) would break the \
@@ -192,7 +122,7 @@ fn suggest(violation: &FusionViolation, class: Option<&DepClass>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::{Domain, Partition, Privilege, Projection, StoreArg};
+    use ir::{Domain, Partition, Privilege, Projection, StoreArg, StoreId};
 
     fn block() -> Partition {
         Partition::block(vec![4])
@@ -222,7 +152,8 @@ mod tests {
     #[test]
     fn stencil_write_back_is_anti_dependence_unknown() {
         // Figure 1: read the shifted view, write a temporary, then copy back
-        // into the center view — a sub-tile shift, so the class is unknown.
+        // into the center view, which the flush counts as an unknown
+        // rejection.
         let grid = StoreId(0);
         let shifted = Partition::tiling(vec![4], vec![1], Projection::Identity);
         let tasks = vec![
@@ -242,17 +173,16 @@ mod tests {
         assert_eq!(b.boundary, 1);
         assert_eq!(b.task_name, "copy");
         assert!(matches!(b.violation, FusionViolation::AntiDependence { store } if store == grid));
-        assert_eq!(b.class, Some(DepClass::Unknown));
         assert!(b.suggestion.contains("temporary"), "{}", b.suggestion);
         let rendered = report.to_string();
         assert!(rendered.contains("anti dependence"), "{rendered}");
-        assert!(rendered.contains("unknown"), "{rendered}");
+        assert!(rendered.contains("to admit fusion"), "{rendered}");
     }
 
     #[test]
-    fn whole_tile_shift_classifies_as_carried() {
+    fn true_dependence_suggests_a_shared_tiling() {
         // Producer writes through tiles at offset 4; consumer reads the block
-        // view: a whole-tile shift, carried with distance 1.
+        // view, so each consumer point reads another point's tile.
         let shifted_tile = Partition::tiling(vec![4], vec![4], Projection::Identity);
         let tasks = vec![
             task(0, "produce", vec![StoreArg::new(StoreId(0), shifted_tile, Privilege::Write)]),
@@ -262,19 +192,7 @@ mod tests {
         assert_eq!(report.boundaries.len(), 1);
         let b = &report.boundaries[0];
         assert!(matches!(b.violation, FusionViolation::TrueDependence { .. }));
-        assert_eq!(b.class, Some(DepClass::Carried { distance: vec![1] }));
-        assert!(b.suggestion.contains("halo exchange"), "{}", b.suggestion);
-    }
-
-    #[test]
-    fn inexact_summaries_downgrade_carried_to_unknown() {
-        let shifted_tile = Partition::tiling(vec![4], vec![4], Projection::Identity);
-        let tasks = vec![
-            task(0, "produce", vec![StoreArg::new(StoreId(0), shifted_tile, Privilege::Write)]),
-            task(1, "consume", vec![StoreArg::new(StoreId(0), block(), Privilege::Read)]),
-        ];
-        let report = explain_window_with(&tasks, &|_, _| false);
-        assert_eq!(report.boundaries[0].class, Some(DepClass::Unknown));
+        assert!(b.suggestion.contains("same disjoint tiling"), "{}", b.suggestion);
     }
 
     #[test]
@@ -293,7 +211,6 @@ mod tests {
         let report = explain_window(&tasks);
         let b = &report.boundaries[0];
         assert!(matches!(b.violation, FusionViolation::LaunchDomainMismatch { .. }));
-        assert_eq!(b.class, None);
         assert!(b.suggestion.contains("same domain"), "{}", b.suggestion);
     }
 
@@ -310,7 +227,6 @@ mod tests {
         let report = explain_window(&tasks);
         let b = &report.boundaries[0];
         assert!(matches!(b.violation, FusionViolation::Reduction { .. }));
-        assert_eq!(b.class, None);
         assert!(b.suggestion.contains("separate fused tasks"), "{}", b.suggestion);
     }
 }

@@ -38,7 +38,6 @@
 //! assert_eq!(find_fusible_prefix(&tasks), 3);
 //! ```
 
-pub mod classify;
 pub mod constraints;
 pub mod explain;
 pub mod fused;
@@ -49,9 +48,8 @@ pub mod temporaries;
 pub mod verify;
 pub mod window;
 
-pub use classify::{classify_edge, classify_partitions, DepClass};
 pub use constraints::{ConstraintState, FusionViolation};
-pub use explain::{explain_window, explain_window_with, BoundaryReport, WindowReport};
+pub use explain::{explain_window, BoundaryReport, WindowReport};
 pub use fused::FusedTask;
 pub use horizontal::{plan_horizontal, HorizontalPlan, HorizontalViolation, SegmentFootprint};
 pub use memo::{CanonicalWindow, MemoCache};

@@ -48,8 +48,8 @@ pub fn fusible_segments(tasks: &[IndexTask]) -> Vec<usize> {
 /// constraint violation that *closed* it — the reason the first task of the
 /// next segment could not join. The final segment carries `None` (nothing
 /// rejected it; the window simply ended). This is the raw material for the
-/// why-not explainer ([`crate::explain`]) and for the per-class rejection
-/// counters in `ExecutionStats`.
+/// why-not explainer ([`crate::explain`]) and for the per-constraint
+/// rejection counters in `ExecutionStats`.
 pub fn fusible_segments_explained(
     tasks: &[IndexTask],
 ) -> Vec<(usize, Option<FusionViolation>)> {

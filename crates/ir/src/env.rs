@@ -1,7 +1,6 @@
 //! The one parser behind every `DIFFUSE_*` environment knob that selects
-//! among named values (`DIFFUSE_BACKEND`, `DIFFUSE_EXECUTOR`,
-//! `DIFFUSE_ANALYZE`) or switches something on or off (`DIFFUSE_VERIFY`,
-//! `DIFFUSE_HORIZONTAL`).
+//! among named values (`DIFFUSE_BACKEND`, `DIFFUSE_EXECUTOR`) or switches
+//! something on or off (`DIFFUSE_VERIFY`, `DIFFUSE_HORIZONTAL`).
 //!
 //! All knobs share one grammar: the value is trimmed and ASCII-lowercased,
 //! then looked up in the knob's spelling table. Unset or empty means the

@@ -48,7 +48,6 @@ pub mod fingerprint;
 pub mod intern;
 pub mod partition;
 pub mod store;
-pub mod summary;
 pub mod task;
 pub mod window;
 
@@ -57,8 +56,5 @@ pub use domain::{Domain, Point, Rect, Runs};
 pub use intern::{PartitionId, ShapeId};
 pub use partition::{Partition, Projection};
 pub use store::{StoreId, StoreInfo};
-pub use summary::{
-    summary_fingerprint, AccessPattern, AffineForm, BufferFootprint, MAX_AFFINE_FORMS,
-};
 pub use task::{IndexTask, Privilege, ReductionOp, StoreArg, TaskId};
 pub use window::{window_fingerprint, FingerprintState, TaskWindow};

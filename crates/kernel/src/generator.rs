@@ -162,7 +162,7 @@ impl TaskSignature {
 /// Generators see buffer lengths, never scalar values; kernels read values
 /// through `Param`. That is what lets the Diffuse core replay one compiled
 /// kernel across every value of a task's scalars (the memo keys on their
-/// count) and analyze each kind once per launch shape.
+/// count).
 #[derive(Debug, Clone, Copy)]
 pub struct GenArgs<'a> {
     /// Element count of each store argument, in argument order.

@@ -61,7 +61,6 @@
 //! assert_eq!(bufs[4], vec![6.0; 4]);
 //! ```
 
-pub mod analyze;
 pub mod backend;
 pub mod builder;
 pub mod cost;
@@ -74,10 +73,6 @@ pub mod passes;
 pub mod simd;
 pub mod verify;
 
-pub use analyze::{
-    effective_signature, infer_footprint, EffectiveSignature, Interval, ModuleSummary,
-    StageFootprint,
-};
 pub use backend::{
     compile_interp, BackendKind, Buffer, BufferView, BufferViewMut, CompiledKernel, InterpBackend,
     KernelBackend,
@@ -94,7 +89,4 @@ pub use ir::{
     OpaqueOp, ReduceOp, UnaryOp, ValueId,
 };
 pub use passes::{Pipeline, PipelineConfig, PipelineResult};
-pub use verify::{
-    lint_privilege_precision, verify_against_signature, verify_lowering, verify_module,
-    PrecisionLint, VerifyError,
-};
+pub use verify::{verify_against_signature, verify_lowering, verify_module, VerifyError};

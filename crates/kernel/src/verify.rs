@@ -23,10 +23,6 @@
 //!   arity, scalar-parameter arity, and access/privilege agreement (a
 //!   `Read` argument is never written, a `Reduce` argument is never plainly
 //!   stored, a non-`Reduce` argument is never reduced into).
-//! * [`lint_privilege_precision`] — the over-broad-privilege lint: declared
-//!   write/reduce arguments the kernel never actually exercises. Over-broad
-//!   privileges are not unsound, but they silently inhibit fusion, so they
-//!   are reported rather than rejected.
 //!
 //! All checkers return the number of individual invariant checks performed
 //! (accumulated into `ExecutionStats::verification_checks` by the Diffuse
@@ -267,37 +263,7 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// An over-broad privilege found by [`lint_privilege_precision`]: an argument
-/// declared writable (or reducible) that the kernel never actually writes
-/// (or reduces). Not unsound — but it makes the fusion analysis assume
-/// dependences that cannot exist, silently inhibiting fusion.
-///
-/// Backed by the footprint analyzer ([`crate::analyze`]): `inferred` is the
-/// exact privilege the abstract interpretation proves sufficient, so the
-/// report shows the declared-vs-inferred delta rather than a heuristic flag.
-/// Under `DIFFUSE_ANALYZE=inferred` the runtime applies exactly this delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrecisionLint {
-    /// Argument index within the signature.
-    pub arg: usize,
-    /// The declared spec the kernel never exercises.
-    pub spec: ArgSpec,
-    /// The tightened spec the analyzer proves sufficient.
-    pub inferred: ArgSpec,
-}
-
-impl std::fmt::Display for PrecisionLint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "argument {} declares {:?} but the analyzer infers {:?} \
-             (over-broad privileges inhibit fusion)",
-            self.arg, self.spec, self.inferred
-        )
-    }
-}
-
-/// Per-buffer access summary of one module, shared by the signature checks.
+/// Per-buffer access summary of one module, for the signature check.
 #[derive(Debug, Clone, Copy, Default)]
 struct BufferUse {
     loaded: bool,
@@ -702,31 +668,6 @@ pub fn verify_against_signature(
     Ok(checks)
 }
 
-/// The privilege-precision lint: arguments whose declared [`ArgSpec`] grants
-/// write or reduce access the generated kernel never exercises. Such
-/// privileges are sound but over-broad — the fusion analysis must assume
-/// dependences that cannot occur, which silently shortens fusible prefixes.
-///
-/// The findings come from the abstract interpreter
-/// ([`crate::analyze::infer_footprint`]): an argument is reported exactly
-/// when its inferred footprint proves no store and no reduction can reach
-/// the buffer (⊤ footprints from opaque stages are never reported), and the
-/// lint carries the tightened spec the analysis derives. This is the same
-/// delta `DIFFUSE_ANALYZE=inferred` applies at launch time, so the report
-/// doubles as a preview of the analyzer's effect.
-///
-/// Returns one [`PrecisionLint`] per over-broad argument (empty when the
-/// signature is precise). Arguments beyond the module's buffer count are
-/// skipped (that inconsistency is [`verify_against_signature`]'s to report).
-pub fn lint_privilege_precision(module: &KernelModule, sig: &TaskSignature) -> Vec<PrecisionLint> {
-    let num_buffers = module.num_buffers() as usize;
-    crate::analyze::effective_signature(module, sig)
-        .tightened()
-        .filter(|(i, _, _)| *i < num_buffers)
-        .map(|(arg, spec, inferred)| PrecisionLint { arg, spec, inferred })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -906,19 +847,10 @@ mod tests {
         let sig = TaskSignature::new().read().write();
         let m = scale_module();
         assert!(verify_against_signature(&m, &sig).is_ok());
-        assert!(lint_privilege_precision(&m, &sig).is_empty());
 
         // A signature declaring the input writable is over-broad, not wrong.
         let broad = TaskSignature::new().read_write().write();
         assert!(verify_against_signature(&m, &broad).is_ok());
-        assert_eq!(
-            lint_privilege_precision(&m, &broad),
-            vec![PrecisionLint {
-                arg: 0,
-                spec: ArgSpec::ReadWrite,
-                inferred: ArgSpec::Read
-            }]
-        );
 
         // A kernel writing a Read argument is rejected outright.
         let wrong = TaskSignature::new().write().read();

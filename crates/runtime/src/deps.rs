@@ -147,7 +147,7 @@ impl DepTracker {
 }
 
 /// Debug-only happens-before checker for the parallel executor
-/// (`DIFFUSE_VERIFY` truthy in a debug build; see `docs/ANALYZE.md`).
+/// (`DIFFUSE_VERIFY` truthy in a debug build; see `docs/VERIFY.md`).
 ///
 /// The work-stealing executor promises that a task starts only after every
 /// conflicting earlier task has completed, where *conflicting* means the two
