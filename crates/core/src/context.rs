@@ -9,6 +9,10 @@
 //!    skeleton. A hit replays the plan; a miss segments the window once
 //!    (`classify_and_segment`) and memoizes the plan it builds, offering its
 //!    tail under each suffix that starts at a segment boundary (`memoize`).
+//!    A fused segment's entry keeps its liveness mask, Definition 4's first
+//!    two conditions per argument, which a miss finds for every segment in
+//!    one sweep of the window; each launch subtracts the stores with a live
+//!    application handle.
 //! 2. **Lower.** `lower` composes, optimizes and compiles a segment into the
 //!    skeleton a replay relaunches; `library_kernel` builds, once per
 //!    one-task canonical form, the skeleton a task launched alone replays.
@@ -32,7 +36,8 @@ use std::sync::Arc;
 
 use fusion::{
     fusible_segments, fusible_segments_explained, plan_horizontal, temporary_stores,
-    AdaptiveWindow, CanonicalWindow, FusedTask, FusionViolation, MemoCache,
+    AdaptiveWindow, CanonicalWindow, FusedTask, FusionViolation, MemoCache, TempMask,
+    WindowLiveness,
 };
 use ir::fingerprint::{fold_u64, OFFSET};
 use ir::{
@@ -79,9 +84,11 @@ struct StoreMeta {
 ///
 /// The layout — which fused args were demoted to task-local temporaries
 /// (this fixes both the requirement/local split and the buffer permutation)
-/// and how many generator locals follow — depends on store liveness, which
-/// the canonical window does not capture. It is therefore recomputed per
-/// launch and the skeleton is replayed only when it matches: a kernel
+/// and how many generator locals follow — depends on store liveness. The
+/// canonical window fixes only Definition 4's first two conditions, which
+/// the plan keeps beside the skeleton as a [`TempMask`]; the third, no live
+/// application handle, is read at every launch. The skeleton is replayed
+/// only when the mask minus the live handles is its layout: a kernel
 /// compiled with an eliminated temporary can never be resurrected for a
 /// window where that store is live and must be written.
 #[derive(Debug, Clone)]
@@ -132,8 +139,10 @@ impl Skeleton {
 enum Segment {
     /// One task launched alone, through its library kernel.
     Alone,
-    /// A fused launch of the skeleton's `len` tasks.
-    Fused(Arc<Skeleton>),
+    /// A fused launch of the skeleton's `len` tasks. `mask` holds Definition
+    /// 4's conditions 1 and 2 per skeleton argument: functions of the
+    /// canonical window, so every replay of the plan reads them unchanged.
+    Fused { skeleton: Arc<Skeleton>, mask: TempMask },
 }
 
 impl Segment {
@@ -141,21 +150,58 @@ impl Segment {
     fn len(&self) -> usize {
         match self {
             Segment::Alone => 1,
-            Segment::Fused(skeleton) => skeleton.len,
+            Segment::Fused { skeleton, .. } => skeleton.len,
         }
     }
 
     /// The segment with its skeleton's arguments renumbered through `index`.
+    /// Renumbering reorders no argument, so the mask carries over.
     fn renumbered(&self, index: impl Fn(u32) -> u32) -> Segment {
         match self {
             Segment::Alone => Segment::Alone,
-            Segment::Fused(skeleton) => {
+            Segment::Fused { skeleton, mask } => {
                 let args = skeleton.args.iter().map(|&(ci, p, pr)| (index(ci), p, pr));
                 let args = args.collect();
-                Segment::Fused(Arc::new(Skeleton { args, ..Skeleton::clone(skeleton) }))
+                let skeleton = Arc::new(Skeleton { args, ..Skeleton::clone(skeleton) });
+                Segment::Fused { skeleton, mask: mask.clone() }
             }
         }
     }
+}
+
+/// Where a segment's liveness comes from: on a memo hit, the plan's entry;
+/// on a miss, the window's sweep (`None` without kernel fusion, under which
+/// nothing is demoted).
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Hit(&'a Segment),
+    Miss(Option<&'a WindowLiveness>),
+}
+
+/// Liveness work done on this thread, for the scale tests: calls of the
+/// reference walk, and window tasks visited by the miss path's reverse
+/// sweep and by its per-segment forward passes.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct LivenessWork {
+    reference_walks: u64,
+    swept: u64,
+    forward: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static LIVENESS_WORK: std::cell::Cell<LivenessWork> =
+        const { std::cell::Cell::new(LivenessWork { reference_walks: 0, swept: 0, forward: 0 }) };
+}
+
+#[cfg(test)]
+fn count_liveness(add: impl FnOnce(&mut LivenessWork)) {
+    LIVENESS_WORK.with(|work| {
+        let mut counted = work.get();
+        add(&mut counted);
+        work.set(counted);
+    });
 }
 
 /// Internal, mutable state of a [`Context`]. Exposed to the crate so that
@@ -559,14 +605,15 @@ impl ContextInner {
     /// flush's one memo probe is keyed on the window as flushed (so after the
     /// horizontal reorder). A hit runs the memoized plan and is re-memoized
     /// under its key only when a drifted segment recompiled; a miss segments
-    /// the window once and is memoized if every segment launched.
+    /// the window once, sweeps it once for every segment's liveness mask, and
+    /// is memoized if every segment launched.
     fn run_plan(&mut self, window: &TaskWindow) {
         let (tasks, numbering) = (window.tasks(), window.numbering());
         let memoize = self.config.enable_memoization;
         let hit = memoize.then(|| self.memo.probe(window).cloned()).flatten();
         let mut start = 0;
-        let mut run = |this: &mut Self, len: usize, cached: Option<&Segment>| {
-            let ran = this.segment(tasks, start..start + len, numbering, cached);
+        let mut run = |this: &mut Self, len: usize, source: Source<'_>| {
+            let ran = this.segment(tasks, start..start + len, numbering, source);
             this.adaptive.record(tasks.len() - start, len);
             start += len;
             ran
@@ -574,7 +621,13 @@ impl ContextInner {
         let Some(plan) = hit else {
             self.stats.memo_misses += u64::from(memoize);
             let lens = self.classify_and_segment(tasks);
-            let ran: Vec<Option<Segment>> = lens.iter().map(|&len| run(self, len, None)).collect();
+            // Temporaries are eliminated by the kernel pipeline, so only
+            // under kernel fusion.
+            let liveness = self.config.enable_kernel_fusion.then(|| WindowLiveness::new(tasks));
+            #[cfg(test)]
+            count_liveness(|w| w.swept += liveness.as_ref().map_or(0, |_| tasks.len() as u64));
+            let source = Source::Miss(liveness.as_ref());
+            let ran: Vec<_> = lens.iter().map(|&len| run(self, len, source)).collect();
             // A window with a contained segment is not memoized.
             let plan: Option<Vec<Segment>> = ran.into_iter().collect();
             if let (true, Some(plan)) = (memoize, plan) {
@@ -585,11 +638,15 @@ impl ContextInner {
         self.stats.memo_hits += 1;
         let mut replanned: Option<Vec<Segment>> = None;
         for (i, cached) in plan.iter().enumerate() {
-            let ran = run(self, cached.len(), Some(cached));
-            if let (Some(Segment::Fused(new)), Segment::Fused(old)) = (ran, cached) {
-                if !Arc::ptr_eq(&new, old) {
-                    replanned.get_or_insert_with(|| plan.to_vec())[i] = Segment::Fused(new);
+            let ran = run(self, cached.len(), Source::Hit(cached));
+            let recompiled = |ran: &Segment| match (ran, cached) {
+                (Segment::Fused { skeleton: new, .. }, Segment::Fused { skeleton: old, .. }) => {
+                    !Arc::ptr_eq(new, old)
                 }
+                _ => false,
+            };
+            if let Some(new) = ran.filter(recompiled) {
+                replanned.get_or_insert_with(|| plan.to_vec())[i] = new;
             }
         }
         if let Some(plan) = replanned {
@@ -624,14 +681,14 @@ impl ContextInner {
     }
 
     /// Lowers and launches one segment, `tasks[range]`: alone, as a replay of
-    /// its `cached` skeleton, or compiled. Returns the segment as the plan
+    /// its memoized skeleton, or compiled. Returns the segment as the plan
     /// keeps it, or `None` if it was contained.
     fn segment(
         &mut self,
         tasks: &[IndexTask],
         range: Range<usize>,
         numbering: &FingerprintState,
-        cached: Option<&Segment>,
+        source: Source<'_>,
     ) -> Option<Segment> {
         let (segment, pending) = (&tasks[range.clone()], &tasks[range.end..]);
         if segment.len() == 1 && !self.config.enable_kernel_fusion {
@@ -639,44 +696,26 @@ impl ContextInner {
             // launched alone.
             return self.launch_alone(&segment[0]).then_some(Segment::Alone);
         }
-        // Liveness (which fused args become task-local temporaries) is the
-        // only launch input the canonical window does not determine, so it is
-        // recomputed per launch. Temporaries are eliminated by the kernel
-        // pipeline, so only under kernel fusion.
-        let temps = if self.config.enable_kernel_fusion {
-            let stores = &self.stores;
-            temporary_stores(segment, pending, |s| stores.get(&s).is_some_and(|m| m.app_refs > 0))
-        } else {
-            HashSet::new()
-        };
-        // Replay only if the current liveness agrees with the layout the
-        // skeleton was compiled under; a drift recompiles the segment.
-        let replayable = match cached {
-            Some(Segment::Fused(skeleton)) => {
-                let stores = skeleton.args.iter().map(|&(ci, ..)| numbering.store_at(ci as usize));
-                let was_temp = skeleton.temp_volumes.iter().map(Option::is_some);
-                let stores: Option<Vec<StoreId>> = stores.collect();
-                let layout = |s: &Vec<StoreId>| s.iter().map(|s| temps.contains(s)).eq(was_temp);
-                stores.filter(layout).map(|stores| (skeleton, stores))
+        let launched = match source {
+            Source::Hit(Segment::Fused { skeleton, mask }) => {
+                self.replay_or_recompile(segment, pending, numbering, skeleton, mask)
             }
-            _ => None,
-        };
-        let launched = match replayable {
-            Some((skeleton, stores)) => {
-                let replayed = self.replay(segment, skeleton, &stores, numbering);
-                replayed.map(|()| Arc::clone(skeleton))
-            }
-            None => {
+            Source::Miss(liveness) => {
                 let fused = FusedTask::build(segment.to_vec());
-                self.lower(&fused, &temps, numbering).map(|(skeleton, launch)| {
-                    let demoted = skeleton.temps(fused.args.iter().map(|&(store, _, _)| store));
-                    self.launch(&fused.tasks, &launch, &skeleton.plan, demoted);
-                    Arc::new(skeleton)
-                })
+                let mask = match liveness {
+                    Some(liveness) => liveness.mask(&fused, range.end),
+                    None => TempMask::none(fused.args.len()),
+                };
+                #[cfg(test)]
+                count_liveness(|w| w.forward += liveness.map_or(0, |_| segment.len() as u64));
+                self.compile(fused, pending, numbering, mask)
+            }
+            Source::Hit(Segment::Alone) => {
+                unreachable!("a plan launches a task alone only without kernel fusion")
             }
         };
         match launched {
-            Ok(skeleton) => Some(Segment::Fused(skeleton)),
+            Ok(segment) => Some(segment),
             Err(detail) => {
                 let fused = FusedTask::build(segment.to_vec());
                 let accesses = fused.args.iter().map(|&(store, _, privilege)| (store, privilege));
@@ -684,6 +723,94 @@ impl ContextInner {
                 None
             }
         }
+    }
+
+    /// Definition 4's third condition on top of a plan's mask: whether the
+    /// launch demotes `store`, its fused argument `i`, to a task-local
+    /// temporary. Only a store whose bit is set is looked up.
+    fn demotes(&self, mask: &TempMask, i: usize, store: StoreId) -> bool {
+        mask.get(i) && self.stores.get(&store).is_none_or(|m| m.app_refs == 0)
+    }
+
+    /// A memo hit's segment: replayed if the mask minus the live handles is
+    /// the skeleton's layout, else recompiled under the same mask. Neither
+    /// walks the window.
+    fn replay_or_recompile(
+        &mut self,
+        segment: &[IndexTask],
+        pending: &[IndexTask],
+        numbering: &FingerprintState,
+        skeleton: &Arc<Skeleton>,
+        mask: &TempMask,
+    ) -> Result<Segment, String> {
+        let store = |&(ci, ..): &(u32, PartitionId, Privilege)| numbering.store_at(ci as usize);
+        let args = skeleton.args.iter().zip(&skeleton.temp_volumes);
+        let drifted = args.enumerate().any(|(i, (arg, temp))| {
+            store(arg).is_none_or(|s| self.demotes(mask, i, s) != temp.is_some())
+        });
+        if drifted {
+            let fused = FusedTask::build(segment.to_vec());
+            return self.compile(fused, pending, numbering, mask.clone());
+        }
+        let stores = skeleton.args.iter().map(|arg| store(arg).expect("resolved by the layout"));
+        let demoted = stores.clone().zip(skeleton.temp_volumes.iter().map(Option::is_some));
+        self.check_liveness(&skeleton.name, segment, pending, demoted)?;
+        self.replay(segment, skeleton, stores, numbering)?;
+        Ok(Segment::Fused { skeleton: Arc::clone(skeleton), mask: mask.clone() })
+    }
+
+    /// Lowers and launches `fused`, a missed or drifted segment, demoting
+    /// the arguments its mask names minus those with a live handle.
+    fn compile(
+        &mut self,
+        fused: FusedTask,
+        pending: &[IndexTask],
+        numbering: &FingerprintState,
+        mask: TempMask,
+    ) -> Result<Segment, String> {
+        debug_assert_eq!(mask.len(), fused.args.len(), "`{}`", fused.name);
+        let args = fused.args.iter().enumerate();
+        let is_temp: Vec<bool> = args.map(|(i, &(s, ..))| self.demotes(&mask, i, s)).collect();
+        let demoted = fused.args.iter().map(|a| a.0).zip(is_temp.iter().copied());
+        self.check_liveness(&fused.name, &fused.tasks, pending, demoted)?;
+        let (skeleton, launch) = self.lower(&fused, &is_temp, numbering)?;
+        let demoted = skeleton.temps(fused.args.iter().map(|&(store, _, _)| store));
+        self.launch(&fused.tasks, &launch, &skeleton.plan, demoted);
+        Ok(Segment::Fused { skeleton: Arc::new(skeleton), mask })
+    }
+
+    /// The verification gate's re-derivation of a segment's temporaries:
+    /// `demoted` pairs each fused argument's store with whether the launch
+    /// demotes it, and the set it names must be what the reference walk
+    /// ([`temporary_stores`]) finds over the segment and the rest of the
+    /// window. Without kernel fusion nothing is demoted and nothing checked.
+    fn check_liveness(
+        &mut self,
+        name: &str,
+        segment: &[IndexTask],
+        pending: &[IndexTask],
+        demoted: impl Iterator<Item = (StoreId, bool)>,
+    ) -> Result<(), String> {
+        if !self.config.enable_kernel_fusion {
+            return Ok(());
+        }
+        self.verify(
+            format_args!("liveness mask of `{name}` disagrees with Definition 4"),
+            |this| {
+                #[cfg(test)]
+                count_liveness(|w| w.reference_walks += 1);
+                let stores = &this.stores;
+                let live = |s: StoreId| stores.get(&s).is_some_and(|m| m.app_refs > 0);
+                let reference = temporary_stores(segment, pending, live);
+                let masked = demoted.filter(|&(_, d)| d).map(|(s, _)| s);
+                let masked: HashSet<StoreId> = masked.collect();
+                if masked == reference {
+                    Ok(1)
+                } else {
+                    Err(format!("the mask demotes {masked:?}, the walk {reference:?}"))
+                }
+            },
+        )
     }
 
     /// Lower, miss side: composes every constituent's kernel in program
@@ -701,7 +828,7 @@ impl ContextInner {
     fn lower(
         &mut self,
         fused: &FusedTask,
-        temps: &HashSet<StoreId>,
+        is_temp: &[bool],
         numbering: &FingerprintState,
     ) -> Result<(Skeleton, TaskLaunch), String> {
         self.verify(
@@ -709,7 +836,6 @@ impl ContextInner {
             |_| fusion::verify_fused_prefix(&fused.tasks),
         )?;
         let num_args = fused.args.len();
-        let is_temp: Vec<bool> = fused.args.iter().map(|(s, _, _)| temps.contains(s)).collect();
         let mut module = KernelModule::new(num_args as u32);
         for (i, &(_, _, privilege)) in fused.args.iter().enumerate() {
             let role = match privilege {
@@ -852,7 +978,7 @@ impl ContextInner {
         &mut self,
         segment: &[IndexTask],
         skeleton: &Skeleton,
-        stores: &[StoreId],
+        stores: impl Iterator<Item = StoreId> + Clone,
         numbering: &FingerprintState,
     ) -> Result<(), String> {
         self.verify(
@@ -864,7 +990,7 @@ impl ContextInner {
             format_args!("memo-replayed skeleton `{name}` does not match the probe window"),
             |_| fusion::verify_skeleton(segment, |s| numbering.index_of(s), &skeleton.args),
         )?;
-        self.replay_launch(segment, skeleton, stores.iter().copied(), skeleton.name.clone())
+        self.replay_launch(segment, skeleton, stores, skeleton.name.clone())
     }
 
     /// Launches one task alone through its library kernel, keeping its own
@@ -1374,7 +1500,7 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::{Privilege, Projection};
+    use ir::{Privilege, Projection, ReductionOp};
     use kernel::LoopBuilder;
     use machine::MachineConfig;
 
@@ -2478,6 +2604,183 @@ mod tests {
         assert_eq!(memoized, fresh, "the replayed tail launches what a fresh plan does");
         assert_eq!(compilations, vec![2, 2], "the tail replays, renumbered");
         assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_handle_kept_across_a_hit_recompiles_once_under_the_same_mask() {
+        // `t = a + a; u = t / 2` fuses with `t` a temporary, unless round
+        // three or four keeps its handle: the hit's layout drifts, the
+        // segment recompiles once and the plan is re-memoized under the same
+        // mask, so round five, which drops `t` again, drifts back.
+        let run = |config: DiffuseConfig| {
+            let ctx = Context::new(config);
+            let (add, scale) = (register_add(&ctx), register_scale(&ctx));
+            let (n, p) = (16u64, block(16, 2));
+            let a = ctx.create_store(vec![n], "a");
+            ctx.write_store(&a, (0..n).map(|i| i as f64 - 4.5).collect());
+            let (mut outputs, mut rounds) = (Vec::new(), Vec::new());
+            for keep in [false, false, true, true, false] {
+                let (t, u) = (ctx.create_store(vec![n], "t"), ctx.create_store(vec![n], "u"));
+                ctx.task(add).read(&a, p.clone()).read(&a, p.clone()).write(&t, p.clone()).launch();
+                ctx.task(scale).read(&t, p.clone()).write(&u, p.clone()).scalar(0.5).launch();
+                if keep {
+                    outputs.push(t);
+                } else {
+                    drop(t);
+                }
+                outputs.push(u);
+                let window = ctx.inner.borrow().window.tasks().to_vec();
+                ctx.flush();
+                let stats = ctx.stats();
+                let mut inner = ctx.inner.borrow_mut();
+                let plan = inner.memo.get(&CanonicalWindow::new(&window));
+                let masks = plan.map(|plan| {
+                    let mask = |s: &Segment| match s {
+                        Segment::Fused { mask, .. } => mask.iter().collect::<Vec<bool>>(),
+                        Segment::Alone => Vec::new(),
+                    };
+                    plan.iter().map(mask).collect::<Vec<_>>()
+                });
+                rounds.push((stats.compilations, stats.temporaries_eliminated, masks));
+            }
+            let read = |s: &StoreHandle| ctx.read_store(s).unwrap();
+            (outputs.iter().map(read).collect::<Vec<_>>(), rounds)
+        };
+        let config = DiffuseConfig::fused(MachineConfig::with_gpus(2)).with_window(16, 16);
+        let (memoized, rounds) = run(config.clone());
+        let (fresh, fresh_rounds) = run(config.without_memoization());
+        assert_eq!(memoized, fresh, "replays launch what a fresh plan does");
+        let a: Vec<f64> = (0..16).map(|i| i as f64 - 4.5).collect();
+        let kept_t: Vec<f64> = a.iter().map(|x| x + x).collect();
+        for (i, values) in memoized.iter().enumerate() {
+            // Rounds three and four push `t` before `u`.
+            let is_t = matches!(i, 2 | 4);
+            assert_eq!(values, if is_t { &kept_t } else { &a }, "output {i}");
+        }
+        // The mask marks `t` and `u` (`a` is only read); only `t` is ever
+        // without a live handle.
+        let mask = Some(vec![vec![false, true, true]]);
+        let compiled: Vec<_> = rounds.iter().map(|r| (r.0, r.1, r.2.clone())).collect();
+        let expected = [(1, 1), (1, 2), (2, 2), (2, 2), (3, 3)];
+        let expected: Vec<_> = expected.iter().map(|&(c, t)| (c, t, mask.clone())).collect();
+        assert_eq!(compiled, expected, "(compilations, temporaries, plan masks) per round");
+        let eliminated = |rounds: &[(u64, u64, _)]| rounds.iter().map(|r| r.1).collect::<Vec<_>>();
+        assert_eq!(eliminated(&rounds), eliminated(&fresh_rounds));
+    }
+
+    /// The operations of a CG-shaped stream: `add` and `scale` over the
+    /// GPUs, `dot` reducing into a scalar store, `div` of two scalar stores
+    /// on one point, and `axpy` reading a scalar store.
+    fn register_cg(ctx: &Context) -> [TaskKind; 5] {
+        let lib = ctx.register_library("cg");
+        let dot = lib.register("dot", TaskSignature::new().read().read().reduce(), |_| {
+            let mut m = KernelModule::new(3);
+            m.set_role(BufferId(2), BufferRole::Reduction);
+            let mut b = LoopBuilder::new("dot", BufferId(0));
+            let (x, y) = (b.load(BufferId(0)), b.load(BufferId(1)));
+            let v = b.mul(x, y);
+            b.reduce(BufferId(2), kernel::ReduceOp::Sum, v);
+            m.push_loop(b.finish());
+            m
+        });
+        let div = lib.register("div", TaskSignature::new().read().read().write(), |_| {
+            let mut m = KernelModule::new(3);
+            m.set_role(BufferId(2), BufferRole::Output);
+            let mut b = LoopBuilder::new("div", BufferId(2));
+            let (x, y) = (b.load_scalar(BufferId(0)), b.load_scalar(BufferId(1)));
+            let v = b.div(x, y);
+            b.store(BufferId(2), v);
+            m.push_loop(b.finish());
+            m
+        });
+        let axpy = lib.register("axpy", TaskSignature::new().read().read().read().write(), |_| {
+            let mut m = KernelModule::new(4);
+            m.set_role(BufferId(3), BufferRole::Output);
+            let mut b = LoopBuilder::new("axpy", BufferId(3));
+            let (y, s, x) = (b.load(BufferId(0)), b.load_scalar(BufferId(1)), b.load(BufferId(2)));
+            let sx = b.mul(s, x);
+            let v = b.add(y, sx);
+            b.store(BufferId(3), v);
+            m.push_loop(b.finish());
+            m
+        });
+        [register_add(ctx), register_scale(ctx), dot, div, axpy]
+    }
+
+    /// Runs `iterations` eight-task CG-shaped iterations on `ctx`: `q = (p +
+    /// p) / 2` through a temporary, `alpha = rr / (p · q)`, `x += alpha p`,
+    /// `r += alpha q`, `rr = r · r` and `p = r + rr p`. Each iteration makes
+    /// fresh stores and drops each handle after its last use, the superseded
+    /// iterates at the end.
+    fn cg_iterations(ctx: &Context, ops: [TaskKind; 5], iterations: usize) {
+        let [add, scale, dot, div, axpy] = ops;
+        let (n, gpus) = (64u64, ctx.gpus() as u64);
+        let (p, one) = (block(n, gpus), Partition::Replicate);
+        let vector = |name| ctx.create_store(vec![n], name);
+        let scalar = |name| ctx.create_store(vec![1], name);
+        let (mut x, mut r, mut d, mut rr) = (vector("x"), vector("r"), vector("p"), scalar("rr"));
+        for _ in 0..iterations {
+            let (t, q, pq, alpha) = (vector("t"), vector("q"), scalar("pq"), scalar("alpha"));
+            let (x2, r2, rr2, d2) = (vector("x"), vector("r"), scalar("rr"), vector("p"));
+            ctx.task(add).read(&d, p.clone()).read(&d, p.clone()).write(&t, p.clone()).launch();
+            ctx.task(scale).read(&t, p.clone()).write(&q, p.clone()).scalar(0.5).launch();
+            drop(t);
+            let dot = |x: &StoreHandle, y: &StoreHandle, out: &StoreHandle| {
+                let task = ctx.task(dot).read(x, p.clone()).read(y, p.clone());
+                task.reduce(out, one.clone(), ReductionOp::Sum).launch();
+            };
+            dot(&d, &q, &pq);
+            ctx.task(div)
+                .domain(Domain::linear(1))
+                .read(&rr, one.clone())
+                .read(&pq, one.clone())
+                .write(&alpha, one.clone())
+                .launch();
+            drop(pq);
+            let axpy = |y: &StoreHandle, s: &StoreHandle, z: &StoreHandle, out: &StoreHandle| {
+                let task = ctx.task(axpy).read(y, p.clone()).read(s, one.clone());
+                task.read(z, p.clone()).write(out, p.clone()).launch();
+            };
+            axpy(&x, &alpha, &d, &x2);
+            axpy(&r, &alpha, &q, &r2);
+            drop((q, alpha));
+            dot(&r2, &r2, &rr2);
+            axpy(&r2, &rr2, &d, &d2);
+            (x, r, d, rr) = (x2, r2, d2, rr2);
+        }
+        ctx.flush();
+    }
+
+    #[test]
+    fn warm_hits_walk_no_window_for_liveness_and_a_miss_sweeps_each_task_once() {
+        for window in [8usize, 80] {
+            let config = DiffuseConfig::fused(MachineConfig::with_gpus(8))
+                .simulation_only()
+                .with_window(window, window)
+                .with_verification(false);
+            let ctx = Context::new(config);
+            let ops = register_cg(&ctx);
+            // Cold: every window of whole iterations is isomorphic, but the
+            // first few miss while the memo fills.
+            let work = || LIVENESS_WORK.with(|w| w.get());
+            LIVENESS_WORK.with(|w| w.set(LivenessWork::default()));
+            cg_iterations(&ctx, ops, 3 * window / 8);
+            let (cold, cold_work) = (ctx.stats(), work());
+            let missed = cold.memo_misses * window as u64;
+            assert!(cold.memo_misses >= 1 && cold.memo_hits >= 1, "window {window}: {cold:?}");
+            assert_eq!(
+                cold_work,
+                LivenessWork { reference_walks: 0, swept: missed, forward: missed },
+                "window {window}: a miss sweeps each of its tasks once, back and forth"
+            );
+            // Warm: the same stream again hits every window and walks none.
+            cg_iterations(&ctx, ops, 10 * window / 8);
+            let warm = ctx.stats();
+            assert_eq!(warm.memo_misses, cold.memo_misses, "window {window}");
+            assert_eq!(warm.memo_hits - cold.memo_hits, 10, "window {window}");
+            assert!(warm.temporaries_eliminated > cold.temporaries_eliminated);
+            assert_eq!(work(), cold_work, "window {window}: a hit walks no window for liveness");
+        }
     }
 
     /// Registers `stage`: `out[i] = in[i] + 2 * in[0]`, where the doubled

@@ -295,7 +295,11 @@ fn verification_only_observes() {
     // checks its module once, when its library kernel is built: 68 on the
     // first unfused round, as when every unfused launch was checked; each of
     // the second round's four launches replays a library kernel and adds one
-    // plan check.
+    // plan check. Since a plan carries its segments' liveness masks, every
+    // fused segment of every flush re-derives its temporaries with the
+    // reference walk once: eight in the fused leg (four flushes of two
+    // segments) and four in the horizontal leg (two flushes of two packed
+    // launches); the unfused leg demotes nothing and checks none.
     let checks: Vec<u64> = stats.iter().map(|s| s.verification_checks).collect();
-    assert_eq!(checks, vec![230 + 5, 400 + 2, 68 + 4]);
+    assert_eq!(checks, vec![230 + 5 + 8, 400 + 2 + 4, 68 + 4]);
 }

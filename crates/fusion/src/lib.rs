@@ -14,7 +14,7 @@
 //!
 //! On top of the prefix search this crate implements the two optimizations of
 //! Section 5: [`temporaries`] (Definition 4 — which stores become task-local
-//! after fusion) and [`memo`] (replaying analysis results on *isomorphic* task
+//! after fusion, as a per-argument mask a memoized plan keeps) and [`memo`] (replaying analysis results on *isomorphic* task
 //! windows via a De-Bruijn-style canonical form, Figure 7). [`window`]
 //! provides the adaptive window sizing the evaluation describes.
 //!
@@ -54,7 +54,7 @@ pub use fused::FusedTask;
 pub use horizontal::{plan_horizontal, HorizontalPlan, HorizontalViolation, SegmentFootprint};
 pub use memo::{CanonicalWindow, MemoCache};
 pub use prefix::{find_fusible_prefix, fusible_segments, fusible_segments_explained};
-pub use temporaries::temporary_stores;
+pub use temporaries::{temporary_stores, TempMask, WindowLiveness};
 pub use verify::{
     verify_fused_prefix, verify_horizontal_plan, verify_reorder, verify_skeleton, DepKind,
     VerifyError,

@@ -5,13 +5,148 @@
 //! tasks nor the application can observe afterwards — are *temporary* and can
 //! be demoted from distributed allocations to task-local allocations, where
 //! the kernel pipeline can usually eliminate them entirely.
+//!
+//! Definition 4 has three conditions. The first two — every read inside the
+//! fused task is covered by an earlier write through the same partition,
+//! and no later task of the window reads or reduces the store — are
+//! functions of the canonical window, so a memoized plan keeps them as a
+//! [`TempMask`], one bit per fused argument. [`WindowLiveness`] finds every
+//! segment's mask of a window in one reverse sweep plus one forward pass per
+//! segment. Only the third condition, no live application reference, reads
+//! runtime state; a launch subtracts it from the mask.
+//! [`temporary_stores`] is the reference semantics of all three conditions.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use ir::{Domain, IndexTask, PartitionId, StoreId};
 
+use crate::FusedTask;
+
+/// Conditions 1 and 2 of Definition 4 for one fused segment: bit `i` is set
+/// if the store of fused argument `i` (in [`FusedTask::args`] order) is
+/// produced and consumed inside the segment and read by no later task of its
+/// window. A launch demotes exactly the set arguments whose store has no live
+/// application reference. Cloning shares the bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TempMask {
+    words: Arc<[u64]>,
+    len: usize,
+}
+
+impl TempMask {
+    /// A mask of `len` arguments with no bit set.
+    pub fn none(len: usize) -> Self {
+        TempMask { words: vec![0; len.div_ceil(64)].into(), len }
+    }
+
+    /// Whether argument `i` is a candidate temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "argument {i} of a {}-argument mask", self.len);
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The bits in argument order.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// Number of arguments the mask covers.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the mask covers no argument.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl FromIterator<bool> for TempMask {
+    fn from_iter<I: IntoIterator<Item = bool>>(bits: I) -> Self {
+        let (mut words, mut len) = (Vec::new(), 0);
+        for bit in bits {
+            if len % 64 == 0 {
+                words.push(0);
+            }
+            *words.last_mut().expect("pushed above") |= u64::from(bit) << (len % 64);
+            len += 1;
+        }
+        TempMask { words: words.into(), len }
+    }
+}
+
+/// The reverse sweep over a window: each store's last reader or reducer.
+/// Condition 2 of a segment that ends before position `end` holds for a
+/// store exactly when that position is before `end`.
+#[derive(Debug)]
+pub struct WindowLiveness {
+    last_read: HashMap<StoreId, usize>,
+}
+
+/// Condition 1's state of one store along a segment's forward pass.
+#[derive(Default)]
+struct Coverage {
+    covering_writes: Vec<PartitionId>,
+    written: bool,
+    /// A read without a covering write, or an unknown shape.
+    blocked: bool,
+}
+
+impl WindowLiveness {
+    /// Sweeps `window` once, back to front.
+    pub fn new(window: &[IndexTask]) -> Self {
+        let mut last_read = HashMap::new();
+        for (i, task) in window.iter().enumerate().rev() {
+            for arg in &task.args {
+                if arg.privilege.reads() || arg.privilege.reduces() {
+                    last_read.entry(arg.store).or_insert(i);
+                }
+            }
+        }
+        WindowLiveness { last_read }
+    }
+
+    /// The mask of the segment `fused`, whose last task sits just before
+    /// window position `end`: one forward pass over the segment's arguments
+    /// in program order.
+    pub fn mask(&self, fused: &FusedTask, end: usize) -> TempMask {
+        let mut stores: HashMap<StoreId, Coverage> = HashMap::with_capacity(fused.args.len());
+        for arg in fused.tasks.iter().flat_map(|t| &t.args) {
+            let store = stores.entry(arg.store).or_default();
+            if store.blocked {
+                continue;
+            }
+            let covered = |store: &Coverage| store.covering_writes.contains(&arg.partition);
+            let reads = arg.privilege.reads() || arg.privilege.reduces();
+            if arg.shape.is_unknown() || (reads && !covered(store)) {
+                store.blocked = true;
+                continue;
+            }
+            if arg.privilege.writes() {
+                store.written = true;
+                if !covered(store) && arg.partition.covers(&arg.shape, &fused.launch_domain) {
+                    store.covering_writes.push(arg.partition);
+                }
+            }
+        }
+        let last_read_before = |s: &StoreId| self.last_read.get(s).is_none_or(|&i| i < end);
+        let candidate = |s: &StoreId| {
+            let store = &stores[s];
+            store.written && !store.blocked && last_read_before(s)
+        };
+        fused.args.iter().map(|(s, ..)| candidate(s)).collect()
+    }
+}
+
 /// Computes the set of temporary stores for the fusion of `prefix`
-/// (Definition 4).
+/// (Definition 4). This is the reference semantics: it walks the pending
+/// tasks once per candidate store. Launches read [`WindowLiveness::mask`]
+/// instead; the verification gate and the tests hold it to this.
 ///
 /// * `prefix` — the fusible prefix about to be replaced by a fused task.
 /// * `pending` — tasks issued after the prefix that have not executed yet
@@ -230,5 +365,31 @@ mod tests {
     #[test]
     fn empty_prefix_has_no_temporaries() {
         assert!(temporary_stores(&[], &[], |_| false).is_empty());
+    }
+
+    #[test]
+    fn figure6_mask_marks_z_and_v() {
+        // Conditions 1 and 2 hold for z and for v; the application's handle
+        // on v is subtracted at launch, not in the mask.
+        let (prefix, pending) = figure6();
+        let window: Vec<IndexTask> = prefix.iter().chain(&pending).cloned().collect();
+        let fused = FusedTask::build(prefix.clone());
+        let mask = WindowLiveness::new(&window).mask(&fused, prefix.len());
+        let marked = fused.args.iter().zip(mask.iter()).filter(|(_, bit)| *bit);
+        let marked: Vec<StoreId> = marked.map(|(&(s, ..), _)| s).collect();
+        assert_eq!(marked, vec![StoreId(2), StoreId(4)]);
+        // Fused as a segment of its own, the norm task demotes nothing.
+        let norm = FusedTask::build(pending);
+        assert!(WindowLiveness::new(&window).mask(&norm, window.len()).iter().all(|b| !b));
+    }
+
+    #[test]
+    fn masks_keep_every_bit_past_a_word() {
+        let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i == 64).collect();
+        let mask: TempMask = bits.iter().copied().collect();
+        assert_eq!(mask.len(), 130);
+        assert!(mask.iter().eq(bits));
+        assert!(TempMask::none(70).iter().all(|b| !b));
+        assert!(TempMask::none(0).is_empty());
     }
 }

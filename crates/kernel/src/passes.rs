@@ -82,13 +82,6 @@ pub struct PipelineResult {
     pub loops_after: usize,
 }
 
-impl PipelineResult {
-    /// Whether a buffer was eliminated by the pipeline.
-    pub fn is_eliminated(&self, buffer: BufferId) -> bool {
-        self.eliminated_locals.contains(&buffer)
-    }
-}
-
 /// The kernel compilation pipeline. See the module documentation.
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {

@@ -387,11 +387,6 @@ impl Runtime {
         self.cost.config().total_gpus()
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Whether regions hold real data.
     pub fn is_functional(&self) -> bool {
         self.config.materialize_data
