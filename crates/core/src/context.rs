@@ -28,7 +28,7 @@
 //! numbering once; skeleton arguments are numbered and resolved through it.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
@@ -39,7 +39,7 @@ use fusion::{
     AdaptiveWindow, CanonicalWindow, FusedTask, FusionViolation, MemoCache, TempMask,
     WindowLiveness,
 };
-use ir::fingerprint::{fold_u64, OFFSET};
+use ir::fingerprint::{fold_u64, FnvHashMap, OFFSET};
 use ir::{
     Domain, FingerprintState, IndexTask, Partition, PartitionId, Privilege, ShapeId, StoreArg,
     StoreId, TaskId, TaskWindow,
@@ -102,6 +102,9 @@ struct Skeleton {
     /// diagnostics show the memoized window's name, which identifies the
     /// structure (and the kernel actually run) rather than the instance.
     name: String,
+    /// [`TaskLaunch::head_fold`] of its launches under `name`, taken once
+    /// for the fault fingerprint of every one.
+    head_fold: u64,
     /// Merged fused args as (canonical store index, partition, privilege),
     /// numbered by the flushed window's first-occurrence numbering, through
     /// which a replay resolves them. (A library kernel's arguments are its
@@ -222,7 +225,7 @@ pub struct ContextInner {
     backend: Arc<dyn KernelBackend>,
     compile_model: CompileTimeModel,
     stats: ExecutionStats,
-    stores: HashMap<StoreId, StoreMeta>,
+    stores: FnvHashMap<StoreId, StoreMeta>,
     /// Stores whose last application handle dropped since the last sweep.
     dead: Vec<StoreId>,
     next_store: u64,
@@ -650,7 +653,7 @@ impl ContextInner {
             }
         }
         if let Some(plan) = replanned {
-            self.memo.insert(CanonicalWindow::new(tasks), plan.into());
+            self.memo.insert(CanonicalWindow::from_numbering(tasks, numbering), plan.into());
         }
     }
 
@@ -664,9 +667,13 @@ impl ContextInner {
     /// never evict the windows that flush.
     fn memoize(&mut self, tasks: &[IndexTask], numbering: &FingerprintState, plan: Vec<Segment>) {
         let plan: Arc<[Segment]> = plan.into();
-        self.memo.insert(CanonicalWindow::new(tasks), Arc::clone(&plan));
+        self.memo.insert(CanonicalWindow::from_numbering(tasks, numbering), Arc::clone(&plan));
         let mut start = 0;
         for i in 1..plan.len() {
+            // An offer takes only spare capacity: with none, skip the work.
+            if self.memo.len() >= self.memo.capacity() {
+                break;
+            }
             start += plan[i - 1].len();
             let suffix = &tasks[start..];
             let mut own = FingerprintState::new();
@@ -676,7 +683,7 @@ impl ContextInner {
                 store.and_then(|s| own.index_of(s)).expect("a suffix segment's stores are in it")
             };
             let tail = plan[i..].iter().map(|s| s.renumbered(index)).collect();
-            self.memo.offer(CanonicalWindow::new(suffix), tail);
+            self.memo.offer(CanonicalWindow::from_numbering(suffix, &own), tail);
         }
     }
 
@@ -775,7 +782,7 @@ impl ContextInner {
         self.check_liveness(&fused.name, &fused.tasks, pending, demoted)?;
         let (skeleton, launch) = self.lower(&fused, &is_temp, numbering)?;
         let demoted = skeleton.temps(fused.args.iter().map(|&(store, _, _)| store));
-        self.launch(&fused.tasks, &launch, &skeleton.plan, demoted);
+        self.launch(&fused.tasks, &launch, &skeleton.plan, Some(skeleton.head_fold), demoted);
         Ok(Segment::Fused { skeleton: Arc::new(skeleton), mask })
     }
 
@@ -960,6 +967,7 @@ impl ContextInner {
             len: tasks.len(),
             kernel,
             name,
+            head_fold: launch.head_fold(),
             args: args.iter().map(|&(s, p, pr, _)| (canonical(s), p, pr)).collect(),
             temp_volumes: args.iter().map(|&(.., temp)| temp).collect(),
             generator_local_lens: locals,
@@ -990,7 +998,7 @@ impl ContextInner {
             format_args!("memo-replayed skeleton `{name}` does not match the probe window"),
             |_| fusion::verify_skeleton(segment, |s| numbering.index_of(s), &skeleton.args),
         )?;
-        self.replay_launch(segment, skeleton, stores, skeleton.name.clone())
+        self.replay_launch(segment, skeleton, stores, None)
     }
 
     /// Launches one task alone through its library kernel, keeping its own
@@ -1004,10 +1012,11 @@ impl ContextInner {
         let launched = match self.library.probe_tasks(tasks).cloned() {
             Some(skeleton) => {
                 let stores = task.args.iter().map(|a| a.store);
-                self.replay_launch(tasks, &skeleton, stores, task.name.clone())
+                self.replay_launch(tasks, &skeleton, stores, Some(task.name.clone()))
             }
             None => self.library_kernel(task).map(|(skeleton, launch)| {
-                self.launch(tasks, &launch, &skeleton.plan, std::iter::empty());
+                let head_fold = Some(skeleton.head_fold);
+                self.launch(tasks, &launch, &skeleton.plan, head_fold, std::iter::empty());
                 self.library.insert(CanonicalWindow::new(tasks), Arc::new(skeleton));
             }),
         };
@@ -1017,16 +1026,21 @@ impl ContextInner {
         false
     }
 
-    /// Every launch of a skeleton but its first: `tasks` named `name`, the
-    /// arguments resolved to `stores`, under the skeleton's plan, which the
-    /// gate re-derives from this launch (with verification off, nothing).
+    /// Every launch of a skeleton but its first: `tasks` named `name` (the
+    /// skeleton's own if `None`), the arguments resolved to `stores`, under
+    /// the skeleton's plan, which the gate re-derives from this launch (with
+    /// verification off, nothing).
     fn replay_launch(
         &mut self,
         tasks: &[IndexTask],
         skeleton: &Skeleton,
         stores: impl Iterator<Item = StoreId> + Clone,
-        name: String,
+        name: Option<String>,
     ) -> Result<(), String> {
+        let (name, head_fold) = match name {
+            Some(name) => (name, None),
+            None => (skeleton.name.clone(), Some(skeleton.head_fold)),
+        };
         let args = skeleton
             .args
             .iter()
@@ -1043,7 +1057,7 @@ impl ContextInner {
                 fresh => Err(format!("memoized {plan:?}, re-derived {fresh:?}")),
             },
         )?;
-        self.launch(tasks, &launch, &skeleton.plan, skeleton.temps(stores));
+        self.launch(tasks, &launch, &skeleton.plan, head_fold, skeleton.temps(stores));
         Ok(())
     }
 
@@ -1088,13 +1102,16 @@ impl ContextInner {
 
     /// Launch, second half: the one tail of every path. Executes `launch`
     /// under `plan` and books it as `tasks.len()` tasks, with `temps` the
-    /// stores it demoted to task-local temporaries. Only a launch that runs
-    /// is booked: a replay whose checks fail stops before this.
+    /// stores it demoted to task-local temporaries. `head_fold` is the
+    /// launch's [`TaskLaunch::head_fold`] when a skeleton keeps it. Only a
+    /// launch that runs is booked: a replay whose checks fail stops before
+    /// this.
     fn launch(
         &mut self,
         tasks: &[IndexTask],
         launch: &TaskLaunch,
         plan: &LaunchPlan,
+        head_fold: Option<u64>,
         temps: impl Iterator<Item = StoreId>,
     ) {
         for store in temps {
@@ -1104,7 +1121,11 @@ impl ContextInner {
             }
         }
         let t0 = self.runtime.elapsed();
-        self.runtime.execute_planned(launch, plan).expect("launch failed");
+        let executed = match head_fold {
+            Some(head) => self.runtime.execute_planned_after_head(launch, plan, head),
+            None => self.runtime.execute_planned(launch, plan),
+        };
+        executed.expect("launch failed");
         let delta = self.runtime.elapsed() - t0;
         self.stats.tasks_launched += 1;
         if tasks.len() > 1 {
@@ -1202,7 +1223,7 @@ impl Context {
             backend: config.backend.backend(),
             compile_model: CompileTimeModel::default(),
             stats: ExecutionStats::default(),
-            stores: HashMap::new(),
+            stores: FnvHashMap::default(),
             dead: Vec::new(),
             next_store: 0,
             next_task: 0,

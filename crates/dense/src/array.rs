@@ -117,12 +117,19 @@ impl DArray {
         id
     }
 
+    /// A fresh full array of this view's shape. Unless this is a view, its
+    /// partition is this one — the same pure function of shape and GPU count
+    /// — so it takes this array's interned id instead of interning again.
     fn fresh_like(&self) -> DArray {
         let handle = self
             .ctx
             .context()
             .create_store(self.view_shape.clone(), "tmp");
-        DArray::full_store(self.ctx.clone(), handle)
+        let out = DArray::full_store(self.ctx.clone(), handle);
+        if !self.is_view() {
+            out.partition_cache.set(Some(self.partition_id()));
+        }
+        out
     }
 
     fn fresh_scalar(&self) -> DArray {
@@ -451,6 +458,21 @@ mod tests {
 
     fn np(gpus: usize) -> DenseContext {
         DenseContext::new(Context::new(DiffuseConfig::fused(MachineConfig::with_gpus(gpus))))
+    }
+
+    #[test]
+    fn a_derived_array_takes_its_sources_partition_id_unless_the_source_is_a_view() {
+        let np = np(2);
+        let full = np.zeros(&[4, 6]);
+        let out = full.scalar_mul(2.0);
+        assert_eq!(out.partition_cache.get(), Some(full.partition_id()), "inherited");
+        assert_eq!(out.partition_id(), PartitionId::intern(&out.partition()));
+        // An offset view's partition is not its output's: the output interns
+        // its own.
+        let view = full.slice_2d(2..4, 1..5);
+        let derived = view.scalar_mul(2.0);
+        assert_ne!(view.partition_id(), PartitionId::intern(&derived.partition()));
+        assert_eq!(derived.partition_id(), PartitionId::intern(&derived.partition()));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! never an enumeration of sub-stores — which is what makes the analysis
 //! scale-free.
 
-use std::collections::HashMap;
-
+use ir::fingerprint::FnvHashMap;
 use ir::{Domain, IndexTask, PartitionId, StoreId};
 
 /// Why a task could not be added to the fusible prefix.
@@ -87,7 +86,7 @@ impl StoreEffects {
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintState {
     launch_domain: Option<Domain>,
-    effects: HashMap<StoreId, StoreEffects>,
+    effects: FnvHashMap<StoreId, StoreEffects>,
     tasks_admitted: usize,
 }
 

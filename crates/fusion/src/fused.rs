@@ -1,7 +1,6 @@
 //! Construction of fused tasks from fusible prefixes (Section 4.2.2).
 
-use std::collections::HashMap;
-
+use ir::fingerprint::FnvHashMap;
 use ir::{Domain, IndexTask, PartitionId, Privilege, StoreId};
 
 /// A fused task: the merged store arguments of a fusible prefix together with
@@ -41,7 +40,7 @@ impl FusedTask {
         let mut args: Vec<(StoreId, PartitionId, Privilege)> = Vec::new();
         // Each distinct (store, partition) pair's position in `args`, which
         // keeps first-occurrence order.
-        let mut index: HashMap<(StoreId, PartitionId), usize> = HashMap::new();
+        let mut index: FnvHashMap<(StoreId, PartitionId), usize> = FnvHashMap::default();
         let mut arg_map: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
         for task in &tasks {
             let mut map = Vec::with_capacity(task.args.len());

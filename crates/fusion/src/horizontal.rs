@@ -48,9 +48,9 @@
 //! canonicalization); the fingerprint sort covers the symmetric and
 //! isomorphic cases that batched request streams produce.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
+use ir::fingerprint::FnvHashMap;
 use ir::{window_fingerprint, Domain, IndexTask, StoreId};
 
 /// Why a segment could not join a horizontal group. Mirrors
@@ -145,7 +145,7 @@ impl Effect {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentFootprint {
     launch_domain: Domain,
-    effects: HashMap<StoreId, Effect>,
+    effects: FnvHashMap<StoreId, Effect>,
 }
 
 impl SegmentFootprint {
@@ -157,7 +157,7 @@ impl SegmentFootprint {
     /// [`crate::fusible_segments`] never are).
     pub fn of_tasks(tasks: &[IndexTask]) -> SegmentFootprint {
         assert!(!tasks.is_empty(), "a fusible segment is never empty");
-        let mut effects: HashMap<StoreId, Effect> = HashMap::new();
+        let mut effects: FnvHashMap<StoreId, Effect> = FnvHashMap::default();
         for task in tasks {
             for arg in &task.args {
                 let e = effects.entry(arg.store).or_default();

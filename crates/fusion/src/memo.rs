@@ -17,14 +17,17 @@
 //!    ([`ir::TaskWindow::fingerprint`], maintained incrementally as tasks are
 //!    pushed — O(1) at probe time).
 //! 2. **Verify** each fingerprint candidate by walking the window against the
-//!    stored canonical key using a reusable scratch numbering — no
-//!    allocation, constant work per task argument, and exact: the probe is
-//!    *behaviorally identical* to a full-key lookup even under fingerprint
-//!    collisions (candidates chain).
+//!    stored canonical key through the window's own numbering
+//!    ([`ir::FingerprintState::arg_indices`], made by the pushes): no
+//!    allocation, no store lookup, constant work per task argument, and
+//!    exact: the probe is *behaviorally identical* to a full-key lookup even
+//!    under fingerprint collisions (candidates chain).
 //!
-//! A full `CanonicalWindow` is only constructed on a miss, to insert. The
-//! all-hit steady state performs **zero heap allocation** for key
-//! construction (verified by the `memo_equivalence` property test).
+//! A `CanonicalWindow` is only constructed on a miss, to insert, and from
+//! that same numbering ([`CanonicalWindow::from_numbering`]): a flush numbers
+//! and folds its window once, when its tasks are pushed, whether it hits or
+//! misses. The all-hit steady state performs **zero heap allocation** for
+//! key construction (verified by the `memo_equivalence` property test).
 //!
 //! The cache is bounded: entries beyond the capacity are evicted LRU, so a
 //! long-running service does not accumulate a compiled artifact for every
@@ -32,12 +35,8 @@
 //! used, so the entry for the window currently being processed is never the
 //! eviction victim.
 
-use std::collections::HashMap;
-
-use ir::{
-    window_fingerprint, Domain, FingerprintState, IndexTask, PartitionId, Privilege, ShapeId,
-    StoreId, TaskWindow,
-};
+use ir::fingerprint::FnvHashMap;
+use ir::{Domain, FingerprintState, IndexTask, PartitionId, Privilege, ShapeId, TaskWindow};
 
 /// Canonical form of one task: everything that affects the analysis, with
 /// store identities replaced by first-occurrence indices.
@@ -66,21 +65,35 @@ pub struct CanonicalWindow {
 impl CanonicalWindow {
     /// Canonicalizes a window of tasks. Store shapes are read from the
     /// arguments themselves (stamped by the Diffuse context at submit time).
+    /// Folds the tasks into a fresh numbering, then builds the key from it as
+    /// [`CanonicalWindow::from_numbering`] does.
     ///
     /// # Panics
     ///
     /// Panics if a referenced store's shape was never stamped.
     pub fn new(tasks: &[IndexTask]) -> Self {
-        // One pass of the window's own numbering and fold: the indices and
-        // the fingerprint are the ones `TaskWindow` would compute.
         let mut numbering = FingerprintState::new();
+        tasks.iter().for_each(|task| _ = numbering.push(task));
+        Self::from_numbering(tasks, &numbering)
+    }
+
+    /// The key of `tasks` from the numbering they were folded under (a
+    /// window's own, [`ir::TaskWindow::numbering`]): its argument indices and
+    /// its fingerprint, with no second fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a referenced store's shape was never stamped, or if
+    /// `numbering` did not fold as many arguments as `tasks` hold (it must
+    /// have folded exactly `tasks`, in order).
+    pub fn from_numbering(tasks: &[IndexTask], numbering: &FingerprintState) -> Self {
+        let mut indices = numbering.arg_indices().iter();
         let mut shapes: Vec<ShapeId> = Vec::new();
         let canonical_tasks = tasks
             .iter()
             .map(|task| {
-                numbering.push(task);
                 let args = task.args.iter().map(|arg| {
-                    let idx = numbering.index_of(arg.store).expect("folded above");
+                    let idx = *indices.next().expect("the numbering folded every argument");
                     if idx as usize == shapes.len() {
                         assert!(!arg.shape.is_unknown(), "missing shape for {}", arg.store);
                         shapes.push(arg.shape);
@@ -95,6 +108,8 @@ impl CanonicalWindow {
                 }
             })
             .collect();
+        let extra = indices.next();
+        assert!(extra.is_none(), "the numbering folded more arguments than the tasks hold");
         CanonicalWindow {
             tasks: canonical_tasks,
             shapes,
@@ -117,16 +132,20 @@ impl CanonicalWindow {
         self.fingerprint
     }
 
-    /// Whether this canonical key describes exactly `tasks` — the collision
-    /// verification of the fingerprint probe. Walks the tasks with the
-    /// caller-provided scratch numbering (cleared here; capacity is reused
-    /// across probes, so steady-state verification allocates nothing).
-    fn matches(&self, tasks: &[IndexTask], scratch: &mut HashMap<StoreId, u32>) -> bool {
+    /// Whether this canonical key describes exactly `tasks`, folded under
+    /// `numbering` (equivalently: whether it equals their key) — the
+    /// collision verification of the fingerprint probe. Reads the canonical
+    /// indices the fold made, so it allocates nothing and looks up no store.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `numbering` did not fold `tasks`.
+    pub fn matches(&self, tasks: &[IndexTask], numbering: &FingerprintState) -> bool {
         if self.tasks.len() != tasks.len() {
             return false;
         }
-        scratch.clear();
-        let mut next: u32 = 0;
+        let mut indices = numbering.arg_indices().iter();
+        let mut seen = 0;
         for (ct, t) in self.tasks.iter().zip(tasks) {
             if ct.kind != t.kind
                 || ct.num_scalars != t.scalars.len()
@@ -136,22 +155,17 @@ impl CanonicalWindow {
                 return false;
             }
             for (&(ci, cpart, cpriv), arg) in ct.args.iter().zip(&t.args) {
-                let idx = match scratch.get(&arg.store) {
-                    Some(&i) => i,
-                    None => {
-                        let i = next;
-                        // First occurrence: the canonical shape list must
-                        // agree with the argument's stamped shape.
-                        if self.shapes.get(i as usize) != Some(&arg.shape) {
-                            return false;
-                        }
-                        scratch.insert(arg.store, i);
-                        next += 1;
-                        i
-                    }
-                };
+                let idx = *indices.next().expect("the numbering folded every argument");
                 if ci != idx || cpart != arg.partition || cpriv != arg.privilege {
                     return false;
+                }
+                // First occurrence: the canonical shape list must agree with
+                // the argument's stamped shape.
+                if idx == seen {
+                    if self.shapes.get(idx as usize) != Some(&arg.shape) {
+                        return false;
+                    }
+                    seen += 1;
                 }
             }
         }
@@ -178,15 +192,13 @@ struct Slot<V> {
 #[derive(Debug, Clone)]
 pub struct MemoCache<V> {
     /// First level: fingerprint → candidate slots (chains absorb collisions).
-    index: HashMap<u64, Vec<u32>>,
+    index: FnvHashMap<u64, Vec<u32>>,
     slots: Vec<Option<Slot<V>>>,
     free: Vec<u32>,
     live: usize,
     capacity: usize,
     tick: u64,
     evictions: u64,
-    /// Reusable store numbering for collision verification.
-    scratch: HashMap<StoreId, u32>,
 }
 
 impl<V> Default for MemoCache<V> {
@@ -209,38 +221,40 @@ impl<V> MemoCache<V> {
     pub fn with_capacity_limit(capacity: usize) -> Self {
         assert!(capacity > 0, "memo cache capacity must be at least 1");
         MemoCache {
-            index: HashMap::new(),
+            index: FnvHashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             capacity,
             tick: 0,
             evictions: 0,
-            scratch: HashMap::new(),
         }
     }
 
     /// The fingerprint-first fast path: looks up the entry for the buffered
     /// window. Uses the window's incrementally maintained fingerprint and
-    /// verifies candidates in place — **no heap allocation and no
-    /// `CanonicalWindow` construction on either outcome** (the caller builds
-    /// the key only when inserting after a miss).
+    /// verifies candidates through the window's own numbering — **no heap
+    /// allocation and no `CanonicalWindow` construction on either outcome**
+    /// (the caller builds the key only when inserting after a miss, from the
+    /// same numbering).
     pub fn probe(&mut self, window: &TaskWindow) -> Option<&V> {
-        self.probe_fingerprinted(window.fingerprint(), window.tasks())
+        self.probe_numbered(window.tasks(), window.numbering())
     }
 
     /// [`MemoCache::probe`] for tasks held in no window (a task launched
-    /// alone), their fingerprint folded here: also allocation-free.
+    /// alone), their numbering folded here.
     pub fn probe_tasks(&mut self, tasks: &[IndexTask]) -> Option<&V> {
-        self.probe_fingerprinted(window_fingerprint(tasks), tasks)
+        let mut numbering = FingerprintState::new();
+        tasks.iter().for_each(|task| _ = numbering.push(task));
+        self.probe_numbered(tasks, &numbering)
     }
 
-    fn probe_fingerprinted(&mut self, fingerprint: u64, tasks: &[IndexTask]) -> Option<&V> {
+    fn probe_numbered(&mut self, tasks: &[IndexTask], numbering: &FingerprintState) -> Option<&V> {
         self.tick += 1;
-        let candidates = self.index.get(&fingerprint)?;
+        let candidates = self.index.get(&numbering.fingerprint())?;
         let si = *candidates.iter().find(|&&si| {
             let slot = self.slots[si as usize].as_ref().expect("indexed slot is live");
-            slot.key.matches(tasks, &mut self.scratch)
+            slot.key.matches(tasks, numbering)
         })?;
         let slot = self.slots[si as usize].as_mut().expect("live");
         slot.last_used = self.tick;
@@ -303,11 +317,12 @@ impl<V> MemoCache<V> {
         self.live += 1;
     }
 
-    /// Evicts the least-recently-used entry. The O(capacity) scan is
-    /// deliberate: eviction only runs on a miss that is about to pay for
-    /// kernel composition and compilation (milliseconds), so a linear pass
-    /// over a few thousand slots is noise there, and the hit path carries
-    /// no list-maintenance overhead for it.
+    /// Evicts the least-recently-used entry with an O(capacity) scan.
+    /// Eviction runs only on a miss, which also pays for segmentation, kernel
+    /// composition and compilation: ≈0.1 ms per op on `diffuse-bench`'s
+    /// `churn_cold`, whose ops mostly miss a 1024-entry memo. The scan of
+    /// 1024 slots is a few microseconds of that, and the hit path keeps no
+    /// recency list for it; a memo sized far beyond that would want one.
     fn evict_lru(&mut self) {
         let victim = self
             .slots
@@ -353,7 +368,7 @@ impl<V> MemoCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir::{Partition, StoreArg, TaskId};
+    use ir::{Partition, StoreArg, StoreId, TaskId};
 
     fn block() -> Partition {
         Partition::block(vec![4])

@@ -16,10 +16,11 @@
 //! runtime state; a launch subtracts it from the mask.
 //! [`temporary_stores`] is the reference semantics of all three conditions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use ir::{Domain, IndexTask, PartitionId, StoreId};
+use ir::fingerprint::FnvHashMap;
+use ir::{Domain, IndexTask, PartitionId, ShapeId, StoreId};
 
 use crate::FusedTask;
 
@@ -85,7 +86,7 @@ impl FromIterator<bool> for TempMask {
 /// store exactly when that position is before `end`.
 #[derive(Debug)]
 pub struct WindowLiveness {
-    last_read: HashMap<StoreId, usize>,
+    last_read: FnvHashMap<StoreId, usize>,
 }
 
 /// Condition 1's state of one store along a segment's forward pass.
@@ -100,7 +101,7 @@ struct Coverage {
 impl WindowLiveness {
     /// Sweeps `window` once, back to front.
     pub fn new(window: &[IndexTask]) -> Self {
-        let mut last_read = HashMap::new();
+        let mut last_read = FnvHashMap::default();
         for (i, task) in window.iter().enumerate().rev() {
             for arg in &task.args {
                 if arg.privilege.reads() || arg.privilege.reduces() {
@@ -113,9 +114,17 @@ impl WindowLiveness {
 
     /// The mask of the segment `fused`, whose last task sits just before
     /// window position `end`: one forward pass over the segment's arguments
-    /// in program order.
+    /// in program order. `covers` runs once per distinct (partition, shape)
+    /// written: many stores of a segment share both.
     pub fn mask(&self, fused: &FusedTask, end: usize) -> TempMask {
-        let mut stores: HashMap<StoreId, Coverage> = HashMap::with_capacity(fused.args.len());
+        let mut stores: FnvHashMap<StoreId, Coverage> =
+            FnvHashMap::with_capacity_and_hasher(fused.args.len(), Default::default());
+        let mut covers: FnvHashMap<(PartitionId, ShapeId), bool> = FnvHashMap::default();
+        let mut covers = |partition: PartitionId, shape: ShapeId| {
+            *covers
+                .entry((partition, shape))
+                .or_insert_with(|| partition.covers(&shape, &fused.launch_domain))
+        };
         for arg in fused.tasks.iter().flat_map(|t| &t.args) {
             let store = stores.entry(arg.store).or_default();
             if store.blocked {
@@ -129,7 +138,7 @@ impl WindowLiveness {
             }
             if arg.privilege.writes() {
                 store.written = true;
-                if !covered(store) && arg.partition.covers(&arg.shape, &fused.launch_domain) {
+                if !covered(store) && covers(arg.partition, arg.shape) {
                     store.covering_writes.push(arg.partition);
                 }
             }

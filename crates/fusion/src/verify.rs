@@ -32,9 +32,9 @@
 //! (accumulated into `ExecutionStats::verification_checks`) or a structured
 //! [`VerifyError`] naming the violated invariant and the offending tasks.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
+use ir::fingerprint::FnvHashMap;
 use ir::{Domain, IndexTask, PartitionId, Privilege, StoreId, TaskId};
 
 use crate::horizontal::{HorizontalPlan, HorizontalViolation, SegmentFootprint};
@@ -289,8 +289,8 @@ struct Effect {
     reduces: bool,
 }
 
-fn task_effects(task: &IndexTask) -> HashMap<StoreId, Effect> {
-    let mut effects: HashMap<StoreId, Effect> = HashMap::new();
+fn task_effects(task: &IndexTask) -> FnvHashMap<StoreId, Effect> {
+    let mut effects: FnvHashMap<StoreId, Effect> = FnvHashMap::default();
     for arg in &task.args {
         let e = effects.entry(arg.store).or_default();
         e.reads |= arg.privilege.reads();
@@ -304,7 +304,10 @@ fn task_effects(task: &IndexTask) -> HashMap<StoreId, Effect> {
 /// with a write or reduce on either side (read-read sharing commutes;
 /// reduce-reduce does *not* for ordering purposes — float folds are
 /// order-sensitive).
-fn task_conflict(a: &HashMap<StoreId, Effect>, b: &HashMap<StoreId, Effect>) -> Option<StoreId> {
+fn task_conflict(
+    a: &FnvHashMap<StoreId, Effect>,
+    b: &FnvHashMap<StoreId, Effect>,
+) -> Option<StoreId> {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut hit: Option<StoreId> = None;
     for (&store, &ea) in small {
@@ -336,7 +339,8 @@ pub fn verify_reorder(
     permuted: &[IndexTask],
 ) -> Result<usize, VerifyError> {
     let mut checks = 0usize;
-    let mut position: HashMap<TaskId, usize> = HashMap::with_capacity(permuted.len());
+    let mut position: FnvHashMap<TaskId, usize> =
+        FnvHashMap::with_capacity_and_hasher(permuted.len(), Default::default());
     for (pos, t) in permuted.iter().enumerate() {
         if position.insert(t.id, pos).is_some() {
             return Err(VerifyError::NotAPermutation { task: t.id });
@@ -361,7 +365,7 @@ pub fn verify_reorder(
         .collect::<Result<_, _>>()?;
     checks += original.len();
 
-    let effects: Vec<HashMap<StoreId, Effect>> = original.iter().map(task_effects).collect();
+    let effects: Vec<FnvHashMap<StoreId, Effect>> = original.iter().map(task_effects).collect();
     for i in 0..original.len() {
         for j in i + 1..original.len() {
             checks += 1;

@@ -2,7 +2,8 @@
 //! identical** to a full-key lookup.
 //!
 //! The fast path never builds a `CanonicalWindow` on a hit — it probes by the
-//! window's rolling fingerprint and verifies candidates in place. These tests
+//! window's rolling fingerprint and verifies candidates through the window's
+//! own numbering, and a miss builds its key from that numbering. These tests
 //! drive the fast cache and a reference `HashMap<CanonicalWindow, u32>` with
 //! the same window sequences — including renamed (isomorphic) windows and
 //! deliberately *near*-isomorphic mutants that differ in exactly one
@@ -147,6 +148,59 @@ fn batch_stream(specs: &[(usize, bool)], order: &[usize]) -> Vec<IndexTask> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A key built from a window's own numbering is the window's canonical
+    /// key, in value and fingerprint, over one window reused through
+    /// `clear` as a context reuses it: the stream, an isomorphic renaming,
+    /// its near-isomorphic mutants (one privilege, partition, shape or store
+    /// apart) and its suffixes, every other one permuted by `reorder`. The
+    /// streams repeat stores, alias them through offset tilings and differ
+    /// in shape. The probe's check then holds without a fingerprint
+    /// collision — a key matches a window exactly when it equals the
+    /// window's key — and `probe` hits exactly when the full-key `get` does.
+    #[test]
+    fn a_key_from_the_windows_numbering_is_its_canonical_key(
+        tasks in arb_stream(),
+        offset in 1u64..32,
+        shift in 1usize..5,
+    ) {
+        let mut streams = vec![tasks.clone(), renamed(&tasks, offset)];
+        streams.extend(mutants(&tasks));
+        streams.extend((1..tasks.len()).map(|i| tasks[i..].to_vec()));
+        let mut window = TaskWindow::new();
+        let mut keyed = Vec::new();
+        for (i, stream) in streams.iter().enumerate() {
+            window.clear();
+            window.extend(stream.iter().cloned());
+            if i % 2 == 1 {
+                let mut permuted = stream.clone();
+                permuted.rotate_left(shift % stream.len());
+                window.reorder(permuted);
+            }
+            let key = CanonicalWindow::from_numbering(window.tasks(), window.numbering());
+            let reference = CanonicalWindow::new(window.tasks());
+            prop_assert_eq!(key.fingerprint(), window.fingerprint());
+            prop_assert_eq!(key.fingerprint(), reference.fingerprint());
+            prop_assert_eq!(&key, &reference);
+            keyed.push((key, window.tasks().to_vec()));
+        }
+        for (key, _) in &keyed {
+            for (other, tasks) in &keyed {
+                let window: TaskWindow = tasks.iter().cloned().collect();
+                prop_assert_eq!(key.matches(window.tasks(), window.numbering()), key == other);
+            }
+        }
+        let mut cache: MemoCache<usize> = MemoCache::new();
+        for (i, (key, _)) in keyed.iter().enumerate().step_by(2) {
+            cache.insert(key.clone(), i);
+        }
+        for (i, (key, tasks)) in keyed.iter().enumerate() {
+            let window: TaskWindow = tasks.iter().cloned().collect();
+            let probed = cache.probe(&window).copied();
+            prop_assert_eq!(probed, cache.get(key).copied());
+            prop_assert!(i % 2 == 1 || probed.is_some(), "an inserted key hits");
+        }
+    }
 
     /// Fingerprint-first lookup sees exactly the hits and misses — with the
     /// same entries — that full-key lookup sees, over a sequence containing

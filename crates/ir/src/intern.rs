@@ -36,27 +36,29 @@
 //! assert!(!a.may_alias_across_points(), "ids deref to the partition");
 //! ```
 
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{OnceLock, PoisonError, RwLock};
 
+use crate::fingerprint::FnvHashMap;
 use crate::partition::Partition;
 
-/// Append-only interner state: dedup map plus id-indexed storage.
+/// Append-only interner state: dedup map plus id-indexed storage. The map
+/// hashes with [`crate::fingerprint::FnvHasher`]: its keys are partitions
+/// and shapes the program built.
 ///
 /// Every lock site recovers a poisoned lock: a writer checks everything that
 /// can fail before it pushes, and pushes an item and its map entry with
 /// nothing that can panic in between, so a thread that panicked while holding
 /// the lock left the state consistent.
 struct Interner<T: ?Sized + 'static> {
-    map: HashMap<&'static T, u32>,
+    map: FnvHashMap<&'static T, u32>,
     items: Vec<&'static T>,
 }
 
 impl<T: ?Sized + 'static> Interner<T> {
     fn new() -> Self {
         Interner {
-            map: HashMap::new(),
+            map: FnvHashMap::default(),
             items: Vec::new(),
         }
     }

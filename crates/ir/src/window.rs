@@ -10,11 +10,16 @@
 //! buffered tasks to build a lookup key. A flush probes once, for the whole
 //! window, resolves memoized arguments through the window's one store
 //! numbering ([`TaskWindow::numbering`]) and then [`TaskWindow::clear`]s it.
-//! Only [`TaskWindow::reorder`] refolds.
+//! The same numbering verifies the probe's candidates and keys a miss's
+//! insert, so a flush numbers its window once. Only [`TaskWindow::reorder`]
+//! refolds.
+//!
+//! The fold is [`FnvHasher`], the workspace's in-process hasher, and the
+//! numbering is keyed with it too.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-use crate::fingerprint::splitmix64;
+use crate::fingerprint::{splitmix64, FnvHashMap, FnvHasher};
 use crate::store::StoreId;
 use crate::task::IndexTask;
 
@@ -26,9 +31,10 @@ const FINGERPRINT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Stores are replaced by their first-occurrence index (so isomorphic streams
 /// hash identically); partitions and shapes enter through their interner ids
 /// (structural identity). The state is the **single source of truth** for
-/// window fingerprints: [`TaskWindow`] folds tasks through it as they are
-/// pushed, and the fusion crate's canonical windows recompute through the
-/// same code, so the two can never diverge.
+/// window fingerprints and store numberings: [`TaskWindow`] folds tasks
+/// through it as they are pushed, and the fusion crate builds a canonical
+/// window's key from the state itself ([`FingerprintState::arg_indices`]),
+/// so the two can never diverge.
 ///
 /// # Example
 ///
@@ -46,8 +52,10 @@ const FINGERPRINT_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 #[derive(Debug, Clone)]
 pub struct FingerprintState {
     fingerprint: u64,
-    numbering: HashMap<StoreId, u32>,
+    numbering: FnvHashMap<StoreId, u32>,
     order: Vec<StoreId>,
+    /// The canonical index of every folded argument, in fold order.
+    indices: Vec<u32>,
 }
 
 impl Default for FingerprintState {
@@ -61,8 +69,9 @@ impl FingerprintState {
     pub fn new() -> Self {
         FingerprintState {
             fingerprint: FINGERPRINT_SEED,
-            numbering: HashMap::new(),
+            numbering: FnvHashMap::default(),
             order: Vec::new(),
+            indices: Vec::new(),
         }
     }
 
@@ -81,19 +90,26 @@ impl FingerprintState {
         self.numbering.get(&store).copied()
     }
 
+    /// The canonical index of every argument folded so far, task by task in
+    /// argument order: what a memo key is built from and what a probe
+    /// verifies against, with no store lookup.
+    pub fn arg_indices(&self) -> &[u32] {
+        &self.indices
+    }
+
     /// Clears the state back to the empty stream, retaining allocations.
     pub fn reset(&mut self) {
         self.fingerprint = FINGERPRINT_SEED;
         self.numbering.clear();
         self.order.clear();
+        self.indices.clear();
     }
 
     /// Folds one task into the rolling fingerprint, returning the new value.
     /// Performs no heap allocation beyond amortized growth of the store
-    /// numbering.
+    /// numbering and the argument indices.
     pub fn push(&mut self, task: &IndexTask) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = FnvHasher::default();
         task.kind.hash(&mut h);
         task.launch_domain.hash(&mut h);
         task.scalars.len().hash(&mut h);
@@ -112,6 +128,7 @@ impl FingerprintState {
                     i
                 }
             };
+            self.indices.push(idx);
             idx.hash(&mut h);
             arg.partition.hash(&mut h);
             arg.privilege.hash(&mut h);
@@ -283,11 +300,13 @@ mod tests {
         assert_eq!(numbering.store_at(3), None);
         assert_eq!(numbering.index_of(StoreId(2)), Some(1));
         assert_eq!(numbering.index_of(StoreId(9)), None);
+        assert_eq!(numbering.arg_indices(), &[0, 1, 1, 2]);
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.fingerprint(), window_fingerprint(&[]));
         assert_eq!(w.numbering().store_at(0), None);
         assert_eq!(w.numbering().index_of(StoreId(2)), None);
+        assert!(w.numbering().arg_indices().is_empty());
     }
 
     #[test]

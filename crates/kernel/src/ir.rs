@@ -457,20 +457,20 @@ impl KernelModule {
             .sum()
     }
 
-    /// Returns a copy of this module with every buffer id rewritten through
-    /// `map` (indexed by the old buffer id). Used when splicing a generated
-    /// task body into a fused module whose argument order differs.
+    /// Returns this module with every buffer id rewritten through `map`
+    /// (indexed by the old buffer id), in place. Used when splicing a
+    /// generated task body into a fused module whose argument order differs,
+    /// and to lay a compiled module out for its launch.
     ///
     /// # Panics
     ///
     /// Panics if the map does not cover every buffer referenced by the module.
-    pub fn remap_buffers(&self, map: &[BufferId]) -> KernelModule {
+    pub fn remap_buffers(mut self, map: &[BufferId]) -> KernelModule {
         let remap = |b: BufferId| -> BufferId {
             *map.get(b.0 as usize)
                 .unwrap_or_else(|| panic!("buffer {:?} missing from remap table", b))
         };
-        let mut out = self.clone();
-        for stage in &mut out.stages {
+        for stage in &mut self.stages {
             match stage {
                 KernelStage::Loop(l) => {
                     l.domain = remap(l.domain);
@@ -506,7 +506,7 @@ impl KernelModule {
                 }
             }
         }
-        out
+        self
     }
 
     /// Appends all stages of `other` (whose buffer ids already refer to this

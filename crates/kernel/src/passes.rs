@@ -21,7 +21,7 @@
 //! open one, store forwarding is one forward walk per loop, and dead-local
 //! elimination one reverse liveness sweep per loop.
 
-use std::collections::{HashMap, HashSet};
+use ir::fingerprint::{FnvHashMap, FnvHashSet};
 
 use crate::ir::{BufferId, BufferRole, KernelModule, KernelStage, LoopKernel, LoopOp, ValueId};
 
@@ -145,10 +145,10 @@ impl Pipeline {
 /// Effect summary of one loop used for fusion legality.
 #[derive(Debug, Default)]
 struct LoopEffects {
-    elem_loads: HashSet<BufferId>,
-    scalar_loads: HashSet<BufferId>,
-    stores: HashSet<BufferId>,
-    reduces: HashSet<BufferId>,
+    elem_loads: FnvHashSet<BufferId>,
+    scalar_loads: FnvHashSet<BufferId>,
+    stores: FnvHashSet<BufferId>,
+    reduces: FnvHashSet<BufferId>,
 }
 
 fn effects(kernel: &LoopKernel) -> LoopEffects {
@@ -278,10 +278,10 @@ fn forward_stores(mut module: KernelModule) -> KernelModule {
     for stage in &mut module.stages {
         if let KernelStage::Loop(l) = stage {
             // Map from buffer -> value most recently stored to it in this body.
-            let mut last_store: HashMap<BufferId, ValueId> = HashMap::new();
+            let mut last_store: FnvHashMap<BufferId, ValueId> = FnvHashMap::default();
             // Map from value -> replacement value.
-            let mut replace: HashMap<ValueId, ValueId> = HashMap::new();
-            let resolve = |v: ValueId, replace: &HashMap<ValueId, ValueId>| -> ValueId {
+            let mut replace: FnvHashMap<ValueId, ValueId> = FnvHashMap::default();
+            let resolve = |v: ValueId, replace: &FnvHashMap<ValueId, ValueId>| -> ValueId {
                 let mut v = v;
                 while let Some(&r) = replace.get(&v) {
                     v = r;
@@ -646,6 +646,8 @@ mod tests {
     /// dead values were removed by a fixpoint loop: the reference the
     /// identity property holds [`Pipeline::run`] to.
     mod oracle {
+        use std::collections::HashSet;
+
         use super::super::*;
 
         pub fn run(config: PipelineConfig, module: KernelModule, lens: &[usize]) -> PipelineResult {

@@ -83,6 +83,13 @@ impl AccessSummary {
 /// assert_eq!(deps.record(2, &[w(false)]), vec![0]);   // independent reader
 /// assert_eq!(deps.record(3, &[w(true)]), vec![0, 1, 2]); // write waits for all
 /// ```
+///
+/// This module's maps keep `std`'s randomly seeded hasher, unlike the
+/// workspace's other in-process maps ([`ir::fingerprint::FnvHasher`]): keyed
+/// with it, `diffuse-bench`'s `cg_small` set-up ran in the heap's slower
+/// state (≈79 µs against ≈65 µs; ROADMAP rule v) in every process, where
+/// `std`'s seeds put one process in three or four there. A region-indexed
+/// tracker (ROADMAP item 11) retires the question.
 #[derive(Debug, Default)]
 pub struct DepTracker {
     last_writer: HashMap<RegionId, u64>,

@@ -34,10 +34,11 @@
 //! inside a failed cone are left at their pre-cone contents (see
 //! `docs/RUNTIME.md` and `docs/RESILIENCE.md`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 
+use ir::fingerprint::FnvHashMap;
 use ir::{Privilege, Rect};
 use kernel::{
     Buffer, BufferId, BufferView, BufferViewMut, CompiledKernel, KernelModule,
@@ -559,14 +560,14 @@ struct TaskNode {
 #[derive(Debug)]
 struct SchedState {
     /// Launches in flight on workers, by id (removed on completion).
-    tasks: HashMap<u64, TaskNode>,
+    tasks: FnvHashMap<u64, TaskNode>,
     /// Per-worker ready deques (own end: back/LIFO; steal end: front/FIFO).
     queues: Vec<VecDeque<u64>>,
     /// Launches handed to workers but not yet completed.
     pending: usize,
     /// Completed-but-failed launches of the current batch, by id, so later
     /// submissions depending on them poison at submit time.
-    failed: HashMap<u64, String>,
+    failed: FnvHashMap<u64, String>,
     /// Failure records of the current batch, tagged with launch id (workers
     /// finish out of order; they are sorted by id when taken).
     failures: Vec<(u64, LaunchFailure)>,
@@ -719,10 +720,10 @@ impl Executor {
         let workers = kind.worker_count(gpus);
         let shared = Arc::new(Shared {
             state: Mutex::new(SchedState {
-                tasks: HashMap::new(),
+                tasks: FnvHashMap::default(),
                 queues: vec![VecDeque::new(); workers],
                 pending: 0,
-                failed: HashMap::new(),
+                failed: FnvHashMap::default(),
                 failures: Vec::new(),
                 shutdown: false,
                 hb: (cfg!(debug_assertions) && crate::deps::HbChecker::requested_by_env())

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use ir::fingerprint::{fold_bytes, OFFSET};
+use ir::fingerprint::{fold_bytes, fold_le_word, fold_u64, OFFSET};
 use ir::{Domain, PartitionId, Privilege};
 use kernel::CompiledKernel;
 
@@ -147,19 +147,32 @@ impl TaskLaunch {
     /// (`docs/RESILIENCE.md`) reproduce identically across the whole
     /// executor × backend matrix and under window permutations. FNV-1a over
     /// the launch's content; collisions only blur which launches share a
-    /// fault stream, never correctness.
+    /// fault stream, never correctness. Words fold as their little-endian
+    /// bytes ([`fold_le_word`]).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = fold_bytes(OFFSET, self.name.as_bytes());
-        h = fold_bytes(h, &self.launch_domain.size().to_le_bytes());
+        self.fingerprint_after_head(self.head_fold())
+    }
+
+    /// The FNV state after the launch's name and launch-domain size: the
+    /// part of [`TaskLaunch::fingerprint`] a memoized skeleton fixes for
+    /// every launch under its name, so it folds it once.
+    pub fn head_fold(&self) -> u64 {
+        fold_le_word(fold_bytes(OFFSET, self.name.as_bytes()), self.launch_domain.size())
+    }
+
+    /// [`TaskLaunch::fingerprint`] from `head`, the launch's
+    /// [`TaskLaunch::head_fold`]: folds only the requirements and scalars.
+    pub fn fingerprint_after_head(&self, head: u64) -> u64 {
+        let mut h = head;
         for req in &self.requirements {
-            h = fold_bytes(h, &req.region.0.to_le_bytes());
+            h = fold_le_word(h, req.region.0);
             let dir = u8::from(req.privilege.reads())
                 | u8::from(req.privilege.writes()) << 1
                 | u8::from(req.privilege.reduces()) << 2;
-            h = fold_bytes(h, &[dir]);
+            h = fold_u64(h, u64::from(dir));
         }
         for s in &self.scalars {
-            h = fold_bytes(h, &s.to_bits().to_le_bytes());
+            h = fold_le_word(h, s.to_bits());
         }
         h
     }
@@ -335,6 +348,67 @@ mod tests {
         assert_eq!(launch.num_buffers(), 3);
         assert_eq!(launch.overhead, OverheadClass::TaskRuntime);
         assert_eq!(launch.kernel.backend_id(), "interp");
+    }
+
+    /// The fingerprint as it was before a caller could keep its head: every
+    /// byte of every field, one step each, from the FNV offset.
+    fn bytewise_fingerprint(launch: &TaskLaunch) -> u64 {
+        let mut h = fold_bytes(OFFSET, launch.name.as_bytes());
+        h = fold_bytes(h, &launch.launch_domain.size().to_le_bytes());
+        for req in &launch.requirements {
+            h = fold_bytes(h, &req.region.0.to_le_bytes());
+            let dir = u8::from(req.privilege.reads())
+                | u8::from(req.privilege.writes()) << 1
+                | u8::from(req.privilege.reduces()) << 2;
+            h = fold_bytes(h, &[dir]);
+        }
+        for s in &launch.scalars {
+            h = fold_bytes(h, &s.to_bits().to_le_bytes());
+        }
+        h
+    }
+
+    proptest::proptest! {
+        /// Fault schedules key on the fingerprint, so keeping the head's
+        /// fold must leave it bit-identical to the byte-wise formula.
+        #[test]
+        fn the_fingerprint_after_a_kept_head_is_the_bytewise_one(
+            name in proptest::collection::vec(0u8..128, 0..96),
+            points in 1u64..64,
+            reqs in proptest::collection::vec((0u64..1 << 40, 0u32..41, 0u8..4), 0..6),
+            scalars in proptest::collection::vec(0u64..u64::MAX, 0..4),
+        ) {
+            let name = String::from_utf8(name).expect("ASCII");
+            let privileges = [
+                Privilege::Read,
+                Privilege::Write,
+                Privilege::ReadWrite,
+                Privilege::Reduce(ir::ReductionOp::Sum),
+            ];
+            // Region ids of every magnitude, small ones (zero high bytes) too.
+            let requirements = reqs.iter().map(|&(region, shift, p)| {
+                let privilege = privileges[p as usize];
+                RegionRequirement::new(RegionId(region >> shift), Partition::Replicate, privilege)
+            });
+            let launch = TaskLaunch {
+                name,
+                launch_domain: Domain::linear(points),
+                requirements: requirements.collect(),
+                kernel: compile_interp(KernelModule::new(0)),
+                scalars: scalars.into_iter().map(f64::from_bits).collect(),
+                local_buffer_lens: vec![],
+                overhead: OverheadClass::TaskRuntime,
+            };
+            let expected = bytewise_fingerprint(&launch);
+            proptest::prop_assert_eq!(launch.fingerprint(), expected);
+            // A head kept from an earlier launch of the same name and domain.
+            let kept = TaskLaunch::builder(launch.name.clone())
+                .domain(Domain::linear(points))
+                .kernel(compile_interp(KernelModule::new(0)))
+                .build()
+                .head_fold();
+            proptest::prop_assert_eq!(launch.fingerprint_after_head(kept), expected);
+        }
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!    to the configured [`Executor`], which may overlap independent launches
 //!    across worker threads (see `docs/RUNTIME.md`).
 
-use std::collections::HashMap;
-
 use std::sync::Arc;
 
+use ir::fingerprint::FnvHashMap;
 use ir::{Domain, PartitionId, Rect};
 use kernel::{cost as kcost, BackendKind, CompiledKernel, ExecError, KernelBackend, KernelModule};
 use machine::{CostModel, MachineConfig, MemoryTracker, SimClock};
@@ -310,8 +309,8 @@ pub struct Runtime {
     cost: CostModel,
     clock: SimClock,
     memory: MemoryTracker,
-    regions: HashMap<RegionId, RegionHandle>,
-    validity: HashMap<RegionId, Validity>,
+    regions: FnvHashMap<RegionId, RegionHandle>,
+    validity: FnvHashMap<RegionId, Validity>,
     profile: Profile,
     next_region: u64,
     executor: Executor,
@@ -328,7 +327,7 @@ pub struct Runtime {
     /// content (CG iterations) get distinct fault keys while remaining
     /// executor- and window-permutation invariant (program order of equal
     /// fingerprints is preserved by every legal reordering).
-    fault_occurrence: HashMap<u64, u64>,
+    fault_occurrence: FnvHashMap<u64, u64>,
     /// Fault/recovery attribution counters.
     fault_stats: FaultStats,
     /// Per-GPU device-fault strikes; a GPU with `recovery.unhealthy_after`
@@ -366,8 +365,8 @@ impl Runtime {
             cost,
             clock: SimClock::new(gpus),
             memory: MemoryTracker::new(gpus),
-            regions: HashMap::new(),
-            validity: HashMap::new(),
+            regions: FnvHashMap::default(),
+            validity: FnvHashMap::default(),
             profile: Profile::default(),
             next_region: 0,
             executor,
@@ -375,7 +374,7 @@ impl Runtime {
             deferred_error: None,
             fault_plan,
             recovery,
-            fault_occurrence: HashMap::new(),
+            fault_occurrence: FnvHashMap::default(),
             fault_stats: FaultStats::default(),
             gpu_strikes: vec![0; gpus],
             failures: Vec::new(),
@@ -646,6 +645,37 @@ impl Runtime {
         launch: &TaskLaunch,
         plan: &LaunchPlan,
     ) -> Result<(), RuntimeError> {
+        self.execute_folded(launch, plan, None)
+    }
+
+    /// [`Runtime::execute_planned`] for a caller that keeps the launch's
+    /// [`TaskLaunch::head_fold`]: an armed fault plan then folds only what
+    /// follows the head into the launch's fingerprint. Fault schedules are
+    /// the same as through [`Runtime::execute_planned`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::execute_planned`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Runtime::execute_planned`]; debug builds also check `head`.
+    pub fn execute_planned_after_head(
+        &mut self,
+        launch: &TaskLaunch,
+        plan: &LaunchPlan,
+        head: u64,
+    ) -> Result<(), RuntimeError> {
+        debug_assert_eq!(head, launch.head_fold(), "head fold of `{}`", launch.name);
+        self.execute_folded(launch, plan, Some(head))
+    }
+
+    fn execute_folded(
+        &mut self,
+        launch: &TaskLaunch,
+        plan: &LaunchPlan,
+        head: Option<u64>,
+    ) -> Result<(), RuntimeError> {
         let buffers = (launch.requirements.len(), launch.local_buffer_lens.len());
         assert_eq!(
             plan.buffers, buffers,
@@ -681,7 +711,7 @@ impl Runtime {
         // 6. Fault injection and recovery pricing — eager and program-ordered
         // like the rest of accounting, so fault schedules and recovery cost
         // are identical under every executor and backend.
-        let (failed_attempts, abandoned) = self.inject_faults(launch);
+        let (failed_attempts, abandoned) = self.inject_faults(launch, head);
         // 7. Functional execution, scheduled by the executor.
         if let Some(event) = abandoned {
             // The accounting above stands (the machine did the work up to the
@@ -753,12 +783,18 @@ impl Runtime {
     ///
     /// Returns the number of killed device attempts the functional half must
     /// replay (and roll back) and, when the launch could not be recovered
-    /// (policy disabled), the fault event that abandons it.
-    fn inject_faults(&mut self, launch: &TaskLaunch) -> (u32, Option<FaultEvent>) {
+    /// (policy disabled), the fault event that abandons it. `head` is the
+    /// launch's head fold if the caller kept it; otherwise, and only under a
+    /// plan, it is folded here.
+    fn inject_faults(
+        &mut self,
+        launch: &TaskLaunch,
+        head: Option<u64>,
+    ) -> (u32, Option<FaultEvent>) {
         let Some(plan) = self.fault_plan else {
             return (0, None);
         };
-        let fp = launch.fingerprint();
+        let fp = launch.fingerprint_after_head(head.unwrap_or_else(|| launch.head_fold()));
         let occurrence = self.fault_occurrence.entry(fp).or_insert(0);
         let key = mix(fp, *occurrence);
         *occurrence += 1;
