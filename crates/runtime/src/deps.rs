@@ -7,6 +7,12 @@
 //! each launch's region read/write sets *in program order*, producing for each
 //! new launch the set of earlier launches it must wait for.
 //!
+//! Both [`DepTracker`] and [`HbChecker`] serve the executor's worker path
+//! only. With no workers, launches run in program order as they are
+//! submitted, so every edge would be met before it was recorded: the
+//! executor records none, and keeps a failed batch's dependence cone as
+//! per-region marks under the same rules (see [`crate::executor`]).
+//!
 //! Tracking is at region granularity: two launches writing disjoint
 //! rectangles of the same region are conservatively ordered. This is sound
 //! (never reorders a conflict) and cheap — the analysis is O(accesses), not
@@ -88,8 +94,9 @@ impl AccessSummary {
 /// workspace's other in-process maps ([`ir::fingerprint::FnvHasher`]): keyed
 /// with it, `diffuse-bench`'s `cg_small` set-up ran in the heap's slower
 /// state (≈79 µs against ≈65 µs; ROADMAP rule v) in every process, where
-/// `std`'s seeds put one process in three or four there. A region-indexed
-/// tracker (ROADMAP item 11) retires the question.
+/// `std`'s seeds put one process in three or four there. Since launches
+/// with no workers record no edges, the question concerns only the empty
+/// tracker that `Executor::new` builds, and the layout it leaves.
 #[derive(Debug, Default)]
 pub struct DepTracker {
     last_writer: HashMap<RegionId, u64>,
@@ -153,8 +160,10 @@ impl DepTracker {
     }
 }
 
-/// Debug-only happens-before checker for the parallel executor
-/// (`DIFFUSE_VERIFY` truthy in a debug build; see `docs/VERIFY.md`).
+/// Debug-only happens-before checker for the executor's workers
+/// (`DIFFUSE_VERIFY` truthy in a debug build; see `docs/VERIFY.md`). With no
+/// workers every launch starts in program order, which it would only
+/// re-confirm, so the executor arms it only when it has workers.
 ///
 /// The work-stealing executor promises that a task starts only after every
 /// conflicting earlier task has completed, where *conflicting* means the two

@@ -9,17 +9,18 @@
 //! of functional runs. The executor is backend-agnostic: it runs whatever
 //! artifact the launch carries.
 //!
-//! There is one executor, with one scheduler; [`ExecutorKind`] only sets its
-//! worker count. Submitted launches enter a dependence graph built by
-//! [`crate::DepTracker`], so conflicting launches keep program order and
-//! independent ones may overlap:
+//! There is one executor; [`ExecutorKind`] only sets its worker count.
+//! Conflicting launches keep program order and independent ones may overlap:
 //!
 //! * With no workers — [`ExecutorKind::Serial`], the default, and every
 //!   simulation-only runtime — everything before a launch has completed when
-//!   it is submitted, so it runs at once on the submitting thread. This is
-//!   the determinism baseline the equivalence tests compare against.
+//!   it is submitted, so it runs at once on the submitting thread, in program
+//!   order. It records no dependence edges and takes the scheduler lock only
+//!   to record a failure. This is the determinism baseline the equivalence
+//!   tests compare against.
 //! * With workers — [`ExecutorKind::WorkStealing`], one per simulated GPU
-//!   capped at the host's available parallelism — ready launches go onto
+//!   capped at the host's available parallelism — submitted launches enter a
+//!   dependence graph built by [`crate::DepTracker`], and ready ones go onto
 //!   per-worker deques. A worker pops its own deque LIFO and steals FIFO from
 //!   its siblings when it runs dry.
 //!
@@ -32,7 +33,9 @@
 //! [`LaunchFailure`]. Independent launches complete normally, so their region
 //! contents are trustworthy even after a failed flush; only regions written
 //! inside a failed cone are left at their pre-cone contents (see
-//! `docs/RUNTIME.md` and `docs/RESILIENCE.md`).
+//! `docs/RUNTIME.md` and `docs/RESILIENCE.md`). With workers the cone follows
+//! the dependence edges; with none it is kept as per-region marks, empty
+//! until the batch's first failure, which skip exactly the same launches.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
@@ -364,7 +367,8 @@ impl DataPlan {
     ///
     /// Viewing is sound because nothing else can touch a viewed region while
     /// the launch runs: within the launch, a written region has no other view
-    /// and a read-viewed one no writer; across launches, the executor's
+    /// and a read-viewed one no writer; across launches, with no workers every
+    /// launch runs alone, in program order, and with workers the executor's
     /// region-granular [`DepTracker`] orders every writer of a region against
     /// every launch that touches it. So a view reads exactly what each
     /// copy-in would have staged, and writes exactly what each copy-out would
@@ -574,13 +578,41 @@ struct SchedState {
     /// Set once at drop; workers exit when they run dry.
     shutdown: bool,
     /// Debug-only happens-before checker (`DIFFUSE_VERIFY` truthy in a debug
-    /// build): every functional execution asserts its conflicting
+    /// build): every launch a worker runs asserts its conflicting
     /// predecessors are ordered by recorded dependence edges and already
-    /// complete. `None` in release builds or when not requested — zero cost.
+    /// complete. `None` in release builds, when not requested or with no
+    /// workers, where every launch starts in program order, which it would
+    /// only re-confirm — zero cost.
     hb: Option<crate::deps::HbChecker>,
 }
 
 impl SchedState {
+    /// The state of an executor with `workers` workers, with the
+    /// happens-before checker armed if there are workers, this is a debug
+    /// build and `DIFFUSE_VERIFY` asks for it.
+    fn new(workers: usize) -> Self {
+        let hb = workers > 0
+            && cfg!(debug_assertions)
+            && crate::deps::HbChecker::requested_by_env();
+        SchedState {
+            tasks: FnvHashMap::default(),
+            queues: vec![VecDeque::new(); workers],
+            pending: 0,
+            failed: FnvHashMap::default(),
+            failures: Vec::new(),
+            shutdown: false,
+            hb: hb.then(crate::deps::HbChecker::default),
+        }
+    }
+
+    /// Records that launch `id` failed with `error`: later launches that
+    /// depend on it are skipped as poisoned by it.
+    fn fail(&mut self, id: u64, name: &str, error: RuntimeError) {
+        self.failed.insert(id, name.to_string());
+        let launch = name.to_string();
+        self.failures.push((id, LaunchFailure { launch, error }));
+    }
+
     /// Registers launch `id` with the happens-before checker and returns the
     /// error it is skipped with: poisoned by the first of its dependences that
     /// completed and failed. A dependence still in flight poisons it at
@@ -619,9 +651,7 @@ impl SchedState {
         }
         let failed = result.is_err();
         if let Err(error) = result {
-            self.failed.insert(id, name.to_string());
-            let launch = name.to_string();
-            self.failures.push((id, LaunchFailure { launch, error }));
+            self.fail(id, name, error);
         }
         let mut freed = 0;
         for dep in dependents {
@@ -651,6 +681,67 @@ impl SchedState {
     }
 }
 
+/// The failed dependence cone of a batch run with no workers, kept as two
+/// marks per region instead of dependence edges. Both maps stay empty until
+/// the batch's first failure, so a batch that fails nowhere pays one
+/// emptiness test per launch.
+///
+/// In program order, a launch depends on a cone launch exactly when it
+/// touches a region whose last writer is in the cone (RAW, WAW), or writes a
+/// region that a cone launch read since its last write (WAR) — the edges
+/// [`DepTracker::record`] would give it, restricted to the cone. A region's
+/// last writer is in the cone as soon as one cone launch wrote it, because
+/// every later writer of the region depends on that one. So the marks name
+/// the same failed dependences the edges do, and the smallest of them is the
+/// one [`SchedState::register`] reports.
+#[derive(Debug, Default)]
+struct Cone {
+    /// Per region, the last cone launch that wrote it.
+    written: FnvHashMap<RegionId, u64>,
+    /// Per region, the first cone launch that read it since that write.
+    read: FnvHashMap<RegionId, u64>,
+}
+
+impl Cone {
+    /// The earliest cone launch a launch with `accesses` depends on, if any:
+    /// the smallest write mark among the regions it touches and read mark
+    /// among those it writes.
+    fn upstream(&self, accesses: impl Iterator<Item = AccessSummary>) -> Option<u64> {
+        if self.written.is_empty() && self.read.is_empty() {
+            return None;
+        }
+        accesses
+            .flat_map(|a| {
+                let written = self.written.get(&a.region).filter(|_| a.reads || a.writes);
+                let read = self.read.get(&a.region).filter(|_| a.writes);
+                written.into_iter().chain(read).copied()
+            })
+            .min()
+    }
+
+    /// Adds launch `id`, failed or skipped, to the cone, under
+    /// [`DepTracker`]'s rules: a write sets the region's write mark and clears
+    /// its read mark; a read-only access to a region the launch does not
+    /// write sets the read mark if it is unset.
+    fn add(&mut self, id: u64, accesses: impl Iterator<Item = AccessSummary> + Clone) {
+        for access in accesses.clone().filter(|a| a.writes) {
+            self.written.insert(access.region, id);
+            self.read.remove(&access.region);
+        }
+        for access in accesses.filter(|a| a.reads && !a.writes) {
+            if self.written.get(&access.region) != Some(&id) {
+                self.read.entry(access.region).or_insert(id);
+            }
+        }
+    }
+
+    /// Forgets the batch's cone.
+    fn clear(&mut self) {
+        self.written.clear();
+        self.read.clear();
+    }
+}
+
 #[derive(Debug)]
 struct Shared {
     state: Mutex<SchedState>,
@@ -675,11 +766,10 @@ impl Shared {
     }
 }
 
-/// Schedules the functional work of task launches: on a pool of workers, or
-/// with none on the submitting thread. Both go through one protocol —
-/// dependence tracking, cone containment, one completion step — and only
-/// where a ready launch runs depends on the worker count (see the module
-/// documentation).
+/// Schedules the functional work of task launches: on a pool of workers,
+/// ordered by dependence edges, or with none on the submitting thread, in
+/// program order. Both contain a failure to the same dependence cone and
+/// record the same failures (see the module documentation).
 ///
 /// Errors are deferred: [`Executor::submit`] never fails, the next
 /// [`Executor::flush`] returns the first failure of the batch by submission
@@ -698,7 +788,10 @@ pub struct Executor {
     kind: ExecutorKind,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// Dependence edges between launches in flight on workers.
     tracker: DepTracker,
+    /// The batch's failed cone when there are no workers.
+    cone: Cone,
     next_id: u64,
     /// Records already reported by a flush, awaiting `drain_failures`.
     drained: Vec<LaunchFailure>,
@@ -719,16 +812,7 @@ impl Executor {
     pub fn new(kind: ExecutorKind, gpus: usize) -> Self {
         let workers = kind.worker_count(gpus);
         let shared = Arc::new(Shared {
-            state: Mutex::new(SchedState {
-                tasks: FnvHashMap::default(),
-                queues: vec![VecDeque::new(); workers],
-                pending: 0,
-                failed: FnvHashMap::default(),
-                failures: Vec::new(),
-                shutdown: false,
-                hb: (cfg!(debug_assertions) && crate::deps::HbChecker::requested_by_env())
-                    .then(crate::deps::HbChecker::default),
-            }),
+            state: Mutex::new(SchedState::new(workers)),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             max_pending: (workers * 4).max(16),
@@ -754,6 +838,7 @@ impl Executor {
             shared,
             workers,
             tracker: DepTracker::new(),
+            cone: Cone::default(),
             next_id: 0,
             drained: Vec::new(),
         }
@@ -776,11 +861,17 @@ impl Executor {
         self.workers.len()
     }
 
+    /// Numbers the next launch.
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
     /// Numbers the next launch and records its accesses, returning its id
     /// and the earlier launches of the batch it is ordered after.
     fn record(&mut self, accesses: &[AccessSummary]) -> (u64, Vec<u64>) {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.next_id();
         (id, self.tracker.record(id, accesses))
     }
 
@@ -788,34 +879,13 @@ impl Executor {
     /// submission it conflicts with. With no workers it runs before this
     /// returns.
     pub fn submit(&mut self, work: WorkRequest<'_>) {
+        if self.workers.is_empty() {
+            self.run_inline(work);
+            return;
+        }
         let summaries: Vec<AccessSummary> =
             work.accesses.iter().map(BufferAccess::summary).collect();
         let (id, deps) = self.record(&summaries);
-        if self.workers.is_empty() {
-            // Everything before this launch has completed: it runs now, from
-            // the borrowed request.
-            let mut state = self.shared.lock();
-            let result = match state.register(id, work.name, &summaries, &deps) {
-                Some(poisoned) => Err(poisoned),
-                None => {
-                    if let Some(hb) = state.hb.as_ref() {
-                        hb.check_start(id);
-                    }
-                    run_caught(|| {
-                        run_functional(
-                            work.kernel.as_ref(),
-                            work.scalars,
-                            work.local_buffer_lens,
-                            &work.accesses,
-                            work.plan,
-                            work.failed_attempts,
-                        )
-                    })
-                }
-            };
-            state.complete(id, work.name, result, Vec::new(), 0);
-            return;
-        }
         // Crossing to a worker thread requires ownership.
         let work = work.into_owned_work();
         let mut state = self.shared.lock();
@@ -852,12 +922,49 @@ impl Executor {
     /// Used by the runtime when fault injection abandons a launch before its
     /// functional work is submitted.
     pub fn poison(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError) {
+        if self.workers.is_empty() {
+            let id = self.next_id();
+            self.shared.lock().fail(id, name, error);
+            self.cone.add(id, accesses.iter().copied());
+            return;
+        }
         let (id, deps) = self.record(accesses);
         // Born completed-and-failed: every later submission depending on it
         // poisons at submit time.
         let mut state = self.shared.lock();
         let _ = state.register(id, name, accesses, &deps);
         state.complete(id, name, Err(error), Vec::new(), 0);
+    }
+
+    /// Runs a launch on the submitting thread, from the borrowed request:
+    /// with no workers, everything before it has completed. It is skipped if
+    /// it depends on the batch's failed cone; a skipped or failed launch
+    /// joins the cone. Only a failure takes the scheduler lock, to record
+    /// itself.
+    fn run_inline(&mut self, work: WorkRequest<'_>) {
+        let id = self.next_id();
+        let accesses = work.accesses.iter().map(BufferAccess::summary);
+        let error = if let Some(upstream) = self.cone.upstream(accesses.clone()) {
+            let upstream = self.shared.lock().failed[&upstream].clone();
+            RuntimeError::Poisoned { launch: work.name.to_string(), upstream }
+        } else {
+            let result = run_caught(|| {
+                run_functional(
+                    work.kernel.as_ref(),
+                    work.scalars,
+                    work.local_buffer_lens,
+                    &work.accesses,
+                    work.plan,
+                    work.failed_attempts,
+                )
+            });
+            match result {
+                Ok(()) => return,
+                Err(error) => error,
+            }
+        };
+        self.shared.lock().fail(id, work.name, error);
+        self.cone.add(id, accesses);
     }
 
     /// Blocks until every submitted launch has completed, returning the first
@@ -875,6 +982,7 @@ impl Executor {
             state = self.shared.done_cv.wait(state).expect(POISONED);
         }
         self.tracker.reset();
+        self.cone.clear();
         if let Some(hb) = state.hb.as_mut() {
             hb.reset();
         }
@@ -1296,6 +1404,144 @@ mod tests {
         assert_eq!(b.data().unwrap(), vec![10.5; 32]);
         // Source (read-only) untouched by the replayed attempts.
         assert_eq!(a.data().unwrap(), vec![1.5; 32]);
+    }
+
+    /// A kernel whose one stage fails at once, with a known error.
+    #[derive(Debug)]
+    struct FailsAtOnce(KernelModule);
+
+    impl CompiledKernel for FailsAtOnce {
+        fn module(&self) -> &KernelModule {
+            &self.0
+        }
+
+        fn backend_id(&self) -> &'static str {
+            "fails-at-once"
+        }
+
+        fn execute_stage(
+            &self,
+            _stage: usize,
+            _buffers: &mut [Buffer<'_>],
+            _scalars: &[f64],
+        ) -> Result<(), kernel::ExecError> {
+            Err(kernel::ExecError::MissingParam(0))
+        }
+    }
+
+    /// Containment as dependence edges give it: every launch recorded by a
+    /// [`DepTracker`], registered against its edges and completed through
+    /// [`SchedState`], in program order. [`Cone`]'s marks must skip and
+    /// record exactly what this does.
+    struct EdgeContainment {
+        tracker: DepTracker,
+        state: SchedState,
+        next_id: u64,
+    }
+
+    impl EdgeContainment {
+        fn new() -> Self {
+            EdgeContainment { tracker: DepTracker::new(), state: SchedState::new(0), next_id: 0 }
+        }
+
+        /// A launch that fails with `own` if it runs, or succeeds if `None`.
+        fn launch(&mut self, name: &str, accesses: &[AccessSummary], own: Option<RuntimeError>) {
+            let id = self.next_id;
+            self.next_id += 1;
+            let deps = self.tracker.record(id, accesses);
+            let result = match self.state.register(id, name, accesses, &deps) {
+                Some(poisoned) => Err(poisoned),
+                None => own.map_or(Ok(()), Err),
+            };
+            self.state.complete(id, name, result, Vec::new(), 0);
+        }
+
+        fn poison(&mut self, name: &str, accesses: &[AccessSummary], error: RuntimeError) {
+            let id = self.next_id;
+            self.next_id += 1;
+            let deps = self.tracker.record(id, accesses);
+            let _ = self.state.register(id, name, accesses, &deps);
+            self.state.complete(id, name, Err(error), Vec::new(), 0);
+        }
+
+        /// The batch's first error and its failure records, as
+        /// [`Executor::flush`] and [`Executor::drain_failures`] report them.
+        fn flush(&mut self) -> (Option<RuntimeError>, Vec<LaunchFailure>) {
+            self.tracker.reset();
+            self.state.failed.clear();
+            let batch = self.state.take_failures();
+            (batch.first().map(|f| f.error.clone()), batch)
+        }
+    }
+
+    const PRIVILEGES: [Privilege; 4] = [
+        Privilege::Read,
+        Privilege::Write,
+        Privilege::ReadWrite,
+        Privilege::Reduce(ir::ReductionOp::Sum),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 512 }))]
+
+        /// With no workers, the per-region marks contain a failure exactly
+        /// as dependence edges do: on random streams over one to six
+        /// regions — every privilege, a region repeated within a launch —
+        /// of launches that succeed (steps 0–3), launches whose kernel fails
+        /// (4–5), `poison` calls (6) and flushes (7), each flush reports the
+        /// same first error and the same failure records, in the same
+        /// order, as [`EdgeContainment`]. A record names its launch, its own
+        /// error or the `upstream` that poisoned it, and the kernels fail
+        /// deterministically, so equal records are an equal skipped set.
+        #[test]
+        fn marks_contain_failures_exactly_as_dependence_edges_do(
+            regions in 1u64..7,
+            steps in prop::collection::vec(
+                (0u8..8, prop::collection::vec((0u64..6, 0usize..4), 1..5)),
+                1..32,
+            ),
+        ) {
+            let handles: Vec<RegionHandle> = (0..regions).map(|r| handle(r, 4, 0.0)).collect();
+            let whole = Rect::new(vec![0], vec![4]);
+            let mut ex = Executor::new(ExecutorKind::Serial, 1);
+            let mut edges = EdgeContainment::new();
+            let last_flush = [(7, vec![(0, 0)])];
+            for (i, (step, touched)) in steps.iter().chain(&last_flush).enumerate() {
+                let name = format!("L{i}");
+                let accesses: Vec<BufferAccess> = touched
+                    .iter()
+                    .map(|&(r, p)| {
+                        access(&handles[(r % regions) as usize], whole.clone(), PRIVILEGES[p])
+                    })
+                    .collect();
+                let summaries: Vec<AccessSummary> =
+                    accesses.iter().map(BufferAccess::summary).collect();
+                let mut module = KernelModule::new(accesses.len() as u32);
+                match step {
+                    0..=3 => {
+                        let runs = work(&name, compile_interp(module), accesses, vec![]);
+                        ex.submit(runs.as_request());
+                        edges.launch(&name, &summaries, None);
+                    }
+                    4 | 5 => {
+                        module.push_loop(LoopBuilder::new("fails", BufferId(0)).finish());
+                        let kernel: Arc<dyn CompiledKernel> = Arc::new(FailsAtOnce(module));
+                        ex.submit(work(&name, kernel, accesses, vec![]).as_request());
+                        let own = RuntimeError::Exec(kernel::ExecError::MissingParam(0));
+                        edges.launch(&name, &summaries, Some(own));
+                    }
+                    6 => {
+                        let error = RuntimeError::Panicked(format!("{name} abandoned"));
+                        ex.poison(&name, &summaries, error.clone());
+                        edges.poison(&name, &summaries, error);
+                    }
+                    _ => {
+                        let got = (ex.flush().err(), ex.drain_failures());
+                        prop_assert_eq!(got, edges.flush(), "after step {}", i);
+                    }
+                }
+            }
+        }
     }
 
     /// A pool of `workers` workers.

@@ -166,12 +166,12 @@ impl Region {
 /// [`RwLock`]. Cloning a handle is cheap and yields another reference to the
 /// same region.
 ///
-/// Concurrent readers share the lock; a writer takes it exclusively. The
-/// executor's dependency tracking (see [`crate::deps`]) orders every launch
-/// that writes a region against every other launch that touches it, at
-/// region granularity, and the runtime flushes before it touches region data
-/// itself — so a launch never waits for the lock of a region it views in
-/// place.
+/// Concurrent readers share the lock; a writer takes it exclusively. With no
+/// workers the executor runs one launch at a time; with workers its
+/// dependency tracking (see [`crate::deps`]) orders every launch that writes
+/// a region against every other launch that touches it, at region
+/// granularity. The runtime flushes before it touches region data itself —
+/// so a launch never waits for the lock of a region it views in place.
 ///
 /// # Example
 ///
@@ -277,7 +277,8 @@ impl RegionHandle {
     /// whole launch, so it takes one per region (re-locking a lock this thread
     /// already holds can deadlock) and never while it may write the region.
     ///
-    /// The lock is free of writers by construction: the executors'
+    /// The lock is free of writers by construction: with no workers one
+    /// launch runs at a time, with workers the executor's
     /// [`crate::DepTracker`] orders every writer of a region against every
     /// launch that reads it, and the runtime flushes before touching region
     /// data itself. Debug builds assert that the guard is taken without
@@ -301,10 +302,10 @@ impl RegionHandle {
     /// contents in place instead of staging a copy: the launch's one
     /// requirement on the region, held for the whole launch.
     ///
-    /// The lock is free by construction: the executors' [`crate::DepTracker`]
-    /// orders a launch that writes a region against every other launch that
-    /// touches it, and the runtime flushes before touching region data
-    /// itself. Debug builds assert that the guard is taken without waiting,
+    /// The lock is free by construction: with no workers one launch runs at a
+    /// time, with workers the executor's [`crate::DepTracker`] orders a launch
+    /// that writes a region against every other launch that touches it, and
+    /// the runtime flushes before touching region data itself. Debug builds assert that the guard is taken without waiting,
     /// as [`RegionHandle::read_guard`] does.
     pub(crate) fn write_guard(&self) -> RwLockWriteGuard<'_, Region> {
         match self.cell.try_write() {

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use ir::fingerprint::FnvHashMap;
-use ir::{Domain, PartitionId, Rect};
+use ir::{Domain, Partition, PartitionId, Rect, ShapeId};
 use kernel::{cost as kcost, BackendKind, CompiledKernel, ExecError, KernelBackend, KernelModule};
 use machine::{CostModel, MachineConfig, MemoryTracker, SimClock};
 
@@ -269,6 +269,9 @@ pub struct LaunchPlan {
     cost: kcost::KernelCost,
     /// The simulated seconds of that cost on one healthy GPU.
     kernel_time: f64,
+    /// The launch domain, interned: the part of a communication price's key
+    /// that the description fixes ([`Runtime::execute_planned`]).
+    domain: ShapeId,
     /// How the data plane binds the launch's buffers.
     data: DataPlan,
 }
@@ -336,7 +339,19 @@ pub struct Runtime {
     /// Per-launch failure records drained from the executor, surfaced via
     /// [`Runtime::take_failures`].
     failures: Vec<LaunchFailure>,
+    /// Communication deficits by their four interned ids, as the point walk
+    /// found them on the key's first sighting ([`Runtime::charge_communication`]).
+    deficits: FnvHashMap<DeficitKey, Deficits>,
 }
+
+/// What a communication deficit is a pure function of: the partition a
+/// launch reads a region through, the partition the region is valid
+/// through, the region's shape and the launch domain.
+type DeficitKey = (PartitionId, PartitionId, ShapeId, ShapeId);
+
+/// The bytes the worst launch point's GPU lacks, and the bytes all of them
+/// lack ([`walk_deficits`]).
+type Deficits = (u64, u64);
 
 impl Drop for Runtime {
     fn drop(&mut self) {
@@ -378,6 +393,7 @@ impl Runtime {
             fault_stats: FaultStats::default(),
             gpu_strikes: vec![0; gpus],
             failures: Vec::new(),
+            deficits: FnvHashMap::default(),
         }
     }
 
@@ -590,11 +606,12 @@ impl Runtime {
             })
             .collect::<Result<Vec<(&ir::Partition, &[u64])>, _>>()?;
         let (cost, kernel_time) = self.price(launch, &req_parts);
+        let domain = ShapeId::intern(launch.launch_domain.shape());
         let num_locals = launch.local_buffer_lens.len();
         let buffers = (launch.requirements.len(), num_locals);
         if !self.config.materialize_data {
             let (rects, data) = (Vec::new(), DataPlan::default());
-            return Ok(LaunchPlan { buffers, rects, cost, kernel_time, data });
+            return Ok(LaunchPlan { buffers, rects, cost, kernel_time, domain, data });
         }
         let rects = req_parts
             .iter()
@@ -602,7 +619,7 @@ impl Runtime {
             .collect();
         let requirements = launch.requirements.iter().map(|req| (req.region, req.privilege));
         let data = DataPlan::new(launch.kernel.module(), requirements, num_locals);
-        Ok(LaunchPlan { buffers, rects, cost, kernel_time, data })
+        Ok(LaunchPlan { buffers, rects, cost, kernel_time, domain, data })
     }
 
     /// Executes an index-task launch: plans it ([`Runtime::plan`]), then
@@ -683,6 +700,12 @@ impl Runtime {
              ((requirements, locals) planned vs launched)",
             launch.name
         );
+        debug_assert_eq!(
+            plan.domain.get(),
+            launch.launch_domain.shape(),
+            "launch `{}` executed under a plan made for another launch domain",
+            launch.name
+        );
         if let Some(e) = self.deferred_error.take() {
             return Err(e);
         }
@@ -699,7 +722,7 @@ impl Runtime {
         };
         // 2. Coherence: communication required to read data through a
         // partition other than the one it was produced with.
-        let comm_time = self.charge_communication(launch);
+        let comm_time = self.charge_communication(launch, plan.domain);
         // 3. Update validity from this launch's writes and reductions.
         self.update_validity(launch);
         // 4. Kernel cost on the critical-path GPU.
@@ -915,9 +938,26 @@ impl Runtime {
         }
     }
 
-    /// Computes and charges the communication needed before `launch` can read
-    /// its requirements. Returns the simulated seconds of communication.
-    fn charge_communication(&mut self, launch: &TaskLaunch) -> f64 {
+    /// Computes and charges the communication needed before `launch`, whose
+    /// domain is interned as `domain`, can read its requirements. Returns the
+    /// simulated seconds of communication.
+    ///
+    /// A read through a partition other than the one its region is valid
+    /// through is priced from the bytes each launch point's GPU lacks. That
+    /// deficit is a pure function of four interned ids — the wanted and the
+    /// valid partition, the region's shape and the launch domain — so it is
+    /// walked point by point ([`walk_deficits`]) on a key's first sighting
+    /// only and looked up after that: a replayed launch walks no point. The
+    /// memo keeps the walk's own integers, so the price is the walk's. It
+    /// holds one entry per distinct key, which, like the interners behind
+    /// the ids, does not grow with the iteration count.
+    ///
+    /// The launch domain is interned once per plan. The region's shape is
+    /// interned here, on the lookup: keeping its id in the region's
+    /// metadata instead changed the heap layout enough to put
+    /// `diffuse-bench`'s `heat_xlib` set-up in its slow mode (≈2.5 against
+    /// ≈0.9 ms on a 2-core x86-64 box) in nearly every process.
+    fn charge_communication(&mut self, launch: &TaskLaunch, domain: ShapeId) -> f64 {
         let mut total_time = 0.0;
         for req in &launch.requirements {
             if !req.privilege.reads() {
@@ -943,21 +983,17 @@ impl Runtime {
                     if valid_part == req.partition {
                         continue;
                     }
-                    // Per-point deficit: bytes each point task needs that its
-                    // GPU does not already hold. Deref the interned
-                    // partitions once, outside the point loop.
-                    let want_part = req.partition.get();
-                    let have_part = valid_part.get();
-                    let mut max_deficit: u64 = 0;
-                    let mut total_deficit: u64 = 0;
-                    for p in launch.launch_domain.points() {
-                        let want = want_part.sub_store_bounds(region.shape(), &p);
-                        let have = have_part.sub_store_bounds(region.shape(), &p);
-                        let overlap = want.intersect(&have).volume();
-                        let deficit = (want.volume() - overlap) * 8;
-                        max_deficit = max_deficit.max(deficit);
-                        total_deficit += deficit;
-                    }
+                    let shape = ShapeId::intern(region.shape());
+                    let key = (req.partition, valid_part, shape, domain);
+                    let (max_deficit, total_deficit) =
+                        *self.deficits.entry(key).or_insert_with(|| {
+                            walk_deficits(
+                                req.partition.get(),
+                                valid_part.get(),
+                                region.shape(),
+                                &launch.launch_domain,
+                            )
+                        });
                     if total_deficit == 0 {
                         continue;
                     }
@@ -1065,12 +1101,42 @@ impl Runtime {
     }
 }
 
+/// The bytes a launch over `domain` lacks when it reads a region of `shape`
+/// through `want` while the region is valid through `have`: per launch point,
+/// the part of the point's `want` sub-store its GPU does not hold under
+/// `have`. Returns the worst point's deficit and the sum over all points.
+/// Walks every point: [`Runtime::charge_communication`] calls it once per
+/// distinct key.
+fn walk_deficits(want: &Partition, have: &Partition, shape: &[u64], domain: &Domain) -> Deficits {
+    #[cfg(test)]
+    POINTS_WALKED.with(|walked| walked.set(walked.get() + domain.size()));
+    let mut max_deficit: u64 = 0;
+    let mut total_deficit: u64 = 0;
+    for p in domain.points() {
+        let want = want.sub_store_bounds(shape, &p);
+        let have = have.sub_store_bounds(shape, &p);
+        let overlap = want.intersect(&have).volume();
+        let deficit = (want.volume() - overlap) * 8;
+        max_deficit = max_deficit.max(deficit);
+        total_deficit += deficit;
+    }
+    (max_deficit, total_deficit)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Launch points [`walk_deficits`] visited on this thread.
+    static POINTS_WALKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::launch::RegionRequirement;
     use ir::{Partition, Privilege, Projection};
     use kernel::{compile_interp, BufferId, BufferRole, KernelModule, LoopBuilder};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn functional_runtime(gpus: usize) -> Runtime {
         Runtime::new(
@@ -1425,6 +1491,138 @@ mod tests {
             (profile.kernel_bytes, profile.kernel_flops, profile.kernel_launches),
             (2 * 256 * 8, 256, 1)
         );
+    }
+
+    /// A launch over `domain` that reads or writes `region` through
+    /// `partition` and runs no stage: all it books is overhead and, when it
+    /// reads, communication.
+    fn touch(
+        region: RegionId,
+        partition: Partition,
+        privilege: Privilege,
+        domain: &Domain,
+    ) -> TaskLaunch {
+        TaskLaunch {
+            name: "touch".into(),
+            launch_domain: domain.clone(),
+            requirements: vec![RegionRequirement::new(region, partition, privilege)],
+            kernel: compile_interp(KernelModule::new(1)),
+            scalars: vec![],
+            local_buffer_lens: vec![],
+            overhead: OverheadClass::TaskRuntime,
+        }
+    }
+
+    /// Launches that read through another partition than the one their
+    /// region is valid through, and found it in the deficit memo.
+    static REPEATED_DEFICITS: AtomicUsize = AtomicUsize::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The deficit memo prices communication exactly as walking every
+        /// launch point does, on a key's first sighting and on every repeat:
+        /// random streams write a region through one partition of a small
+        /// pool and read it through another, over one of a few domains, on
+        /// regions of a few shapes. Partitions are tilings with offsets and
+        /// halos (negative offsets), through `PadZeros` and `SelectDims`
+        /// projections, and `Replicate`. The reference runtime forgets its
+        /// memo before every launch, so it walks every time; the clock and
+        /// the communication counters must agree to the bit after every
+        /// launch.
+        fn the_deficit_memo_prices_like_the_point_walk(
+            two_d in 0u8..2,
+            domains in prop::collection::vec((1u64..9, 1u64..5), 1..4),
+            shapes in prop::collection::vec((1u64..40, 1u64..12), 1..4),
+            partitions in prop::collection::vec((0u8..4, 1u64..9, 1u64..6, -3i64..4, -2i64..3), 2..4),
+            steps in prop::collection::vec((0usize..3, 0usize..4, 0usize..4, 0usize..4, 0usize..4), 4..24),
+        ) {
+            let domains: Vec<Domain> = domains
+                .iter()
+                .map(|&(a, b)| if two_d == 1 { Domain::new(vec![a, b]) } else { Domain::linear(a) })
+                .collect();
+            let partitions: Vec<Partition> = partitions
+                .iter()
+                .map(|&(kind, t0, t1, o0, o1)| {
+                    let proj = match (kind, two_d) {
+                        (2, _) => return Partition::Replicate,
+                        (0, 1) => Projection::Identity,
+                        (1, 1) => Projection::SelectDims(vec![1, 0]),
+                        (1, _) => Projection::SelectDims(vec![0, 0]),
+                        _ => Projection::PadZeros { rank: 2 },
+                    };
+                    Partition::tiling(vec![t0, t1], vec![o0, o1], proj)
+                })
+                .collect();
+            let config = RuntimeConfig::simulation_only(MachineConfig::with_gpus(8));
+            let (mut memo, mut walk) = (Runtime::new(config.clone()), Runtime::new(config));
+            let regions: Vec<RegionId> = (0..3)
+                .map(|r| {
+                    let (rows, cols) = shapes[r % shapes.len()];
+                    let region = memo.allocate_region(vec![rows, cols], "r");
+                    assert_eq!(region, walk.allocate_region(vec![rows, cols], "r"));
+                    region
+                })
+                .collect();
+            let partition = |i: usize| partitions[i % partitions.len()].clone();
+            let domain = |i: usize| &domains[i % domains.len()];
+            for &(r, w, q, dw, dq) in &steps {
+                let write = touch(regions[r], partition(w), Privilege::Write, domain(dw));
+                let read = touch(regions[r], partition(q), Privilege::Read, domain(dq));
+                for launch in [write, read] {
+                    let known = memo.deficits.len();
+                    walk.deficits.clear();
+                    memo.execute(&launch).unwrap();
+                    walk.execute(&launch).unwrap();
+                    let (m, w) = (memo.profile(), walk.profile());
+                    prop_assert_eq!(
+                        (memo.elapsed().to_bits(), m.comm_time.to_bits(), m.comm_bytes),
+                        (walk.elapsed().to_bits(), w.comm_time.to_bits(), w.comm_bytes),
+                        "{} through {} over {}",
+                        launch.requirements[0].privilege,
+                        launch.requirements[0].partition,
+                        launch.launch_domain
+                    );
+                    if known == memo.deficits.len() && !walk.deficits.is_empty() {
+                        REPEATED_DEFICITS.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deficit_memo_matches_the_point_walk() {
+        the_deficit_memo_prices_like_the_point_walk();
+        // Repeats are what the memo is for: many reads must have hit it.
+        let repeated = REPEATED_DEFICITS.load(Ordering::Relaxed);
+        assert!(repeated > 100, "{repeated} reads hit the memo");
+    }
+
+    /// A replayed read through a haloed tiling walks no launch point,
+    /// whatever the number of points: the first sighting walks them all, a
+    /// repeat none.
+    #[test]
+    fn a_repeated_communication_price_walks_no_point() {
+        for points in [8u64, 1 << 20] {
+            let config = RuntimeConfig::simulation_only(MachineConfig::with_gpus(8));
+            let mut rt = Runtime::new(config);
+            let domain = Domain::linear(points);
+            let region = rt.allocate_region(vec![points * 4], "halo");
+            let block = Partition::block(vec![4]);
+            let haloed = Partition::tiling(vec![4], vec![-1], Projection::Identity);
+            let walked = || POINTS_WALKED.with(std::cell::Cell::get);
+            let mut priced = Vec::new();
+            for _ in 0..3 {
+                rt.execute(&touch(region, block.clone(), Privilege::Write, &domain)).unwrap();
+                let (before, bytes) = (walked(), rt.profile().comm_bytes);
+                rt.execute(&touch(region, haloed.clone(), Privilege::Read, &domain)).unwrap();
+                priced.push((walked() - before, rt.profile().comm_bytes - bytes));
+            }
+            // Each point but the first lacks its left neighbour's last element.
+            let bytes = (points - 1) * 8;
+            assert_eq!(priced, [(points, bytes), (0, bytes), (0, bytes)], "{points} points");
+        }
     }
 
     #[test]
